@@ -33,19 +33,27 @@ Qubit 0 is the leftmost (most significant) tensor factor and ancillas come
 first, so the encoded block always sits in the top-left corner of the
 evaluated unitary.
 
-Circuits are immutable after construction; evaluation caches static gate
-matrices and gadget eigendecompositions on first use.
+Evaluation lowers each gate to local ops: a 2^k x 2^k matrix on k adjacent
+qubits, applied only where all of its control qubits are |1>.  ``cnot`` is X
+on the target and ``cz``/``ccz``/``ncz`` are Z on the last qubit, with the
+other qubits as controls; ``cr`` is two ops; ``dagger`` reverses the ops and
+conjugate-transposes each matrix.  The ops act on the reshaped axes of a
+``(2,)*N + (cols,)`` tensor, so no gate is ever embedded in a 2^N x 2^N
+matrix.  Circuits are immutable after construction; a gadget computes its
+dense generator and eigendecomposition once, on first evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from vbe import linalg
-from vbe.pauli import PauliSum, format_pauli_sum
+from vbe.pauli import PauliSum, format_pauli_sum, to_dense
 
 COMPLEX = "complex"
 REAL = "real"
@@ -100,6 +108,17 @@ class Gate:
             if any(b - a != 1 for a, b in zip(self.qubits, self.qubits[1:])):
                 raise ValueError("gadget qubits must be a contiguous ascending range")
 
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense gadget generator G with the eigenpairs (w, V) of iG.
+
+        Computed on first evaluation, so gadgets too wide for a dense matrix
+        can still be built and counted.
+        """
+        gd = to_dense(self.generator)
+        w, v = np.linalg.eigh(1j * gd)
+        return gd, w, v
+
 
 @dataclass(frozen=True)
 class Circuit:
@@ -133,10 +152,6 @@ class Circuit:
 
     def system_qubits(self) -> int:
         return self.n_qubits - self.ancillas
-
-
-def count_parameters(c: Circuit) -> int:
-    return c.param_count
 
 
 # --------------------------------------------------------------------------
@@ -192,216 +207,75 @@ def _dry(theta: float) -> np.ndarray:
     return 0.5 * np.array([[-s, -c], [c, -s]], dtype=np.complex128)
 
 
+_ROTATIONS = {"rx": (_rx, _drx), "ry": (_ry, _dry), "rz": (_rz, _drz)}
+
+
 def pauli_gadget_unitary(g: PauliSum, theta: float) -> np.ndarray:
     """exp(theta * G) for an anti-hermitian Pauli-sum generator G."""
     if not g.is_antihermitian():
         raise ValueError("gadget generator must have purely imaginary coefficients")
-    from vbe.pauli import to_dense
-
     return linalg.matrix_exp_antihermitian(theta * to_dense(g))
 
 
 # --------------------------------------------------------------------------
-# dense evaluation
+# evaluation: gates lowered to local ops applied on tensor axes
 # --------------------------------------------------------------------------
-class _Evaluator:
-    """Per-circuit cache of embeddings, static matrices and gadget spectra."""
+class _Op(NamedTuple):
+    """A 2^k x 2^k matrix on qubits first..first+k-1, applied where every
+    control qubit is |1>, with one derivative matrix per parameter slot."""
 
-    def __init__(self, circuit: Circuit):
-        self.c = circuit
-        self.dim = circuit.dim
-        self._eyes: dict[int, np.ndarray] = {}
-        self._control_sel: list[np.ndarray | None] = []
-        self._static: list[np.ndarray | None] = []
-        self._gadget_eig: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for idx, g in enumerate(circuit.gates):
-            sel = self._selector(g.controls) if g.controls else None
-            self._control_sel.append(sel)
-            self._static.append(self._build_static(idx, g) if not g.slots else None)
+    mat: np.ndarray
+    first: int
+    controls: tuple[int, ...]
+    derivs: tuple[tuple[int, np.ndarray], ...] = ()
 
-    # -- embedding helpers ----------------------------------------------
-    def _eye(self, dim: int) -> np.ndarray:
-        if dim not in self._eyes:
-            self._eyes[dim] = np.eye(dim, dtype=np.complex128)
-        return self._eyes[dim]
 
-    def _embed1(self, m2: np.ndarray, q: int) -> np.ndarray:
-        n = self.c.n_qubits
-        left = 1 << q
-        right = 1 << (n - q - 1)
-        out = m2
-        if left > 1:
-            out = np.kron(self._eye(left), out)
-        if right > 1:
-            out = np.kron(out, self._eye(right))
-        return out
-
-    def _embed_block(self, m: np.ndarray, first_q: int, k: int) -> np.ndarray:
-        n = self.c.n_qubits
-        left = 1 << first_q
-        right = 1 << (n - first_q - k)
-        out = m
-        if left > 1:
-            out = np.kron(self._eye(left), out)
-        if right > 1:
-            out = np.kron(out, self._eye(right))
-        return out
-
-    def _bit_selector(self, qubits: tuple[int, ...]) -> np.ndarray:
-        """Boolean mask over basis states where all listed qubits are |1>."""
-        idx = np.arange(self.dim)
-        sel = np.ones(self.dim, dtype=bool)
-        for q in qubits:
-            sel &= ((idx >> (self.c.n_qubits - 1 - q)) & 1) == 1
-        return sel
-
-    _selector = _bit_selector
-
-    def _controlled(self, sel: np.ndarray | None, m: np.ndarray) -> np.ndarray:
-        if sel is None:
-            return m
-        out = np.where(sel[:, None], m, self._eye(self.dim))
-        return out
-
-    def _controlled_deriv(self, sel: np.ndarray | None, d: np.ndarray) -> np.ndarray:
-        if sel is None:
-            return d
-        return d * sel[:, None]
-
-    # -- static gates -----------------------------------------------------
-    def _build_static(self, idx: int, g: Gate) -> np.ndarray:
-        if g.kind == "h":
-            m = self._embed1(_H2, g.qubits[0])
-        elif g.kind == "cnot":
-            c, t = g.qubits
-            sel = self._bit_selector((c,))
-            m = self._controlled(sel, self._embed1(_X2, t))
-        elif g.kind == "cz":
-            c, t = g.qubits
-            sel = self._bit_selector((c,))
-            m = self._controlled(sel, self._embed1(_Z2, t))
-        elif g.kind in ("ccz", "ncz"):
-            diag = np.ones(self.dim, dtype=np.complex128)
-            diag[self._bit_selector(g.qubits)] = -1.0
-            m = np.diag(diag)
-        else:  # pragma: no cover - guarded by Gate validation
-            raise ValueError(f"gate kind {g.kind} is not static")
-        m = self._controlled(self._control_sel[idx], m)
-        if g.dagger:
-            m = m.conj().T
-        return m
-
-    # -- parameterized gates ----------------------------------------------
-    def _gadget_parts(self, idx: int, g: Gate, theta: float):
-        if idx not in self._gadget_eig:
-            from vbe.pauli import to_dense
-
-            gd = to_dense(g.generator)
-            w, v = np.linalg.eigh(1j * gd)  # generator = -i * hermitian part
-            self._gadget_eig[idx] = (gd, w, v)
-        gd, w, v = self._gadget_eig[idx]
-        local = (v * np.exp(-1j * theta * w)) @ v.conj().T
-        return gd, local
-
-    def gate_matrix(self, idx: int, theta: np.ndarray) -> np.ndarray:
-        g = self.c.gates[idx]
-        if self._static[idx] is not None:
-            return self._static[idx]
-        vals = [theta[s] for s in g.slots]
-        if g.kind == "grot":
-            lam = vals[2] if len(vals) == 3 else 0.0
-            m = self._embed1(single_qubit_R(vals[0], vals[1], lam), g.qubits[0])
-        elif g.kind == "ry":
-            m = self._embed1(_ry(vals[0]), g.qubits[0])
-        elif g.kind == "rx":
-            m = self._embed1(_rx(vals[0]), g.qubits[0])
-        elif g.kind == "rz":
-            m = self._embed1(_rz(vals[0]), g.qubits[0])
-        elif g.kind == "cr":
-            m = self._cr_matrix(g, vals)
-        elif g.kind == "gadget":
-            _, local = self._gadget_parts(idx, g, vals[0])
-            m = self._embed_block(local, g.qubits[0], len(g.qubits))
-        else:  # pragma: no cover
-            raise ValueError(g.kind)
-        m = self._controlled(self._control_sel[idx], m)
-        if g.dagger:
-            m = m.conj().T
-        return m
-
-    def _cr_matrix(self, g: Gate, vals: list[float]) -> np.ndarray:
+def _lower(g: Gate, theta: np.ndarray) -> list[_Op]:
+    """The local ops of gate ``g`` at ``theta``, in application order."""
+    ctl = g.controls
+    vals = [theta[s] for s in g.slots]
+    if g.kind == "h":
+        ops = [_Op(_H2, g.qubits[0], ctl)]
+    elif g.kind == "cnot":
+        ops = [_Op(_X2, g.qubits[1], ctl + g.qubits[:1])]
+    elif g.kind in ("cz", "ccz", "ncz"):
+        ops = [_Op(_Z2, g.qubits[-1], ctl + g.qubits[:-1])]
+    elif g.kind == "grot":
+        lam = vals[2] if len(vals) == 3 else 0.0
+        derivs = zip(g.slots, _grot_derivs(vals[0], vals[1], lam))
+        ops = [_Op(single_qubit_R(vals[0], vals[1], lam), g.qubits[0], ctl, tuple(derivs))]
+    elif g.kind in ("ry", "rx", "rz"):
+        rot, drot = _ROTATIONS[g.kind]
+        ops = [_Op(rot(vals[0]), g.qubits[0], ctl, ((g.slots[0], drot(vals[0])),))]
+    elif g.kind == "cr":
         c, t = g.qubits
-        sel = self._bit_selector((c,))
-        if len(vals) == 6:
-            ra = self._embed1(single_qubit_R(vals[0], vals[1], vals[2]), c)
-            rb = self._controlled(sel, self._embed1(single_qubit_R(vals[3], vals[4], vals[5]), t))
-        else:
-            ra = self._embed1(_ry(vals[0]), c)
-            rb = self._controlled(sel, self._embed1(_ry(vals[1]), t))
-        return rb @ ra
-
-    def gate_derivs(self, idx: int, theta: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        g = self.c.gates[idx]
-        if not g.slots:
-            return []
-        vals = [theta[s] for s in g.slots]
-        out: list[tuple[int, np.ndarray]] = []
-        if g.kind == "grot":
-            lam = vals[2] if len(vals) == 3 else 0.0
-            locals_ = _grot_derivs(vals[0], vals[1], lam)[: len(vals)]
-            for s, d2 in zip(g.slots, locals_):
-                out.append((s, self._embed1(d2, g.qubits[0])))
-        elif g.kind in ("ry", "rx", "rz"):
-            d2 = {"ry": _dry, "rx": _drx, "rz": _drz}[g.kind](vals[0])
-            out.append((g.slots[0], self._embed1(d2, g.qubits[0])))
-        elif g.kind == "cr":
-            out.extend(self._cr_derivs(g, vals))
-        elif g.kind == "gadget":
-            gd, local = self._gadget_parts(idx, g, vals[0])
-            d = self._embed_block(gd @ local, g.qubits[0], len(g.qubits))
-            out.append((g.slots[0], d))
-        sel = self._control_sel[idx]
-        final = []
-        for s, d in out:
-            d = self._controlled_deriv(sel, d)
-            if g.dagger:
-                d = d.conj().T
-            final.append((s, d))
-        return final
-
-    def _cr_derivs(self, g: Gate, vals: list[float]) -> list[tuple[int, np.ndarray]]:
-        c, t = g.qubits
-        sel = self._bit_selector((c,))
-        out = []
-        if len(vals) == 6:
-            ra = self._embed1(single_qubit_R(vals[0], vals[1], vals[2]), c)
-            rb = self._controlled(sel, self._embed1(single_qubit_R(vals[3], vals[4], vals[5]), t))
-            for k, d2 in enumerate(_grot_derivs(vals[0], vals[1], vals[2])):
-                out.append((g.slots[k], rb @ self._embed1(d2, c)))
-            for k, d2 in enumerate(_grot_derivs(vals[3], vals[4], vals[5])):
-                db = self._controlled_deriv(sel, self._embed1(d2, t))
-                out.append((g.slots[3 + k], db @ ra))
-        else:
-            ra = self._embed1(_ry(vals[0]), c)
-            rb = self._controlled(sel, self._embed1(_ry(vals[1]), t))
-            out.append((g.slots[0], rb @ self._embed1(_dry(vals[0]), c)))
-            db = self._controlled_deriv(sel, self._embed1(_dry(vals[1]), t))
-            out.append((g.slots[1], db @ ra))
-        return out
+        kind, half = ("grot", 3) if len(g.slots) == 6 else ("ry", 1)
+        ops = _lower(Gate(kind, (c,), g.slots[:half], controls=ctl), theta)
+        ops += _lower(Gate(kind, (t,), g.slots[half:], controls=ctl + (c,)), theta)
+    elif g.kind == "gadget":
+        gd, w, v = g._spectrum
+        local = (v * np.exp(-1j * vals[0] * w)) @ v.conj().T
+        ops = [_Op(local, g.qubits[0], ctl, ((g.slots[0], gd @ local),))]
+    else:  # pragma: no cover - guarded by Gate validation
+        raise ValueError(g.kind)
+    if g.dagger:
+        ops = [
+            _Op(o.mat.conj().T, o.first, o.controls, tuple((s, d.conj().T) for s, d in o.derivs))
+            for o in reversed(ops)
+        ]
+    return ops
 
 
-_EVAL_CACHE: dict[int, tuple[Circuit, _Evaluator]] = {}
+def _apply(m: np.ndarray, first: int, controls: tuple[int, ...], src: np.ndarray, out: np.ndarray):
+    """Write ``m`` times the target axes of ``src`` into ``out``.
 
-
-def _evaluator(c: Circuit) -> _Evaluator:
-    hit = _EVAL_CACHE.get(id(c))
-    if hit is not None and hit[0] is c:
-        return hit[1]
-    ev = _Evaluator(c)
-    if len(_EVAL_CACHE) > 64:
-        _EVAL_CACHE.clear()
-    _EVAL_CACHE[id(c)] = (c, ev)
-    return ev
+    ``src`` and ``out`` have shape ``(2,)*N + (cols,)``.  Only the subspace
+    where every control qubit is |1> is written; ``out`` may be ``src``.
+    """
+    sel = tuple(1 if q in controls else slice(None) for q in range(src.ndim - 1))
+    sub = src[sel]
+    lead = 1 << (first - sum(q < first for q in controls))
+    out[sel] = (m @ sub.reshape(lead, m.shape[0], -1)).reshape(sub.shape)
 
 
 def _check_theta(c: Circuit, theta) -> np.ndarray:
@@ -411,41 +285,55 @@ def _check_theta(c: Circuit, theta) -> np.ndarray:
     return th
 
 
+def _forward(c: Circuit, ops: list[_Op]) -> np.ndarray:
+    """All ops applied to the identity, as a ``(2,)*N + (dim,)`` tensor."""
+    psi = np.eye(c.dim, dtype=np.complex128).reshape((2,) * c.n_qubits + (c.dim,))
+    for op in ops:
+        _apply(op.mat, op.first, op.controls, psi, psi)
+    return psi
+
+
 def evaluate(c: Circuit, theta) -> np.ndarray:
     """Dense unitary of the circuit at the given parameter vector."""
     th = _check_theta(c, theta)
-    ev = _evaluator(c)
-    u = np.eye(c.dim, dtype=np.complex128)
-    for idx in range(len(c.gates)):
-        u = ev.gate_matrix(idx, th) @ u
-    return u
+    ops = [op for g in c.gates for op in _lower(g, th)]
+    return _forward(c, ops).reshape(c.dim, c.dim)
 
 
 def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, np.ndarray]:
     """Unitary and all parameter derivatives dU/d(theta_k).
 
-    Uses one forward prefix sweep and one backward suffix sweep, so the cost
-    is linear in gate count.  Slots referenced by several gates (the
-    hermitian mirror construction) accumulate both contributions.
+    Every gate is lowered to local ops, so U = O_L ... O_1.  A forward sweep
+    applies them to the identity.  The backward sweep then walks the ops in
+    reverse, holding the prefix P = O_{j-1} ... O_1 and the adjoint of the
+    suffix S = O_L ... O_{j+1} side by side in one tensor.  Both are updated
+    by applying O_j^dagger: on the prefix this un-computes O_j (every op is
+    unitary), on the suffix adjoint it grows the suffix by one op.  The
+    derivative for a slot of O_j is S dO_j P.  The cost is linear in the
+    number of ops and the extra memory is one state of twice the width.
+    Slots referenced by several gates (the hermitian mirror construction)
+    accumulate every contribution.
 
     Returns ``(U, dU)`` with ``dU`` of shape (param_count, dim, dim).
     """
     th = _check_theta(c, theta)
-    ev = _evaluator(c)
+    ops = [op for g in c.gates for op in _lower(g, th)]
     dim = c.dim
-    n_gates = len(c.gates)
-    mats = [ev.gate_matrix(i, th) for i in range(n_gates)]
-    prefixes = [np.eye(dim, dtype=np.complex128)]
-    for m in mats:
-        prefixes.append(m @ prefixes[-1])
-    u = prefixes[-1]
+    u = _forward(c, ops)
+    # columns [:dim] hold the prefix, [dim:] the adjoint of the suffix
+    state = np.concatenate([u, np.eye(dim, dtype=np.complex128).reshape(u.shape)], axis=-1)
+    prefix = state[..., :dim]
+    d_prefix = np.empty_like(u)
     grads = np.zeros((c.param_count, dim, dim), dtype=np.complex128)
-    suffix = np.eye(dim, dtype=np.complex128)
-    for idx in range(n_gates - 1, -1, -1):
-        for slot, d in ev.gate_derivs(idx, th):
-            grads[slot] += suffix @ d @ prefixes[idx]
-        suffix = suffix @ mats[idx]
-    return u, grads
+    for op in reversed(ops):
+        if op.derivs:
+            suffix = state[..., dim:].reshape(dim, dim).conj().T
+        _apply(op.mat.conj().T, op.first, op.controls, state, state)
+        for slot, d in op.derivs:
+            d_prefix.fill(0.0)
+            _apply(d, op.first, op.controls, prefix, d_prefix)
+            grads[slot] += suffix @ d_prefix.reshape(dim, dim)
+    return u.reshape(dim, dim), grads
 
 
 # --------------------------------------------------------------------------

@@ -109,11 +109,6 @@ def squared_cost_and_gradient(t: TargetSpec, c: Circuit, theta) -> tuple[float, 
     return f, np.ascontiguousarray(g, dtype=np.float64)
 
 
-def cost_gradient(t: TargetSpec, c: Circuit, theta) -> np.ndarray:
-    """Gradient of the smooth surrogate C^2."""
-    return squared_cost_and_gradient(t, c, theta)[1]
-
-
 class EncodeObjective:
     """Callable objective f = C^2 with fused gradient, for the optimizer."""
 
@@ -122,19 +117,9 @@ class EncodeObjective:
         self.circuit = circuit
         self.evaluations = 0
 
-    def value(self, theta) -> float:
-        m = _ancilla_count(self.target, self.circuit)
-        self.evaluations += 1
-        block = extract_block(evaluate(self.circuit, theta), m)
-        d = self.target.scaled() - block
-        return float(np.sum(d.real**2 + d.imag**2))
-
     def value_and_gradient(self, theta) -> tuple[float, np.ndarray]:
         self.evaluations += 1
         return squared_cost_and_gradient(self.target, self.circuit, theta)
-
-    def error(self, theta) -> float:
-        return float(np.sqrt(max(self.value(theta), 0.0)))
 
 
 def gqsp_block_expansion(

@@ -484,9 +484,12 @@ def greedy_generator_search(
     """Width-1 tree search over generator sequences.
 
     After each accepted layer every candidate generator is tried as the
-    next layer, warm-started from the previous optimum with the new layer
-    initialized to the identity (all three it'd introduce at zero); the
-    child with the lowest error wins.  Stops at exactness or the depth cap.
+    next layer, warm-started from the previous optimum with the three new
+    parameters drawn from uniform(-0.1, 0.1); the child with the lowest
+    error wins.  Stops at exactness or the depth cap.  The root start is
+    drawn the same way.  All parameters at zero would be a stationary point
+    of every child, so the search could never leave it.  The draws come
+    from one Philox stream seeded by ``opts.seed``.
     """
     family = GqspFamily(generator_set=generator_set, hermitian=hermitian)
     sequence: list[int] = []
@@ -494,9 +497,10 @@ def greedy_generator_search(
     total_iters = 0
     t0 = time.perf_counter()
 
+    rng = _restart_rngs(opts.seed, 1)[0]
     spec0 = family.spec_for_sequence(())
     circ0 = build_ansatz(spec0)
-    res = _optimize_circuit(target, circ0, np.zeros(circ0.param_count), opts)
+    res = _optimize_circuit(target, circ0, rng.uniform(-0.1, 0.1, circ0.param_count), opts)
     theta = res.x
     best_f = res.f
     total_iters += res.iterations
@@ -504,10 +508,10 @@ def greedy_generator_search(
 
     while np.sqrt(max(best_f, 0.0)) > opts.epsilon_exact and len(sequence) < max_depth:
         best_child = None
+        theta0 = np.concatenate([theta, rng.uniform(-0.1, 0.1, 3)])
         for k in range(len(generator_set)):
             spec = family.spec_for_sequence(tuple(sequence) + (k,))
             circ = build_ansatz(spec)
-            theta0 = np.concatenate([theta, np.zeros(3)])
             res = _optimize_circuit(target, circ, theta0, opts)
             total_iters += res.iterations
             if best_child is None or (res.f, k) < (best_child[0], best_child[1]):

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from vbe.circuit import (
-    Circuit,
+    COMPLEX,
     DEFAULT_COST_MODEL,
+    REAL,
+    Circuit,
     GateCostModel,
     count_multiqubit_gates,
 )
 from vbe.pauli import PauliSum
-
-COMPLEX = "complex"
-REAL = "real"
 
 LITERAL_FORMULA = "literal"
 PARAM_INVERSION = "param_inversion"

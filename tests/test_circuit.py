@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vbe import circuit as circ
-from vbe import linalg
+from vbe import linalg, symmetry
 from vbe.circuit import (
     AnsatzSpec,
     BLOCK_CATALOG,
@@ -17,7 +17,6 @@ from vbe.circuit import (
     controlled,
     count_multiqubit_gates,
     count_nonlocal_gates,
-    count_parameters,
     dump_text,
     evaluate,
     evaluate_with_gradients,
@@ -104,12 +103,12 @@ class TestEvaluate:
 class TestParameterCounts:
     def test_block2_small(self):
         c = build_generic_ansatz(block_spec(2, n=1, m=1, layers=1))
-        assert count_parameters(c) == 10  # one RCN (4) + U_s on 2 qubits (6)
+        assert c.param_count == 10  # one RCN (4) + U_s on 2 qubits (6)
         assert count_nonlocal_gates(c) == 1
 
     def test_block2_paper_scale(self):
         c = build_generic_ansatz(block_spec(2, n=4, m=1, layers=32))
-        assert count_parameters(c) == 527
+        assert c.param_count == 527
         assert count_nonlocal_gates(c) == 128
 
     def test_block0_never_entangles(self):
@@ -119,19 +118,19 @@ class TestParameterCounts:
 
     def test_real_arbitrary_paper_scale(self):
         c = build_generic_ansatz(block_spec(2, n=4, m=1, layers=32, restriction="real"))
-        assert count_parameters(c) == 261
+        assert c.param_count == 261
         assert count_nonlocal_gates(c) == 128
 
     def test_hermitian_paper_scale(self):
         c = build_ansatz(block_spec(2, n=4, m=1, layers=16, hermitian=True))
-        assert count_parameters(c) == 271
+        assert c.param_count == 271
         assert count_nonlocal_gates(c) == 128
 
     def test_real_hermitian_paper_scale(self):
         c = build_ansatz(
             block_spec(2, n=4, m=1, layers=17, restriction="real", hermitian=True)
         )
-        assert count_parameters(c) == 141
+        assert c.param_count == 141
         assert count_nonlocal_gates(c) == 136
 
     def test_layer_slot_metadata(self):
@@ -166,7 +165,7 @@ class TestParameterCounts:
 class TestGqspAnsatz:
     def test_zero_layers(self):
         c = build_gqsp_ansatz((), n=3)
-        assert count_parameters(c) == 3
+        assert c.param_count == 3
         theta = [0.3, -0.2, 1.1]
         u = evaluate(c, theta)
         expected = np.kron(single_qubit_R(*theta), np.eye(8))
@@ -176,7 +175,7 @@ class TestGqspAnsatz:
     def test_param_count_3m_plus_3(self, m, expected):
         gens = gqsp_gens([{"ZZ": 1j}] * m)
         c = build_gqsp_ansatz(gens, n=2)
-        assert count_parameters(c) == expected
+        assert c.param_count == expected
 
     def test_generator_mismatch(self):
         with pytest.raises(ValueError):
@@ -250,7 +249,7 @@ class TestHermitize:
 
     def test_param_count_preserved(self):
         c = build_generic_ansatz(block_spec(2, n=2, layers=3))
-        assert count_parameters(hermitize(c)) == count_parameters(c)
+        assert hermitize(c).param_count == c.param_count
 
     def test_gqsp_hermitian(self, rng):
         gens = gqsp_gens([{"XX": 1j}, {"ZZ": 1j, "XX": 0.5j}])
@@ -350,6 +349,83 @@ class TestGradients:
         gens = gqsp_gens([{"ZZ": 1j, "XX": 1j}, {"XI": 1j, "IX": 1j}])
         c = build_gqsp_ansatz(gens, n=2)
         self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
+
+    def test_controlled_cr(self, rng):
+        # cr lowers to two ops; the extra control must reach both
+        c = controlled(build_generic_ansatz(block_spec(6, n=1)))
+        self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
+
+    def test_hermitized_cr(self, rng):
+        # the daggered cr reverses its two ops
+        c = hermitize(build_generic_ansatz(block_spec(6, n=1)))
+        self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
+
+    def test_gadget_two_controls(self, rng):
+        gen = PauliSum.from_terms({"ZZ": 1j, "XY": 0.4j})
+        g = Gate("gadget", (2, 3), (0,), generator=gen, controls=(0, 1))
+        c = Circuit(n_qubits=4, gates=(Gate("grot", (3,), (1, 2, 3)), g), param_count=4)
+        self.assert_gradients_match(c, rng.uniform(-1, 1, size=4))
+
+
+P0 = np.diag([1.0, 0.0])
+P1 = np.diag([0.0, 1.0])
+Z = np.diag([1.0, -1.0])
+I2 = np.eye(2)
+
+# (gate, qubit count, expected unitary) for every fixed gate kind
+FIXED_GATES = [
+    (Gate("h", (1,)), 2, np.kron(I2, H)),
+    (Gate("cnot", (0, 1)), 2, np.kron(P0, I2) + np.kron(P1, X)),
+    (Gate("cnot", (1, 0)), 2, np.kron(I2, P0) + np.kron(X, P1)),
+    (Gate("cz", (0, 1)), 2, np.diag([1, 1, 1, -1])),
+    (Gate("ccz", (0, 1, 2)), 3, np.diag([1] * 7 + [-1])),
+    (Gate("ncz", (0, 1, 2, 3)), 4, np.diag([1] * 15 + [-1])),
+]
+FIXED_IDS = ["h", "cnot01", "cnot10", "cz", "ccz", "ncz"]
+
+
+class TestLowering:
+    @pytest.mark.parametrize("gate,n,expected", FIXED_GATES, ids=FIXED_IDS)
+    def test_fixed_gate(self, gate, n, expected):
+        c = Circuit(n_qubits=n, gates=(gate,), param_count=0)
+        assert np.allclose(evaluate(c, []), expected)
+
+    @pytest.mark.parametrize("gate,n,expected", FIXED_GATES, ids=FIXED_IDS)
+    def test_fixed_gate_extra_control(self, gate, n, expected):
+        g = Gate(gate.kind, tuple(q + 1 for q in gate.qubits), controls=(0,))
+        c = Circuit(n_qubits=n + 1, gates=(g,), param_count=0)
+        dim = 1 << n
+        assert np.allclose(evaluate(c, []), np.kron(P0, np.eye(dim)) + np.kron(P1, expected))
+
+    @pytest.mark.parametrize("gate,n,expected", FIXED_GATES, ids=FIXED_IDS)
+    def test_fixed_gate_dagger(self, gate, n, expected):
+        g = Gate(gate.kind, gate.qubits, dagger=True)
+        c = Circuit(n_qubits=n, gates=(g,), param_count=0)
+        assert np.allclose(evaluate(c, []), expected.conj().T)
+
+    @pytest.mark.parametrize("slots", [tuple(range(6)), (0, 1)], ids=["complex", "real"])
+    def test_cr_gate(self, rng, slots):
+        # cr lowers to two ops: R on the control, then a controlled R on the target
+        theta = rng.uniform(-np.pi, np.pi, size=len(slots))
+        if len(slots) == 6:
+            ra, rb = single_qubit_R(*theta[:3]), single_qubit_R(*theta[3:])
+        else:
+            ra, rb = (single_qubit_R(t, 0, 0) for t in theta)
+        m = (np.kron(P0, I2) + np.kron(P1, rb)) @ np.kron(ra, I2)
+
+        def unitary(gate, n):
+            return evaluate(Circuit(n_qubits=n, gates=(gate,), param_count=len(slots)), theta)
+
+        assert np.allclose(unitary(Gate("cr", (0, 1), slots), 2), m)
+        assert np.allclose(unitary(Gate("cr", (0, 1), slots, dagger=True), 2), m.conj().T)
+        ctrl = unitary(Gate("cr", (1, 2), slots, controls=(0,)), 3)
+        assert np.allclose(ctrl, np.kron(P0, np.eye(4)) + np.kron(P1, m))
+
+    def test_wide_gadget_builds_and_counts(self):
+        # the dense spectrum is only formed on evaluation
+        gs = symmetry.heisenberg_generator_set("Sn", 10)
+        c = build_gqsp_ansatz(gs.generators[:2], n=10)
+        assert count_nonlocal_gates(c) > 0
 
 
 class TestCostModel:
