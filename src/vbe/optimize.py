@@ -35,19 +35,13 @@ from vbe.symmetry import GeneratorSet, closure_basis
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Optimizer settings.
-
-    ``stop_at_exact`` skips the remaining restarts once one of them reaches
-    an exact encoding; restart seeds are pre-derived, so the result is still
-    deterministic.  Set it to False to always run every restart.
-    """
+    """Optimizer settings."""
 
     grad_norm_tol: float = 1e-5
     max_iterations: int = 3000
     epsilon_exact: float = 1e-10
     restarts: int = 10
     seed: int = 0
-    stop_at_exact: bool = True
 
     def __post_init__(self):
         if min(self.grad_norm_tol, self.epsilon_exact) <= 0:
@@ -124,28 +118,17 @@ def _line_search_wolfe(fg_line, f0, df0, max_iter=20):
     return None, None
 
 
-def bfgs_minimize(
-    f,
-    grad,
-    x0,
-    opts: OptimizeOptions,
-    *,
-    fg=None,
-    stop=None,
-    trace=None,
-) -> BfgsResult:
+def bfgs_minimize(fg, x0, opts: OptimizeOptions, *, trace=None) -> BfgsResult:
     """Dense BFGS with a strong-Wolfe line search (c1=1e-4, c2=0.9).
 
-    Terminates when ||g||_2 <= opts.grad_norm_tol, when
-    f <= opts.epsilon_exact^2, when the optional ``stop(f, gnorm)``
-    predicate fires, or at the iteration cap.  A failed line search ends
-    the run with converged=False instead of raising.
+    Minimizes a squared error f = C^2 given the fused evaluation
+    ``fg(x) -> (f, grad f)``.  Terminates when f <= opts.epsilon_exact^2,
+    when ||grad f||_2 <= 2 sqrt(f) opts.grad_norm_tol (that is,
+    ||grad C|| <= opts.grad_norm_tol), or at the iteration cap.  A failed
+    line search ends the run with converged=False instead of raising.
 
-    ``fg`` may supply a fused value-and-gradient evaluation; ``trace`` is
-    called as trace(iteration, f, gnorm) once per accepted step.
+    ``trace`` is called as trace(iteration, f, gnorm) once per accepted step.
     """
-    if fg is None:
-        fg = lambda x: (float(f(x)), np.asarray(grad(x), dtype=float))
     x = np.asarray(x0, dtype=float).copy()
     fx, gx = fg(x)
     f_floor = opts.epsilon_exact**2
@@ -160,11 +143,8 @@ def bfgs_minimize(
         if fx <= f_floor:
             status = "f_floor"
             break
-        if gnorm <= opts.grad_norm_tol:
+        if gnorm <= 2.0 * np.sqrt(max(fx, 0.0)) * opts.grad_norm_tol:
             status = "grad_tol"
-            break
-        if stop is not None and stop(fx, gnorm):
-            status = "stop_criterion"
             break
         if iterations >= opts.max_iterations:
             status = "max_iterations"
@@ -209,7 +189,7 @@ def bfgs_minimize(
             h += rho * (rho * float(y @ hy) + 1.0) * np.outer(s, s)
         fx, gx = f_new, g_new
         iterations += 1
-    converged = status in ("f_floor", "grad_tol", "stop_criterion")
+    converged = status in ("f_floor", "grad_tol")
     return BfgsResult(
         x=x,
         f=fx,
@@ -260,11 +240,6 @@ def _restart_rngs(seed: int, count: int, salt: tuple[int, ...] = ()) -> list[np.
     return [np.random.Generator(np.random.Philox(child)) for child in root.spawn(count)]
 
 
-def _scaled_grad_stop(opts: OptimizeOptions):
-    # chain rule: ||grad C|| <= tol  <=>  ||grad C^2|| <= 2 C tol
-    return lambda fv, gn: gn <= 2.0 * np.sqrt(max(fv, 0.0)) * opts.grad_norm_tol
-
-
 def _optimize_circuit(
     target: TargetSpec,
     circuit: Circuit,
@@ -273,16 +248,7 @@ def _optimize_circuit(
     trace=None,
 ) -> BfgsResult:
     obj = EncodeObjective(target, circuit)
-    bfgs_opts = replace(opts, grad_norm_tol=1e-300)  # only the scaled criterion applies
-    return bfgs_minimize(
-        None,
-        None,
-        theta0,
-        bfgs_opts,
-        fg=obj.value_and_gradient,
-        stop=_scaled_grad_stop(opts),
-        trace=trace,
-    )
+    return bfgs_minimize(obj.value_and_gradient, theta0, opts, trace=trace)
 
 
 def multistart_encode(
@@ -294,6 +260,9 @@ def multistart_encode(
 ) -> EncodeReport:
     """Best of ``opts.restarts`` independent optimizations from uniform
     random starts in [-pi, pi); deterministic for a fixed seed.
+
+    The remaining restarts are skipped once one reaches an exact encoding;
+    restart seeds are pre-derived, so the result is still deterministic.
 
     ``converged`` in the report means an exact encoding
     (epsilon <= opts.epsilon_exact), not merely optimizer termination.
@@ -312,7 +281,7 @@ def multistart_encode(
         if best is None or key < best:
             best = key
             best_result = res
-        if opts.stop_at_exact and res.f <= f_floor:
+        if res.f <= f_floor:
             break
     eps = float(np.sqrt(max(best_result.f, 0.0)))
     labels = tuple(spec.sequence_labels)

@@ -1,15 +1,20 @@
 """Exact symbolic algebra over n-qubit Pauli strings and weighted Pauli sums.
 
-A Pauli string is stored as a pair of n-bit masks (X part, Z part), so string
-multiplication is O(n) bit arithmetic plus a phase lookup.  Bit j of a mask
-corresponds to qubit j through position ``n-1-j``, which makes the integer
-masks read like computational basis indices and keeps ``to_dense`` consistent
-with the ancilla-first tensor ordering used everywhere else.
+A Pauli string is stored as a pair of n-bit masks (X part, Z part).  Bit j of
+a mask corresponds to qubit j through position ``n-1-j``, which makes the
+integer masks read like computational basis indices and keeps ``to_dense``
+consistent with the ancilla-first tensor ordering used everywhere else.
 
 A :class:`PauliSum` is a complex-weighted combination of strings over a fixed
 qubit count.  Coefficients with magnitude below :data:`PRUNE_TOL` are dropped
 after every arithmetic operation so that cancellation residue cannot blow up
 the term count inside closure loops.
+
+Every product has one path: ``@``, :func:`commutator`, :func:`mul_strings`
+and the closure loops all call :func:`product_packed`, which multiplies all
+term pairs as arrays and combines equal result strings over the 4^n packed
+keys.  Like dense conversion, that key range caps products and the plain
+:class:`SpanBasis` at :data:`MAX_DENSE_QUBITS` qubits.
 """
 
 from __future__ import annotations
@@ -25,25 +30,7 @@ MAX_DENSE_QUBITS = 9
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
 
-# i-power of the product of two single-qubit Paulis, keyed by
-# (ax<<3 | az<<2 | bx<<1 | bz).  Cyclic products (XY, YZ, ZX) pick up +i,
-# anti-cyclic ones -i; everything else is phase free.
-_PHASE_EXP = [0] * 16
-_PHASE_EXP[0b1011] = 1  # X*Y = +i Z
-_PHASE_EXP[0b1110] = 3  # Y*X = -i Z
-_PHASE_EXP[0b1101] = 1  # Y*Z = +i X
-_PHASE_EXP[0b0111] = 3  # Z*Y = -i X
-_PHASE_EXP[0b0110] = 1  # Z*X = +i Y
-_PHASE_EXP[0b1001] = 3  # X*Z = -i Y
-
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
-
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 
 
 @dataclass(frozen=True)
@@ -87,47 +74,15 @@ class PauliString:
         return self.letters
 
 
-def _mul_keys(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, int]:
-    """Multiply two mask-encoded strings; returns (i-power, x, z)."""
-    k = 0
-    active = (x1 | z1) & (x2 | z2)
-    while active:
-        bit = active & -active
-        pos = bit.bit_length() - 1
-        idx = (
-            (((x1 >> pos) & 1) << 3)
-            | (((z1 >> pos) & 1) << 2)
-            | (((x2 >> pos) & 1) << 1)
-            | ((z2 >> pos) & 1)
-        )
-        k += _PHASE_EXP[idx]
-        active ^= bit
-    return k & 3, x1 ^ x2, z1 ^ z2
-
-
 def _keys_commute(x1: int, z1: int, x2: int, z2: int) -> bool:
     return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0
 
 
-# Threshold (in term-pair count) above which products/commutators switch to
-# the vectorized path; closures over permutation-symmetric sums multiply
-# hundred-string sums where the per-site dict loop would dominate runtime.
-_VECTOR_CUTOFF = 64
-
-
-def _vector_product(a: "PauliSum", b: "PauliSum", anticommuting_only: bool) -> "PauliSum":
-    k1, c1 = packed_terms(a)
-    k2, c2 = packed_terms(b)
-    keys, coeffs = product_packed(a.n, k1, c1, k2, c2, anticommuting_only=anticommuting_only)
-    return sum_from_packed(a.n, keys, coeffs)
-
-
 def mul_strings(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
     """Product of two strings: p*q == phase * r with phase in {1, i, -1, -i}."""
-    if p.n != q.n:
-        raise ValueError(f"string length mismatch: {p.n} vs {q.n}")
-    k, x, z = _mul_keys(p.x, p.z, q.x, q.z)
-    return _I_POWERS[k], PauliString(p.n, x, z)
+    product = PauliSum(p.n, {(p.x, p.z): 1.0}) @ PauliSum(q.n, {(q.x, q.z): 1.0})
+    ((x, z), phase), = product.terms.items()
+    return phase, PauliString(p.n, x, z)
 
 
 def _string_dense(n: int, x: int, z: int) -> np.ndarray:
@@ -237,17 +192,10 @@ class PauliSum:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
-        """Exact operator product, expanding term by term."""
+        """Exact operator product."""
         self._check(other)
-        if len(self.terms) * len(other.terms) >= _VECTOR_CUTOFF:
-            return _vector_product(self, other, anticommuting_only=False)
-        terms: dict[tuple[int, int], complex] = {}
-        for (x1, z1), c1 in self.terms.items():
-            for (x2, z2), c2 in other.terms.items():
-                k, x, z = _mul_keys(x1, z1, x2, z2)
-                key = (x, z)
-                terms[key] = terms.get(key, 0.0) + c1 * c2 * _I_POWERS[k]
-        return PauliSum(self.n, terms)
+        keys, coeffs = product_packed(self.n, *packed_terms(self), *packed_terms(other))
+        return sum_from_packed(self.n, keys, coeffs)
 
     def dagger(self) -> "PauliSum":
         return PauliSum(self.n, {k: c.conjugate() for k, c in self.terms.items()})
@@ -268,23 +216,14 @@ class PauliSum:
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     """Exact [a, b] = ab - ba.
 
-    Uses the fact that two Pauli strings either commute (zero contribution)
-    or anticommute (contribution 2ab), so each term pair costs one string
-    product instead of two.
+    Two Pauli strings either commute (zero contribution) or anticommute
+    (contribution 2ab), so only the anticommuting term pairs are multiplied.
     """
-    if a.n != b.n:
-        raise ValueError(f"qubit count mismatch: {a.n} vs {b.n}")
-    if len(a.terms) * len(b.terms) >= _VECTOR_CUTOFF:
-        return _vector_product(a, b, anticommuting_only=True) * 2.0
-    terms: dict[tuple[int, int], complex] = {}
-    for (x1, z1), c1 in a.terms.items():
-        for (x2, z2), c2 in b.terms.items():
-            if _keys_commute(x1, z1, x2, z2):
-                continue
-            k, x, z = _mul_keys(x1, z1, x2, z2)
-            key = (x, z)
-            terms[key] = terms.get(key, 0.0) + 2.0 * c1 * c2 * _I_POWERS[k]
-    return PauliSum(a.n, terms)
+    a._check(b)
+    keys, coeffs = product_packed(
+        a.n, *packed_terms(a), *packed_terms(b), anticommuting_only=True, scale=2.0
+    )
+    return sum_from_packed(a.n, keys, coeffs)
 
 
 def pairwise_commuting(s: PauliSum) -> bool:
@@ -299,10 +238,15 @@ def pairwise_commuting(s: PauliSum) -> bool:
     return True
 
 
+def check_dense_qubits(n: int, what: str) -> None:
+    """Refuse work whose tables grow as 2^n x 2^n or 4^n beyond MAX_DENSE_QUBITS."""
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError(f"refusing {what} for n={n} > {MAX_DENSE_QUBITS} qubits")
+
+
 def to_dense(s: PauliSum) -> np.ndarray:
     """Dense 2^n matrix of the sum."""
-    if s.n > MAX_DENSE_QUBITS:
-        raise ValueError(f"refusing dense conversion for n={s.n} > {MAX_DENSE_QUBITS}")
+    check_dense_qubits(s.n, "dense conversion")
     dim = 1 << s.n
     out = np.zeros((dim, dim), dtype=np.complex128)
     for (x, z), c in s.terms.items():
@@ -341,14 +285,17 @@ def product_packed(
     anticommuting_only: bool = False,
     scale: complex = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array-level string-sum product used inside closure loops.
+    """Product of two string sums given as packed (keys, coeffs) arrays.
 
-    With ``anticommuting_only`` the commuting term pairs are dropped, which
-    together with ``scale=2`` yields the commutator.  Duplicate result
-    strings are combined with ``bincount`` over the packed key range (no
-    sort), so the cost is linear in term pairs.  Returns pruned
-    (keys, coeffs) with keys ascending.
+    This is the only Pauli product in the package.  All term pairs are
+    multiplied at once as outer arrays; with ``anticommuting_only`` the
+    commuting pairs are dropped, which together with ``scale=2`` yields the
+    commutator.  Equal result strings are combined with ``bincount`` over
+    the whole 4^n packed key range (no sort), so the cost is linear in term
+    pairs plus 4^n, and n is capped at :data:`MAX_DENSE_QUBITS`.  Returns
+    pruned (keys, coeffs) with keys ascending.
     """
+    check_dense_qubits(n, "a Pauli product")
     mask = (1 << n) - 1
     x1, z1 = k1 >> n, k1 & mask
     x2, z2 = k2 >> n, k2 & mask
@@ -425,6 +372,7 @@ class SpanBasis:
         self.tol = tol
         self.orbits = orbits
         if orbits is None:
+            check_dense_qubits(n, "a string-indexed span")
             self._table = np.full(1 << (2 * n), -1, dtype=np.int32)
             self._rows = 0
         else:

@@ -27,7 +27,7 @@ from vbe.pauli import (
     OrbitCompression,
     PauliSum,
     SpanBasis,
-    commutator,
+    check_dense_qubits,
     packed_terms,
     product_packed,
     sum_from_packed,
@@ -237,6 +237,7 @@ def symmetric_orbit_compression(kind: str, n: int) -> OrbitCompression | None:
     """
     if kind == "Z2":
         return None
+    check_dense_qubits(n, "a string-orbit table")
     keys = np.arange(1 << (2 * n), dtype=np.int64)
     mask = (1 << n) - 1
     x, z = keys >> n, keys & mask
@@ -289,6 +290,53 @@ def _compression_for(generators: GeneratorSet | list | tuple) -> OrbitCompressio
     return orbits
 
 
+def _span_closure(
+    n: int,
+    seeds: list[PauliSum],
+    multipliers: list[PauliSum],
+    products,
+    cap: int,
+    name: str,
+    orbits: OrbitCompression | None,
+    start: int = 0,
+) -> list[PauliSum]:
+    """Breadth-first closure loop shared by the Lie and associative closures.
+
+    The seeds that extend the span start the basis.  Each basis element from
+    index ``start`` on, in insertion order, is then combined with every
+    multiplier by ``products(ki, ci, km, cm, add)``, which passes each packed
+    product to ``add``.  A product that extends the span joins the basis at
+    unit norm, until a fixpoint or until the basis outgrows ``cap``
+    (:class:`ClosureCapExceeded`).
+    """
+    span = SpanBasis(n, orbits=orbits)
+    basis: list[PauliSum] = []
+    packed: list[tuple] = []  # unit-norm (keys, coeffs) mirrors of the basis
+
+    def add(keys: np.ndarray, coeffs: np.ndarray) -> None:
+        if len(keys) and span.add_packed(keys, coeffs):
+            coeffs = coeffs / float(np.linalg.norm(coeffs))
+            basis.append(sum_from_packed(n, keys, coeffs))
+            packed.append((keys, coeffs))
+            if len(basis) > cap:
+                raise ClosureCapExceeded(f"{name} closure exceeded cap {cap} (n={n})", len(basis))
+
+    for s in seeds:
+        s = s.normalized()
+        keys, coeffs = packed_terms(s)
+        if span.add_packed(keys, coeffs):
+            basis.append(s)
+            packed.append((keys, coeffs))
+    mult_packed = [packed_terms(m.normalized()) for m in multipliers]
+    idx = start
+    while idx < len(basis):
+        ki, ci = packed[idx]
+        for km, cm in mult_packed:
+            products(ki, ci, km, cm, add)
+        idx += 1
+    return basis
+
+
 def lie_closure(
     generators: GeneratorSet | list[PauliSum] | tuple[PauliSum, ...],
     cap: int | None = None,
@@ -314,34 +362,11 @@ def lie_closure(
     if not gens:
         return []
     n = gens[0].n
-    if cap is None:
-        cap = 4**n - 1
-    span = SpanBasis(n, orbits=orbits)
-    basis: list[PauliSum] = []
-    packed: list[tuple] = []  # unit-norm (keys, coeffs) mirrors of the basis
-    for g in gens:
-        keys, coeffs = packed_terms(g.normalized())
-        if span.add_packed(keys, coeffs):
-            basis.append(g.normalized())
-            packed.append((keys, coeffs))
-    gen_packed = list(packed)
-    idx = 0
-    while idx < len(basis):
-        ki, ci = packed[idx]
-        for kg, cg in gen_packed:
-            keys, coeffs = product_packed(n, ki, ci, kg, cg, anticommuting_only=True, scale=2.0)
-            if len(keys) == 0:
-                continue
-            if span.add_packed(keys, coeffs):
-                nrm = float(np.linalg.norm(coeffs))
-                basis.append(sum_from_packed(n, keys, coeffs / nrm))
-                packed.append((keys, coeffs / nrm))
-                if len(basis) > cap:
-                    raise ClosureCapExceeded(
-                        f"Lie closure exceeded cap {cap} (n={n})", len(basis)
-                    )
-        idx += 1
-    return basis
+
+    def bracket(ki, ci, kg, cg, add):
+        add(*product_packed(n, ki, ci, kg, cg, anticommuting_only=True, scale=2.0))
+
+    return _span_closure(n, gens, gens, bracket, 4**n - 1 if cap is None else cap, "Lie", orbits)
 
 
 def associative_closure(
@@ -363,39 +388,16 @@ def associative_closure(
     if not l:
         return []
     n = l[0].n
-    if cap is None:
-        cap = 4**n
-    mult = list(l) if multipliers is None else list(multipliers)
-    span = SpanBasis(n, orbits=orbits)
-    basis: list[PauliSum] = []
-    packed: list[tuple] = []
-    for s in [PauliSum.identity(n)] + list(l):
-        keys, coeffs = packed_terms(s.normalized())
-        if span.add_packed(keys, coeffs):
-            basis.append(s.normalized())
-            packed.append((keys, coeffs))
-    mult_packed = [packed_terms(m.normalized()) for m in mult]
 
-    def try_add(keys, coeffs):
-        if len(keys) == 0:
-            return
-        if span.add_packed(keys, coeffs):
-            nrm = float(np.linalg.norm(coeffs))
-            basis.append(sum_from_packed(n, keys, coeffs / nrm))
-            packed.append((keys, coeffs / nrm))
-            if len(basis) > cap:
-                raise ClosureCapExceeded(
-                    f"associative closure exceeded cap {cap} (n={n})", len(basis)
-                )
+    def left_and_right(ki, ci, km, cm, add):
+        add(*product_packed(n, ki, ci, km, cm))
+        add(*product_packed(n, km, cm, ki, ci))
 
-    idx = 1  # products with the identity are trivial
-    while idx < len(basis):
-        ki, ci = packed[idx]
-        for km, cm in mult_packed:
-            try_add(*product_packed(n, ki, ci, km, cm))
-            try_add(*product_packed(n, km, cm, ki, ci))
-        idx += 1
-    return basis
+    cap = 4**n if cap is None else cap
+    mult = l if multipliers is None else multipliers
+    # start=1: products with the identity (the first seed) are trivial
+    seeds = [PauliSum.identity(n), *l]
+    return _span_closure(n, seeds, mult, left_and_right, cap, "associative", orbits, start=1)
 
 
 @dataclass(frozen=True)

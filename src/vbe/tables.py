@@ -1,7 +1,8 @@
-"""Pinned reference values used by the benchmark tables.
+"""Pinned reference values of the reproduction tables.
 
-These are frozen expected results for the shipped benchmark suites; the
-``bench`` command recomputes each cell and compares against these anchors.
+These are frozen expected results.  The benchmark under ``perfbench/``
+checks its closure dimensions and layer counts against them, and the tests
+recompute ``BDIM_TABLE`` and ``FREE_PARAMS_N4``.
 """
 
 # (kind, n) -> dimension of the block-span basis B

@@ -1,20 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vbe.pauli import (
+    MAX_DENSE_QUBITS,
     PauliString,
     PauliSum,
     SpanBasis,
     commutator,
     format_pauli_sum,
     mul_strings,
+    packed_terms,
     pairwise_commuting,
     parse_generator_file,
     parse_pauli_sum,
+    product_packed,
     rank_extend,
     string_to_dense,
     to_dense,
 )
+
+# fixed examples and no example database, so every run checks the same cases
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def random_pauli_sum(n, n_terms, rng):
@@ -121,6 +129,75 @@ class TestCommutator:
             a = random_pauli_sum(n, 3, rng)
             b = random_pauli_sum(n, 3, rng)
             assert np.max(np.abs(to_dense(a @ b) - to_dense(a) @ to_dense(b))) < 1e-12
+
+
+def letters(n):
+    return st.text(alphabet="IXYZ", min_size=n, max_size=n)
+
+
+def pauli_sums(n):
+    """Sums of 1..16 strings, so term-pair counts of a product range over 1..256."""
+    coeff = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+    return st.dictionaries(letters(n), coeff, min_size=1, max_size=16).map(PauliSum.from_terms)
+
+
+@st.composite
+def sum_tuples(draw, count):
+    n = draw(st.integers(1, 4))
+    return tuple(draw(pauli_sums(n)) for _ in range(count))
+
+
+class TestProductProperties:
+    @PROPERTY
+    @given(sum_tuples(3))
+    def test_product_associative(self, abc):
+        a, b, c = abc
+        assert np.allclose(to_dense((a @ b) @ c), to_dense(a @ (b @ c)), atol=1e-10)
+
+    @PROPERTY
+    @given(sum_tuples(2))
+    def test_commutator_antisymmetric(self, ab):
+        a, b = ab
+        assert np.allclose(to_dense(commutator(a, b)), -to_dense(commutator(b, a)), atol=1e-12)
+
+    @PROPERTY
+    @given(sum_tuples(2))
+    def test_to_dense_is_homomorphism(self, ab):
+        a, b = ab
+        assert np.allclose(to_dense(a @ b), to_dense(a) @ to_dense(b), atol=1e-12)
+
+    @PROPERTY
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(letters(n), letters(n))))
+    def test_mul_strings_matches_dense(self, pq):
+        p, q = (PauliString.from_letters(s) for s in pq)
+        phase, r = mul_strings(p, q)
+        assert phase in (1, 1j, -1, -1j)
+        assert np.array_equal(
+            string_to_dense(p) @ string_to_dense(q), phase * string_to_dense(r)
+        )
+
+
+class TestKeyRangeCap:
+    def test_refuses_beyond_max_dense_qubits(self):
+        n = MAX_DENSE_QUBITS + 1
+        big = PauliSum.from_terms({"X" * n: 1.0, "Z" * n: 1.0})
+        with pytest.raises(ValueError, match="Pauli product"):
+            product_packed(n, *packed_terms(big), *packed_terms(big))
+        with pytest.raises(ValueError):
+            big @ big
+        with pytest.raises(ValueError):
+            commutator(big, big)
+        with pytest.raises(ValueError):
+            mul_strings(PauliString.from_letters("X" * n), PauliString.from_letters("Y" * n))
+        with pytest.raises(ValueError, match="span"):
+            SpanBasis(n)
+
+    def test_cap_itself_is_allowed(self):
+        n = MAX_DENSE_QUBITS
+        s = PauliSum.from_terms({"X" * n: 1.0, "Z" * n: 1.0})
+        # X^9 and Z^9 anticommute, so the cross terms cancel
+        assert (s @ s - PauliSum.identity(n, 2.0)).is_zero()
+        assert SpanBasis(n).add(s)
 
 
 class TestToDense:

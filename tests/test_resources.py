@@ -19,6 +19,7 @@ from vbe.resources import (
     threshold_layers_symmetric,
     tlb_cnot,
 )
+from vbe.tables import FREE_PARAMS_N4
 from vbe.targets import HeisenbergParams, heisenberg_terms
 
 
@@ -36,10 +37,8 @@ def block_spec(block_id, n, m=1, layers=1, restriction="complex", hermitian=Fals
 
 class TestFreeParameterBound:
     def test_pinned_table_n4(self):
-        assert free_parameter_bound(4, "complex", "arbitrary") == 512
-        assert free_parameter_bound(4, "real", "arbitrary") == 256
-        assert free_parameter_bound(4, "complex", "hermitian") == 256
-        assert free_parameter_bound(4, "real", "hermitian") == 136
+        for (field, structure), count in FREE_PARAMS_N4.items():
+            assert free_parameter_bound(4, field, structure) == count, (field, structure)
 
     def test_unitary_rows(self):
         assert free_parameter_bound(1, "complex", "unitary") == 3

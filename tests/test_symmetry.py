@@ -19,6 +19,7 @@ from vbe.symmetry import (
     symmetric_orbit_compression,
     symmetry_matrix,
 )
+from vbe.tables import BDIM_TABLE
 from vbe.targets import HeisenbergParams
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -211,13 +212,17 @@ class TestAssociativeClosure:
             assert len(associative_closure(plain_l)) == cb.dim_b, (kind, n)
 
 
+HEAVY_CLOSURES = {("Z2xz", 5), ("Cn", 6), ("Sn", 8)}  # several seconds each
+
+
 class TestClosureDimsTable:
     @pytest.mark.parametrize(
         "kind,n,dim_b",
         [
-            ("Sn", 2, 6), ("Sn", 3, 10), ("Sn", 4, 19), ("Sn", 5, 28),
-            ("Cn", 2, 6), ("Cn", 3, 10), ("Cn", 4, 28),
-            ("Z2xz", 2, 6), ("Z2xz", 3, 20), ("Z2xz", 4, 72),
+            pytest.param(
+                kind, n, dim_b, marks=pytest.mark.heavy if (kind, n) in HEAVY_CLOSURES else ()
+            )
+            for (kind, n), dim_b in BDIM_TABLE.items()
         ],
     )
     def test_pinned_dims(self, kind, n, dim_b):
@@ -353,6 +358,12 @@ class TestOrbitCompression:
             keys, coeffs = packed_terms(g)
             v = orb.vector(keys, coeffs)
             assert float(np.sum(np.abs(v) ** 2)) == pytest.approx(g.coeff_norm() ** 2)
+
+    def test_refuses_beyond_max_dense_qubits(self):
+        from vbe.pauli import MAX_DENSE_QUBITS
+
+        with pytest.raises(ValueError, match="orbit"):
+            symmetric_orbit_compression("Sn", MAX_DENSE_QUBITS + 1)
 
     def test_contractive_on_noninvariant(self):
         orb = symmetric_orbit_compression("Sn", 2)
