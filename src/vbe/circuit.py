@@ -13,11 +13,8 @@ kind        meaning                                                 slots
 ``rz``      exp(-i theta Z / 2)                                     1
 ``h``       Hadamard                                                0
 ``cnot``    controlled-X, qubits=(control, target)                  0
-``cz``      controlled-Z                                            0
-``ccz``     doubly-controlled Z                                     0
-``ncz``     Z controlled on all but the last listed qubit           0
-``cr``      two-qubit CR block: R on the control followed by a      6 (2
-            controlled R on the target                              real)
+``cz``      Z on the last listed qubit controlled on the others     0
+            (two or more qubits)
 ``gadget``  exp(theta * G) for an anti-hermitian Pauli-sum          1
             generator G on a contiguous qubit range
 ==========  ======================================================  =======
@@ -33,14 +30,14 @@ Qubit 0 is the leftmost (most significant) tensor factor and ancillas come
 first, so the encoded block always sits in the top-left corner of the
 evaluated unitary.
 
-Evaluation lowers each gate to local ops: a 2^k x 2^k matrix on k adjacent
-qubits, applied only where all of its control qubits are |1>.  ``cnot`` is X
-on the target and ``cz``/``ccz``/``ncz`` are Z on the last qubit, with the
-other qubits as controls; ``cr`` is two ops; ``dagger`` reverses the ops and
-conjugate-transposes each matrix.  The ops act on the reshaped axes of a
-``(2,)*N + (cols,)`` tensor, so no gate is ever embedded in a 2^N x 2^N
-matrix.  Circuits are immutable after construction; a gadget computes its
-dense generator and eigendecomposition once, on first evaluation.
+Evaluation lowers each of the eight kinds to one local op: a 2^k x 2^k
+matrix on k adjacent qubits, applied only where all of its control qubits
+are |1>.  ``cnot`` is X on the target and ``cz`` is Z on the last qubit,
+with the other qubits as controls; ``dagger`` conjugate-transposes the
+matrix.  The ops act on the reshaped axes of a ``(2,)*N + (cols,)`` tensor,
+so no gate is ever embedded in a 2^N x 2^N matrix.  Circuits are immutable
+after construction; a gadget computes its dense generator and
+eigendecomposition once, on first evaluation.
 """
 
 from __future__ import annotations
@@ -62,8 +59,9 @@ _H2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 _X2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Z2 = np.diag([1.0, -1.0]).astype(np.complex128)
 
-_PARAM_KINDS = {"grot", "ry", "rx", "rz", "cr", "gadget"}
-_FIXED_KINDS = {"h", "cnot", "cz", "ccz", "ncz"}
+_PARAM_KINDS = {"grot", "ry", "rx", "rz", "gadget"}
+_FIXED_KINDS = {"h", "cnot", "cz"}
+_SINGLE_QUBIT_KINDS = {"h", "grot", "ry", "rx", "rz"}
 
 
 # --------------------------------------------------------------------------
@@ -84,6 +82,13 @@ class Gate:
         touched = self.qubits + self.controls
         if len(set(touched)) != len(touched):
             raise ValueError(f"duplicate qubit index in {self.kind} gate: {touched}")
+        k = len(self.qubits)
+        if (
+            (self.kind in _SINGLE_QUBIT_KINDS and k != 1)
+            or (self.kind == "cnot" and k != 2)
+            or (self.kind == "cz" and k < 2)
+        ):
+            raise ValueError(f"{self.kind} gate cannot act on {k} qubits")
         if self.kind in _FIXED_KINDS and self.slots:
             raise ValueError(f"{self.kind} takes no parameters")
         expected = {
@@ -91,7 +96,6 @@ class Gate:
             "ry": (1,),
             "rx": (1,),
             "rz": (1,),
-            "cr": (2, 6),
             "gadget": (1,),
         }
         if self.kind in expected and len(self.slots) not in expected[self.kind]:
@@ -230,40 +234,32 @@ class _Op(NamedTuple):
     derivs: tuple[tuple[int, np.ndarray], ...] = ()
 
 
-def _lower(g: Gate, theta: np.ndarray) -> list[_Op]:
-    """The local ops of gate ``g`` at ``theta``, in application order."""
+def _lower(g: Gate, theta: np.ndarray) -> _Op:
+    """The local op of gate ``g`` at ``theta``."""
     ctl = g.controls
     vals = [theta[s] for s in g.slots]
     if g.kind == "h":
-        ops = [_Op(_H2, g.qubits[0], ctl)]
+        op = _Op(_H2, g.qubits[0], ctl)
     elif g.kind == "cnot":
-        ops = [_Op(_X2, g.qubits[1], ctl + g.qubits[:1])]
-    elif g.kind in ("cz", "ccz", "ncz"):
-        ops = [_Op(_Z2, g.qubits[-1], ctl + g.qubits[:-1])]
+        op = _Op(_X2, g.qubits[1], ctl + g.qubits[:1])
+    elif g.kind == "cz":
+        op = _Op(_Z2, g.qubits[-1], ctl + g.qubits[:-1])
     elif g.kind == "grot":
         lam = vals[2] if len(vals) == 3 else 0.0
         derivs = zip(g.slots, _grot_derivs(vals[0], vals[1], lam))
-        ops = [_Op(single_qubit_R(vals[0], vals[1], lam), g.qubits[0], ctl, tuple(derivs))]
+        op = _Op(single_qubit_R(vals[0], vals[1], lam), g.qubits[0], ctl, tuple(derivs))
     elif g.kind in ("ry", "rx", "rz"):
         rot, drot = _ROTATIONS[g.kind]
-        ops = [_Op(rot(vals[0]), g.qubits[0], ctl, ((g.slots[0], drot(vals[0])),))]
-    elif g.kind == "cr":
-        c, t = g.qubits
-        kind, half = ("grot", 3) if len(g.slots) == 6 else ("ry", 1)
-        ops = _lower(Gate(kind, (c,), g.slots[:half], controls=ctl), theta)
-        ops += _lower(Gate(kind, (t,), g.slots[half:], controls=ctl + (c,)), theta)
+        op = _Op(rot(vals[0]), g.qubits[0], ctl, ((g.slots[0], drot(vals[0])),))
     elif g.kind == "gadget":
         gd, w, v = g._spectrum
         local = (v * np.exp(-1j * vals[0] * w)) @ v.conj().T
-        ops = [_Op(local, g.qubits[0], ctl, ((g.slots[0], gd @ local),))]
+        op = _Op(local, g.qubits[0], ctl, ((g.slots[0], gd @ local),))
     else:  # pragma: no cover - guarded by Gate validation
         raise ValueError(g.kind)
     if g.dagger:
-        ops = [
-            _Op(o.mat.conj().T, o.first, o.controls, tuple((s, d.conj().T) for s, d in o.derivs))
-            for o in reversed(ops)
-        ]
-    return ops
+        op = op._replace(mat=op.mat.conj().T, derivs=tuple((s, d.conj().T) for s, d in op.derivs))
+    return op
 
 
 def _apply(m: np.ndarray, first: int, controls: tuple[int, ...], src: np.ndarray, out: np.ndarray):
@@ -296,14 +292,14 @@ def _forward(c: Circuit, ops: list[_Op]) -> np.ndarray:
 def evaluate(c: Circuit, theta) -> np.ndarray:
     """Dense unitary of the circuit at the given parameter vector."""
     th = _check_theta(c, theta)
-    ops = [op for g in c.gates for op in _lower(g, th)]
+    ops = [_lower(g, th) for g in c.gates]
     return _forward(c, ops).reshape(c.dim, c.dim)
 
 
 def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, np.ndarray]:
     """Unitary and all parameter derivatives dU/d(theta_k).
 
-    Every gate is lowered to local ops, so U = O_L ... O_1.  A forward sweep
+    Every gate is lowered to a local op, so U = O_L ... O_1.  A forward sweep
     applies them to the identity.  The backward sweep then walks the ops in
     reverse, holding the prefix P = O_{j-1} ... O_1 and the adjoint of the
     suffix S = O_L ... O_{j+1} side by side in one tensor.  Both are updated
@@ -317,7 +313,7 @@ def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(U, dU)`` with ``dU`` of shape (param_count, dim, dim).
     """
     th = _check_theta(c, theta)
-    ops = [op for g in c.gates for op in _lower(g, th)]
+    ops = [_lower(g, th) for g in c.gates]
     dim = c.dim
     u = _forward(c, ops)
     # columns [:dim] hold the prefix, [dim:] the adjoint of the suffix
@@ -381,22 +377,15 @@ class _Builder:
         self.gates.append(Gate("cz", (a, b)))
 
     def cr(self, a: int, b: int) -> None:
-        self.gates.append(Gate("cr", (a, b), self.take(2 if self.real else 6)))
-
-    def rccz(self, a: int, b: int, c: int) -> None:
-        for q in (a, b, c):
-            self.rot2(q, ("rx", "ry"))
-        self.gates.append(Gate("ccz", (a, b, c)))
+        # R on the control, then the same R on the target controlled by it
+        kind, k = ("ry", 1) if self.real else ("grot", 3)
+        self.gates.append(Gate(kind, (a,), self.take(k)))
+        self.gates.append(Gate(kind, (b,), self.take(k), controls=(a,)))
 
     def rncz(self, qs: tuple[int, ...]) -> None:
         for q in qs:
             self.rot2(q, ("rx", "ry"))
-        if len(qs) == 2:
-            self.gates.append(Gate("cz", qs))
-        elif len(qs) == 3:
-            self.gates.append(Gate("ccz", qs))
-        else:
-            self.gates.append(Gate("ncz", qs))
+        self.gates.append(Gate("cz", qs))
 
 
 @dataclass(frozen=True)
@@ -480,7 +469,7 @@ def _emit_block_layer(b: _Builder, block_id: int, n_qubits: int) -> None:
                 b.rcn(i, j)
     elif block_id == 12:
         for i in range(N - 2):
-            b.rccz(i, i + 1, i + 2)
+            b.rncz((i, i + 1, i + 2))
     elif block_id == 13:
         b.rncz(tuple(range(N)))
     elif block_id == 14:
@@ -670,69 +659,40 @@ def controlled(c: Circuit) -> Circuit:
 # --------------------------------------------------------------------------
 # gate counting
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class GateCostModel:
-    """CNOT-equivalent costs for entangling primitives.
+def mc1q(m: int) -> int:
+    """CNOT-equivalent cost of a single-target gate conditioned on m qubits.
 
-    ``mc1q(m)`` is the cost of a single-target gate conditioned on m
-    qubits: table values for m <= 2 (controlled rotation 2, double control
-    6) and the standard ancilla-free decomposition 16(m-1) beyond that.
-    CNOT and CZ are native two-qubit gates and count 1.
+    Table values for m <= 2 (controlled rotation 2, double control 6) and
+    the standard ancilla-free decomposition 16(m-1) beyond that.
     """
-
-    mc1q_base: tuple[int, int, int] = (0, 2, 6)
-    mc1q_coeff: int = 16
-    cnot: int = 1
-    cz: int = 1
-
-    def mc1q(self, m: int) -> int:
-        if m < 0:
-            raise ValueError("negative control count")
-        if m < len(self.mc1q_base):
-            return self.mc1q_base[m]
-        return self.mc1q_coeff * (m - 1)
-
-    def describe(self) -> dict:
-        return {
-            "cnot": self.cnot,
-            "cz": self.cz,
-            "controlled_1q": self.mc1q(1),
-            "ccz": self.mc1q(2),
-            "mc1q(m>=3)": f"{self.mc1q_coeff}*(m-1)",
-        }
-
-
-DEFAULT_COST_MODEL = GateCostModel()
+    if m < 0:
+        raise ValueError("negative control count")
+    return (0, 2, 6)[m] if m <= 2 else 16 * (m - 1)
 
 
 def _gadget_string_weights(g: Gate) -> list[int]:
     return [p.weight for p in g.generator.strings()]
 
 
-def count_nonlocal_gates(c: Circuit, model: GateCostModel = DEFAULT_COST_MODEL) -> int:
-    """Entangling cost in CNOT equivalents under the given model.
+def count_nonlocal_gates(c: Circuit) -> int:
+    """Entangling cost in CNOT equivalents.
 
-    Pauli gadgets cost 2(w-1) basis CNOTs per weight-w string plus the
-    (possibly controlled) central rotation.
+    A ``cnot`` or ``cz`` is a single-target gate on its last qubit
+    conditioned on the others; with one condition it is native and counts
+    1, otherwise ``mc1q``.  Pauli gadgets cost 2(w-1) basis CNOTs per
+    weight-w string plus the (possibly controlled) central rotation.
     """
     total = 0
     for g in c.gates:
         extra = len(g.controls)
-        if g.kind == "cnot":
-            total += model.cnot if extra == 0 else model.mc1q(1 + extra)
-        elif g.kind == "cz":
-            total += model.cz if extra == 0 else model.mc1q(1 + extra)
-        elif g.kind == "ccz":
-            total += model.mc1q(2 + extra)
-        elif g.kind == "ncz":
-            total += model.mc1q(len(g.qubits) - 1 + extra)
-        elif g.kind == "cr":
-            total += model.mc1q(extra) + model.mc1q(1 + extra)
-        elif g.kind == "gadget":
+        if g.kind == "gadget":
             for w in _gadget_string_weights(g):
-                total += 2 * (w - 1) + model.mc1q(extra)
+                total += 2 * (w - 1) + mc1q(extra)
+        elif g.kind in ("cnot", "cz"):
+            m = len(g.qubits) - 1 + extra
+            total += 1 if m == 1 else mc1q(m)
         else:  # single-qubit kinds
-            total += model.mc1q(extra) if extra else 0
+            total += mc1q(extra)
     return total
 
 
@@ -741,14 +701,12 @@ def count_multiqubit_gates(c: Circuit) -> int:
     total = 0
     for g in c.gates:
         extra = len(g.controls)
-        if g.kind in ("cnot", "cz", "ccz", "ncz", "cr"):
-            total += 1
-        elif g.kind == "gadget":
+        if g.kind == "gadget":
             total += sum(1 for w in _gadget_string_weights(g) if w + extra >= 2)
-        elif extra and len(g.qubits) + extra >= 2 and g.kind != "h":
+        elif g.kind in ("cnot", "cz"):
             total += 1
-        elif g.kind == "h" and extra:
-            total += 1
+        else:  # single-qubit kinds
+            total += 1 if extra else 0
     return total
 
 

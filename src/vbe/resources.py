@@ -14,14 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from vbe.circuit import (
-    COMPLEX,
-    DEFAULT_COST_MODEL,
-    REAL,
-    Circuit,
-    GateCostModel,
-    count_multiqubit_gates,
-)
+from vbe.circuit import COMPLEX, REAL, Circuit, count_multiqubit_gates, mc1q
 from vbe.pauli import PauliSum
 
 LITERAL_FORMULA = "literal"
@@ -114,27 +107,6 @@ def symmetric_a_ratio(kind: str, n: int) -> Fraction:
         raise ValueError(f"no symmetric a-ratio for kind {kind!r}") from None
 
 
-def threshold_layers_generic(
-    n_p: int,
-    total_qubits: int,
-    a: Fraction | int,
-    nlg_per_layer: int,
-    us_params: int | None = None,
-) -> int:
-    """ceil((N_p - U_s parameters) / (a * nonlocal gates per layer)).
-
-    ``us_params`` defaults to the complex appended layer (3N); real circuits
-    pass N.
-    """
-    if n_p <= 0 or total_qubits <= 0 or nlg_per_layer <= 0:
-        raise ValueError("inputs must be positive")
-    us = 3 * total_qubits if us_params is None else us_params
-    remaining = n_p - us
-    if remaining <= 0:
-        return 0
-    return math.ceil(Fraction(remaining) / (Fraction(a) * nlg_per_layer))
-
-
 def threshold_layers_symmetric(dim_b: int, q: int, mode: str = PARAM_INVERSION) -> int:
     """Layer estimate from the block-span dimension.
 
@@ -187,14 +159,13 @@ class LcuEstimate:
     ancillas: int
     prepare_cnots: int
     select_cnots: int
-    model: dict
 
     @property
     def cnot_count(self) -> int:
         return self.prepare_cnots + self.select_cnots
 
 
-def lcu_estimate(h: PauliSum, model: GateCostModel = DEFAULT_COST_MODEL) -> LcuEstimate:
+def lcu_estimate(h: PauliSum) -> LcuEstimate:
     """Gate estimate for a linear-combination-of-unitaries encoding of ``h``.
 
     The state preparation on m = ceil(log2(terms)) ancillas costs up to
@@ -214,15 +185,10 @@ def lcu_estimate(h: PauliSum, model: GateCostModel = DEFAULT_COST_MODEL) -> LcuE
     select = 0
     for p, _ in h.items():
         w = p.weight
-        select += model.mc1q(m) + 2 * max(w - 1, 0)
+        select += mc1q(m) + 2 * max(w - 1, 0)
     return LcuEstimate(
         term_count=term_count,
         ancillas=m,
         prepare_cnots=prepare,
         select_cnots=select,
-        model={
-            "prepare": "2*(2^m - 2), counted twice (prepare + unprepare)",
-            "select_per_term": "mc1q(m) + 2*(w-1)",
-            **model.describe(),
-        },
     )

@@ -2,7 +2,7 @@
 
 These are frozen expected results.  The benchmark under ``perfbench/``
 checks its closure dimensions and layer counts against them, and the tests
-recompute ``BDIM_TABLE`` and ``FREE_PARAMS_N4``.
+recompute ``BDIM_TABLE``, ``FREE_PARAMS_N4`` and ``RESOURCES_N5``.
 """
 
 # (kind, n) -> dimension of the block-span basis B
@@ -23,27 +23,6 @@ BDIM_TABLE = {
     ("Sn", 6): 44,
     ("Sn", 7): 60,
     ("Sn", 8): 85,
-}
-
-# (kind, n) -> dimension of the symmetry-invariant Lie algebra (for context
-# columns; dim(B) matches it + 1 for Z2xz and Sn, and undershoots for Cn>=4)
-MSU_DIMS = {
-    ("Z2xz", 2): 5,
-    ("Z2xz", 3): 19,
-    ("Z2xz", 4): 71,
-    ("Z2xz", 5): 271,
-    ("Cn", 2): 5,
-    ("Cn", 3): 11,
-    ("Cn", 4): 37,
-    ("Cn", 5): 103,
-    ("Cn", 6): 356,
-    ("Sn", 2): 5,
-    ("Sn", 3): 9,
-    ("Sn", 4): 18,
-    ("Sn", 5): 27,
-    ("Sn", 6): 43,
-    ("Sn", 7): 59,
-    ("Sn", 8): 84,
 }
 
 # (kind, n) -> (dim_b, random-layering threshold M, circuit parameters)
@@ -74,9 +53,9 @@ FREE_PARAMS_N4 = {
     ("real", "unitary"): 119,
 }
 
-# measured resources of the linear-RCN ansatz at its threshold depth for a
-# 2^4 x 2^4 target on 5 qubits: (field, structure) -> (params, param bound,
-# cnots, cnot bound)
+# resources of the linear-RCN ansatz (block 2) at its estimated threshold
+# depth for a 2^4 x 2^4 target on 5 qubits: (field, structure) -> (params,
+# free-parameter bound, CNOTs, CNOT bound at the ansatz's own a-ratio)
 RESOURCES_N5 = {
     ("complex", "arbitrary"): (527, 512, 128, 125),
     ("real", "arbitrary"): (261, 256, 128, 126),
@@ -84,5 +63,3 @@ RESOURCES_N5 = {
     ("real", "hermitian"): (141, 136, 136, 66),
 }
 
-# ancillas -> (params, nonlocal gates) for the hermitian complex 2^4 target
-MULTI_ANCILLA_N4 = {1: (141, 136), 2: (156, 156), 3: (175, 168)}

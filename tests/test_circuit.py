@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from vbe.circuit import (
     AnsatzSpec,
     BLOCK_CATALOG,
     Circuit,
-    DEFAULT_COST_MODEL,
     Gate,
     build_ansatz,
     build_generic_ansatz,
@@ -21,10 +21,19 @@ from vbe.circuit import (
     evaluate,
     evaluate_with_gradients,
     hermitize,
+    mc1q,
     pauli_gadget_unitary,
     single_qubit_R,
 )
 from vbe.pauli import PauliSum
+from vbe.resources import (
+    BoundQuery,
+    a_ratio,
+    estimate_generic_threshold,
+    free_parameter_bound,
+    nonlocal_gate_bound,
+)
+from vbe.tables import RESOURCES_N5
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -49,6 +58,13 @@ def gqsp_gens(seq):
     return tuple(PauliSum.from_terms(t) for t in seq)
 
 
+def cr_circuit(restriction, a=0, b=1, n=2):
+    """One CR as block 6 emits it: R on qubit a, then R on b controlled by a."""
+    builder = circ._Builder(restriction)
+    builder.cr(a, b)
+    return Circuit(n_qubits=n, gates=tuple(builder.gates), param_count=builder.next_slot)
+
+
 class TestSingleQubitR:
     def test_identity(self):
         assert np.allclose(single_qubit_R(0, 0, 0), np.eye(2))
@@ -63,6 +79,17 @@ class TestSingleQubitR:
         assert np.max(np.abs(r.imag)) == 0.0
         assert np.allclose(r @ r.T, np.eye(2), atol=1e-15)
         assert np.allclose(r, [[math.cos(t / 2), -math.sin(t / 2)], [math.sin(t / 2), math.cos(t / 2)]])
+
+
+class TestGateValidation:
+    @pytest.mark.parametrize(
+        "kind,qubits,slots",
+        [("h", (0, 1), ()), ("ry", (0, 1), (0,)), ("cnot", (0,), ()), ("cz", (0,), ())],
+        ids=["h", "ry", "cnot", "cz"],
+    )
+    def test_rejects_wrong_qubit_count(self, kind, qubits, slots):
+        with pytest.raises(ValueError, match="cannot act on"):
+            Gate(kind, qubits, slots)
 
 
 class TestEvaluate:
@@ -106,32 +133,28 @@ class TestParameterCounts:
         assert c.param_count == 10  # one RCN (4) + U_s on 2 qubits (6)
         assert count_nonlocal_gates(c) == 1
 
-    def test_block2_paper_scale(self):
-        c = build_generic_ansatz(block_spec(2, n=4, m=1, layers=32))
-        assert c.param_count == 527
-        assert count_nonlocal_gates(c) == 128
-
     def test_block0_never_entangles(self):
         for layers in (1, 3, 10):
             c = build_generic_ansatz(block_spec(0, n=2, layers=layers))
             assert count_nonlocal_gates(c) == 0
 
-    def test_real_arbitrary_paper_scale(self):
-        c = build_generic_ansatz(block_spec(2, n=4, m=1, layers=32, restriction="real"))
-        assert c.param_count == 261
-        assert count_nonlocal_gates(c) == 128
-
-    def test_hermitian_paper_scale(self):
-        c = build_ansatz(block_spec(2, n=4, m=1, layers=16, hermitian=True))
-        assert c.param_count == 271
-        assert count_nonlocal_gates(c) == 128
-
-    def test_real_hermitian_paper_scale(self):
-        c = build_ansatz(
-            block_spec(2, n=4, m=1, layers=17, restriction="real", hermitian=True)
+    @pytest.mark.parametrize("field,structure", list(RESOURCES_N5))
+    def test_resources_n5(self, field, structure):
+        # block 2 on 4 system qubits at its estimated threshold depth, against
+        # the free-parameter bound and the CNOT bound at the one-layer a-ratio
+        spec = block_spec(2, n=4, restriction=field, hermitian=structure == "hermitian")
+        c = build_ansatz(replace(spec, layers=estimate_generic_threshold(spec)))
+        a = a_ratio(build_generic_ansatz(block_spec(2, n=4, restriction=field)))
+        bound = nonlocal_gate_bound(
+            BoundQuery(n=4, total_qubits=5, field=field, structure=structure, a=a)
         )
-        assert c.param_count == 141
-        assert count_nonlocal_gates(c) == 136
+        got = (
+            c.param_count,
+            free_parameter_bound(4, field, structure),
+            count_nonlocal_gates(c),
+            bound,
+        )
+        assert got == RESOURCES_N5[(field, structure)]
 
     def test_layer_slot_metadata(self):
         for bid, n_slots, n_mq in [
@@ -325,9 +348,9 @@ class TestGradients:
         self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=8))
 
     def test_cr_gate(self, rng):
-        c = Circuit(n_qubits=2, gates=(Gate("cr", (0, 1), tuple(range(6))),), param_count=6)
+        c = cr_circuit("complex")
         self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=6))
-        c2 = Circuit(n_qubits=2, gates=(Gate("cr", (1, 0), (0, 1)),), param_count=2)
+        c2 = cr_circuit("real", 1, 0)
         self.assert_gradients_match(c2, rng.uniform(-np.pi, np.pi, size=2))
 
     def test_gadget_and_controlled_gadget(self, rng):
@@ -351,12 +374,12 @@ class TestGradients:
         self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
 
     def test_controlled_cr(self, rng):
-        # cr lowers to two ops; the extra control must reach both
+        # block 6 emits each CR as two gates; the extra control must reach both
         c = controlled(build_generic_ansatz(block_spec(6, n=1)))
         self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
 
     def test_hermitized_cr(self, rng):
-        # the daggered cr reverses its two ops
+        # the mirror reverses the two gates of each CR
         c = hermitize(build_generic_ansatz(block_spec(6, n=1)))
         self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
 
@@ -372,14 +395,15 @@ P1 = np.diag([0.0, 1.0])
 Z = np.diag([1.0, -1.0])
 I2 = np.eye(2)
 
-# (gate, qubit count, expected unitary) for every fixed gate kind
+# (gate, qubit count, expected unitary) for every fixed gate kind, with the
+# doubly and triply controlled Z as a 3- and 4-qubit cz
 FIXED_GATES = [
     (Gate("h", (1,)), 2, np.kron(I2, H)),
     (Gate("cnot", (0, 1)), 2, np.kron(P0, I2) + np.kron(P1, X)),
     (Gate("cnot", (1, 0)), 2, np.kron(I2, P0) + np.kron(X, P1)),
     (Gate("cz", (0, 1)), 2, np.diag([1, 1, 1, -1])),
-    (Gate("ccz", (0, 1, 2)), 3, np.diag([1] * 7 + [-1])),
-    (Gate("ncz", (0, 1, 2, 3)), 4, np.diag([1] * 15 + [-1])),
+    (Gate("cz", (0, 1, 2)), 3, np.diag([1] * 7 + [-1])),
+    (Gate("cz", (0, 1, 2, 3)), 4, np.diag([1] * 15 + [-1])),
 ]
 FIXED_IDS = ["h", "cnot01", "cnot10", "cz", "ccz", "ncz"]
 
@@ -403,22 +427,20 @@ class TestLowering:
         c = Circuit(n_qubits=n, gates=(g,), param_count=0)
         assert np.allclose(evaluate(c, []), expected.conj().T)
 
-    @pytest.mark.parametrize("slots", [tuple(range(6)), (0, 1)], ids=["complex", "real"])
-    def test_cr_gate(self, rng, slots):
-        # cr lowers to two ops: R on the control, then a controlled R on the target
-        theta = rng.uniform(-np.pi, np.pi, size=len(slots))
-        if len(slots) == 6:
+    @pytest.mark.parametrize("restriction", ["complex", "real"])
+    def test_cr_gate(self, rng, restriction):
+        # a CR is two gates: R on the control, then a controlled R on the target
+        c = cr_circuit(restriction)
+        theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+        if c.param_count == 6:
             ra, rb = single_qubit_R(*theta[:3]), single_qubit_R(*theta[3:])
         else:
             ra, rb = (single_qubit_R(t, 0, 0) for t in theta)
         m = (np.kron(P0, I2) + np.kron(P1, rb)) @ np.kron(ra, I2)
-
-        def unitary(gate, n):
-            return evaluate(Circuit(n_qubits=n, gates=(gate,), param_count=len(slots)), theta)
-
-        assert np.allclose(unitary(Gate("cr", (0, 1), slots), 2), m)
-        assert np.allclose(unitary(Gate("cr", (0, 1), slots, dagger=True), 2), m.conj().T)
-        ctrl = unitary(Gate("cr", (1, 2), slots, controls=(0,)), 3)
+        assert np.allclose(evaluate(c, theta), m)
+        mirrored = tuple(replace(g, dagger=True) for g in reversed(c.gates))
+        assert np.allclose(evaluate(replace(c, gates=mirrored), theta), m.conj().T)
+        ctrl = evaluate(controlled(c), theta)
         assert np.allclose(ctrl, np.kron(P0, np.eye(4)) + np.kron(P1, m))
 
     def test_wide_gadget_builds_and_counts(self):
@@ -430,16 +452,14 @@ class TestLowering:
 
 class TestCostModel:
     def test_mc1q_table(self):
-        m = DEFAULT_COST_MODEL
-        assert [m.mc1q(k) for k in range(6)] == [0, 2, 6, 32, 48, 64]
+        assert [mc1q(k) for k in range(6)] == [0, 2, 6, 32, 48, 64]
 
     def test_ccz_and_ncz(self):
-        c = Circuit(
-            n_qubits=4,
-            gates=(Gate("ccz", (0, 1, 2)), Gate("ncz", (0, 1, 2, 3))),
-            param_count=0,
-        )
-        assert count_nonlocal_gates(c) == 6 + 32
+        # a k-qubit cz is a Z conditioned on k-1 qubits: native for k=2, mc1q beyond
+        gates = (Gate("cz", (0, 1)), Gate("cz", (0, 1, 2)), Gate("cz", (0, 1, 2, 3)))
+        c = Circuit(n_qubits=4, gates=gates, param_count=0)
+        assert count_nonlocal_gates(c) == 1 + 6 + 32
+        assert count_multiqubit_gates(c) == 3
 
     def test_gadget_costs(self):
         gen = PauliSum.from_terms({"ZZI": 1j, "ZIZ": 1j, "IZZ": 1j})

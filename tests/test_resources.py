@@ -15,7 +15,6 @@ from vbe.resources import (
     lcu_estimate,
     nonlocal_gate_bound,
     symmetric_a_ratio,
-    threshold_layers_generic,
     threshold_layers_symmetric,
     tlb_cnot,
 )
@@ -133,27 +132,25 @@ class TestARatio:
 
 class TestThresholdGeneric:
     def test_paper_n4(self):
-        assert threshold_layers_generic(512, 5, Fraction(4), 4) == 32
+        assert estimate_generic_threshold(block_spec(2, n=4)) == 32
 
     def test_paper_hermitian(self):
-        assert threshold_layers_generic(256, 5, Fraction(4), 4) == 16
+        assert estimate_generic_threshold(block_spec(2, n=4, hermitian=True)) == 16
 
     def test_degenerate(self):
-        assert threshold_layers_generic(15, 5, Fraction(4), 4) == 0
+        # the appended layer alone covers the 4 free parameters of a 2x2 hermitian
+        assert estimate_generic_threshold(block_spec(2, n=1, hermitian=True)) == 0
 
     def test_real_hermitian_with_us_override(self):
-        # 17 layers of the real RCN ansatz reach the 136-parameter bound
-        assert threshold_layers_generic(136, 5, Fraction(2), 4, us_params=5) == 17
+        # the real appended layer has N = 5 parameters, not 3N; 17 layers of
+        # 8 reach the 136-parameter bound
+        spec = block_spec(2, n=4, restriction="real", hermitian=True)
+        assert estimate_generic_threshold(spec) == 17
 
     def test_estimate_from_spec(self):
-        assert estimate_generic_threshold(block_spec(2, n=4)) == 32
-        assert estimate_generic_threshold(block_spec(2, n=4, hermitian=True)) == 16
         assert estimate_generic_threshold(block_spec(2, n=2)) == 3
         assert estimate_generic_threshold(block_spec(2, n=3)) == 10
-        assert (
-            estimate_generic_threshold(block_spec(2, n=4, restriction="real", hermitian=True))
-            == 17
-        )
+        assert estimate_generic_threshold(block_spec(2, n=4, restriction="real")) == 32
 
 
 class TestThresholdSymmetric:
