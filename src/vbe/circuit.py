@@ -102,6 +102,8 @@ class Gate:
             raise ValueError(
                 f"{self.kind} expects {expected[self.kind]} slots, got {len(self.slots)}"
             )
+        if self.kind != "gadget" and self.generator is not None:
+            raise ValueError(f"{self.kind} gate takes no generator")
         if self.kind == "gadget":
             if self.generator is None:
                 raise ValueError("gadget gate needs a generator")
@@ -153,9 +155,6 @@ class Circuit:
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
-
-    def system_qubits(self) -> int:
-        return self.n_qubits - self.ancillas
 
 
 # --------------------------------------------------------------------------

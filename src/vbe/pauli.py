@@ -6,14 +6,18 @@ integer masks read like computational basis indices and keeps ``to_dense``
 consistent with the ancilla-first tensor ordering used everywhere else.
 
 A :class:`PauliSum` is a complex-weighted combination of strings over a fixed
-qubit count.  Coefficients with magnitude below :data:`PRUNE_TOL` are dropped
-after every arithmetic operation so that cancellation residue cannot blow up
-the term count inside closure loops.
+qubit count, held in one representation: ascending packed keys
+``(x << n) | z`` and their coefficients as two arrays.  Coefficients with
+magnitude at most :data:`PRUNE_TOL` are dropped after every arithmetic
+operation (:func:`sum_from_packed`) so that cancellation residue cannot blow
+up the term count inside closure loops.
 
-Every product has one path: ``@``, :func:`commutator`, :func:`mul_strings`
-and the closure loops all call :func:`product_packed`, which multiplies all
-term pairs as arrays and combines equal result strings over the 4^n packed
-keys.  Like dense conversion, that key range caps products and the plain
+Sums combine equal strings by sort, so ``+`` and ``-`` work up to
+:data:`MAX_KEY_QUBITS`, where the packed keys fill int64.  Every product has
+one path: ``@``, :func:`commutator`, :func:`mul_strings` and the closure
+loops all call :func:`product_packed`, which multiplies all term pairs as
+arrays and combines equal result strings over the 4^n packed keys.  Like
+dense conversion, that key range caps products and the plain
 :class:`SpanBasis` at :data:`MAX_DENSE_QUBITS` qubits.
 """
 
@@ -26,6 +30,7 @@ import numpy as np
 PRUNE_TOL = 1e-13
 SPAN_TOL = 1e-9  # relative linear-independence tolerance
 MAX_DENSE_QUBITS = 9
+MAX_KEY_QUBITS = 31  # a packed key (x << n) | z must fit in int64
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
@@ -55,6 +60,15 @@ class PauliString:
             z |= bz << pos
         return cls(n, x, z)
 
+    @classmethod
+    def from_key(cls, n: int, key: int) -> "PauliString":
+        return cls(n, key >> n, key & ((1 << n) - 1))
+
+    @property
+    def key(self) -> int:
+        """Packed key ``(x << n) | z``."""
+        return (self.x << self.n) | self.z
+
     @property
     def letters(self) -> str:
         return "".join(
@@ -67,22 +81,17 @@ class PauliString:
         """Number of non-identity sites."""
         return (self.x | self.z).bit_count()
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        return _keys_commute(self.x, self.z, other.x, other.z)
-
     def __str__(self) -> str:
         return self.letters
 
 
-def _keys_commute(x1: int, z1: int, x2: int, z2: int) -> bool:
-    return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0
-
-
 def mul_strings(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
     """Product of two strings: p*q == phase * r with phase in {1, i, -1, -i}."""
-    product = PauliSum(p.n, {(p.x, p.z): 1.0}) @ PauliSum(q.n, {(q.x, q.z): 1.0})
-    ((x, z), phase), = product.terms.items()
-    return phase, PauliString(p.n, x, z)
+    if p.n != q.n:
+        raise ValueError(f"qubit count mismatch: {p.n} vs {q.n}")
+    one = np.ones(1, dtype=np.complex128)
+    (key,), (phase,) = product_packed(p.n, np.array([p.key]), one, np.array([q.key]), one)
+    return complex(phase), PauliString.from_key(p.n, int(key))
 
 
 def _string_dense(n: int, x: int, z: int) -> np.ndarray:
@@ -98,26 +107,30 @@ def _string_dense(n: int, x: int, z: int) -> np.ndarray:
 
 
 class PauliSum:
-    """Complex-weighted combination of Pauli strings on a fixed qubit count."""
+    """Complex-weighted combination of Pauli strings on a fixed qubit count.
 
-    __slots__ = ("n", "terms")
+    ``keys`` holds the packed strings ``(x << n) | z`` in ascending order
+    (int64) and ``coeffs`` their coefficients (complex128), each larger than
+    :data:`PRUNE_TOL` in magnitude.  The constructor takes the arrays as
+    they are; :func:`sum_from_packed` prunes and wraps unchecked arrays.
+    """
 
-    def __init__(self, n: int, terms: dict[tuple[int, int], complex] | None = None):
+    __slots__ = ("n", "keys", "coeffs")
+
+    def __init__(self, n: int, keys: np.ndarray, coeffs: np.ndarray):
         self.n = n
-        self.terms: dict[tuple[int, int], complex] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if abs(coeff) > PRUNE_TOL:
-                    self.terms[key] = complex(coeff)
+        self.keys = keys
+        self.coeffs = coeffs
 
     # ---- constructors -------------------------------------------------
     @classmethod
     def zero(cls, n: int) -> "PauliSum":
-        return cls(n)
+        return cls(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128))
 
     @classmethod
     def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n, {(0, 0): coeff})
+        keys = np.zeros(1, dtype=np.int64)
+        return sum_from_packed(n, keys, np.array([coeff], dtype=np.complex128))
 
     @classmethod
     def from_terms(cls, terms: dict[str, complex]) -> "PauliSum":
@@ -128,77 +141,74 @@ class PauliSum:
         if len(lengths) != 1:
             raise ValueError("all strings must share the same length")
         n = lengths.pop()
-        out = cls(n)
-        for letters, coeff in terms.items():
-            p = PauliString.from_letters(letters)
-            out.terms[(p.x, p.z)] = out.terms.get((p.x, p.z), 0.0) + complex(coeff)
-        out._prune()
-        return out
+        if n > MAX_KEY_QUBITS:
+            raise ValueError(f"packed keys hold at most {MAX_KEY_QUBITS} qubits, got {n}")
+        # distinct letter strings are distinct keys, so sorting is all the combining
+        keys = np.array([PauliString.from_letters(s).key for s in terms], dtype=np.int64)
+        coeffs = np.array([complex(c) for c in terms.values()], dtype=np.complex128)
+        order = np.argsort(keys)
+        return sum_from_packed(n, keys[order], coeffs[order])
 
     # ---- basic structure ----------------------------------------------
-    def _prune(self) -> None:
-        drop = [k for k, c in self.terms.items() if abs(c) <= PRUNE_TOL]
-        for k in drop:
-            del self.terms[k]
-
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.keys)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return len(self.keys) == 0
 
     def strings(self) -> list[PauliString]:
-        return [PauliString(self.n, x, z) for (x, z) in self.terms]
+        return [PauliString.from_key(self.n, k) for k in self.keys.tolist()]
 
     def items(self) -> list[tuple[PauliString, complex]]:
         """Terms in canonical (lexicographic letters) order."""
-        out = [(PauliString(self.n, x, z), c) for (x, z), c in self.terms.items()]
+        out = [(p, complex(c)) for p, c in zip(self.strings(), self.coeffs)]
         out.sort(key=lambda t: t[0].letters)
         return out
 
     def coeff_norm(self) -> float:
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.terms.values())))
+        return float(np.linalg.norm(self.coeffs))
 
     def is_antihermitian(self, tol: float = 1e-12) -> bool:
         """True when every coefficient is purely imaginary (strings are hermitian)."""
         scale = max(self.coeff_norm(), 1.0)
-        return all(abs(c.real) <= tol * scale for c in self.terms.values())
+        return bool(np.all(np.abs(self.coeffs.real) <= tol * scale))
 
     # ---- algebra -------------------------------------------------------
     def _check(self, other: "PauliSum") -> None:
         if self.n != other.n:
             raise ValueError(f"qubit count mismatch: {self.n} vs {other.n}")
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
+    def _merge(self, other: "PauliSum", sign: float) -> "PauliSum":
+        """self + sign * other, combining equal strings by sort."""
         self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0.0) + c
-        return PauliSum(self.n, terms)
+        keys, inverse = np.unique(np.concatenate((self.keys, other.keys)), return_inverse=True)
+        coeffs = np.concatenate((self.coeffs, sign * other.coeffs))
+        re = np.bincount(inverse, weights=coeffs.real, minlength=len(keys))
+        im = np.bincount(inverse, weights=coeffs.imag, minlength=len(keys))
+        return sum_from_packed(self.n, keys, re + 1j * im)
+
+    def __add__(self, other: "PauliSum") -> "PauliSum":
+        return self._merge(other, 1.0)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
-        self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0.0) - c
-        return PauliSum(self.n, terms)
+        return self._merge(other, -1.0)
 
     def __neg__(self) -> "PauliSum":
-        return PauliSum(self.n, {k: -c for k, c in self.terms.items()})
+        return PauliSum(self.n, self.keys, -self.coeffs)
 
     def __mul__(self, scalar: complex) -> "PauliSum":
-        return PauliSum(self.n, {k: c * scalar for k, c in self.terms.items()})
+        return sum_from_packed(self.n, self.keys, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         """Exact operator product."""
         self._check(other)
-        keys, coeffs = product_packed(self.n, *packed_terms(self), *packed_terms(other))
+        keys, coeffs = product_packed(self.n, self.keys, self.coeffs, other.keys, other.coeffs)
         return sum_from_packed(self.n, keys, coeffs)
 
     def dagger(self) -> "PauliSum":
-        return PauliSum(self.n, {k: c.conjugate() for k, c in self.terms.items()})
+        return PauliSum(self.n, self.keys, self.coeffs.conj())
 
     def normalized(self) -> "PauliSum":
         nrm = self.coeff_norm()
@@ -207,7 +217,7 @@ class PauliSum:
         return self * (1.0 / nrm)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return f"PauliSum(0, n={self.n})"
         parts = [f"({c:.6g})*{p.letters}" for p, c in self.items()]
         return " + ".join(parts)
@@ -221,21 +231,16 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     """
     a._check(b)
     keys, coeffs = product_packed(
-        a.n, *packed_terms(a), *packed_terms(b), anticommuting_only=True, scale=2.0
+        a.n, a.keys, a.coeffs, b.keys, b.coeffs, anticommuting_only=True, scale=2.0
     )
     return sum_from_packed(a.n, keys, coeffs)
 
 
 def pairwise_commuting(s: PauliSum) -> bool:
     """True iff every pair of constituent strings commutes."""
-    keys = list(s.terms)
-    for i in range(len(keys)):
-        x1, z1 = keys[i]
-        for j in range(i + 1, len(keys)):
-            x2, z2 = keys[j]
-            if not _keys_commute(x1, z1, x2, z2):
-                return False
-    return True
+    x, z = s.keys >> s.n, s.keys & ((1 << s.n) - 1)
+    odd = np.bitwise_count(x[:, None] & z[None, :]) + np.bitwise_count(z[:, None] & x[None, :])
+    return not np.any(odd & 1)
 
 
 def check_dense_qubits(n: int, what: str) -> None:
@@ -249,8 +254,8 @@ def to_dense(s: PauliSum) -> np.ndarray:
     check_dense_qubits(s.n, "dense conversion")
     dim = 1 << s.n
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for (x, z), c in s.terms.items():
-        out += c * _string_dense(s.n, x, z)
+    for p, c in zip(s.strings(), s.coeffs):
+        out += c * _string_dense(s.n, p.x, p.z)
     return out
 
 
@@ -258,22 +263,10 @@ def string_to_dense(p: PauliString) -> np.ndarray:
     return _string_dense(p.n, p.x, p.z)
 
 
-def packed_terms(s: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted packed keys (x<<n)|z, coefficients) arrays of a sum."""
-    n = s.n
-    keys = np.fromiter(((x << n) | z for (x, z) in s.terms), dtype=np.int64, count=len(s.terms))
-    coeffs = np.fromiter(s.terms.values(), dtype=np.complex128, count=len(s.terms))
-    order = np.argsort(keys)
-    return keys[order], coeffs[order]
-
-
 def sum_from_packed(n: int, keys: np.ndarray, coeffs: np.ndarray) -> PauliSum:
-    out = PauliSum(n)
-    mask = (1 << n) - 1
-    for k, c in zip(keys, coeffs):
-        if abs(c) > PRUNE_TOL:
-            out.terms[(int(k) >> n, int(k) & mask)] = complex(c)
-    return out
+    """Sum over ascending unique packed keys, dropping coefficients at or below PRUNE_TOL."""
+    keep = np.abs(coeffs) > PRUNE_TOL
+    return PauliSum(n, keys[keep], coeffs[keep])
 
 
 def product_packed(
@@ -353,117 +346,109 @@ class OrbitCompression:
         return (re + 1j * im) * self._inv_sqrt
 
 
+class _StringRows:
+    """One coordinate per string, assigned the first time a vector touches it.
+
+    A direct-index table over the 4^n packed keys maps each string to its
+    row, so ``vector`` is one gather and one scatter.  A new row is zero in
+    every vector mapped before it, which keeps earlier vectors' coordinates
+    valid as the row count grows.
+    """
+
+    def __init__(self, n: int):
+        check_dense_qubits(n, "a string-indexed span")
+        self._table = np.full(1 << (2 * n), -1, dtype=np.int32)
+        self.count = 0
+
+    def vector(self, keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        rows = self._table[keys]
+        new = rows < 0
+        if np.any(new):
+            fresh = self.count + np.arange(np.count_nonzero(new), dtype=np.int32)
+            rows[new] = self._table[keys[new]] = fresh
+            self.count += len(fresh)
+        v = np.zeros(self.count, dtype=np.complex128)
+        v[rows] = coeffs
+        return v
+
+
 class SpanBasis:
     """Incrementally orthonormalized span of Pauli sums in string-coefficient space.
 
-    Membership is a Gram-Schmidt residual test with a drop tolerance
-    relative to the candidate norm.  Only strings appearing in accepted
-    basis vectors are registered (direct-index table over the 4^n packed
-    keys); weight on unregistered strings proves independence immediately,
-    which keeps the projection cost proportional to the basis support.
+    Membership is a Gram-Schmidt residual test (two classical passes) with a
+    drop tolerance relative to the candidate norm.  Both :meth:`add_packed`
+    and :meth:`contains_packed` go through one residual path over one of two
+    coordinate maps:
 
-    An optional :class:`OrbitCompression` switches the vector space to
-    orbit coordinates; this is only sound when every inserted sum is
-    invariant under the compressing group.
+    * by default, one row per string, assigned on first sight, so the
+      projection cost stays proportional to the support of the span and the
+      candidates seen so far;
+    * with an :class:`OrbitCompression`, one row per string orbit; this is
+      only sound when every sum passed in is invariant under the
+      compressing group.
     """
 
     def __init__(self, n: int, tol: float = SPAN_TOL, orbits: OrbitCompression | None = None):
         self.n = n
         self.tol = tol
-        self.orbits = orbits
-        if orbits is None:
-            check_dense_qubits(n, "a string-indexed span")
-            self._table = np.full(1 << (2 * n), -1, dtype=np.int32)
-            self._rows = 0
-        else:
-            self._table = None
-            self._rows = orbits.count
-        self._q = np.zeros((max(64, self._rows), 16), dtype=np.complex128)
+        self._coords = _StringRows(n) if orbits is None else orbits
+        self._q = np.zeros((max(64, self._coords.count), 16), dtype=np.complex128)
         self.size = 0
 
-    # -- packed-array core -------------------------------------------------
-    def _known_projection(self, keys: np.ndarray, coeffs: np.ndarray):
-        rows = self._table[keys]
-        known = rows >= 0
-        unknown_sq = float(np.sum(np.abs(coeffs[~known]) ** 2))
-        v = np.zeros(self._rows, dtype=np.complex128)
-        v[rows[known]] = coeffs[known]
-        return v, unknown_sq, rows, known
+    def _reserve(self, rows: int, cols: int) -> None:
+        cap_rows, cap_cols = self._q.shape
+        if rows > cap_rows or cols > cap_cols:
+            grown = np.zeros(
+                (
+                    max(rows, 2 * cap_rows) if rows > cap_rows else cap_rows,
+                    2 * cap_cols if cols > cap_cols else cap_cols,
+                ),
+                dtype=np.complex128,
+            )
+            grown[:cap_rows, : self.size] = self._q[:, : self.size]
+            self._q = grown
 
-    def _residual_known(self, v: np.ndarray) -> np.ndarray:
-        q = self._q[: self._rows, : self.size]
-        r = v - q @ (q.conj().T @ v)
-        r -= q @ (q.conj().T @ r)  # re-orthogonalization pass
+    def _residual(self, keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray | None:
+        """Part of the candidate orthogonal to the span, or None when it lies in the span."""
+        norm_sq = float(np.sum(np.abs(coeffs) ** 2))
+        if norm_sq == 0.0:
+            return None
+        v = self._coords.vector(keys, coeffs)
+        self._reserve(len(v), self.size)
+        q = self._q[: len(v), : self.size]
+        # (x^H Q)^H equals Q^H x without copying a conjugate of Q
+        r = v - q @ (v.conj() @ q).conj()
+        r -= q @ (r.conj() @ q).conj()  # re-orthogonalization pass
+        if float(np.sum(np.abs(r) ** 2)) <= (self.tol**2) * norm_sq:
+            return None
         return r
 
     def contains_packed(self, keys: np.ndarray, coeffs: np.ndarray) -> bool:
-        norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-        if norm_sq == 0.0:
-            return True
-        budget = (self.tol**2) * norm_sq
-        if self.orbits is not None:
-            r = self._residual_known(self.orbits.vector(keys, coeffs))
-            return float(np.sum(np.abs(r) ** 2)) <= budget
-        v, unknown_sq, _, _ = self._known_projection(keys, coeffs)
-        if unknown_sq > budget:
-            return False
-        r = self._residual_known(v)
-        return unknown_sq + float(np.sum(np.abs(r) ** 2)) <= budget
-
-    def _append_column(self, full: np.ndarray) -> None:
-        rows = self._q.shape[0]
-        cols = self._q.shape[1]
-        if len(full) > rows or self.size == cols:
-            new_rows = max(rows, len(full), 2 * rows if len(full) > rows else rows)
-            new_cols = 2 * cols if self.size == cols else cols
-            grown = np.zeros((new_rows, new_cols), dtype=np.complex128)
-            grown[:rows, : self.size] = self._q[:, : self.size]
-            self._q = grown
-        col = np.zeros(self._q.shape[0], dtype=np.complex128)
-        col[: len(full)] = full
-        self._q[:, self.size] = col / float(np.linalg.norm(full))
-        self.size += 1
+        return self._residual(keys, coeffs) is None
 
     def add_packed(self, keys: np.ndarray, coeffs: np.ndarray) -> bool:
-        norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-        if norm_sq == 0.0:
+        """Add the sum to the span; returns True when it extended the basis."""
+        r = self._residual(keys, coeffs)
+        if r is None:
             return False
-        budget = (self.tol**2) * norm_sq
-        if self.orbits is not None:
-            r = self._residual_known(self.orbits.vector(keys, coeffs))
-            if float(np.sum(np.abs(r) ** 2)) <= budget:
-                return False
-            self._append_column(r)
-            return True
-        v, unknown_sq, rows, known = self._known_projection(keys, coeffs)
-        r = self._residual_known(v)
-        if unknown_sq + float(np.sum(np.abs(r) ** 2)) <= budget:
-            return False
-        # register the new strings and append the orthonormalized column;
-        # the unknown block is orthogonal to every existing column by
-        # construction, so only the known block needed projecting
-        new_keys = keys[~known]
-        self._table[new_keys] = self._rows + np.arange(len(new_keys), dtype=np.int32)
-        total_rows = self._rows + len(new_keys)
-        full = np.zeros(total_rows, dtype=np.complex128)
-        full[: self._rows] = r
-        full[self._table[new_keys]] = coeffs[~known]
-        self._rows = total_rows
-        self._append_column(full)
+        self._reserve(len(r), self.size + 1)
+        self._q[: len(r), self.size] = r / float(np.linalg.norm(r))
+        self.size += 1
         return True
 
     # -- PauliSum convenience ----------------------------------------------
-    def _packed(self, s: PauliSum):
+    def _check(self, s: PauliSum) -> None:
         if s.n != self.n:
             raise ValueError(f"qubit count mismatch: {s.n} vs {self.n}")
-        return packed_terms(s)
 
     def contains(self, s: PauliSum) -> bool:
-        return self.contains_packed(*self._packed(s))
+        self._check(s)
+        return self.contains_packed(s.keys, s.coeffs)
 
     def add(self, s: PauliSum) -> bool:
         """Add ``s`` to the span; returns True when it extended the basis."""
-        return self.add_packed(*self._packed(s))
+        self._check(s)
+        return self.add_packed(s.keys, s.coeffs)
 
 
 def rank_extend(basis: list[PauliSum], candidate: PauliSum) -> bool:

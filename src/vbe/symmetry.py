@@ -28,7 +28,6 @@ from vbe.pauli import (
     PauliSum,
     SpanBasis,
     check_dense_qubits,
-    packed_terms,
     product_packed,
     sum_from_packed,
     to_dense,
@@ -282,9 +281,8 @@ def _compression_for(generators: GeneratorSet | list | tuple) -> OrbitCompressio
     if orbits is None:
         return None
     for g in generators.generators:
-        keys, coeffs = packed_terms(g)
-        full = float(np.sum(np.abs(coeffs) ** 2))
-        compressed = float(np.sum(np.abs(orbits.vector(keys, coeffs)) ** 2))
+        full = float(np.sum(np.abs(g.coeffs) ** 2))
+        compressed = float(np.sum(np.abs(orbits.vector(g.keys, g.coeffs)) ** 2))
         if abs(full - compressed) > 1e-12 * max(full, 1.0):
             return None
     return orbits
@@ -311,28 +309,23 @@ def _span_closure(
     """
     span = SpanBasis(n, orbits=orbits)
     basis: list[PauliSum] = []
-    packed: list[tuple] = []  # unit-norm (keys, coeffs) mirrors of the basis
 
     def add(keys: np.ndarray, coeffs: np.ndarray) -> None:
         if len(keys) and span.add_packed(keys, coeffs):
-            coeffs = coeffs / float(np.linalg.norm(coeffs))
-            basis.append(sum_from_packed(n, keys, coeffs))
-            packed.append((keys, coeffs))
+            basis.append(sum_from_packed(n, keys, coeffs / float(np.linalg.norm(coeffs))))
             if len(basis) > cap:
                 raise ClosureCapExceeded(f"{name} closure exceeded cap {cap} (n={n})", len(basis))
 
     for s in seeds:
         s = s.normalized()
-        keys, coeffs = packed_terms(s)
-        if span.add_packed(keys, coeffs):
+        if span.add_packed(s.keys, s.coeffs):
             basis.append(s)
-            packed.append((keys, coeffs))
-    mult_packed = [packed_terms(m.normalized()) for m in multipliers]
+    mults = [m.normalized() for m in multipliers]
     idx = start
     while idx < len(basis):
-        ki, ci = packed[idx]
-        for km, cm in mult_packed:
-            products(ki, ci, km, cm, add)
+        b = basis[idx]
+        for m in mults:
+            products(b.keys, b.coeffs, m.keys, m.coeffs, add)
         idx += 1
     return basis
 

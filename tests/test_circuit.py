@@ -91,6 +91,14 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="cannot act on"):
             Gate(kind, qubits, slots)
 
+    @pytest.mark.parametrize(
+        "kind,qubits,slots", [("ry", (0,), (0,)), ("cnot", (0, 1), ())], ids=["ry", "cnot"]
+    )
+    def test_rejects_generator_on_non_gadget(self, kind, qubits, slots):
+        g = PauliSum.from_terms({"Z": 1j})
+        with pytest.raises(ValueError, match="takes no generator"):
+            Gate(kind, qubits, slots, generator=g)
+
 
 class TestEvaluate:
     def test_empty_circuit(self):

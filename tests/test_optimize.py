@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize, rosen, rosen_der
@@ -7,6 +9,7 @@ from vbe.circuit import AnsatzSpec
 from vbe.encode import TargetSpec, subnormalize
 from vbe.pauli import to_dense
 from vbe.tables import GQSP_TABLE
+from vbe.targets import random_matrix
 
 
 class TestGreedyGeneratorSearch:
@@ -21,6 +24,23 @@ class TestGreedyGeneratorSearch:
         again = optimize.greedy_generator_search(target, gens, opts, max_depth=8)
         assert again.sequence == res.sequence
         assert np.array_equal(again.report.theta, res.report.theta)
+
+
+class TestMultistartEncode:
+    def test_deterministic_for_seed(self):
+        target = subnormalize(random_matrix(1, seed=5))
+        spec = AnsatzSpec(family="block", system_qubits=1, layers=1, block_id=2)
+        opts = optimize.OptimizeOptions(restarts=3, max_iterations=40, seed=7)
+        a = optimize.multistart_encode(target, spec, opts)
+        b = optimize.multistart_encode(target, spec, opts)
+        assert np.array_equal(a.theta, b.theta)
+        assert (a.epsilon, a.restart_index, a.total_iterations) == (
+            b.epsilon,
+            b.restart_index,
+            b.total_iterations,
+        )
+        other = optimize.multistart_encode(target, spec, replace(opts, seed=8))
+        assert not np.array_equal(other.theta, a.theta)
 
 
 class TestBfgsStoppingRule:

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from vbe.pauli import (
     MAX_DENSE_QUBITS,
+    MAX_KEY_QUBITS,
     PauliString,
     PauliSum,
     SpanBasis,
     commutator,
     format_pauli_sum,
     mul_strings,
-    packed_terms,
     pairwise_commuting,
     parse_generator_file,
     parse_pauli_sum,
@@ -104,7 +104,8 @@ class TestCommutator:
         a = PauliSum.from_terms({"Z": 1j})
         b = PauliSum.from_terms({"X": 1j})
         got = commutator(a, b)
-        assert got.terms == {(PauliString.from_letters("Y").x, PauliString.from_letters("Y").z): -2j}
+        assert got.keys.tolist() == [PauliString.from_letters("Y").key]
+        assert got.coeffs.tolist() == [-2j]
 
     def test_with_identity(self):
         a = PauliSum.from_terms({"ZZ": 1.0})
@@ -167,6 +168,16 @@ class TestProductProperties:
         assert np.allclose(to_dense(a @ b), to_dense(a) @ to_dense(b), atol=1e-12)
 
     @PROPERTY
+    @given(sum_tuples(2), st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)))
+    def test_linear_ops_are_homomorphisms(self, ab, scalar):
+        a, b = ab
+        da, db = to_dense(a), to_dense(b)
+        assert np.allclose(to_dense(a + b), da + db, atol=1e-12)
+        assert np.allclose(to_dense(a - b), da - db, atol=1e-12)
+        assert np.allclose(to_dense(a * scalar), scalar * da, atol=1e-12)
+        assert np.allclose(to_dense(a.dagger()), da.conj().T, atol=1e-12)
+
+    @PROPERTY
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(letters(n), letters(n))))
     def test_mul_strings_matches_dense(self, pq):
         p, q = (PauliString.from_letters(s) for s in pq)
@@ -182,7 +193,7 @@ class TestKeyRangeCap:
         n = MAX_DENSE_QUBITS + 1
         big = PauliSum.from_terms({"X" * n: 1.0, "Z" * n: 1.0})
         with pytest.raises(ValueError, match="Pauli product"):
-            product_packed(n, *packed_terms(big), *packed_terms(big))
+            product_packed(n, big.keys, big.coeffs, big.keys, big.coeffs)
         with pytest.raises(ValueError):
             big @ big
         with pytest.raises(ValueError):
@@ -191,6 +202,12 @@ class TestKeyRangeCap:
             mul_strings(PauliString.from_letters("X" * n), PauliString.from_letters("Y" * n))
         with pytest.raises(ValueError, match="span"):
             SpanBasis(n)
+
+    def test_sums_refuse_keys_beyond_int64(self):
+        n = MAX_KEY_QUBITS
+        assert len(PauliSum.from_terms({"X" * n: 1.0, "Z" * n: 1.0})) == 2
+        with pytest.raises(ValueError, match="packed keys"):
+            PauliSum.from_terms({"X" * (n + 1): 1.0})
 
     def test_cap_itself_is_allowed(self):
         n = MAX_DENSE_QUBITS
@@ -260,6 +277,17 @@ class TestRankExtend:
             r0 = np.linalg.matrix_rank(np.array(rows)) if rows else 0
             r1 = np.linalg.matrix_rank(np.array(rows + [to_dense(cand).ravel()]))
             assert rank_extend(basis, cand) == (r1 > r0)
+            # contains() on sums with strings the span has not seen yet must
+            # answer like the dense rank and leave the basis alone
+            span = SpanBasis(n)
+            for i, b in enumerate(basis):
+                size = span.size
+                independent = np.linalg.matrix_rank(np.array(rows[: i + 1])) > span.size
+                assert span.contains(b) == (not independent)
+                assert span.size == size
+                assert span.add(b) == independent
+            assert span.contains(cand) == (r1 == r0)
+            assert span.size == r0
 
     def test_span_basis_incremental(self):
         span = SpanBasis(2)
@@ -315,7 +343,7 @@ class TestTextFormat:
 
 def assert_same(a: PauliSum, b: PauliSum):
     assert a.n == b.n
-    assert not len((a - b).terms)
+    assert len((a - b).keys) == 0
 
 
 class TestArithmetic:

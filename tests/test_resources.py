@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from vbe.circuit import AnsatzSpec, build_generic_ansatz, build_gqsp_ansatz, hermitize
-from vbe.pauli import PauliSum
+from vbe.pauli import MAX_DENSE_QUBITS, PauliSum
 from vbe.resources import (
     BoundQuery,
     LITERAL_FORMULA,
@@ -18,6 +18,7 @@ from vbe.resources import (
     threshold_layers_symmetric,
     tlb_cnot,
 )
+from vbe.symmetry import symmetric_heisenberg_terms
 from vbe.tables import FREE_PARAMS_N4
 from vbe.targets import HeisenbergParams, heisenberg_terms
 
@@ -189,6 +190,15 @@ class TestLcu:
         want_select = sum(16 * 3 + 2 * (p.weight - 1) for p, _ in h.items())
         assert est.select_cnots == want_select
         assert est.prepare_cnots == 2 * (2**4 - 2)
+
+    def test_sums_beyond_max_dense_qubits(self):
+        # sums combine by sort, so they stay valid where products and dense
+        # tables refuse the qubit count
+        h = symmetric_heisenberg_terms("Sn", 12, 0)
+        assert h.n > MAX_DENSE_QUBITS
+        assert len(h) == 210
+        assert lcu_estimate(h).cnot_count == 24424
+        assert (h - h).is_zero()
 
     def test_rejects_complex_coefficients(self):
         with pytest.raises(ValueError):

@@ -352,11 +352,8 @@ class TestOrbitCompression:
     def test_isometry_on_invariant_sums(self):
         gs = heisenberg_generator_set("Sn", 4)
         orb = symmetric_orbit_compression("Sn", 4)
-        from vbe.pauli import packed_terms
-
         for g in gs.generators:
-            keys, coeffs = packed_terms(g)
-            v = orb.vector(keys, coeffs)
+            v = orb.vector(g.keys, g.coeffs)
             assert float(np.sum(np.abs(v) ** 2)) == pytest.approx(g.coeff_norm() ** 2)
 
     def test_refuses_beyond_max_dense_qubits(self):
@@ -368,7 +365,4 @@ class TestOrbitCompression:
     def test_contractive_on_noninvariant(self):
         orb = symmetric_orbit_compression("Sn", 2)
         s = PauliSum.from_terms({"XI": 1.0})  # not permutation invariant
-        from vbe.pauli import packed_terms
-
-        keys, coeffs = packed_terms(s)
-        assert float(np.sum(np.abs(orb.vector(keys, coeffs)) ** 2)) < s.coeff_norm() ** 2 - 0.1
+        assert float(np.sum(np.abs(orb.vector(s.keys, s.coeffs)) ** 2)) < s.coeff_norm() ** 2 - 0.1
