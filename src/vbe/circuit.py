@@ -30,14 +30,21 @@ Qubit 0 is the leftmost (most significant) tensor factor and ancillas come
 first, so the encoded block always sits in the top-left corner of the
 evaluated unitary.
 
-Evaluation lowers each of the eight kinds to one local op: a 2^k x 2^k
-matrix on k adjacent qubits, applied only where all of its control qubits
-are |1>.  ``cnot`` is X on the target and ``cz`` is Z on the last qubit,
-with the other qubits as controls; ``dagger`` conjugate-transposes the
-matrix.  The ops act on the reshaped axes of a ``(2,)*N + (cols,)`` tensor,
-so no gate is ever embedded in a 2^N x 2^N matrix.  Circuits are immutable
-after construction; a gadget computes its dense generator and
-eigendecomposition once, on first evaluation.
+Evaluation lowers the gates to local ops.  A gate is a 2^k x 2^k matrix on
+k adjacent qubits, applied only where all of its control qubits are |1>:
+``cnot`` is X on the target and ``cz`` is Z on the last qubit, with the
+other qubits as controls, and ``dagger`` conjugate-transposes the matrix.
+Consecutive gates on the same qubits and controls fold into one op.  The ops
+act on the reshaped axes of a ``(b,) + (2,)*N + (cols,)`` tensor, so no gate
+is ever embedded in a 2^N x 2^N matrix.  ``evaluate`` applies them to the
+identity.  ``evaluate_with_gradients`` also returns a pullback: for a
+cotangent w of shape (r, s) it gives the gradient of Re <w, U[:r, :s]>_F
+from one backward sweep over the same ops (the adjoint method of Jones &
+Gacon, arXiv:2009.02823), with O(d s 2^k) work per op and O(d s) extra
+memory.  No (param_count, d, d) derivative tensor is ever formed.  Circuits
+are immutable after construction; a circuit places its ops, and a gadget
+computes its dense generator and eigendecomposition, once, on first
+evaluation.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +64,7 @@ REAL = "real"
 
 _H2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 _X2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_Y2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z2 = np.diag([1.0, -1.0]).astype(np.complex128)
 
 _PARAM_KINDS = {"grot", "ry", "rx", "rz", "gadget"}
@@ -156,28 +164,77 @@ class Circuit:
     def dim(self) -> int:
         return 1 << self.n_qubits
 
+    @cached_property
+    def _schedule(self) -> tuple[tuple[tuple[int, ...], tuple, int], ...]:
+        """Runs of consecutive gates that act on the same qubits and controls.
+
+        Each run is lowered to one local op.  Per run: its gate indices, the
+        index of the subspace of a ``(b,) + (2,)*N + (cols,)`` state where
+        every control qubit is |1>, and the number of target blocks before
+        the op's first qubit within it.  ``cnot`` is X on its target and
+        ``cz`` Z on its last qubit, with the other qubits as controls.
+        """
+        runs: list[tuple[list[int], tuple, int, int]] = []
+        for i, g in enumerate(self.gates):
+            if g.kind == "cnot":
+                first, ctl, k = g.qubits[1], g.controls + g.qubits[:1], 1
+            elif g.kind == "cz":
+                first, ctl, k = g.qubits[-1], g.controls + g.qubits[:-1], 1
+            else:
+                first, ctl, k = g.qubits[0], g.controls, len(g.qubits)
+            sel = (slice(None),) + tuple(
+                1 if q in ctl else slice(None) for q in range(self.n_qubits)
+            )
+            lead = 1 << (first - sum(q < first for q in ctl))
+            if runs and runs[-1][1:] == (sel, lead, k):
+                runs[-1][0].append(i)
+            else:
+                runs.append(([i], sel, lead, k))
+        return tuple((tuple(idx), sel, lead) for idx, sel, lead, _ in runs)
+
 
 # --------------------------------------------------------------------------
-# single-qubit rotation matrices and derivatives
+# single-qubit rotation matrices and their local generators
 # --------------------------------------------------------------------------
+def _cis(x: float) -> complex:
+    """e^{ix} as a Python complex (the same bits as ``np.exp(1j * x)``)."""
+    return complex(math.cos(x), math.sin(x))
+
+
 def single_qubit_R(theta: float, phi: float, lam: float) -> np.ndarray:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return np.array(
         [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+            [c, -_cis(lam) * s],
+            [_cis(phi) * s, _cis(phi + lam) * c],
         ],
         dtype=np.complex128,
     )
 
 
-def _grot_derivs(theta: float, phi: float, lam: float) -> list[np.ndarray]:
+_K_LAM = np.diag([0.0, 1.0j])
+
+
+def _grot_generators(theta: float, phi: float, lam: float, dagger: bool) -> tuple[np.ndarray, ...]:
+    """K = O^dagger dO for the slots (theta, phi, lam) of O = R(theta, phi, lam).
+
+    R = diag(1, e^{i phi}) Ry(theta) diag(1, e^{i lam}), so K_lam = diag(0, i),
+    K_theta is -iY/2 conjugated by diag(1, e^{i lam}) and K_phi is diag(0, i)
+    conjugated by Ry(theta) diag(1, e^{i lam}).  For O = R^dagger the identity
+    R(theta, phi, lam)^dagger = R(-theta, -lam, -phi) and the chain rule give
+    the generators from the plain ones.
+    """
+    if dagger:
+        k_theta, k_phi, k_lam = _grot_generators(-theta, -lam, -phi, False)
+        return -k_theta, -k_lam, -k_phi
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    el, ep, epl = np.exp(1j * lam), np.exp(1j * phi), np.exp(1j * (phi + lam))
-    d_theta = 0.5 * np.array([[-s, -el * c], [ep * c, -epl * s]], dtype=np.complex128)
-    d_phi = np.array([[0, 0], [1j * ep * s, 1j * epl * c]], dtype=np.complex128)
-    d_lam = np.array([[0, -1j * el * s], [0, 1j * epl * c]], dtype=np.complex128)
-    return [d_theta, d_phi, d_lam]
+    el = _cis(lam)
+    k_theta = np.array([[0, -0.5 * el], [0.5 * el.conjugate(), 0]], dtype=np.complex128)
+    k_phi = np.array(
+        [[1j * s * s, 1j * el * s * c], [1j * el.conjugate() * s * c, 1j * c * c]],
+        dtype=np.complex128,
+    )
+    return k_theta, k_phi, _K_LAM
 
 
 def _rx(theta: float) -> np.ndarray:
@@ -185,19 +242,9 @@ def _rx(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
 
 
-def _drx(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return 0.5 * np.array([[-s, -1j * c], [-1j * c, -s]], dtype=np.complex128)
-
-
 def _rz(theta: float) -> np.ndarray:
-    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]).astype(np.complex128)
-
-
-def _drz(theta: float) -> np.ndarray:
-    return np.diag([-0.5j * np.exp(-0.5j * theta), 0.5j * np.exp(0.5j * theta)]).astype(
-        np.complex128
-    )
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[complex(c, -s), 0], [0, complex(c, s)]], dtype=np.complex128)
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -205,12 +252,13 @@ def _ry(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-def _dry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return 0.5 * np.array([[-s, -c], [c, -s]], dtype=np.complex128)
-
-
-_ROTATIONS = {"rx": (_rx, _drx), "ry": (_ry, _dry), "rz": (_rz, _drz)}
+_ROTATIONS = {"rx": _rx, "ry": _ry, "rz": _rz}
+# exp(-i theta P / 2) has the generator -iP/2, and its dagger +iP/2
+_ROTATION_GENERATORS = {
+    (kind, dagger): (0.5j if dagger else -0.5j) * p
+    for kind, p in (("rx", _X2), ("ry", _Y2), ("rz", _Z2))
+    for dagger in (False, True)
+}
 
 
 def pauli_gadget_unitary(g: PauliSum, theta: float) -> np.ndarray:
@@ -224,53 +272,74 @@ def pauli_gadget_unitary(g: PauliSum, theta: float) -> np.ndarray:
 # evaluation: gates lowered to local ops applied on tensor axes
 # --------------------------------------------------------------------------
 class _Op(NamedTuple):
-    """A 2^k x 2^k matrix on qubits first..first+k-1, applied where every
-    control qubit is |1>, with one derivative matrix per parameter slot."""
+    """A 2^k x 2^k matrix applied to the subspace ``sel`` of a state where
+    every control qubit is |1>, with the local generator K = O^dagger dO of
+    each parameter slot it depends on (a slot may appear more than once)."""
 
     mat: np.ndarray
-    first: int
-    controls: tuple[int, ...]
-    derivs: tuple[tuple[int, np.ndarray], ...] = ()
+    derivs: tuple[tuple[int, np.ndarray], ...]
+    sel: tuple
+    lead: int
 
 
-def _lower(g: Gate, theta: np.ndarray) -> _Op:
-    """The local op of gate ``g`` at ``theta``."""
-    ctl = g.controls
+def _local(g: Gate, theta: list[float]) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
+    """The local matrix of gate ``g`` at ``theta`` and its slots' generators."""
     vals = [theta[s] for s in g.slots]
+    gens: tuple[np.ndarray, ...] = ()
     if g.kind == "h":
-        op = _Op(_H2, g.qubits[0], ctl)
+        mat = _H2
     elif g.kind == "cnot":
-        op = _Op(_X2, g.qubits[1], ctl + g.qubits[:1])
+        mat = _X2
     elif g.kind == "cz":
-        op = _Op(_Z2, g.qubits[-1], ctl + g.qubits[:-1])
+        mat = _Z2
     elif g.kind == "grot":
         lam = vals[2] if len(vals) == 3 else 0.0
-        derivs = zip(g.slots, _grot_derivs(vals[0], vals[1], lam))
-        op = _Op(single_qubit_R(vals[0], vals[1], lam), g.qubits[0], ctl, tuple(derivs))
-    elif g.kind in ("ry", "rx", "rz"):
-        rot, drot = _ROTATIONS[g.kind]
-        op = _Op(rot(vals[0]), g.qubits[0], ctl, ((g.slots[0], drot(vals[0])),))
+        mat = single_qubit_R(vals[0], vals[1], lam)
+        gens = _grot_generators(vals[0], vals[1], lam, g.dagger)
+    elif g.kind in _ROTATIONS:
+        mat = _ROTATIONS[g.kind](vals[0])
+        gens = (_ROTATION_GENERATORS[g.kind, g.dagger],)
     elif g.kind == "gadget":
         gd, w, v = g._spectrum
-        local = (v * np.exp(-1j * vals[0] * w)) @ v.conj().T
-        op = _Op(local, g.qubits[0], ctl, ((g.slots[0], gd @ local),))
+        mat = (v * np.exp(-1j * vals[0] * w)) @ v.conj().T
+        gens = (-gd if g.dagger else gd,)
     else:  # pragma: no cover - guarded by Gate validation
         raise ValueError(g.kind)
     if g.dagger:
-        op = op._replace(mat=op.mat.conj().T, derivs=tuple((s, d.conj().T) for s, d in op.derivs))
-    return op
+        mat = mat.conj().T
+    return mat, tuple(zip(g.slots, gens))
 
 
-def _apply(m: np.ndarray, first: int, controls: tuple[int, ...], src: np.ndarray, out: np.ndarray):
-    """Write ``m`` times the target axes of ``src`` into ``out``.
+def _lower(c: Circuit, theta: np.ndarray) -> list[_Op]:
+    """The local ops of ``c`` at ``theta``, one per run of ``c._schedule``.
 
-    ``src`` and ``out`` have shape ``(2,)*N + (cols,)``.  Only the subspace
-    where every control qubit is |1> is written; ``out`` may be ``src``.
+    A run O = B A folds its gates' matrices; a slot of the later gate B has
+    the generator O^dagger dO = A^dagger K_B A.
     """
-    sel = tuple(1 if q in controls else slice(None) for q in range(src.ndim - 1))
-    sub = src[sel]
-    lead = 1 << (first - sum(q < first for q in controls))
-    out[sel] = (m @ sub.reshape(lead, m.shape[0], -1)).reshape(sub.shape)
+    vals = theta.tolist()
+    ops = []
+    for run, sel, lead in c._schedule:
+        mat, derivs = _local(c.gates[run[0]], vals)
+        for i in run[1:]:
+            later, later_derivs = _local(c.gates[i], vals)
+            adj = mat.conj().T
+            derivs += tuple((slot, adj @ k @ mat) for slot, k in later_derivs)
+            mat = later @ mat
+        ops.append(_Op(mat, derivs, sel, lead))
+    return ops
+
+
+def _apply(m: np.ndarray, sel: tuple, lead: int, state: np.ndarray) -> np.ndarray:
+    """Multiply ``m`` into the target axes of ``state`` in place.
+
+    ``state`` has shape ``(b,) + (2,)*N + (cols,)`` and only its subspace
+    ``sel``, where every control qubit is |1>, is written.  Returns that
+    subspace after the product as a ``(b*lead, 2^k, rest)`` array.
+    """
+    sub = state[sel]
+    out = m @ sub.reshape(state.shape[0] * lead, m.shape[0], -1)
+    state[sel] = out.reshape(sub.shape)
+    return out
 
 
 def _check_theta(c: Circuit, theta) -> np.ndarray:
@@ -281,54 +350,70 @@ def _check_theta(c: Circuit, theta) -> np.ndarray:
 
 
 def _forward(c: Circuit, ops: list[_Op]) -> np.ndarray:
-    """All ops applied to the identity, as a ``(2,)*N + (dim,)`` tensor."""
-    psi = np.eye(c.dim, dtype=np.complex128).reshape((2,) * c.n_qubits + (c.dim,))
+    """All ops applied to the identity, as a dim x dim matrix."""
+    psi = np.eye(c.dim, dtype=np.complex128).reshape((1,) + (2,) * c.n_qubits + (c.dim,))
     for op in ops:
-        _apply(op.mat, op.first, op.controls, psi, psi)
-    return psi
+        _apply(op.mat, op.sel, op.lead, psi)
+    return psi.reshape(c.dim, c.dim)
 
 
 def evaluate(c: Circuit, theta) -> np.ndarray:
     """Dense unitary of the circuit at the given parameter vector."""
-    th = _check_theta(c, theta)
-    ops = [_lower(g, th) for g in c.gates]
-    return _forward(c, ops).reshape(c.dim, c.dim)
+    return _forward(c, _lower(c, _check_theta(c, theta)))
 
 
-def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary and all parameter derivatives dU/d(theta_k).
+def _pullback_sweep(ops: list[_Op], u: np.ndarray, w: np.ndarray, n_params: int) -> np.ndarray:
+    """Gradient of Re <w, U[:r, :s]>_F over the slots of ``ops``.
 
-    Every gate is lowered to a local op, so U = O_L ... O_1.  A forward sweep
-    applies them to the identity.  The backward sweep then walks the ops in
-    reverse, holding the prefix P = O_{j-1} ... O_1 and the adjoint of the
-    suffix S = O_L ... O_{j+1} side by side in one tensor.  Both are updated
-    by applying O_j^dagger: on the prefix this un-computes O_j (every op is
-    unitary), on the suffix adjoint it grows the suffix by one op.  The
-    derivative for a slot of O_j is S dO_j P.  The cost is linear in the
-    number of ops and the extra memory is one state of twice the width.
-    Slots referenced by several gates (the hermitian mirror construction)
-    accumulate every contribution.
-
-    Returns ``(U, dU)`` with ``dU`` of shape (param_count, dim, dim).
+    ``u`` is the product of ``ops`` (U = O_L ... O_1) and ``w`` an (r, s)
+    cotangent.  One backward sweep carries a (2, d, s) state: the prefix
+    U[:, :s], un-computed by each O_j^dagger (every op is unitary) into
+    P_j = O_{j-1} ... O_1 [:, :s], and lambda, ``w`` embedded in rows :r
+    and moved back by the same O_j^dagger.  After O_j is undone, a slot of
+    O_j with generator K = O_j^dagger dO_j adds
+    Re <lambda, K P_j> = Re sum(K * E), where the 2^k x 2^k environment
+    E = sum conj(lambda) P^T runs over the op's controlled subspace.  The
+    work per op is O(d s 2^k) and the extra memory O(d s).  Slots shared by
+    several ops (the hermitian mirror) accumulate every contribution.
     """
-    th = _check_theta(c, theta)
-    ops = [_lower(g, th) for g in c.gates]
-    dim = c.dim
-    u = _forward(c, ops)
-    # columns [:dim] hold the prefix, [dim:] the adjoint of the suffix
-    state = np.concatenate([u, np.eye(dim, dtype=np.complex128).reshape(u.shape)], axis=-1)
-    prefix = state[..., :dim]
-    d_prefix = np.empty_like(u)
-    grads = np.zeros((c.param_count, dim, dim), dtype=np.complex128)
+    r, s = w.shape
+    d = u.shape[0]
+    state = np.zeros((2, d, s), dtype=np.complex128)
+    state[0] = u[:, :s]
+    state[1, :r] = w
+    state = state.reshape((2,) + (2,) * (d.bit_length() - 1) + (s,))
+    grad = np.zeros(n_params)
     for op in reversed(ops):
+        out = _apply(op.mat.conj().T, op.sel, op.lead, state)
         if op.derivs:
-            suffix = state[..., dim:].reshape(dim, dim).conj().T
-        _apply(op.mat.conj().T, op.first, op.controls, state, state)
-        for slot, d in op.derivs:
-            d_prefix.fill(0.0)
-            _apply(d, op.first, op.controls, prefix, d_prefix)
-            grads[slot] += suffix @ d_prefix.reshape(dim, dim)
-    return u.reshape(dim, dim), grads
+            # each half as a 2^k x (lead * rest) matrix, target index first
+            k_dim = op.mat.shape[0]
+            prefix = out[: op.lead].transpose(1, 0, 2).reshape(k_dim, -1)
+            lam = out[op.lead :].transpose(1, 0, 2).reshape(k_dim, -1)
+            env = (lam.conj() @ prefix.T).ravel()
+            for slot, k in op.derivs:
+                grad[slot] += (k.ravel() @ env).real
+    return grad
+
+
+def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
+    """Unitary and the vector-Jacobian product of its parameter derivatives.
+
+    Returns ``(u, pullback)``.  ``u`` is ``evaluate(c, theta)``: the same
+    lowering and forward sweep over the identity.  ``pullback(w)`` takes a
+    cotangent ``w`` of shape (r, s) and returns the real vector
+    d/d(theta_k) Re <w, U[:r, :s]>_F of length ``param_count``, from one
+    backward sweep over the lowered ops (:func:`_pullback_sweep`, after Jones
+    & Gacon, arXiv:2009.02823).  Each call costs O(d s 2^k) per op and
+    O(d s) extra memory; no (param_count, d, d) derivative tensor exists.
+    """
+    ops = _lower(c, _check_theta(c, theta))
+    u = _forward(c, ops)
+
+    def pullback(w) -> np.ndarray:
+        return _pullback_sweep(ops, u, np.asarray(w, dtype=np.complex128), c.param_count)
+
+    return u, pullback
 
 
 # --------------------------------------------------------------------------

@@ -250,13 +250,24 @@ def check_dense_qubits(n: int, what: str) -> None:
 
 
 def to_dense(s: PauliSum) -> np.ndarray:
-    """Dense 2^n matrix of the sum."""
+    """Dense 2^n matrix of the sum.
+
+    A string has one nonzero per column, at row ``col ^ x``, so the matrix
+    is one term-major scatter-add of every string's 2^n entries at the flat
+    indices ``row * 2^n + col``: O(terms * 2^n) work.
+    """
     check_dense_qubits(s.n, "dense conversion")
     dim = 1 << s.n
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for p, c in zip(s.strings(), s.coeffs):
-        out += c * _string_dense(s.n, p.x, p.z)
-    return out
+    cols = np.arange(dim)
+    x, z = (s.keys >> s.n)[:, None], (s.keys & (dim - 1))[:, None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
+    phases = np.array(_I_POWERS)[np.bitwise_count(x & z) & 3]
+    amps = (s.coeffs[:, None] * (phases * signs)).ravel()
+    flat = (((cols ^ x) << s.n) | cols).ravel()
+    out = np.empty(dim * dim, dtype=np.complex128)
+    out.real = np.bincount(flat, amps.real, dim * dim)
+    out.imag = np.bincount(flat, amps.imag, dim * dim)
+    return out.reshape(dim, dim)
 
 
 def string_to_dense(p: PauliString) -> np.ndarray:

@@ -324,9 +324,26 @@ class TestControlled:
         assert delta == 2 * c.n_qubits
 
 
+def pulled_back_jacobian(c, theta):
+    """dU/d(theta_k) recovered entry by entry from the pullback.
+
+    Re <E_ij, dU>_F = Re dU_ij and Re <i E_ij, dU>_F = Im dU_ij for the unit
+    cotangents E_ij of shape (dim, dim).
+    """
+    _, pullback = evaluate_with_gradients(c, theta)
+    dim = c.dim
+    grads = np.zeros((c.param_count, dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[i, j] = 1.0
+            grads[:, i, j] = pullback(e) + 1j * pullback(1j * e)
+    return grads
+
+
 class TestGradients:
     def assert_gradients_match(self, c, theta, tol=1e-6, h=1e-5):
-        _, grads = evaluate_with_gradients(c, theta)
+        grads = pulled_back_jacobian(c, theta)
         for k in range(c.param_count):
             tp, tm = np.array(theta, float), np.array(theta, float)
             tp[k] += h
@@ -336,12 +353,12 @@ class TestGradients:
 
     def test_fixed_gates_zero_gradient(self):
         c = Circuit(n_qubits=2, gates=(Gate("cnot", (0, 1)), Gate("h", (0,))), param_count=0)
-        u, grads = evaluate_with_gradients(c, [])
-        assert grads.shape == (0, 4, 4)
+        _, pullback = evaluate_with_gradients(c, [])
+        assert pullback(np.ones((4, 4))).shape == (0,)
 
     def test_rz_at_zero(self):
         c = Circuit(n_qubits=1, gates=(Gate("rz", (0,), (0,)),), param_count=1)
-        _, grads = evaluate_with_gradients(c, [0.0])
+        grads = pulled_back_jacobian(c, [0.0])
         assert np.allclose(grads[0], np.diag([-0.5j, 0.5j]))
 
     def test_every_rotation_kind(self, rng):
@@ -381,6 +398,12 @@ class TestGradients:
         c = build_gqsp_ansatz(gens, n=2)
         self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
 
+    def test_hermitized_gqsp_circuit(self, rng):
+        # daggered gadgets, and the mirror's grot-H-grot run on the ancilla
+        gens = gqsp_gens([{"ZZ": 1j, "XX": 1j}, {"XI": 1j, "IX": 1j}])
+        c = hermitize(build_gqsp_ansatz(gens, n=2), "ancilla_h")
+        self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
+
     def test_controlled_cr(self, rng):
         # block 6 emits each CR as two gates; the extra control must reach both
         c = controlled(build_generic_ansatz(block_spec(6, n=1)))
@@ -396,6 +419,47 @@ class TestGradients:
         g = Gate("gadget", (2, 3), (0,), generator=gen, controls=(0, 1))
         c = Circuit(n_qubits=4, gates=(Gate("grot", (3,), (1, 2, 3)), g), param_count=4)
         self.assert_gradients_match(c, rng.uniform(-1, 1, size=4))
+
+    def test_run_on_one_qubit(self, rng):
+        # consecutive gates on one qubit and control fold into one op; the
+        # shared slot 0 appears twice in it, once daggered
+        gates = (
+            Gate("rx", (1,), (0,), controls=(0,)),
+            Gate("grot", (1,), (1, 2, 3), controls=(0,), dagger=True),
+            Gate("h", (1,), controls=(0,)),
+            Gate("rx", (1,), (0,), controls=(0,), dagger=True),
+            Gate("grot", (1,), (4, 5), controls=(0,)),
+            Gate("rz", (1,), (6,)),
+        )
+        c = Circuit(n_qubits=2, gates=gates, param_count=7)
+        assert [len(run) for run, _, _ in c._schedule] == [5, 1]
+        self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=7))
+
+    @pytest.mark.parametrize("restriction", ["complex", "real"])
+    @pytest.mark.parametrize("block_id", sorted(BLOCK_CATALOG))
+    def test_unitary_is_evaluate(self, rng, block_id, restriction):
+        base = build_generic_ansatz(block_spec(block_id, n=2, layers=2, restriction=restriction))
+        for c in (base, hermitize(base), controlled(base)):
+            theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+            u, _ = evaluate_with_gradients(c, theta)
+            assert np.array_equal(u, evaluate(c, theta)), c.family
+
+    def test_gqsp_unitary_is_evaluate(self, rng):
+        gens = gqsp_gens([{"ZZ": 1j, "XX": 1j}, {"XI": 1j, "IX": 1j}, {"YY": 1j}])
+        for c in (build_gqsp_ansatz(gens, n=2), hermitize(build_gqsp_ansatz(gens, n=2), "ancilla_h")):
+            theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+            u, _ = evaluate_with_gradients(c, theta)
+            assert np.array_equal(u, evaluate(c, theta)), c.family
+
+    @pytest.mark.parametrize("rows,cols", [(4, 4), (2, 8), (8, 1), (5, 3)])
+    def test_corner_cotangent_is_zero_padded_full(self, rng, rows, cols):
+        c = hermitize(build_generic_ansatz(block_spec(6, n=2, layers=1)))
+        theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+        _, pullback = evaluate_with_gradients(c, theta)
+        w = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        padded = np.zeros((c.dim, c.dim), dtype=complex)
+        padded[:rows, :cols] = w
+        assert np.max(np.abs(pullback(w) - pullback(padded))) < 1e-12
 
 
 P0 = np.diag([1.0, 0.0])

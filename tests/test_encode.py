@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from vbe import linalg, targets
+from vbe import encode, linalg, optimize, symmetry, targets
 from vbe.circuit import (
     AnsatzSpec,
     Circuit,
@@ -21,7 +23,7 @@ from vbe.encode import (
     squared_cost_and_gradient,
     subnormalize,
 )
-from vbe.pauli import PauliString, PauliSum, string_to_dense
+from vbe.pauli import PauliString, PauliSum, string_to_dense, to_dense
 from vbe.targets import HeisenbergParams
 
 
@@ -35,6 +37,26 @@ def block_spec(block_id, n, m=1, layers=1, restriction="complex", hermitian=Fals
         restriction=restriction,
         hermitian=hermitian,
     )
+
+
+def sn_gqsp_case(n, layers, seed=0):
+    """Hermitized Sn GQSP circuit on a random generator sequence, its
+    symmetric Heisenberg target and a random theta."""
+    gs = symmetry.heisenberg_generator_set("Sn", n)
+    rng = np.random.default_rng(seed)
+    indices = tuple(int(i) for i in rng.integers(0, len(gs), size=layers))
+    c = build_ansatz(optimize.GqspFamily(gs).spec_for_sequence(indices))
+    t = subnormalize(to_dense(symmetry.symmetric_heisenberg_terms("Sn", n, 0)))
+    return t, c, rng.uniform(-np.pi, np.pi, size=c.param_count)
+
+
+def assert_matches_central_differences(t, c, theta, g, slots, h=1e-5):
+    for k in slots:
+        tp, tm = theta.copy(), theta.copy()
+        tp[k] += h
+        tm[k] -= h
+        fd = (cost(t, c, tp) ** 2 - cost(t, c, tm) ** 2) / (2 * h)
+        assert g[k] == pytest.approx(fd, rel=1e-6, abs=1e-8), f"slot {k}"
 
 
 class TestSubnormalize:
@@ -117,14 +139,8 @@ class TestCostGradient:
         c = build_generic_ansatz(block_spec(2, n=2, layers=2))
         t = subnormalize(targets.random_matrix(2, "complex", "arbitrary", seed=4))
         theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
-        f, g = squared_cost_and_gradient(t, c, theta)
-        h = 1e-5
-        for k in range(0, c.param_count, 5):
-            tp, tm = theta.copy(), theta.copy()
-            tp[k] += h
-            tm[k] -= h
-            fd = (cost(t, c, tp) ** 2 - cost(t, c, tm) ** 2) / (2 * h)
-            assert g[k] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+        _, g = squared_cost_and_gradient(t, c, theta)
+        assert_matches_central_differences(t, c, theta, g, range(0, c.param_count, 5))
 
     def test_gradient_zero_at_exact_minimum(self):
         c = build_generic_ansatz(block_spec(2, n=1, layers=1))
@@ -138,13 +154,29 @@ class TestCostGradient:
         t = subnormalize(targets.random_matrix(1, "complex", "hermitian", seed=8))
         theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
         _, g = squared_cost_and_gradient(t, c, theta)
-        h = 1e-5
-        for k in range(c.param_count):
-            tp, tm = theta.copy(), theta.copy()
-            tp[k] += h
-            tm[k] -= h
-            fd = (cost(t, c, tp) ** 2 - cost(t, c, tm) ** 2) / (2 * h)
-            assert g[k] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+        assert_matches_central_differences(t, c, theta, g, range(c.param_count))
+
+
+    def test_peak_memory_below_gradient_tensor(self):
+        # hermitized GQSP Sn 6, M=15: a (P, d, d) derivative tensor alone
+        # would take P * d^2 * 16 B = 12.6 MB
+        t, c, theta = sn_gqsp_case(6, 15)
+        squared_cost_and_gradient(t, c, theta)  # caches each gadget's spectrum
+        tracemalloc.start()
+        try:
+            squared_cost_and_gradient(t, c, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (c.param_count, c.dim) == (48, 128)
+        assert peak < c.param_count * c.dim**2 * 16
+
+    @pytest.mark.heavy
+    def test_sn8_paper_cell_matches_finite_differences(self):
+        # GQSP Sn 8, M=28, the paper's largest cell: d = 512, P = 87
+        t, c, theta = sn_gqsp_case(8, 28)
+        _, g = squared_cost_and_gradient(t, c, theta)
+        assert_matches_central_differences(t, c, theta, g, (0, 40, 85))
 
 
 class TestStructuralInvariants:
@@ -235,3 +267,25 @@ class TestObjective:
         obj.value_and_gradient(theta)
         assert f0 == pytest.approx(f1)
         assert obj.evaluations == 2
+
+    def test_one_positional_evalgrad_call_per_evaluation(self, monkeypatch):
+        # the benchmark's span recorder wraps encode.evaluate_with_gradients
+        # and sizes its spans from positional (circuit, theta)
+        calls = []
+        original = encode.evaluate_with_gradients
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(encode, "evaluate_with_gradients", counting)
+        c = build_generic_ansatz(block_spec(2, n=1, layers=1))
+        t = subnormalize(targets.random_matrix(1, "complex", "arbitrary", seed=1))
+        obj = EncodeObjective(t, c)
+        thetas = [np.full(c.param_count, v) for v in (0.0, 0.3, -1.2)]
+        for k, theta in enumerate(thetas, start=1):
+            obj.value_and_gradient(theta)
+            assert len(calls) == obj.evaluations == k
+        for (args, kwargs), theta in zip(calls, thetas):
+            assert kwargs == {} and len(args) == 2
+            assert args[0] is c and args[1] is theta

@@ -20,6 +20,7 @@ from vbe.pauli import (
     string_to_dense,
     to_dense,
 )
+from vbe.symmetry import symmetric_heisenberg_terms
 
 # fixed examples and no example database, so every run checks the same cases
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -227,6 +228,24 @@ class TestToDense:
     def test_too_large(self):
         with pytest.raises(ValueError):
             to_dense(PauliSum.identity(10))
+
+    @staticmethod
+    def per_term_sum(s):
+        # the oracle: one dense matrix per string, added in term order
+        out = np.zeros((1 << s.n, 1 << s.n), dtype=complex)
+        for p, c in zip(s.strings(), s.coeffs):
+            out += c * string_to_dense(p)
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_scatter_add_equals_per_term_sum(self, rng, n):
+        for n_terms in (0, 1, 3, 4**n):
+            s = random_pauli_sum(n, n_terms, rng) if n_terms else PauliSum.zero(n)
+            assert np.array_equal(to_dense(s), self.per_term_sum(s))
+
+    def test_symmetric_heisenberg_n8(self):
+        h = symmetric_heisenberg_terms("Sn", 8, 0)
+        assert np.array_equal(to_dense(h), self.per_term_sum(h))
 
     def test_trace_orthogonality(self, rng):
         n = 3
