@@ -42,9 +42,9 @@ cotangent w of shape (r, s) it gives the gradient of Re <w, U[:r, :s]>_F
 from one backward sweep over the same ops (the adjoint method of Jones &
 Gacon, arXiv:2009.02823), with O(d s 2^k) work per op and O(d s) extra
 memory.  No (param_count, d, d) derivative tensor is ever formed.  Circuits
-are immutable after construction; a circuit places its ops, and a gadget
-computes its dense generator and eigendecomposition, once, on first
-evaluation.
+are immutable after construction; a circuit places its ops, and computes
+the dense matrix and eigendecomposition of each distinct gadget generator,
+once, on first evaluation.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from vbe import linalg
-from vbe.pauli import PauliSum, format_pauli_sum, to_dense
+from vbe.pauli import PauliSum, to_dense
 
 COMPLEX = "complex"
 REAL = "real"
@@ -122,17 +121,6 @@ class Gate:
             if any(b - a != 1 for a, b in zip(self.qubits, self.qubits[1:])):
                 raise ValueError("gadget qubits must be a contiguous ascending range")
 
-    @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense gadget generator G with the eigenpairs (w, V) of iG.
-
-        Computed on first evaluation, so gadgets too wide for a dense matrix
-        can still be built and counted.
-        """
-        gd = to_dense(self.generator)
-        w, v = np.linalg.eigh(1j * gd)
-        return gd, w, v
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -163,6 +151,22 @@ class Circuit:
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
+
+    @cached_property
+    def _spectra(self) -> dict[PauliSum, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per gadget generator: its dense matrix G and the eigenpairs (w, V) of iG.
+
+        One entry per generator object, however many layers and mirrored
+        gates use it.  Computed on first evaluation, so gadgets too wide for
+        a dense matrix can still be built and counted.
+        """
+        spectra = {}
+        for g in self.gates:
+            if g.kind == "gadget" and g.generator not in spectra:
+                gd = to_dense(g.generator)
+                w, v = np.linalg.eigh(1j * gd)
+                spectra[g.generator] = (gd, w, v)
+        return spectra
 
     @cached_property
     def _schedule(self) -> tuple[tuple[tuple[int, ...], tuple, int], ...]:
@@ -261,13 +265,6 @@ _ROTATION_GENERATORS = {
 }
 
 
-def pauli_gadget_unitary(g: PauliSum, theta: float) -> np.ndarray:
-    """exp(theta * G) for an anti-hermitian Pauli-sum generator G."""
-    if not g.is_antihermitian():
-        raise ValueError("gadget generator must have purely imaginary coefficients")
-    return linalg.matrix_exp_antihermitian(theta * to_dense(g))
-
-
 # --------------------------------------------------------------------------
 # evaluation: gates lowered to local ops applied on tensor axes
 # --------------------------------------------------------------------------
@@ -282,8 +279,10 @@ class _Op(NamedTuple):
     lead: int
 
 
-def _local(g: Gate, theta: list[float]) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
-    """The local matrix of gate ``g`` at ``theta`` and its slots' generators."""
+def _local(
+    c: Circuit, g: Gate, theta: list[float]
+) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
+    """The local matrix of gate ``g`` of ``c`` at ``theta`` and its slots' generators."""
     vals = [theta[s] for s in g.slots]
     gens: tuple[np.ndarray, ...] = ()
     if g.kind == "h":
@@ -300,7 +299,7 @@ def _local(g: Gate, theta: list[float]) -> tuple[np.ndarray, tuple[tuple[int, np
         mat = _ROTATIONS[g.kind](vals[0])
         gens = (_ROTATION_GENERATORS[g.kind, g.dagger],)
     elif g.kind == "gadget":
-        gd, w, v = g._spectrum
+        gd, w, v = c._spectra[g.generator]
         mat = (v * np.exp(-1j * vals[0] * w)) @ v.conj().T
         gens = (-gd if g.dagger else gd,)
     else:  # pragma: no cover - guarded by Gate validation
@@ -319,9 +318,9 @@ def _lower(c: Circuit, theta: np.ndarray) -> list[_Op]:
     vals = theta.tolist()
     ops = []
     for run, sel, lead in c._schedule:
-        mat, derivs = _local(c.gates[run[0]], vals)
+        mat, derivs = _local(c, c.gates[run[0]], vals)
         for i in run[1:]:
-            later, later_derivs = _local(c.gates[i], vals)
+            later, later_derivs = _local(c, c.gates[i], vals)
             adj = mat.conj().T
             derivs += tuple((slot, adj @ k @ mat) for slot, k in later_derivs)
             mat = later @ mat
@@ -792,29 +791,3 @@ def count_multiqubit_gates(c: Circuit) -> int:
         else:  # single-qubit kinds
             total += 1 if extra else 0
     return total
-
-
-# --------------------------------------------------------------------------
-# textual dump (golden-file support)
-# --------------------------------------------------------------------------
-def dump_text(c: Circuit) -> str:
-    """One gate per line: kind, qubits, slots, controls, dagger, generator."""
-    header = (
-        f"qubits={c.n_qubits} params={c.param_count} ancillas={c.ancillas} "
-        f"layers={c.layers} family={c.family}"
-    )
-    lines = [header]
-    for g in c.gates:
-        parts = [
-            g.kind,
-            "q=" + ",".join(map(str, g.qubits)),
-            "s=" + ",".join(map(str, g.slots)),
-        ]
-        if g.controls:
-            parts.append("c=" + ",".join(map(str, g.controls)))
-        if g.dagger:
-            parts.append("dag")
-        if g.generator is not None:
-            parts.append("g=" + format_pauli_sum(g.generator).replace("\n", ";"))
-        lines.append(" ".join(parts))
-    return "\n".join(lines)

@@ -27,18 +27,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def eye(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=np.complex128)
-
-
-def kron(a, b, *rest) -> np.ndarray:
-    """Kronecker product of two or more matrices, left factor most significant."""
-    out = np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-    for m in rest:
-        out = np.kron(out, np.asarray(m, dtype=np.complex128))
-    return out
-
-
 def frobenius_norm(a) -> float:
     """sqrt of the sum of squared entry magnitudes."""
     return float(np.linalg.norm(np.asarray(a)))
@@ -59,20 +47,6 @@ def spectral_norm(a) -> float:
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("is_hermitian expects a square matrix")
-    return frobenius_norm(m - m.conj().T) <= tol
-
-
-def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("is_unitary expects a square matrix")
-    return frobenius_norm(m.conj().T @ m - eye(m.shape[0])) <= tol
-
-
 def matrix_exp_antihermitian(g, tol: float = DEFAULT_TOL) -> np.ndarray:
     """exp(G) for anti-hermitian G, via eigendecomposition of the hermitian iG.
 
@@ -87,11 +61,3 @@ def matrix_exp_antihermitian(g, tol: float = DEFAULT_TOL) -> np.ndarray:
     h = 1j * m  # hermitian
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w)) @ v.conj().T
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary from the QR decomposition of a Ginibre matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    # fix the phase convention so the distribution does not depend on QR details
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -25,11 +25,7 @@ from vbe.circuit import (
     count_nonlocal_gates,
 )
 from vbe.encode import EncodeObjective, TargetSpec
-from vbe.resources import (
-    PARAM_INVERSION,
-    estimate_generic_threshold,
-    threshold_layers_symmetric,
-)
+from vbe.resources import estimate_generic_threshold, threshold_layers_symmetric
 from vbe.symmetry import GeneratorSet, closure_basis
 
 
@@ -310,7 +306,6 @@ class GqspFamily:
 
     generator_set: GeneratorSet
     hermitian: bool = True
-    dim_b: int | None = None
 
     def spec_for_sequence(self, indices: tuple[int, ...]) -> AnsatzSpec:
         gens = tuple(self.generator_set.generators[i] for i in indices)
@@ -345,11 +340,8 @@ def _default_start(target: TargetSpec, family, opts: OptimizeOptions) -> int:
     if isinstance(family, AnsatzSpec):
         est = estimate_generic_threshold(family)
     else:
-        dim_b = family.dim_b
-        if dim_b is None:
-            dim_b = closure_basis(family.generator_set).dim_b
-        q = 1 if family.hermitian else 2
-        est = threshold_layers_symmetric(dim_b, q, PARAM_INVERSION)
+        dim_b = closure_basis(family.generator_set).dim_b
+        est = threshold_layers_symmetric(dim_b, 1 if family.hermitian else 2)
     return max(1, int(np.ceil(1.05 * max(est, 1))))
 
 
@@ -358,18 +350,22 @@ def _try_layers_generic(target, spec_template, m, opts) -> EncodeReport:
     return multistart_encode(target, spec, opts)
 
 
-def _try_layers_gqsp(
-    target, family: GqspFamily, m, opts, sequences: int, inits: int
-) -> EncodeReport:
+# The paper's random-layering protocol: per layer count M, this many random
+# generator sequences with this many random initializations each.
+GQSP_SEQUENCES = 10
+GQSP_INITS = 5
+
+
+def _try_layers_gqsp(target, family: GqspFamily, m, opts) -> EncodeReport:
     n_gens = len(family.generator_set)
     best: EncodeReport | None = None
-    for s_idx in range(sequences):
+    for s_idx in range(GQSP_SEQUENCES):
         seq_rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(opts.seed, spawn_key=(m, s_idx)))
         )
         indices = tuple(int(v) for v in seq_rng.integers(0, n_gens, size=m))
         spec = family.spec_for_sequence(indices)
-        sub_opts = replace(opts, restarts=inits, seed=int(seq_rng.integers(0, 2**62)))
+        sub_opts = replace(opts, restarts=GQSP_INITS, seed=int(seq_rng.integers(0, 2**62)))
         report = multistart_encode(target, spec, sub_opts)
         if best is None or report.epsilon < best.epsilon:
             best = report
@@ -384,29 +380,25 @@ def layer_threshold_search(
     opts: OptimizeOptions,
     *,
     start: int | None = None,
-    min_layers: int = 1,
-    max_layers: int | None = None,
-    sequences: int = 10,
-    inits: int = 5,
 ) -> ThresholdSearchResult:
     """Find the smallest layer count with at least one exact encoding.
 
-    Starts 5% above the closed-form estimate and decrements.  Generic
-    families run one multistart per M; GQSP families try ``sequences``
-    random generator sequences with ``inits`` random initializations each,
-    declaring failure for an M only when all of them miss.  If the start
-    itself fails the search walks upward instead, and gives up (partial
-    result) at ``max_layers``.
+    Starts at ``start``, by default 5% above the closed-form estimate, and
+    decrements down to one layer.  Generic families run one multistart per
+    M; GQSP families try :data:`GQSP_SEQUENCES` random generator sequences
+    with :data:`GQSP_INITS` random initializations each, declaring failure
+    for an M only when all of them miss.  If the start itself fails the
+    search walks upward instead, and gives up (partial result) at
+    max(4 * start, start + 8) layers.
     """
     if start is None:
         start = _default_start(target, family, opts)
-    if max_layers is None:
-        max_layers = max(4 * start, start + 8)
+    max_layers = max(4 * start, start + 8)
 
     def attempt(m: int) -> EncodeReport:
         if isinstance(family, AnsatzSpec):
             return _try_layers_generic(target, family, m, opts)
-        return _try_layers_gqsp(target, family, m, opts, sequences, inits)
+        return _try_layers_gqsp(target, family, m, opts)
 
     reports: dict[int, EncodeReport] = {}
     m = start
@@ -422,7 +414,7 @@ def layer_threshold_search(
                 )
         return ThresholdSearchResult(m_thres=None, start=start, reports=reports, complete=False)
     last_good = m
-    while m > min_layers:
+    while m > 1:
         m -= 1
         reports[m] = attempt(m)
         if not reports[m].converged:

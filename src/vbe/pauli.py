@@ -94,18 +94,6 @@ def mul_strings(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
     return complex(phase), PauliString.from_key(p.n, int(key))
 
 
-def _string_dense(n: int, x: int, z: int) -> np.ndarray:
-    dim = 1 << n
-    cols = np.arange(dim)
-    rows = cols ^ x
-    ny = (x & z).bit_count()
-    signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
-    amps = _I_POWERS[ny & 3] * signs
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[rows, cols] = amps
-    return m
-
-
 class PauliSum:
     """Complex-weighted combination of Pauli strings on a fixed qubit count.
 
@@ -236,13 +224,6 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     return sum_from_packed(a.n, keys, coeffs)
 
 
-def pairwise_commuting(s: PauliSum) -> bool:
-    """True iff every pair of constituent strings commutes."""
-    x, z = s.keys >> s.n, s.keys & ((1 << s.n) - 1)
-    odd = np.bitwise_count(x[:, None] & z[None, :]) + np.bitwise_count(z[:, None] & x[None, :])
-    return not np.any(odd & 1)
-
-
 def check_dense_qubits(n: int, what: str) -> None:
     """Refuse work whose tables grow as 2^n x 2^n or 4^n beyond MAX_DENSE_QUBITS."""
     if n > MAX_DENSE_QUBITS:
@@ -268,10 +249,6 @@ def to_dense(s: PauliSum) -> np.ndarray:
     out.real = np.bincount(flat, amps.real, dim * dim)
     out.imag = np.bincount(flat, amps.imag, dim * dim)
     return out.reshape(dim, dim)
-
-
-def string_to_dense(p: PauliString) -> np.ndarray:
-    return _string_dense(p.n, p.x, p.z)
 
 
 def sum_from_packed(n: int, keys: np.ndarray, coeffs: np.ndarray) -> PauliSum:
@@ -386,10 +363,9 @@ class _StringRows:
 class SpanBasis:
     """Incrementally orthonormalized span of Pauli sums in string-coefficient space.
 
-    Membership is a Gram-Schmidt residual test (two classical passes) with a
-    drop tolerance relative to the candidate norm.  Both :meth:`add_packed`
-    and :meth:`contains_packed` go through one residual path over one of two
-    coordinate maps:
+    :meth:`add_packed` keeps a candidate when its Gram-Schmidt residual (two
+    classical passes) exceeds a drop tolerance relative to the candidate
+    norm.  The residual is taken over one of two coordinate maps:
 
     * by default, one row per string, assigned on first sight, so the
       projection cost stays proportional to the support of the span and the
@@ -419,11 +395,11 @@ class SpanBasis:
             grown[:cap_rows, : self.size] = self._q[:, : self.size]
             self._q = grown
 
-    def _residual(self, keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray | None:
-        """Part of the candidate orthogonal to the span, or None when it lies in the span."""
+    def add_packed(self, keys: np.ndarray, coeffs: np.ndarray) -> bool:
+        """Add the sum to the span; returns True when it extended the basis."""
         norm_sq = float(np.sum(np.abs(coeffs) ** 2))
         if norm_sq == 0.0:
-            return None
+            return False
         v = self._coords.vector(keys, coeffs)
         self._reserve(len(v), self.size)
         q = self._q[: len(v), : self.size]
@@ -431,46 +407,17 @@ class SpanBasis:
         r = v - q @ (v.conj() @ q).conj()
         r -= q @ (r.conj() @ q).conj()  # re-orthogonalization pass
         if float(np.sum(np.abs(r) ** 2)) <= (self.tol**2) * norm_sq:
-            return None
-        return r
-
-    def contains_packed(self, keys: np.ndarray, coeffs: np.ndarray) -> bool:
-        return self._residual(keys, coeffs) is None
-
-    def add_packed(self, keys: np.ndarray, coeffs: np.ndarray) -> bool:
-        """Add the sum to the span; returns True when it extended the basis."""
-        r = self._residual(keys, coeffs)
-        if r is None:
             return False
         self._reserve(len(r), self.size + 1)
         self._q[: len(r), self.size] = r / float(np.linalg.norm(r))
         self.size += 1
         return True
 
-    # -- PauliSum convenience ----------------------------------------------
-    def _check(self, s: PauliSum) -> None:
-        if s.n != self.n:
-            raise ValueError(f"qubit count mismatch: {s.n} vs {self.n}")
-
-    def contains(self, s: PauliSum) -> bool:
-        self._check(s)
-        return self.contains_packed(s.keys, s.coeffs)
-
     def add(self, s: PauliSum) -> bool:
         """Add ``s`` to the span; returns True when it extended the basis."""
-        self._check(s)
+        if s.n != self.n:
+            raise ValueError(f"qubit count mismatch: {s.n} vs {self.n}")
         return self.add_packed(s.keys, s.coeffs)
-
-
-def rank_extend(basis: list[PauliSum], candidate: PauliSum) -> bool:
-    """True iff ``candidate`` is NOT in the complex linear span of ``basis``."""
-    if candidate.is_zero():
-        return False
-    n = candidate.n
-    span = SpanBasis(n)
-    for b in basis:
-        span.add(b)
-    return not span.contains(candidate)
 
 
 # ---- text format -------------------------------------------------------

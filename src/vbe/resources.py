@@ -11,14 +11,18 @@ arithmetic so ceilings are never subject to floating-point rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from vbe.circuit import COMPLEX, REAL, Circuit, count_multiqubit_gates, mc1q
+from vbe.circuit import (
+    COMPLEX,
+    REAL,
+    Circuit,
+    build_generic_ansatz,
+    count_multiqubit_gates,
+    mc1q,
+)
 from vbe.pauli import PauliSum
-
-LITERAL_FORMULA = "literal"
-PARAM_INVERSION = "param_inversion"
 
 
 def free_parameter_bound(n: int, field: str, structure: str) -> int:
@@ -107,40 +111,23 @@ def symmetric_a_ratio(kind: str, n: int) -> Fraction:
         raise ValueError(f"no symmetric a-ratio for kind {kind!r}") from None
 
 
-def threshold_layers_symmetric(dim_b: int, q: int, mode: str = PARAM_INVERSION) -> int:
-    """Layer estimate from the block-span dimension.
-
-    ``literal`` evaluates ceil(q*dimB/3 - 3); ``param_inversion`` returns
-    the smallest M with 3M + 3 >= q*dimB.  The two disagree (the literal
-    form undershoots the observed thresholds); both are exposed and callers
-    must label which one they report.
-    """
+def threshold_layers_symmetric(dim_b: int, q: int) -> int:
+    """Layer estimate from the block-span dimension: the smallest M with
+    3M + 3 >= q*dimB, i.e. enough circuit parameters for the q*dimB real
+    degrees of freedom of a target in span(B)."""
     if dim_b < 1:
         raise ValueError("dim_b must be >= 1")
     if q not in (1, 2):
         raise ValueError("q must be 1 (hermitian) or 2 (non-hermitian)")
-    if mode == LITERAL_FORMULA:
-        return max(0, math.ceil(Fraction(q * dim_b, 3) - 3))
-    if mode == PARAM_INVERSION:
-        return max(0, math.ceil(Fraction(q * dim_b - 3, 3)))
-    raise ValueError(f"unknown mode {mode!r}")
+    # The formula as printed, ceil(q*dimB/3 - 3), is not offered: it gives 4
+    # at Sn 4 (dimB 19) against the GQSP_TABLE anchor of 6 layers.
+    return max(0, math.ceil(Fraction(q * dim_b - 3, 3)))
 
 
 def estimate_generic_threshold(spec) -> int:
     """Threshold-layer estimate for a generic AnsatzSpec from its own layer
     geometry and the free-parameter count of the matching matrix class."""
-    from vbe.circuit import build_generic_ansatz
-
-    probe = build_generic_ansatz(
-        type(spec)(
-            family="block",
-            system_qubits=spec.system_qubits,
-            ancillas=spec.ancillas,
-            layers=1,
-            block_id=spec.block_id,
-            restriction=spec.restriction,
-        )
-    )
+    probe = build_generic_ansatz(replace(spec, layers=1))
     layer_params = probe.layer_slot_count
     us_params = probe.param_count - probe.layer_slot_count
     if layer_params == 0:

@@ -1,15 +1,12 @@
-"""Symmetry operators, symmetric generator sets, and the expressibility
-engine: Lie closure, associative closure, and span-membership tests.
+"""Symmetric generator sets and the expressibility engine: Lie closure,
+associative closure, and span membership of dense matrices.
 
 The supported symmetry kinds are
 
-* ``Z2``   - global spin flip X^n,
+* ``Z2``   - global spin flip X^n (no geometric orbit compression),
 * ``Z2xz`` - reflection of an open chain about its middle,
 * ``Cn``   - one-site cyclic shift of a ring,
-* ``Sn``   - full site permutation (generated by adjacent swaps).
-
-Geometric kinds are always used together with the global Z2 flip when
-checking invariance, mirroring how the Heisenberg targets are built.
+* ``Sn``   - full site permutation.
 
 Closure computations are deterministic: elements are visited breadth-first
 in insertion order and Pauli sums are kept in canonical string order, so
@@ -32,10 +29,7 @@ from vbe.pauli import (
     sum_from_packed,
     to_dense,
 )
-from vbe.targets import chain_bonds, complete_bonds, heisenberg_graph_terms, make_rng
-
-GEOMETRIC_KINDS = ("Z2xz", "Cn", "Sn")
-ALL_KINDS = ("Z2",) + GEOMETRIC_KINDS
+from vbe.targets import chain_bonds, complete_bonds, make_rng
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -44,51 +38,6 @@ class ClosureCapExceeded(RuntimeError):
     def __init__(self, message: str, dim_reached: int):
         super().__init__(message)
         self.dim_reached = dim_reached
-
-
-# --------------------------------------------------------------------------
-# symmetry operators
-# --------------------------------------------------------------------------
-def _site_permutation_matrix(n: int, pi: list[int]) -> np.ndarray:
-    """Unitary moving the state of site j to site pi[j]."""
-    dim = 1 << n
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for c in range(dim):
-        r = 0
-        for j in range(n):
-            bit = (c >> (n - 1 - j)) & 1
-            r |= bit << (n - 1 - pi[j])
-        m[r, c] = 1.0
-    return m
-
-
-def symmetry_matrix(kind: str, n: int) -> list[np.ndarray]:
-    """Dense group generators of the symmetry on n system qubits."""
-    if n < 2:
-        raise ValueError("symmetries are defined for n >= 2 sites")
-    if kind == "Z2":
-        return [to_dense(PauliSum.from_terms({"X" * n: 1.0}))]
-    if kind == "Z2xz":
-        return [_site_permutation_matrix(n, [n - 1 - j for j in range(n)])]
-    if kind == "Cn":
-        return [_site_permutation_matrix(n, [(j + 1) % n for j in range(n)])]
-    if kind == "Sn":
-        mats = []
-        for i in range(n - 1):
-            pi = list(range(n))
-            pi[i], pi[i + 1] = pi[i + 1], pi[i]
-            mats.append(_site_permutation_matrix(n, pi))
-        return mats
-    raise ValueError(f"unknown symmetry kind {kind!r}")
-
-
-def check_invariance(h: np.ndarray, s: np.ndarray) -> float:
-    """Frobenius norm of [H, S]."""
-    h = linalg.as_matrix(h)
-    s = linalg.as_matrix(s)
-    if h.shape != s.shape:
-        raise ValueError(f"dimension mismatch: {h.shape} vs {s.shape}")
-    return linalg.frobenius_norm(h @ s - s @ h)
 
 
 # --------------------------------------------------------------------------
@@ -115,12 +64,6 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.generators)
 
-    def symmetry_matrices(self) -> list[np.ndarray]:
-        """Global Z2 flip plus the geometric symmetry generators."""
-        mats = symmetry_matrix("Z2", self.n)
-        if self.kind != "Z2":
-            mats += symmetry_matrix(self.kind, self.n)
-        return mats
 
 
 def _bond_sum(n: int, letter: str, bonds: list[tuple[int, int]]) -> PauliSum:
@@ -206,22 +149,6 @@ def symmetric_heisenberg_terms(
         c = float(rng.uniform(lo, hi)) * (1.0 if rng.random() < 0.5 else -1.0)
         out = out + g * (-1j * c)  # -i maps the anti-hermitian generator to its hermitian term
     return out
-
-
-def symmetric_heisenberg_fixed(
-    kind: str, n: int, jx: float, jy: float, jz: float, h: float
-) -> PauliSum:
-    """Uniform-coupling Heisenberg model on the geometry implied by the kind:
-    open chain for Z2xz, ring for Cn, complete graph for Sn."""
-    if kind == "Z2xz":
-        bonds = chain_bonds(n, periodic=False)
-    elif kind == "Cn":
-        bonds = chain_bonds(n, periodic=True)
-    elif kind == "Sn":
-        bonds = complete_bonds(n)
-    else:
-        raise ValueError(f"no Heisenberg geometry for kind {kind!r}")
-    return heisenberg_graph_terms(n, bonds, jx, jy, jz, h)
 
 
 # --------------------------------------------------------------------------
@@ -448,62 +375,3 @@ def expressible(
     residual = float(np.linalg.norm(a @ coeffs - m.ravel()))
     norm = linalg.frobenius_norm(m)
     return residual <= rel_tol * max(norm, 1e-300), residual
-
-
-def symmetric_invariance_check(
-    b: list[PauliSum] | tuple[PauliSum, ...],
-    syms: list[np.ndarray],
-) -> float:
-    """max over basis elements and symmetries of ||S B S^-1 - B||_F."""
-    worst = 0.0
-    for op in b:
-        dm = to_dense(op)
-        for s in syms:
-            worst = max(worst, linalg.frobenius_norm(s @ dm @ s.conj().T - dm))
-    return worst
-
-
-def expressibility_by_sequence(
-    generators: list[PauliSum] | tuple[PauliSum, ...],
-    per_gen_order_cap: int = 8,
-    product_cap: int = 4096,
-) -> list[PauliSum]:
-    """Sequence-resolved basis of the block span.
-
-    Each layer operator exp(theta G) is expanded in the powers
-    {I, G, G^2, ...} up to linear-independence saturation (capped), then all
-    cross-sequence ordered products are formed and reduced to a linearly
-    independent set.  Unlike the closure route this honours how often each
-    generator actually occurs in the sequence.
-    """
-    gens = list(generators)
-    if not gens:
-        raise ValueError("sequence must be nonempty")
-    n = gens[0].n
-    power_lists: list[list[PauliSum]] = []
-    total = 1
-    for g in gens:
-        span = SpanBasis(n)
-        powers: list[PauliSum] = []
-        current = PauliSum.identity(n)
-        for _ in range(per_gen_order_cap + 1):
-            if not span.add(current):
-                break
-            powers.append(current)
-            current = current @ g
-        power_lists.append(powers)
-        total *= len(powers)
-        if total > product_cap:
-            raise ClosureCapExceeded(
-                f"sequence expansion needs {total} products (cap {product_cap})", total
-            )
-    # ordered products T_M^(a_M) ... T_1^(a_1), built left-multiplicatively
-    products: list[PauliSum] = [PauliSum.identity(n)]
-    for powers in power_lists:
-        products = [t @ p for t in powers for p in products]
-    span = SpanBasis(n)
-    basis = []
-    for p in products:
-        if span.add(p):
-            basis.append(p)
-    return basis

@@ -1,5 +1,8 @@
-"""Target-matrix generation: Heisenberg Hamiltonians, random matrices by
-class, random samples from an operator span, and zero padding.
+"""Target-matrix generation: Heisenberg Hamiltonians on a bond graph, random
+matrices by class, and zero padding.
+
+Complex matrices are stored with ``np.save`` / ``np.load``; this module
+defines no file format of its own.
 
 All randomness flows through a counter-based Philox generator so that every
 target is reproducible from its seed alone.
@@ -7,12 +10,9 @@ target is reproducible from its seed alone.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-
 import numpy as np
 
-from vbe.pauli import PauliSum, to_dense
+from vbe.pauli import PauliSum
 
 
 def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -20,20 +20,6 @@ def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-@dataclass(frozen=True)
-class HeisenbergParams:
-    n: int
-    jx: float = 1.0
-    jy: float = 1.0
-    jz: float = 1.0
-    h: float = 1.0
-    periodic: bool = False
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("Heisenberg model needs at least 2 sites")
 
 
 def _letters(n: int, assignments: dict[int, str]) -> str:
@@ -80,15 +66,6 @@ def complete_bonds(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
 
 
-def heisenberg_terms(p: HeisenbergParams) -> PauliSum:
-    return heisenberg_graph_terms(p.n, chain_bonds(p.n, p.periodic), p.jx, p.jy, p.jz, p.h)
-
-
-def heisenberg(p: HeisenbergParams) -> np.ndarray:
-    """Dense hermitian 2^n matrix of the (transverse-field) Heisenberg chain."""
-    return to_dense(heisenberg_terms(p))
-
-
 def random_matrix(
     n: int,
     field: str = "complex",
@@ -114,22 +91,6 @@ def random_matrix(
     return m
 
 
-def random_span_sample(
-    b: list[PauliSum],
-    hermitian: bool,
-    seed: int | np.random.Generator = 0,
-) -> np.ndarray:
-    """Random complex combination of the given operators, optionally hermitized."""
-    if not b:
-        raise ValueError("need at least one basis operator")
-    rng = make_rng(seed)
-    coeffs = rng.uniform(-1.0, 1.0, size=len(b)) + 1j * rng.uniform(-1.0, 1.0, size=len(b))
-    m = sum(c * to_dense(op) for c, op in zip(coeffs, b))
-    if hermitian:
-        m = (m + m.conj().T) / 2.0
-    return m
-
-
 def zero_pad(a: np.ndarray) -> np.ndarray:
     """Embed into the smallest power-of-two square matrix, original top-left."""
     a = np.asarray(a, dtype=np.complex128)
@@ -142,63 +103,3 @@ def zero_pad(a: np.ndarray) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=np.complex128)
     out[: a.shape[0], : a.shape[1]] = a
     return out
-
-
-# ---- matrix file formats -------------------------------------------------
-def save_matrix_csv(m: np.ndarray, path: str) -> None:
-    """Row-major CSV; each entry written as an adjacent re,im pair."""
-    m = np.asarray(m, dtype=np.complex128)
-    with open(path, "w", encoding="ascii") as fh:
-        for row in m:
-            cells: list[str] = []
-            for v in row:
-                cells.append(f"{v.real:.17g}")
-                cells.append(f"{v.imag:.17g}")
-            fh.write(",".join(cells) + "\n")
-
-
-def load_matrix_csv(path: str) -> np.ndarray:
-    rows: list[list[complex]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            vals = [float(v) for v in line.split(",")]
-            if len(vals) % 2 != 0:
-                raise ValueError("CSV rows must hold an even number of fields (re,im pairs)")
-            rows.append([complex(vals[k], vals[k + 1]) for k in range(0, len(vals), 2)])
-    if not rows:
-        raise ValueError("empty matrix file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError("ragged matrix file")
-    return np.array(rows, dtype=np.complex128)
-
-
-_BIN_HEADER = struct.Struct("<Q")
-
-
-def save_matrix_bin(m: np.ndarray, path: str) -> None:
-    """Little-endian float64 binary with an 8-byte dimension header (square only)."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("binary format stores square matrices only")
-    with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(m.shape[0]))
-        fh.write(np.ascontiguousarray(m).astype("<c16").tobytes())
-
-
-def load_matrix_bin(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        (dim,) = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, found {data.size}")
-    return data.reshape(dim, dim).astype(np.complex128)
-
-
-def load_matrix(path: str) -> np.ndarray:
-    if path.endswith(".bin"):
-        return load_matrix_bin(path)
-    return load_matrix_csv(path)

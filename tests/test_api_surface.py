@@ -1,0 +1,98 @@
+"""Every public top-level name in ``src/vbe`` has a user.
+
+A name counts as used when code under ``src/vbe`` or ``perfbench`` refers to
+it, by a plain name or an attribute, anywhere outside its own definition.
+Docstrings and comments do not count, and neither do the tests.  A name
+without such a user either goes or is listed in ``ALLOWED`` with the paper
+result it reproduces or the reason it stays.  ``tables.py`` holds pinned data,
+not API, and is exempt.  Matching is by name only, so a method that shares a
+name with a function marks both as used.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = sorted((ROOT / "src" / "vbe").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+EXEMPT = {"tables"}
+
+ALLOWED = {
+    "circuit.controlled": "controlled block encoding, the part a linear combination of "
+    "block encodings is built from",
+    "encode.gqsp_block_expansion": "ancilla path sum showing the GQSP block lies in the span "
+    "of ordered generator products",
+    "optimize.greedy_generator_search": "reaches the GQSP_TABLE anchor M=2 on Sn 2 target "
+    "seeds 1 and 2, where the threshold search lands at 3 (ROADMAP item 4)",
+    "pauli.commutator": "the Lie bracket of two sums, which defines the Lie closure",
+    "pauli.mul_strings": "the phase rule of the Pauli group on single strings",
+    "pauli.format_pauli_sum": "Pauli text format, for the planned CLI (ROADMAP item 5)",
+    "pauli.parse_generator_file": "Pauli text format, for the planned CLI (ROADMAP item 5)",
+    "resources.tlb_cnot": "the CNOT lower bound TLB of a one-ancilla complex encoding",
+    "resources.nonlocal_gate_bound": "reproduces the CNOT-bound column of RESOURCES_N5",
+    "resources.a_ratio": "reproduces the a-ratio behind the RESOURCES_N5 CNOT bound",
+    "resources.symmetric_a_ratio": "parameter-per-gate ratio of the symmetric GQSP ansatz",
+    "resources.lcu_estimate": "LCU gate count the symmetric ansatz is compared against",
+    "symmetry.expressible": "membership of a target in span(B), the expressibility claim",
+    "targets.heisenberg_graph_terms": "Heisenberg targets on a chain, ring or complete graph",
+    "targets.zero_pad": "zero padding of non-power-of-two inputs before sub-normalization",
+}
+
+
+def _trees():
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in SCANNED}
+
+
+def _defined_names(stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def public_definitions(trees) -> set[str]:
+    """``module.name`` of each public top-level function, class and constant."""
+    out = set()
+    for path, tree in trees.items():
+        if path.parent.name != "vbe" or path.stem in EXEMPT:
+            continue
+        for stmt in tree.body:
+            out.update(f"{path.stem}.{n}" for n in _defined_names(stmt) if not n.startswith("_"))
+    return out
+
+
+def references(trees) -> set[tuple[str, str, str]]:
+    """(module, enclosing top-level definition, name) of each name load and attribute."""
+    refs = set()
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            owners = _defined_names(stmt) or [""]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs.update((path.stem, owner, node.id) for owner in owners)
+                elif isinstance(node, ast.Attribute):
+                    refs.update((path.stem, owner, node.attr) for owner in owners)
+    return refs
+
+
+def unused_definitions(trees) -> set[str]:
+    """Public definitions referred to nowhere but inside themselves."""
+    refs = references(trees)
+    return {
+        qual
+        for qual in public_definitions(trees)
+        if not any(n == qual.split(".")[1] and f"{m}.{owner}" != qual for m, owner, n in refs)
+    }
+
+
+def test_every_public_name_is_used_or_allowed():
+    unused = unused_definitions(_trees())
+    assert sorted(unused - set(ALLOWED)) == []
+
+
+def test_allowlist_names_exist_and_are_unused():
+    trees = _trees()
+    assert sorted(set(ALLOWED) - public_definitions(trees)) == [], "allowlisted name is gone"
+    assert sorted(set(ALLOWED) - unused_definitions(trees)) == [], "allowlisted name has a user"

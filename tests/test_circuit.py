@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import is_unitary
 from vbe import circuit as circ
 from vbe import linalg, symmetry
 from vbe.circuit import (
@@ -17,12 +18,10 @@ from vbe.circuit import (
     controlled,
     count_multiqubit_gates,
     count_nonlocal_gates,
-    dump_text,
     evaluate,
     evaluate_with_gradients,
     hermitize,
     mc1q,
-    pauli_gadget_unitary,
     single_qubit_R,
 )
 from vbe.pauli import PauliSum
@@ -132,7 +131,7 @@ class TestEvaluate:
             n = max(info.min_qubits - 1, 3)
             c = build_generic_ansatz(block_spec(bid, n=n, layers=1))
             u = evaluate(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
-            assert linalg.is_unitary(u, tol=1e-10), f"block {bid}"
+            assert is_unitary(u, tol=1e-10), f"block {bid}"
 
 
 class TestParameterCounts:
@@ -226,23 +225,29 @@ class TestGqspAnsatz:
         assert np.allclose(u[4:, 4:], linalg.matrix_exp_antihermitian(0.37 * gd))
 
 
+def gadget_unitary(g, theta):
+    """exp(theta * G) from a one-gate circuit holding the gadget of G."""
+    gate = Gate("gadget", tuple(range(g.n)), (0,), generator=g)
+    return evaluate(Circuit(n_qubits=g.n, gates=(gate,), param_count=1), [theta])
+
+
 class TestPauliGadget:
     def test_zero_angle(self):
         g = PauliSum.from_terms({"ZZ": 1j})
-        assert np.allclose(pauli_gadget_unitary(g, 0.0), np.eye(4))
+        assert np.allclose(gadget_unitary(g, 0.0), np.eye(4))
 
     def test_izz_diagonal(self):
         g = PauliSum.from_terms({"ZZ": 1j})
         t = 0.73
         expected = np.diag(np.exp(1j * t * np.array([1, -1, -1, 1])))
-        assert np.allclose(pauli_gadget_unitary(g, t), expected)
+        assert np.allclose(gadget_unitary(g, t), expected)
 
     def test_commuting_equals_string_product(self):
         g = PauliSum.from_terms({"ZZI": 1j, "ZIZ": 1j, "IZZ": 1j})
         t = 0.41
-        got = pauli_gadget_unitary(g, t)
+        got = gadget_unitary(g, t)
         parts = [
-            pauli_gadget_unitary(PauliSum.from_terms({s: 1j}), t)
+            gadget_unitary(PauliSum.from_terms({s: 1j}), t)
             for s in ("ZZI", "ZIZ", "IZZ")
         ]
         assert np.max(np.abs(got - parts[0] @ parts[1] @ parts[2])) < 1e-12
@@ -257,11 +262,11 @@ class TestPauliGadget:
             param_count=1,
         )
         got = evaluate(ladder, [-2.0 * t])
-        assert np.max(np.abs(got - pauli_gadget_unitary(g, t))) < 1e-12
+        assert np.max(np.abs(got - gadget_unitary(g, t))) < 1e-12
 
     def test_rejects_hermitian_generator(self):
-        with pytest.raises(ValueError):
-            pauli_gadget_unitary(PauliSum.from_terms({"ZZ": 1.0}), 0.5)
+        with pytest.raises(ValueError, match="anti-hermitian"):
+            gadget_unitary(PauliSum.from_terms({"ZZ": 1.0}), 0.5)
 
 
 class TestHermitize:
@@ -276,7 +281,7 @@ class TestHermitize:
         for _ in range(3):
             u = evaluate(hc, rng.uniform(-np.pi, np.pi, size=hc.param_count))
             assert linalg.frobenius_norm(u - u.conj().T) < 1e-12
-            assert linalg.is_unitary(u, tol=1e-10)
+            assert is_unitary(u, tol=1e-10)
 
     def test_param_count_preserved(self):
         c = build_generic_ansatz(block_spec(2, n=2, layers=3))
@@ -515,6 +520,27 @@ class TestLowering:
         ctrl = evaluate(controlled(c), theta)
         assert np.allclose(ctrl, np.kron(P0, np.eye(4)) + np.kron(P1, m))
 
+    def test_gadget_spectra_once_per_generator(self, monkeypatch, rng):
+        # hermitized GQSP Sn 3, M=6 over all 4 generators: 12 gadget gates
+        # (6 layers and their mirror) share 4 eigendecompositions
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        gs = symmetry.heisenberg_generator_set("Sn", 3)
+        seq = tuple(gs.generators[i] for i in (0, 1, 2, 3, 0, 1))
+        c = hermitize(build_gqsp_ansatz(seq, n=3), "ancilla_h")
+        assert sum(g.kind == "gadget" for g in c.gates) == 12
+        for _ in range(2):
+            theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+            evaluate(c, theta)
+            evaluate_with_gradients(c, theta)[1](np.ones((8, 8)))
+        assert len(calls) == len(gs) == 4
+
     def test_wide_gadget_builds_and_counts(self):
         # the dense spectrum is only formed on evaluation
         gs = symmetry.heisenberg_generator_set("Sn", 10)
@@ -549,16 +575,3 @@ class TestCostModel:
     def test_block_optimal_a_catalog(self):
         optimal = {bid for bid, info in BLOCK_CATALOG.items() if info.optimal_a}
         assert optimal == {2, 3, 5, 8, 9, 10, 11, 12, 13, 14, 15}
-
-
-class TestDump:
-    def test_dump_stable(self):
-        gens = gqsp_gens([{"ZZ": 1j}])
-        c = build_gqsp_ansatz(gens, n=2)
-        text = dump_text(c)
-        assert text.splitlines() == [
-            "qubits=3 params=6 ancillas=1 layers=1 family=gqsp",
-            "grot q=0 s=0,1,2",
-            "gadget q=1,2 s=3 c=0 g=0 1 ZZ",
-            "grot q=0 s=4,5",
-        ]

@@ -23,8 +23,9 @@ from vbe.encode import (
     squared_cost_and_gradient,
     subnormalize,
 )
-from vbe.pauli import PauliString, PauliSum, string_to_dense, to_dense
-from vbe.targets import HeisenbergParams
+from oracles import string_to_dense
+from vbe.pauli import PauliString, PauliSum, to_dense
+from vbe.targets import chain_bonds, heisenberg_graph_terms
 
 
 def block_spec(block_id, n, m=1, layers=1, restriction="complex", hermitian=False):
@@ -69,7 +70,7 @@ class TestSubnormalize:
         assert t.alpha == pytest.approx(1.01)
 
     def test_heisenberg_two_site(self):
-        h = targets.heisenberg(HeisenbergParams(2, 1, 1, 1, 0))
+        h = to_dense(heisenberg_graph_terms(2, chain_bonds(2), 1, 1, 1, 0))
         t = subnormalize(h)
         assert t.alpha == pytest.approx(3.01, abs=1e-10)
         assert linalg.spectral_norm(t.scaled()) <= 1.0

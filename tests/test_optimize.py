@@ -8,22 +8,70 @@ from vbe import optimize, symmetry
 from vbe.circuit import AnsatzSpec
 from vbe.encode import TargetSpec, subnormalize
 from vbe.pauli import to_dense
-from vbe.tables import GQSP_TABLE
+from vbe.tables import BDIM_TABLE, GQSP_TABLE
 from vbe.targets import random_matrix
+
+
+def symmetric_target(kind, n, seed):
+    return subnormalize(to_dense(symmetry.symmetric_heisenberg_terms(kind, n, seed)))
 
 
 class TestGreedyGeneratorSearch:
     def test_sn2_reaches_table_depth(self):
+        # on target seeds 1 and 2 too, where the random-layering threshold
+        # search lands one layer above the anchor
         gens = symmetry.heisenberg_generator_set("Sn", 2)
-        target = subnormalize(to_dense(symmetry.symmetric_heisenberg_terms("Sn", 2, 0)))
-        opts = optimize.OptimizeOptions(seed=0)
-        res = optimize.greedy_generator_search(target, gens, opts, max_depth=8)
-        assert res.report.converged
-        assert all(b < a for a, b in zip(res.history, res.history[1:]))
-        assert len(res.sequence) == GQSP_TABLE[("Sn", 2)][1]
-        again = optimize.greedy_generator_search(target, gens, opts, max_depth=8)
-        assert again.sequence == res.sequence
-        assert np.array_equal(again.report.theta, res.report.theta)
+        for seed in (0, 1, 2):
+            target = symmetric_target("Sn", 2, seed)
+            opts = optimize.OptimizeOptions(seed=seed)
+            res = optimize.greedy_generator_search(target, gens, opts, max_depth=8)
+            assert res.report.converged, seed
+            assert all(b < a for a, b in zip(res.history, res.history[1:])), seed
+            assert len(res.sequence) == GQSP_TABLE[("Sn", 2)][1], seed
+            again = optimize.greedy_generator_search(target, gens, opts, max_depth=8)
+            assert again.sequence == res.sequence, seed
+            assert np.array_equal(again.report.theta, res.report.theta), seed
+
+
+def same_generators(a, b):
+    return len(a) == len(b) and all((g - h).is_zero() for g, h in zip(a.generators, b.generators))
+
+
+class TestGqspTable:
+    """The random-layering threshold search against the GQSP_TABLE anchors."""
+
+    @pytest.mark.parametrize(
+        "kind,n,seed",
+        [
+            ("Sn", 2, 0),
+            ("Sn", 3, 0),
+            # ROADMAP item 4: these targets land at M=3 against the anchor 2
+            pytest.param("Sn", 2, 1, marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
+            pytest.param("Sn", 2, 2, marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
+        ],
+    )
+    def test_threshold_search_reaches_anchor(self, kind, n, seed):
+        family = optimize.GqspFamily(symmetry.heisenberg_generator_set(kind, n))
+        res = optimize.layer_threshold_search(
+            symmetric_target(kind, n, seed), family, optimize.OptimizeOptions(seed=seed)
+        )
+        assert res.complete
+        assert res.m_thres == GQSP_TABLE[(kind, n)][1]
+        assert res.reports[res.m_thres].param_count == 3 * res.m_thres + 3
+
+    @pytest.mark.parametrize("kind,n", [("Cn", 2), ("Z2xz", 2), ("Cn", 3)])
+    def test_cells_equal_to_the_sn_cell(self, kind, n):
+        # equal generator sets draw equal targets, so the Sn search covers the cell
+        gens = symmetry.heisenberg_generator_set(kind, n)
+        assert same_generators(gens, symmetry.heisenberg_generator_set("Sn", n))
+        h = symmetry.symmetric_heisenberg_terms(kind, n, 0)
+        assert (h - symmetry.symmetric_heisenberg_terms("Sn", n, 0)).is_zero()
+        assert GQSP_TABLE[(kind, n)] == GQSP_TABLE[("Sn", n)]
+
+    def test_rows_dim_b_and_params(self):
+        for cell, (dim_b, m, params) in GQSP_TABLE.items():
+            assert dim_b == BDIM_TABLE[cell], cell
+            assert params == 3 * m + 3, cell
 
 
 class TestMultistartEncode:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import string_to_dense
 from vbe.pauli import (
     MAX_DENSE_QUBITS,
     MAX_KEY_QUBITS,
@@ -12,12 +13,9 @@ from vbe.pauli import (
     commutator,
     format_pauli_sum,
     mul_strings,
-    pairwise_commuting,
     parse_generator_file,
     parse_pauli_sum,
     product_packed,
-    rank_extend,
-    string_to_dense,
     to_dense,
 )
 from vbe.symmetry import symmetric_heisenberg_terms
@@ -265,23 +263,31 @@ class TestToDense:
                     assert abs(tr) < 1e-12
 
 
+def extends(basis, candidate):
+    """True when ``candidate`` is not in the span of ``basis``, by SpanBasis.add."""
+    span = SpanBasis(candidate.n)
+    for b in basis:
+        span.add(b)
+    return span.add(candidate)
+
+
 class TestRankExtend:
     def test_scalar_multiple(self):
         z = PauliSum.from_terms({"Z": 1.0})
-        assert not rank_extend([z], PauliSum.from_terms({"Z": 3j}))
+        assert not extends([z], PauliSum.from_terms({"Z": 3j}))
 
     def test_orthogonal_string(self):
         z = PauliSum.from_terms({"Z": 1.0})
-        assert rank_extend([z], PauliSum.from_terms({"X": 1.0}))
+        assert extends([z], PauliSum.from_terms({"X": 1.0}))
 
     def test_plus_minus_combination(self):
         plus = PauliSum.from_terms({"ZZ": 1.0, "XX": 1.0})
         minus = PauliSum.from_terms({"ZZ": 1.0, "XX": -1.0})
-        assert rank_extend([plus], minus)
-        assert not rank_extend([plus, minus], PauliSum.from_terms({"XX": 5.0}))
+        assert extends([plus], minus)
+        assert not extends([plus, minus], PauliSum.from_terms({"XX": 5.0}))
 
     def test_zero_never_extends(self):
-        assert not rank_extend([], PauliSum.zero(2))
+        assert not extends([], PauliSum.zero(2))
 
     def test_against_dense_rank(self, rng):
         # oracle: numpy matrix rank over vectorized dense representations
@@ -295,41 +301,25 @@ class TestRankExtend:
             rows = [to_dense(b).ravel() for b in basis]
             r0 = np.linalg.matrix_rank(np.array(rows)) if rows else 0
             r1 = np.linalg.matrix_rank(np.array(rows + [to_dense(cand).ravel()]))
-            assert rank_extend(basis, cand) == (r1 > r0)
-            # contains() on sums with strings the span has not seen yet must
-            # answer like the dense rank and leave the basis alone
+            # add() on sums with strings the span has not seen yet must answer
+            # like the dense rank, and grow the basis only when it says so
             span = SpanBasis(n)
             for i, b in enumerate(basis):
-                size = span.size
                 independent = np.linalg.matrix_rank(np.array(rows[: i + 1])) > span.size
-                assert span.contains(b) == (not independent)
-                assert span.size == size
+                size = span.size
                 assert span.add(b) == independent
-            assert span.contains(cand) == (r1 == r0)
+                assert span.size == size + independent
             assert span.size == r0
+            assert span.add(cand) == (r1 > r0)
+            assert span.size == r1
 
     def test_span_basis_incremental(self):
         span = SpanBasis(2)
         assert span.add(PauliSum.from_terms({"ZZ": 1.0, "XX": 1.0}))
         assert not span.add(PauliSum.from_terms({"ZZ": -2.0, "XX": -2.0}))
         assert span.add(PauliSum.from_terms({"XX": 1.0}))
-        assert span.contains(PauliSum.from_terms({"ZZ": 7.0}))
+        assert not span.add(PauliSum.from_terms({"ZZ": 7.0}))
         assert span.size == 2
-
-
-class TestPairwiseCommuting:
-    def test_commuting_generator(self):
-        g = PauliSum.from_terms({"ZZI": 1j, "ZIZ": 1j, "IZZ": 1j})
-        assert pairwise_commuting(g)
-
-    def test_noncommuting_generator(self):
-        g = PauliSum.from_terms(
-            {"ZYI": 1j, "YZI": 1j, "ZIY": 1j, "YIZ": 1j, "IZY": 1j, "IYZ": 1j}
-        )
-        assert not pairwise_commuting(g)
-
-    def test_single_string(self):
-        assert pairwise_commuting(PauliSum.from_terms({"XYZ": 1.0}))
 
 
 class TestTextFormat:

@@ -7,8 +7,6 @@ from vbe.circuit import AnsatzSpec, build_generic_ansatz, build_gqsp_ansatz, her
 from vbe.pauli import MAX_DENSE_QUBITS, PauliSum
 from vbe.resources import (
     BoundQuery,
-    LITERAL_FORMULA,
-    PARAM_INVERSION,
     a_ratio,
     estimate_generic_threshold,
     free_parameter_bound,
@@ -20,7 +18,7 @@ from vbe.resources import (
 )
 from vbe.symmetry import symmetric_heisenberg_terms
 from vbe.tables import FREE_PARAMS_N4
-from vbe.targets import HeisenbergParams, heisenberg_terms
+from vbe.targets import chain_bonds, heisenberg_graph_terms
 
 
 def block_spec(block_id, n, m=1, layers=1, restriction="complex", hermitian=False):
@@ -156,17 +154,9 @@ class TestThresholdGeneric:
 
 class TestThresholdSymmetric:
     def test_param_inversion_matches_table(self):
-        assert threshold_layers_symmetric(19, 1, PARAM_INVERSION) == 6
-        assert threshold_layers_symmetric(6, 1, PARAM_INVERSION) == 1
-        assert threshold_layers_symmetric(28, 1, PARAM_INVERSION) == 9
-
-    def test_literal_formula(self):
-        assert threshold_layers_symmetric(19, 1, LITERAL_FORMULA) == 4
-
-    def test_modes_disagree(self):
-        assert threshold_layers_symmetric(19, 1, LITERAL_FORMULA) != threshold_layers_symmetric(
-            19, 1, PARAM_INVERSION
-        )
+        assert threshold_layers_symmetric(19, 1) == 6
+        assert threshold_layers_symmetric(6, 1) == 1
+        assert threshold_layers_symmetric(28, 1) == 9
 
     def test_q_validation(self):
         with pytest.raises(ValueError):
@@ -182,7 +172,7 @@ class TestLcu:
         assert est.cnot_count == 2 * (3 - 1)
 
     def test_heisenberg_n4_terms(self):
-        h = heisenberg_terms(HeisenbergParams(4, 1, 1, 1, 1))
+        h = heisenberg_graph_terms(4, chain_bonds(4), 1, 1, 1, 1)
         est = lcu_estimate(h)
         assert est.term_count == 13
         assert est.ancillas == 4

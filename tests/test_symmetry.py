@@ -1,26 +1,32 @@
 import numpy as np
 import pytest
 
-from vbe import linalg, targets
-from vbe.pauli import PauliString, PauliSum, string_to_dense, to_dense
+from oracles import (
+    check_invariance,
+    string_to_dense,
+    symmetric_invariance_check,
+    symmetry_matrices,
+    symmetry_matrix,
+)
+from vbe import targets
+from vbe.pauli import PauliString, PauliSum, SpanBasis, to_dense
 from vbe.symmetry import (
     ClosureCapExceeded,
-    GeneratorSet,
     associative_closure,
-    check_invariance,
     closure_basis,
-    expressibility_by_sequence,
     expressible,
     heisenberg_generator_set,
     lie_closure,
-    symmetric_heisenberg_fixed,
     symmetric_heisenberg_terms,
-    symmetric_invariance_check,
     symmetric_orbit_compression,
-    symmetry_matrix,
 )
 from vbe.tables import BDIM_TABLE
-from vbe.targets import HeisenbergParams
+from vbe.targets import chain_bonds, heisenberg_graph_terms
+
+
+def heisenberg_chain(n, jx, jy, jz, h, periodic=False):
+    """Dense transverse-field Heisenberg chain, open or periodic."""
+    return to_dense(heisenberg_graph_terms(n, chain_bonds(n, periodic), jx, jy, jz, h))
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -58,22 +64,22 @@ class TestCheckInvariance:
         (s,) = symmetry_matrix("Z2", 3)
         for _ in range(3):
             jx, jy, jz, h = rng.uniform(-2, 2, size=4)
-            m = targets.heisenberg(HeisenbergParams(3, jx, jy, jz, h))
+            m = heisenberg_chain(3, jx, jy, jz, h)
             assert check_invariance(m, s) < 1e-12
 
     def test_open_chain_not_cyclic(self):
         (s,) = symmetry_matrix("Cn", 3)
-        m = targets.heisenberg(HeisenbergParams(3, 1.3, 0.7, -0.4, 0.2))
+        m = heisenberg_chain(3, 1.3, 0.7, -0.4, 0.2)
         assert check_invariance(m, s) > 0.1
 
     def test_open_chain_reflection_symmetric(self):
         (s,) = symmetry_matrix("Z2xz", 4)
-        m = targets.heisenberg(HeisenbergParams(4, 1.3, 0.7, -0.4, 0.2))
+        m = heisenberg_chain(4, 1.3, 0.7, -0.4, 0.2)
         assert check_invariance(m, s) < 1e-12
 
     def test_periodic_chain_cyclic(self):
         (s,) = symmetry_matrix("Cn", 4)
-        m = targets.heisenberg(HeisenbergParams(4, 1.3, 0.7, -0.4, 0.2, periodic=True))
+        m = heisenberg_chain(4, 1.3, 0.7, -0.4, 0.2, periodic=True)
         assert check_invariance(m, s) < 1e-12
 
     def test_identity_commutes(self):
@@ -111,7 +117,7 @@ class TestGeneratorSets:
                 gs = heisenberg_generator_set(kind, n)
                 for g in gs.generators:
                     gd = to_dense(g)
-                    for s in gs.symmetry_matrices():
+                    for s in symmetry_matrices(gs):
                         assert check_invariance(gd, s) < 1e-12, (kind, n)
 
     def test_z2xz_middle_bond_counts(self):
@@ -231,10 +237,11 @@ class TestClosureDimsTable:
 
     def test_l_subset_of_b(self):
         cb = closure_basis(heisenberg_generator_set("Cn", 3))
-        from vbe.pauli import rank_extend
-
+        span = SpanBasis(3)
+        for e in cb.full_basis:
+            span.add(e)
         for e in cb.lie_basis:
-            assert not rank_extend(list(cb.full_basis), e)
+            assert not span.add(e)
 
 
 class TestExpressible:
@@ -246,7 +253,7 @@ class TestExpressible:
     def test_cyclic_hamiltonian_in_span(self, rng):
         cb = closure_basis(heisenberg_generator_set("Cn", 4))
         jx, jy, jz, h = rng.uniform(-2, 2, size=4)
-        m = targets.heisenberg(HeisenbergParams(4, jx, jy, jz, h, periodic=True))
+        m = heisenberg_chain(4, jx, jy, jz, h, periodic=True)
         ok, res = expressible(m, list(cb.full_basis))
         assert ok, res
 
@@ -262,52 +269,18 @@ class TestInvarianceOfBasis:
     def test_sn_basis_invariant(self):
         gs = heisenberg_generator_set("Sn", 4)
         cb = closure_basis(gs)
-        assert symmetric_invariance_check(list(cb.full_basis), gs.symmetry_matrices()) < 1e-12
+        assert symmetric_invariance_check(list(cb.full_basis), symmetry_matrices(gs)) < 1e-12
 
     def test_z2xz_basis_invariant(self):
         gs = heisenberg_generator_set("Z2xz", 3)
         cb = closure_basis(gs)
-        assert symmetric_invariance_check(list(cb.full_basis), gs.symmetry_matrices()) < 1e-12
+        assert symmetric_invariance_check(list(cb.full_basis), symmetry_matrices(gs)) < 1e-12
 
     def test_corrupted_element_detected(self):
         gs = heisenberg_generator_set("Sn", 3)
         cb = closure_basis(gs)
         bad = list(cb.full_basis) + [PauliSum.from_terms({"XYZ": 1.0})]
-        assert symmetric_invariance_check(bad, gs.symmetry_matrices()) > 0.1
-
-
-class TestSequenceExpressibility:
-    def test_single_z_powers(self):
-        basis = expressibility_by_sequence([PauliSum.from_terms({"Z": 1j})])
-        assert len(basis) == 2  # Z^2 = I
-
-    def test_repeated_generator_matches_closure(self):
-        g = PauliSum.from_terms({"ZZ": 1j})
-        seq_basis = expressibility_by_sequence([g, g])
-        closure = associative_closure(lie_closure([g]))
-        assert len(seq_basis) == len(closure)
-        dense_a = np.array([to_dense(e).ravel() for e in seq_basis])
-        dense_b = np.array([to_dense(e).ravel() for e in closure])
-        stacked = np.concatenate([dense_a, dense_b])
-        assert np.linalg.matrix_rank(stacked, tol=1e-9) == len(closure)
-
-    def test_s3_single_sweep_bounded_by_dim_b(self):
-        gs = heisenberg_generator_set("Sn", 3)
-        basis = expressibility_by_sequence(list(gs.generators))
-        assert len(basis) <= 10
-
-    def test_sequence_span_inside_closure_span(self, rng):
-        gs = heisenberg_generator_set("Cn", 3)
-        seq = [gs.generators[int(k)] for k in rng.integers(0, len(gs), size=4)]
-        seq_basis = expressibility_by_sequence(seq)
-        cb = closure_basis(gs)
-        for e in seq_basis:
-            ok, _ = expressible(to_dense(e), list(cb.full_basis))
-            assert ok
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            expressibility_by_sequence([])
+        assert symmetric_invariance_check(bad, symmetry_matrices(gs)) > 0.1
 
 
 class TestSymmetricHeisenberg:
@@ -317,14 +290,14 @@ class TestSymmetricHeisenberg:
         uniform = PauliSum.zero(4)
         for g in gs.generators:
             uniform = uniform + g * (-1j)
-        fixed = symmetric_heisenberg_fixed("Cn", 4, 1, 1, 1, 1)
+        fixed = heisenberg_graph_terms(4, chain_bonds(4, periodic=True), 1, 1, 1, 1)
         assert (uniform - fixed).is_zero()
 
     def test_random_target_is_invariant(self):
         for kind in ("Z2xz", "Cn", "Sn"):
             gs = heisenberg_generator_set(kind, 3)
             h = to_dense(symmetric_heisenberg_terms(kind, 3, seed=5))
-            for s in gs.symmetry_matrices():
+            for s in symmetry_matrices(gs):
                 assert check_invariance(h, s) < 1e-12
 
     def test_random_target_in_span(self):

@@ -1,42 +1,44 @@
 import numpy as np
 import pytest
 
+from oracles import string_to_dense
 from vbe import targets
-from vbe.pauli import PauliString, PauliSum, string_to_dense, to_dense
-from vbe.targets import HeisenbergParams
+from vbe.pauli import PauliString, to_dense
+from vbe.targets import chain_bonds, heisenberg_graph_terms
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
-def kron_chain(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+def chain_terms(n, jx, jy, jz, h, periodic=False):
+    return heisenberg_graph_terms(n, chain_bonds(n, periodic), jx, jy, jz, h)
+
+
+def chain(n, jx, jy, jz, h, periodic=False):
+    return to_dense(chain_terms(n, jx, jy, jz, h, periodic))
 
 
 class TestHeisenberg:
     def test_two_site_swap_identity(self):
         # oracle: dense Kronecker sum built by hand
-        h = targets.heisenberg(HeisenbergParams(2, 1, 1, 1, 0))
+        h = chain(2, 1, 1, 1, 0)
         assert np.allclose(h, 2 * SWAP - np.eye(4))
 
     def test_field_only(self):
-        h = targets.heisenberg(HeisenbergParams(2, 0, 0, 0, 1))
+        h = chain(2, 0, 0, 0, 1)
         assert np.allclose(h, np.kron(X, np.eye(2)) + np.kron(np.eye(2), X))
 
     def test_periodic_minus_open_is_wraparound(self):
         p = dict(n=3, jx=0.7, jy=-0.3, jz=1.1, h=0.35)
-        open_h = targets.heisenberg(HeisenbergParams(**p, periodic=False))
-        ring_h = targets.heisenberg(HeisenbergParams(**p, periodic=True))
-        wrap = targets.heisenberg_graph_terms(3, [(2, 0)], p["jx"], p["jy"], p["jz"], 0.0)
+        open_h = chain(**p, periodic=False)
+        ring_h = chain(**p, periodic=True)
+        wrap = heisenberg_graph_terms(3, [(2, 0)], p["jx"], p["jy"], p["jz"], 0.0)
         assert np.allclose(ring_h - open_h, to_dense(wrap))
 
     def test_hermitian_and_real(self, rng):
         for _ in range(5):
             jx, jy, jz, h = rng.uniform(-2, 2, size=4)
-            m = targets.heisenberg(HeisenbergParams(3, jx, jy, jz, h))
+            m = chain(3, jx, jy, jz, h)
             assert np.max(np.abs(m - m.conj().T)) < 1e-15
             assert np.max(np.abs(m.imag)) < 1e-15
 
@@ -44,16 +46,17 @@ class TestHeisenberg:
         flip = string_to_dense(PauliString.from_letters("XXX"))
         for _ in range(5):
             jx, jy, jz, h = rng.uniform(-2, 2, size=4)
-            m = targets.heisenberg(HeisenbergParams(3, jx, jy, jz, h, periodic=bool(rng.integers(2))))
+            m = chain(3, jx, jy, jz, h, periodic=bool(rng.integers(2)))
             assert np.max(np.abs(m @ flip - flip @ m)) < 1e-12
 
     def test_term_count_open_chain(self):
-        terms = targets.heisenberg_terms(HeisenbergParams(4, 1, 1, 1, 1))
+        terms = chain_terms(4, 1, 1, 1, 1)
         assert len(terms) == 3 * 3 + 4
 
-    def test_rejects_single_site(self):
-        with pytest.raises(ValueError):
-            HeisenbergParams(1)
+    def test_rejects_invalid_bond(self):
+        for bond in [(0, 2), (1, 1), (-1, 0)]:
+            with pytest.raises(ValueError, match="invalid bond"):
+                heisenberg_graph_terms(2, [bond], 1, 1, 1, 0)
 
 
 class TestRandomMatrix:
@@ -81,38 +84,6 @@ class TestRandomMatrix:
             targets.random_matrix(2, "quaternionic", "arbitrary", 0)
 
 
-class TestRandomSpanSample:
-    def test_identity_span(self):
-        m = targets.random_span_sample([PauliSum.identity(2)], hermitian=True, seed=3)
-        assert np.allclose(m, m[0, 0] * np.eye(4))
-        assert abs(m[0, 0].imag) < 1e-15
-
-    def test_within_span(self, rng):
-        # oracle: least-squares projection onto the span
-        ops = [
-            PauliSum.from_terms({"XX": 1.0}),
-            PauliSum.from_terms({"YY": 1.0, "ZZ": 0.5}),
-            PauliSum.identity(2),
-        ]
-        m = targets.random_span_sample(ops, hermitian=False, seed=11)
-        basis = np.array([to_dense(o).ravel() for o in ops]).T
-        _, res, *_ = np.linalg.lstsq(basis, m.ravel(), rcond=None)
-        resid = np.linalg.norm(basis @ np.linalg.lstsq(basis, m.ravel(), rcond=None)[0] - m.ravel())
-        assert resid < 1e-12
-
-    def test_hermitized_sample_commutes_with_swaps(self):
-        # permutation-symmetric operators stay symmetric after hermitization
-        ops = [
-            PauliSum.from_terms({"XXI": 1j, "XIX": 1j, "IXX": 1j}),
-            PauliSum.from_terms({"XII": 1j, "IXI": 1j, "IIX": 1j}),
-        ]
-        m = targets.random_span_sample(ops, hermitian=True, seed=2)
-        swap01 = kron_chain([SWAP, np.eye(2)])
-        swap12 = kron_chain([np.eye(2), SWAP])
-        for s in (swap01, swap12):
-            assert np.max(np.abs(s @ m @ s - m)) < 1e-10
-
-
 class TestZeroPad:
     def test_3x3(self):
         m = targets.zero_pad(np.ones((3, 3)))
@@ -126,21 +97,3 @@ class TestZeroPad:
 
     def test_5x2(self):
         assert targets.zero_pad(np.ones((5, 2))).shape == (8, 8)
-
-
-class TestMatrixIO:
-    def test_csv_roundtrip(self, rng, tmp_path):
-        m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        path = str(tmp_path / "m.csv")
-        targets.save_matrix_csv(m, path)
-        assert np.allclose(targets.load_matrix_csv(path), m)
-
-    def test_bin_roundtrip(self, rng, tmp_path):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        path = str(tmp_path / "m.bin")
-        targets.save_matrix_bin(m, path)
-        assert np.array_equal(targets.load_matrix_bin(path), m)
-
-    def test_bin_rejects_nonsquare(self, tmp_path):
-        with pytest.raises(ValueError):
-            targets.save_matrix_bin(np.ones((2, 3)), str(tmp_path / "m.bin"))
