@@ -16,9 +16,16 @@ Sums combine equal strings by sort, so ``+`` and ``-`` work up to
 :data:`MAX_KEY_QUBITS`, where the packed keys fill int64.  Every product has
 one path: ``@``, :func:`commutator`, :func:`mul_strings` and the closure
 loops all call :func:`product_packed`, which multiplies all term pairs as
-arrays and combines equal result strings over the 4^n packed keys.  Like
-dense conversion, that key range caps products and the plain
-:class:`SpanBasis` at :data:`MAX_DENSE_QUBITS` qubits.
+arrays and combines equal results by one ``bincount`` through an index map:
+each packed key is its own bin by default, and an orbit id per key for the
+orbit-coordinate closures of :mod:`vbe.symmetry`.  Like dense conversion,
+the 4^n key range caps products and the plain :class:`SpanBasis` at
+:data:`MAX_DENSE_QUBITS` qubits.
+
+:class:`OrbitCompression` holds the string orbits of a symmetry group: the
+representative form of invariant sums (one weighted string per orbit), and
+the orbit coordinates in which :class:`SpanBasis` tests a whole block of
+candidates at once.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ MAX_KEY_QUBITS = 31  # a packed key (x << n) | z must fit in int64
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
 
-_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+_I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -242,7 +249,7 @@ def to_dense(s: PauliSum) -> np.ndarray:
     cols = np.arange(dim)
     x, z = (s.keys >> s.n)[:, None], (s.keys & (dim - 1))[:, None]
     signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
-    phases = np.array(_I_POWERS)[np.bitwise_count(x & z) & 3]
+    phases = _I_POWERS[np.bitwise_count(x & z) & 3]
     amps = (s.coeffs[:, None] * (phases * signs)).ravel()
     flat = (((cols ^ x) << s.n) | cols).ravel()
     out = np.empty(dim * dim, dtype=np.complex128)
@@ -265,16 +272,21 @@ def product_packed(
     c2: np.ndarray,
     anticommuting_only: bool = False,
     scale: complex = 1.0,
+    index: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Product of two string sums given as packed (keys, coeffs) arrays.
 
     This is the only Pauli product in the package.  All term pairs are
     multiplied at once as outer arrays; with ``anticommuting_only`` the
     commuting pairs are dropped, which together with ``scale=2`` yields the
-    commutator.  Equal result strings are combined with ``bincount`` over
-    the whole 4^n packed key range (no sort), so the cost is linear in term
-    pairs plus 4^n, and n is capped at :data:`MAX_DENSE_QUBITS`.  Returns
-    pruned (keys, coeffs) with keys ascending.
+    commutator.  Equal result strings are combined by one ``bincount``
+    (no sort) over an index map: by default each packed key is its own bin,
+    so the bins span up to the 4^n key range and n is capped at
+    :data:`MAX_DENSE_QUBITS`; an ``index`` array maps every packed key to a
+    bin instead (an :class:`OrbitCompression`'s orbit ids, say), and the
+    pair products are summed per bin.  Returns (bins, coeffs) with bins
+    ascending, the keys or the ``index`` values, and combined coefficients
+    of magnitude at most :data:`PRUNE_TOL` dropped.
     """
     check_dense_qubits(n, "a Pauli product")
     mask = (1 << n) - 1
@@ -285,7 +297,7 @@ def product_packed(
     xr = x1[:, None] ^ x2[None, :]
     zr = z1[:, None] ^ z2[None, :]
     reorder = np.bitwise_count(z1[:, None] & x2[None, :])
-    coeff = np.outer(c1, c2)
+    coeff = c1[:, None] * c2[None, :]
     if anticommuting_only:
         keep = ((np.bitwise_count(x1[:, None] & z2[None, :]) + reorder) & 1) == 1
         if not np.any(keep):
@@ -302,116 +314,202 @@ def product_packed(
     # bitwise_count arithmetic happens in uint8; wraparound is harmless here
     # because 256 is a multiple of 4 and only the value mod 4 matters
     k = (y_sum - np.bitwise_count(xr & zr) + 2 * reorder) & 3
-    coeff = coeff * (scale * np.asarray(_I_POWERS, dtype=np.complex128))[k]
-    keys = (xr << n) | zr
-    span = 1 << (2 * n)
-    acc_re = np.bincount(keys, weights=coeff.real, minlength=span)
-    acc_im = np.bincount(keys, weights=coeff.imag, minlength=span)
+    coeff = coeff * (scale * _I_POWERS)[k]
+    bins = (xr << n) | zr
+    if index is not None:
+        bins = index[bins]
+    acc_re = np.bincount(bins, weights=coeff.real)
+    acc_im = np.bincount(bins, weights=coeff.imag)
     nz = np.flatnonzero(acc_re * acc_re + acc_im * acc_im > PRUNE_TOL * PRUNE_TOL)
     return nz.astype(np.int64), acc_re[nz] + 1j * acc_im[nz]
 
 
 class OrbitCompression:
-    """Isometric compression of string-coefficient vectors onto string orbits.
+    """String orbits of a symmetry group and the coordinates they give invariant sums.
 
-    For sums known to be invariant under a symmetry group, coefficients are
-    constant on each group orbit of strings, so the vector is determined by
-    one amplitude per orbit.  Mapping v to (sum over the orbit) / sqrt(size)
-    preserves inner products exactly on the invariant subspace, which makes
-    span tests independent of how many strings the sums touch.
+    ``orbit_ids`` maps every packed key to its orbit, ``sizes`` counts each
+    orbit's strings and ``reps`` holds each orbit's smallest key.  A
+    group-invariant sum has one coefficient a_o per orbit, so it is fixed by
+    its *representative form*: the representatives rep(o), weighted by the
+    orbit sums a_o * |o|.  :meth:`representatives` and :meth:`fold` give
+    that form, :meth:`expand` turns it back into the full sum, and
+    :mod:`vbe.symmetry` multiplies it by invariant sums.
+
+    As span coordinates, a sum maps to (sum over each orbit) / sqrt(size).
+    That map preserves inner products exactly on the invariant subspace,
+    which makes span tests independent of how many strings the sums touch.
     """
 
     def __init__(self, orbit_ids: np.ndarray):
         self.orbit_ids = np.ascontiguousarray(orbit_ids, dtype=np.int64)
-        sizes = np.bincount(self.orbit_ids)
-        self.count = len(sizes)
-        self._inv_sqrt = 1.0 / np.sqrt(sizes.astype(np.float64))
+        self.sizes = np.bincount(self.orbit_ids)
+        self.count = len(self.sizes)
+        # packed keys grouped by orbit, ascending within each orbit
+        self._members = np.argsort(self.orbit_ids, kind="stable")
+        self._starts = np.cumsum(self.sizes) - self.sizes
+        self.reps = self._members[self._starts]
+        self.inv_sqrt = 1.0 / np.sqrt(self.sizes.astype(np.float64))
 
-    def vector(self, keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    def _sums(self, keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         ids = self.orbit_ids[keys]
         re = np.bincount(ids, weights=coeffs.real, minlength=self.count)
         im = np.bincount(ids, weights=coeffs.imag, minlength=self.count)
-        return (re + 1j * im) * self._inv_sqrt
-
-
-class _StringRows:
-    """One coordinate per string, assigned the first time a vector touches it.
-
-    A direct-index table over the 4^n packed keys maps each string to its
-    row, so ``vector`` is one gather and one scatter.  A new row is zero in
-    every vector mapped before it, which keeps earlier vectors' coordinates
-    valid as the row count grows.
-    """
-
-    def __init__(self, n: int):
-        check_dense_qubits(n, "a string-indexed span")
-        self._table = np.full(1 << (2 * n), -1, dtype=np.int32)
-        self.count = 0
+        return re + 1j * im
 
     def vector(self, keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        rows = self._table[keys]
+        """Span coordinates of a sum: its orbit sums over sqrt(size)."""
+        return self._sums(keys, coeffs) * self.inv_sqrt
+
+    def fold(self, ids: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Representative form from orbit ids and orbit sums.
+
+        Orbits whose per-string coefficient sum / size is at most
+        :data:`PRUNE_TOL` in magnitude are dropped, as a full sum would drop
+        those strings.
+        """
+        keep = np.abs(sums) > PRUNE_TOL * self.sizes[ids]
+        return self.reps[ids[keep]], sums[keep]
+
+    def representatives(self, keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Representative form of an invariant sum."""
+        sums = self._sums(keys, coeffs)
+        ids = np.flatnonzero(sums)
+        return self.fold(ids, sums[ids])
+
+    def expand(self, keys: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Full sum (ascending keys, coefficients) of a representative form."""
+        ids = self.orbit_ids[keys]
+        lengths = self.sizes[ids]
+        offsets = np.repeat(self._starts[ids] - (np.cumsum(lengths) - lengths), lengths)
+        full = self._members[offsets + np.arange(len(offsets))]
+        order = np.argsort(full)
+        return full[order], np.repeat(sums / lengths, lengths)[order]
+
+
+class _Rows:
+    """Span coordinates: one row per string, or per string orbit, assigned
+    the first time a block touches it.
+
+    Without orbits a direct-index table over the 4^n packed keys maps each
+    string to its row.  With an :class:`OrbitCompression` the table runs
+    over orbit ids, and a sum's row holds its orbit sum over sqrt(size), as
+    in :meth:`OrbitCompression.vector`.  Either way ``block`` is one gather
+    and one scatter-add, the rows stay proportional to the support seen so
+    far, and a new row is zero in every vector mapped before it, which keeps
+    earlier vectors' coordinates valid as the row count grows.
+    """
+
+    def __init__(self, n: int, orbits: OrbitCompression | None):
+        if orbits is None:
+            check_dense_qubits(n, "a string-indexed span")
+        self._orbits = orbits
+        self._table = np.full(1 << (2 * n) if orbits is None else orbits.count, -1, dtype=np.int32)
+        self.count = 0
+
+    def block(self, packed: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """Coordinates of several packed sums, one column each."""
+        bins = np.concatenate([k for k, _ in packed])
+        coeffs = np.concatenate([c for _, c in packed])
+        if self._orbits is not None:
+            bins = self._orbits.orbit_ids[bins]
+            coeffs = coeffs * self._orbits.inv_sqrt[bins]
+        rows = self._table[bins]
         new = rows < 0
         if np.any(new):
-            fresh = self.count + np.arange(np.count_nonzero(new), dtype=np.int32)
-            rows[new] = self._table[keys[new]] = fresh
+            fresh = np.sort(bins[new])
+            # distinct bins by hand: np.unique imports numpy.ma (about 1 MB) on first use
+            fresh = fresh[np.diff(fresh, prepend=-1) > 0]
+            self._table[fresh] = self.count + np.arange(len(fresh))
             self.count += len(fresh)
-        v = np.zeros(self.count, dtype=np.complex128)
-        v[rows] = coeffs
-        return v
+            rows = self._table[bins]
+        k = len(packed)
+        flat = rows * k + np.repeat(np.arange(k), [len(c) for _, c in packed])
+        out = np.empty(self.count * k, dtype=np.complex128)
+        out.real = np.bincount(flat, weights=coeffs.real, minlength=len(out))
+        out.imag = np.bincount(flat, weights=coeffs.imag, minlength=len(out))
+        return out.reshape(self.count, k)
 
 
 class SpanBasis:
     """Incrementally orthonormalized span of Pauli sums in string-coefficient space.
 
-    :meth:`add_packed` keeps a candidate when its Gram-Schmidt residual (two
-    classical passes) exceeds a drop tolerance relative to the candidate
-    norm.  The residual is taken over one of two coordinate maps:
+    :meth:`add_block` tests candidates in order and keeps each one whose
+    Gram-Schmidt residual exceeds a drop tolerance relative to its norm;
+    :meth:`add_packed` and :meth:`add` are the block of one.  The residual
+    is taken over one of two coordinate maps:
 
-    * by default, one row per string, assigned on first sight, so the
-      projection cost stays proportional to the support of the span and the
-      candidates seen so far;
+    * by default, one row per string;
     * with an :class:`OrbitCompression`, one row per string orbit; this is
       only sound when every sum passed in is invariant under the
       compressing group.
+
+    Either way rows are assigned on first sight, so the projection cost
+    stays proportional to the support of the span and the candidates seen
+    so far.
     """
 
     def __init__(self, n: int, tol: float = SPAN_TOL, orbits: OrbitCompression | None = None):
         self.n = n
         self.tol = tol
-        self._coords = _StringRows(n) if orbits is None else orbits
-        self._q = np.zeros((max(64, self._coords.count), 16), dtype=np.complex128)
+        self._coords = _Rows(n, orbits)
         self.size = 0
+        self._q = np.zeros((0, 16), dtype=np.complex128)
 
     def _reserve(self, rows: int, cols: int) -> None:
-        cap_rows, cap_cols = self._q.shape
-        if rows > cap_rows or cols > cap_cols:
-            grown = np.zeros(
-                (
-                    max(rows, 2 * cap_rows) if rows > cap_rows else cap_rows,
-                    2 * cap_cols if cols > cap_cols else cap_cols,
-                ),
-                dtype=np.complex128,
-            )
-            grown[:cap_rows, : self.size] = self._q[:, : self.size]
+        if rows > self._q.shape[0]:
+            # Rows are C-order and added at the end, so growing them in place
+            # (one realloc, the new rows zeroed) keeps every column valid and
+            # never holds two copies of Q.  No view of Q outlives add_block,
+            # so none can point at the old buffer.
+            self._q.resize((rows, self._q.shape[1]), refcheck=False)
+        if cols > self._q.shape[1]:
+            grown = np.zeros((self._q.shape[0], 2 * self._q.shape[1]), dtype=np.complex128)
+            grown[:, : self.size] = self._q[:, : self.size]
             self._q = grown
+
+    def add_block(self, packed: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """Add packed (keys, coeffs) sums in order; returns one flag per sum,
+        True where it extended the basis.
+
+        The answers are those of one :meth:`add_packed` call per sum.  The
+        block is projected off the basis held before the call by one pass of
+        (I - QQ^H), a pair of matrix products.  A projection never lengthens
+        a vector, so a candidate already within tolerance there is dropped;
+        the rest take a second (re-orthogonalization) pass as one block, and
+        then, one at a time, two passes against the columns accepted earlier
+        in this block.
+        """
+        if not packed:
+            return np.zeros(0, dtype=bool)
+        v = self._coords.block(packed)
+        rows = v.shape[0]
+        floor = (self.tol**2) * np.sum(np.abs(v) ** 2, axis=0)
+        self._reserve(rows, self.size)
+        q = self._q[:, : self.size]
+        # (V^H Q)^H equals Q^H V without copying a conjugate of Q
+        r = v - q @ (v.conj().T @ q).conj().T
+        live = np.flatnonzero(np.sum(np.abs(r) ** 2, axis=0) > floor)
+        r = r[:, live]
+        r -= q @ (r.conj().T @ q).conj().T
+        first = self.size
+        accepted = np.zeros(len(packed), dtype=bool)
+        for j, rj in zip(live, r.T):
+            if self.size > first:
+                q = self._q[:, first : self.size]
+                rj = rj - q @ (rj.conj() @ q).conj()
+                rj -= q @ (rj.conj() @ q).conj()
+            # a zero candidate has a zero residual and is never kept
+            if float(np.sum(np.abs(rj) ** 2)) <= floor[j]:
+                continue
+            self._reserve(rows, self.size + 1)
+            self._q[:, self.size] = rj / float(np.linalg.norm(rj))
+            self.size += 1
+            accepted[j] = True
+        return accepted
 
     def add_packed(self, keys: np.ndarray, coeffs: np.ndarray) -> bool:
         """Add the sum to the span; returns True when it extended the basis."""
-        norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-        if norm_sq == 0.0:
-            return False
-        v = self._coords.vector(keys, coeffs)
-        self._reserve(len(v), self.size)
-        q = self._q[: len(v), : self.size]
-        # (x^H Q)^H equals Q^H x without copying a conjugate of Q
-        r = v - q @ (v.conj() @ q).conj()
-        r -= q @ (r.conj() @ q).conj()  # re-orthogonalization pass
-        if float(np.sum(np.abs(r) ** 2)) <= (self.tol**2) * norm_sq:
-            return False
-        self._reserve(len(r), self.size + 1)
-        self._q[: len(r), self.size] = r / float(np.linalg.norm(r))
-        self.size += 1
-        return True
+        return bool(self.add_block([(keys, coeffs)])[0])
 
     def add(self, s: PauliSum) -> bool:
         """Add ``s`` to the span; returns True when it extended the basis."""

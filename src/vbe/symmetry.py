@@ -10,7 +10,10 @@ The supported symmetry kinds are
 
 Closure computations are deterministic: elements are visited breadth-first
 in insertion order and Pauli sums are kept in canonical string order, so
-the produced bases are identical across runs and platforms.
+the produced bases are identical across runs and platforms.  With a
+verified string-orbit partition (Z2xz, Cn, Sn) a closure works in orbit
+coordinates: each basis element multiplies as one weighted string per
+orbit, and the products of one element are span-tested as one block.
 """
 
 from __future__ import annotations
@@ -195,24 +198,30 @@ def symmetric_orbit_compression(kind: str, n: int) -> OrbitCompression | None:
     return OrbitCompression(ids)
 
 
-def _compression_for(generators: GeneratorSet | list | tuple) -> OrbitCompression | None:
-    """Orbit compression for a generator set, verified against the inputs.
+def _invariant(orbits: OrbitCompression, s: PauliSum) -> bool:
+    """Norm test: compression is a projection followed by an isometry, so it
+    preserves a sum's norm exactly iff the sum is group invariant."""
+    full = float(np.sum(np.abs(s.coeffs) ** 2))
+    compressed = float(np.sum(np.abs(orbits.vector(s.keys, s.coeffs)) ** 2))
+    return abs(full - compressed) <= 1e-12 * max(full, 1.0)
 
-    Compression is a projection followed by an isometry, so it preserves a
-    sum's norm exactly iff the sum is group invariant; any non-invariant
-    generator disables the fast path.
-    """
+
+def _compression_for(generators: GeneratorSet | list | tuple) -> OrbitCompression | None:
+    """Orbit compression for a generator set, verified against the inputs;
+    any non-invariant generator disables the orbit path."""
     if not isinstance(generators, GeneratorSet):
         return None
     orbits = symmetric_orbit_compression(generators.kind, generators.n)
-    if orbits is None:
+    if orbits is None or not all(_invariant(orbits, g) for g in generators.generators):
         return None
-    for g in generators.generators:
-        full = float(np.sum(np.abs(g.coeffs) ** 2))
-        compressed = float(np.sum(np.abs(orbits.vector(g.keys, g.coeffs)) ** 2))
-        if abs(full - compressed) > 1e-12 * max(full, 1.0):
-            return None
     return orbits
+
+
+def _check_orbits(orbits: OrbitCompression, sums: list[PauliSum]) -> None:
+    """Refuse a caller's orbit partition under which some input is not invariant."""
+    for i, s in enumerate(sums):
+        if not _invariant(orbits, s):
+            raise ValueError(f"closure input {i} is not invariant under the orbit partition")
 
 
 def _span_closure(
@@ -229,30 +238,55 @@ def _span_closure(
 
     The seeds that extend the span start the basis.  Each basis element from
     index ``start`` on, in insertion order, is then combined with every
-    multiplier by ``products(ki, ci, km, cm, add)``, which passes each packed
-    product to ``add``.  A product that extends the span joins the basis at
-    unit norm, until a fixpoint or until the basis outgrows ``cap``
-    (:class:`ClosureCapExceeded`).
+    multiplier by ``products(ka, ca, km, cm, index)``, which returns the
+    packed products of the pair (the bracket, or the left and right
+    products).  All products of one basis element are span-tested as one
+    block (:meth:`SpanBasis.add_block`), in multiplier order, and each that
+    extends the span joins the basis at unit norm, until a fixpoint or until
+    the basis outgrows ``cap`` (:class:`ClosureCapExceeded`).
+
+    With an orbit partition every input is group invariant, so every basis
+    element A is too, and it enters the products in representative form:
+    A_rep = sum_o a_o |o| rep(o), one weighted string per orbit.  For an
+    invariant multiplier G, A G is the group average of A_rep G (and G A,
+    [A, G] likewise), so the coefficient A G puts on a string is the sum of
+    A_rep G over that string's orbit divided by the orbit size.
+    :func:`product_packed` bins the pair products straight into orbit ids
+    (``index``), which gives A G's representative form with orbits-in-support
+    x terms(G) pairs and no 4^n combine.  Only accepted products are
+    expanded into full sums.
     """
     span = SpanBasis(n, orbits=orbits)
+    index = None if orbits is None else orbits.orbit_ids
     basis: list[PauliSum] = []
+    forms: list[tuple[np.ndarray, np.ndarray]] = []  # what each basis element multiplies as
 
-    def add(keys: np.ndarray, coeffs: np.ndarray) -> None:
-        if len(keys) and span.add_packed(keys, coeffs):
-            basis.append(sum_from_packed(n, keys, coeffs / float(np.linalg.norm(coeffs))))
-            if len(basis) > cap:
-                raise ClosureCapExceeded(f"{name} closure exceeded cap {cap} (n={n})", len(basis))
+    def accept(element: PauliSum) -> None:
+        basis.append(element)
+        if orbits is None:
+            forms.append((element.keys, element.coeffs))
+        else:
+            forms.append(orbits.representatives(element.keys, element.coeffs))
 
     for s in seeds:
         s = s.normalized()
         if span.add_packed(s.keys, s.coeffs):
-            basis.append(s)
+            accept(s)
     mults = [m.normalized() for m in multipliers]
     idx = start
     while idx < len(basis):
-        b = basis[idx]
-        for m in mults:
-            products(b.keys, b.coeffs, m.keys, m.coeffs, add)
+        ka, ca = forms[idx]
+        cands = [p for m in mults for p in products(ka, ca, m.keys, m.coeffs, index)]
+        if orbits is not None:
+            cands = [orbits.fold(ids, sums) for ids, sums in cands]
+        for (keys, coeffs), extends in zip(cands, span.add_block(cands)):
+            if not extends:
+                continue
+            if orbits is not None:
+                keys, coeffs = orbits.expand(keys, coeffs)
+            accept(sum_from_packed(n, keys, coeffs / float(np.linalg.norm(coeffs))))
+            if len(basis) > cap:
+                raise ClosureCapExceeded(f"{name} closure exceeded cap {cap} (n={n})", len(basis))
         idx += 1
     return basis
 
@@ -274,17 +308,21 @@ def lie_closure(
     (default 4^n - 1, the full algebra).
 
     When called with a :class:`GeneratorSet` of verified-invariant
-    generators, span tests run in orbit coordinates.
+    generators, or with an ``orbits`` partition, the closure runs in orbit
+    coordinates; a partition under which some generator is not invariant
+    raises ``ValueError``.
     """
+    gens = list(generators.generators if isinstance(generators, GeneratorSet) else generators)
     if orbits is None:
         orbits = _compression_for(generators)
-    gens = list(generators.generators if isinstance(generators, GeneratorSet) else generators)
+    else:
+        _check_orbits(orbits, gens)
     if not gens:
         return []
     n = gens[0].n
 
-    def bracket(ki, ci, kg, cg, add):
-        add(*product_packed(n, ki, ci, kg, cg, anticommuting_only=True, scale=2.0))
+    def bracket(ka, ca, kg, cg, index):
+        return [product_packed(n, ka, ca, kg, cg, anticommuting_only=True, scale=2.0, index=index)]
 
     return _span_closure(n, gens, gens, bracket, 4**n - 1 if cap is None else cap, "Lie", orbits)
 
@@ -304,17 +342,25 @@ def associative_closure(
     L that is closed under one-letter generator multiplication contains
     every word in the generators, i.e. the whole generated algebra, and
     nested commutators already are such words.
+
+    With an ``orbits`` partition the closure runs in orbit coordinates; a
+    partition under which some element of L or some multiplier is not
+    invariant raises ``ValueError``.
     """
     if not l:
         return []
     n = l[0].n
+    mult = l if multipliers is None else multipliers
+    if orbits is not None:
+        _check_orbits(orbits, [*l, *mult])
 
-    def left_and_right(ki, ci, km, cm, add):
-        add(*product_packed(n, ki, ci, km, cm))
-        add(*product_packed(n, km, cm, ki, ci))
+    def left_and_right(ka, ca, km, cm, index):
+        return [
+            product_packed(n, ka, ca, km, cm, index=index),
+            product_packed(n, km, cm, ka, ca, index=index),
+        ]
 
     cap = 4**n if cap is None else cap
-    mult = l if multipliers is None else multipliers
     # start=1: products with the identity (the first seed) are trivial
     seeds = [PauliSum.identity(n), *l]
     return _span_closure(n, seeds, mult, left_and_right, cap, "associative", orbits, start=1)

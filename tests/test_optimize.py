@@ -68,6 +68,23 @@ class TestGqspTable:
         assert (h - symmetry.symmetric_heisenberg_terms("Sn", n, 0)).is_zero()
         assert GQSP_TABLE[(kind, n)] == GQSP_TABLE[("Sn", n)]
 
+    def test_non_hermitian_span_target(self):
+        # a random complex element of span(B) for Sn 2 needs the non-hermitian
+        # gadgets; the start estimate takes q = 2 real degrees of freedom per
+        # basis element: the smallest M with 3M + 3 >= 2 * 6, plus 5%, is 4
+        gs = symmetry.heisenberg_generator_set("Sn", 2)
+        basis = symmetry.closure_basis(gs).full_basis
+        rng = np.random.default_rng(0)
+        c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        m = sum(ci * to_dense(b) for ci, b in zip(c, basis))
+        assert not np.allclose(m, m.conj().T)
+        family = optimize.GqspFamily(gs, hermitian=False)
+        res = optimize.layer_threshold_search(subnormalize(m), family, optimize.OptimizeOptions(seed=0))
+        assert (res.start, res.m_thres, res.complete) == (4, 4, True)
+        assert sorted(res.reports) == [3, 4]
+        assert res.reports[4].epsilon < 1e-10
+        assert not res.reports[3].converged
+
     def test_rows_dim_b_and_params(self):
         for cell, (dim_b, m, params) in GQSP_TABLE.items():
             assert dim_b == BDIM_TABLE[cell], cell

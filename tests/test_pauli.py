@@ -7,6 +7,7 @@ from oracles import string_to_dense
 from vbe.pauli import (
     MAX_DENSE_QUBITS,
     MAX_KEY_QUBITS,
+    PRUNE_TOL,
     PauliString,
     PauliSum,
     SpanBasis,
@@ -187,6 +188,23 @@ class TestProductProperties:
         )
 
 
+    @PROPERTY
+    @given(sum_tuples(2), st.integers(1, 7), st.booleans())
+    def test_index_map_bins_the_product(self, ab, modulus, bracket):
+        # combining by an index map equals combining by key, then binning
+        a, b = ab
+        index = np.arange(1 << (2 * a.n)) % modulus
+        kw = dict(anticommuting_only=True, scale=2.0) if bracket else {}
+        keys, coeffs = product_packed(a.n, a.keys, a.coeffs, b.keys, b.coeffs, **kw)
+        want = np.zeros(modulus, dtype=complex)
+        np.add.at(want, index[keys], coeffs)
+        bins, sums = product_packed(a.n, a.keys, a.coeffs, b.keys, b.coeffs, index=index, **kw)
+        assert np.all(np.diff(bins) > 0)
+        got = np.zeros(modulus, dtype=complex)
+        got[bins] = sums
+        assert np.allclose(got, want, atol=1e-12)
+        assert np.all(np.abs(sums) > PRUNE_TOL)
+
 class TestKeyRangeCap:
     def test_refuses_beyond_max_dense_qubits(self):
         n = MAX_DENSE_QUBITS + 1
@@ -312,6 +330,35 @@ class TestRankExtend:
             assert span.size == r0
             assert span.add(cand) == (r1 > r0)
             assert span.size == r1
+
+    def test_block_matches_one_at_a_time(self, rng):
+        # exact duplicates, scalar multiples, a near-dependent vector (residual
+        # about 1e-8, above the 1e-9 drop tolerance) and a sum of earlier
+        # candidates, tested as one block against a span that already holds
+        # some of them
+        n = 3
+        held = [random_pauli_sum(n, 3, rng) for _ in range(3)]
+        a, b = random_pauli_sum(n, 4, rng), random_pauli_sum(n, 2, rng)
+        fresh = random_pauli_sum(n, 3, rng)
+        tilt = PauliSum.from_terms({"XYZ": 1e-8 * a.coeff_norm()})
+        cands = [
+            a, a, b * 2.5j, held[1], a + tilt, a + b, fresh, PauliSum.zero(n),
+            held[0] * -1.0, fresh, b, a + tilt * 1e-3,
+        ]
+        one, block = SpanBasis(n), SpanBasis(n)
+        for h in held:
+            one.add(h)
+            block.add(h)
+        flags = [one.add(c) for c in cands]
+        assert flags == [True, False, True, False, True, False, True, False, False, False,
+                         False, False]
+        assert block.add_block([(c.keys, c.coeffs) for c in cands]).tolist() == flags
+        assert block.size == one.size == 7
+        # the block left the span in the same state
+        rows = [to_dense(h).ravel() for h in [*held, a, b, a + tilt, fresh]]
+        assert np.linalg.matrix_rank(np.array(rows)) == block.size
+        probe = random_pauli_sum(n, 5, rng)
+        assert block.add(probe) == one.add(probe)
 
     def test_span_basis_incremental(self):
         span = SpanBasis(2)

@@ -9,7 +9,7 @@ from oracles import (
     symmetry_matrix,
 )
 from vbe import targets
-from vbe.pauli import PauliString, PauliSum, SpanBasis, to_dense
+from vbe.pauli import PauliString, PauliSum, SpanBasis, commutator, product_packed, to_dense
 from vbe.symmetry import (
     ClosureCapExceeded,
     associative_closure,
@@ -210,15 +210,40 @@ class TestAssociativeClosure:
             assert len(slow) == len(fast), (kind, n)
 
     def test_compression_agrees_with_plain(self):
-        for kind, n in [("Sn", 4), ("Cn", 4), ("Z2xz", 4)]:
+        # orbit coordinates and representative products against the plain
+        # string path, element by element
+        rows = [("Sn", 4), ("Sn", 5), ("Sn", 6), ("Cn", 4), ("Cn", 5), ("Z2xz", 3), ("Z2xz", 4)]
+        for kind, n in rows:
             gs = heisenberg_generator_set(kind, n)
-            plain_l = lie_closure(list(gs.generators))  # list input: no compression
             cb = closure_basis(gs)
-            assert len(plain_l) == cb.dim_l, (kind, n)
-            assert len(associative_closure(plain_l)) == cb.dim_b, (kind, n)
+            plain = closure_basis(list(gs.generators))  # list input: no compression
+            for orbit_basis, plain_basis in [
+                (cb.lie_basis, plain.lie_basis),
+                (cb.full_basis, plain.full_basis),
+            ]:
+                assert len(orbit_basis) == len(plain_basis), (kind, n)
+                for e, f in zip(orbit_basis, plain_basis):
+                    assert np.array_equal(e.keys, f.keys), (kind, n)
+                    assert np.max(np.abs(e.coeffs - f.coeffs)) <= 1e-12, (kind, n)
+            if n == 4:
+                # the default multipliers (all of L) give the same span
+                assert len(associative_closure(list(plain.lie_basis))) == cb.dim_b, (kind, n)
+
+    def test_refuses_partition_the_inputs_break(self):
+        orbits = symmetric_orbit_compression("Sn", 3)
+        field = PauliSum.from_terms({"XII": 1j})  # one site: not permutation invariant
+        gens = list(heisenberg_generator_set("Sn", 3).generators)
+        with pytest.raises(ValueError, match="not invariant"):
+            lie_closure([*gens, field], orbits=orbits)
+        l = lie_closure(gens, orbits=orbits)
+        with pytest.raises(ValueError, match="not invariant"):
+            associative_closure(l, multipliers=[*gens, field], orbits=orbits)
+        with pytest.raises(ValueError, match="not invariant"):
+            associative_closure([*l, field], multipliers=gens, orbits=orbits)
+        assert len(associative_closure(l, multipliers=gens, orbits=orbits)) == BDIM_TABLE[("Sn", 3)]
 
 
-HEAVY_CLOSURES = {("Z2xz", 5), ("Cn", 6), ("Sn", 8)}  # several seconds each
+HEAVY_CLOSURES = {("Z2xz", 5)}  # over a second
 
 
 class TestClosureDimsTable:
@@ -234,6 +259,16 @@ class TestClosureDimsTable:
     def test_pinned_dims(self, kind, n, dim_b):
         cb = closure_basis(heisenberg_generator_set(kind, n))
         assert cb.dim_b == dim_b
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_sn_closed_form(self, n):
+        # total-spin sectors: each spin-J block, of size d = 2J+1, splits into
+        # two halves under the global flip, so dim B = sum_J ceil(d/2)^2 + floor(d/2)^2
+        dims = [two_j + 1 for two_j in range(n % 2, n + 1, 2)]
+        want = sum(((d + 1) // 2) ** 2 + (d // 2) ** 2 for d in dims)
+        # n = 9 (dim B 110) is an extension beyond the paper's table
+        assert want == (BDIM_TABLE[("Sn", n)] if n <= 8 else 110)
+        assert closure_basis(heisenberg_generator_set("Sn", n)).dim_b == want
 
     def test_l_subset_of_b(self):
         cb = closure_basis(heisenberg_generator_set("Cn", 3))
@@ -328,6 +363,32 @@ class TestOrbitCompression:
         for g in gs.generators:
             v = orb.vector(g.keys, g.coeffs)
             assert float(np.sum(np.abs(v) ** 2)) == pytest.approx(g.coeff_norm() ** 2)
+
+    @pytest.mark.parametrize("kind", ["Sn", "Cn", "Z2xz"])
+    def test_representative_products_equal_full_products(self, kind, rng):
+        # A G, G A and [A, G] from one weighted string per orbit of A, binned
+        # by orbit id, expand to the full products
+        n = 4
+        gs = heisenberg_generator_set(kind, n)
+        orb = symmetric_orbit_compression(kind, n)
+        a = PauliSum.zero(n)
+        for e in closure_basis(gs).full_basis:
+            a = a + e * complex(*rng.standard_normal(2))
+        ka, ca = orb.representatives(a.keys, a.coeffs)
+        assert len(ka) < len(a)
+        keys, coeffs = orb.expand(ka, ca)
+        assert np.array_equal(keys, a.keys) and np.allclose(coeffs, a.coeffs, atol=1e-14)
+        bracket = dict(anticommuting_only=True, scale=2.0)
+        for g in gs.generators:
+            for full, args, kw in [
+                (a @ g, (ka, ca, g.keys, g.coeffs), {}),
+                (g @ a, (g.keys, g.coeffs, ka, ca), {}),
+                (commutator(a, g), (ka, ca, g.keys, g.coeffs), bracket),
+            ]:
+                binned = product_packed(n, *args, index=orb.orbit_ids, **kw)
+                keys, coeffs = orb.expand(*orb.fold(*binned))
+                assert np.array_equal(keys, full.keys), kind
+                assert np.allclose(coeffs, full.coeffs, atol=1e-12), kind
 
     def test_refuses_beyond_max_dense_qubits(self):
         from vbe.pauli import MAX_DENSE_QUBITS
