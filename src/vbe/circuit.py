@@ -41,10 +41,20 @@ identity.  ``evaluate_with_gradients`` also returns a pullback: for a
 cotangent w of shape (r, s) it gives the gradient of Re <w, U[:r, :s]>_F
 from one backward sweep over the same ops (the adjoint method of Jones &
 Gacon, arXiv:2009.02823), with O(d s 2^k) work per op and O(d s) extra
-memory.  No (param_count, d, d) derivative tensor is ever formed.  Circuits
-are immutable after construction; a circuit places its ops, and computes
-the dense matrix and eigendecomposition of each distinct gadget generator,
-once, on first evaluation.
+memory.  No (param_count, d, d) derivative tensor is ever formed.
+
+A mirrored circuit (``hermitian_v_span`` set, as ``hermitize`` builds it) is
+U V U^dagger: ``gates[b:]`` are U, ``gates[a:b]`` the parameter-free core V
+and ``gates[:a]`` the dagger mirror of U.  Only U is lowered and swept; V is
+one dense matrix per circuit, and the unitary is (U V) U^dagger.  Its
+pullback is one sweep over U's ops with the d x d cotangent
+G = W U V^dagger + W^dagger U V, which already holds the mirror's share of
+every shared slot.  ``gates`` stays the full list, so gate counts and
+``controlled`` see the whole circuit.
+
+Circuits are immutable after construction; a circuit places its ops, and
+computes the dense matrix and eigendecomposition of each distinct gadget
+generator and its core V, once, on first evaluation.
 """
 
 from __future__ import annotations
@@ -147,6 +157,15 @@ class Circuit:
             for s in g.slots:
                 if not 0 <= s < self.param_count:
                     raise ValueError(f"slot {s} out of range (param_count={self.param_count})")
+        if self.hermitian_v_span is not None:
+            a, b = self.hermitian_v_span
+            if not 0 <= a <= b <= len(self.gates):
+                raise ValueError(f"V span {self.hermitian_v_span} outside {len(self.gates)} gates")
+            mirror = tuple(replace(g, dagger=not g.dagger) for g in reversed(self.gates[b:]))
+            if self.gates[:a] != mirror:
+                raise ValueError("the gates before the V span must mirror the gates after it")
+            if any(g.slots for g in self.gates[a:b]):
+                raise ValueError("the V span must take no parameters")
 
     @property
     def dim(self) -> int:
@@ -170,16 +189,18 @@ class Circuit:
 
     @cached_property
     def _schedule(self) -> tuple[tuple[tuple[int, ...], tuple, int], ...]:
-        """Runs of consecutive gates that act on the same qubits and controls.
+        """Runs of consecutive lowered gates that act on the same qubits and controls.
 
-        Each run is lowered to one local op.  Per run: its gate indices, the
-        index of the subspace of a ``(b,) + (2,)*N + (cols,)`` state where
-        every control qubit is |1>, and the number of target blocks before
-        the op's first qubit within it.  ``cnot`` is X on its target and
+        The lowered gates are all of them, or U's half ``gates[b:]`` of a
+        mirrored circuit.  Each run is lowered to one local op.  Per run: its
+        gate indices, the index of the subspace of a ``(b,) + (2,)*N + (cols,)``
+        state where every control qubit is |1>, and the number of target
+        blocks before the op's first qubit within it.  ``cnot`` is X on its target and
         ``cz`` Z on its last qubit, with the other qubits as controls.
         """
         runs: list[tuple[list[int], tuple, int, int]] = []
-        for i, g in enumerate(self.gates):
+        lo = self.hermitian_v_span[1] if self.hermitian_v_span else 0
+        for i, g in enumerate(self.gates[lo:], lo):
             if g.kind == "cnot":
                 first, ctl, k = g.qubits[1], g.controls + g.qubits[:1], 1
             elif g.kind == "cz":
@@ -195,6 +216,12 @@ class Circuit:
             else:
                 runs.append(([i], sel, lead, k))
         return tuple((tuple(idx), sel, lead) for idx, sel, lead, _ in runs)
+
+    @cached_property
+    def _core(self) -> np.ndarray:
+        """The dense core V of a mirrored circuit: its parameter-free ``gates[a:b]``."""
+        a, b = self.hermitian_v_span
+        return evaluate(Circuit(self.n_qubits, self.gates[a:b], 0), ())
 
 
 # --------------------------------------------------------------------------
@@ -356,9 +383,16 @@ def _forward(c: Circuit, ops: list[_Op]) -> np.ndarray:
     return psi.reshape(c.dim, c.dim)
 
 
+def _mirror(c: Circuit, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U V U^dagger and U V of a mirrored circuit, from the product U of its ops."""
+    uv = half @ c._core
+    return uv @ half.conj().T, uv
+
+
 def evaluate(c: Circuit, theta) -> np.ndarray:
     """Dense unitary of the circuit at the given parameter vector."""
-    return _forward(c, _lower(c, _check_theta(c, theta)))
+    half = _forward(c, _lower(c, _check_theta(c, theta)))
+    return half if c.hermitian_v_span is None else _mirror(c, half)[0]
 
 
 def _pullback_sweep(ops: list[_Op], u: np.ndarray, w: np.ndarray, n_params: int) -> np.ndarray:
@@ -373,7 +407,10 @@ def _pullback_sweep(ops: list[_Op], u: np.ndarray, w: np.ndarray, n_params: int)
     Re <lambda, K P_j> = Re sum(K * E), where the 2^k x 2^k environment
     E = sum conj(lambda) P^T runs over the op's controlled subspace.  The
     work per op is O(d s 2^k) and the extra memory O(d s).  Slots shared by
-    several ops (the hermitian mirror) accumulate every contribution.
+    several ops accumulate every contribution.  For a mirrored circuit
+    ``ops`` are U's half only and ``w`` is the cotangent G of
+    :func:`evaluate_with_gradients`, which has d columns, so the state is
+    (2, d, d).
     """
     r, s = w.shape
     d = u.shape[0]
@@ -399,18 +436,35 @@ def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
     """Unitary and the vector-Jacobian product of its parameter derivatives.
 
     Returns ``(u, pullback)``.  ``u`` is ``evaluate(c, theta)``: the same
-    lowering and forward sweep over the identity.  ``pullback(w)`` takes a
-    cotangent ``w`` of shape (r, s) and returns the real vector
-    d/d(theta_k) Re <w, U[:r, :s]>_F of length ``param_count``, from one
+    lowering, forward sweep over the identity and, for a mirrored circuit,
+    the same products (U V) U^dagger.  ``pullback(w)`` takes a cotangent
+    ``w`` of shape (r, s) and returns the real vector
+    d/d(theta_k) Re <w, u[:r, :s]>_F of length ``param_count``, from one
     backward sweep over the lowered ops (:func:`_pullback_sweep`, after Jones
     & Gacon, arXiv:2009.02823).  Each call costs O(d s 2^k) per op and
     O(d s) extra memory; no (param_count, d, d) derivative tensor exists.
+
+    For a mirrored circuit, d(U V U^dagger) = dU V U^dagger + U V dU^dagger,
+    so with w zero-padded to W, Re <W, du> = Re <G, dU> for
+    G = W U V^dagger + W^dagger U V: one sweep over U's ops covers both
+    uses of every shared slot.  G is zero below row max(r, s).
     """
     ops = _lower(c, _check_theta(c, theta))
-    u = _forward(c, ops)
+    half = _forward(c, ops)
+    if c.hermitian_v_span is None:
+        u = half
+    else:
+        u, uv = _mirror(c, half)
 
     def pullback(w) -> np.ndarray:
-        return _pullback_sweep(ops, u, np.asarray(w, dtype=np.complex128), c.param_count)
+        w = np.asarray(w, dtype=np.complex128)
+        if c.hermitian_v_span is not None:
+            r, s = w.shape
+            g = np.zeros((max(r, s), c.dim), dtype=np.complex128)
+            g[:r] = w @ (half[:s] @ c._core.conj().T)
+            g[:s] += w.conj().T @ uv[:r]
+            w = g
+        return _pullback_sweep(ops, half, w, c.param_count)
 
     return u, pullback
 
@@ -691,7 +745,12 @@ def hermitize(c: Circuit, v: str = "all_h") -> Circuit:
     """Circuit realizing U(theta) V U(theta)^dagger with shared parameters.
 
     ``v`` selects the fixed hermitian core: "all_h" places a Hadamard on
-    every qubit, "ancilla_h" a single Hadamard on qubit 0.
+    every qubit, "ancilla_h" a single Hadamard on qubit 0.  The gates are
+    the dagger mirror of ``c.gates``, then V, then ``c.gates``;
+    ``hermitian_v_span`` marks V, so evaluation lowers and sweeps only the
+    U half (see the module docstring) while ``gates`` and every gate count
+    cover the whole circuit.  A span that stops matching the gates (say
+    after ``replace(hc, gates=...)``) is refused on construction.
     """
     if v not in ("all_h", "ancilla_h"):
         raise ValueError(f"unknown V choice {v!r}")
@@ -735,7 +794,6 @@ def controlled(c: Circuit) -> Circuit:
         n_qubits=c.n_qubits + 1,
         gates=tuple(gates),
         family=c.family + "+ctrl",
-        hermitian_v_span=None if span is None else (span[0], span[1]),
     )
 
 

@@ -8,8 +8,10 @@ are stated in terms of C itself.
 The gradient of C^2 is one pullback of the residual Delta = A/alpha - block
 through the circuit (``circuit.evaluate_with_gradients``): a backward sweep
 over the lowered gates with O(d * sub * 2^k) work per gate and O(d * sub)
-extra memory for a d x d circuit and a sub x sub block.  No per-parameter
-derivative of the unitary is ever formed.
+extra memory for a d x d circuit and a sub x sub block.  For a hermitized
+circuit U V U^dagger the sweep runs over U's gates only, once, with a d x d
+cotangent that carries both of U's appearances, so it costs O(d^2 * 2^k)
+per gate of U.  No per-parameter derivative of the unitary is ever formed.
 """
 
 from __future__ import annotations
@@ -104,8 +106,9 @@ def squared_cost_and_gradient(t: TargetSpec, c: Circuit, theta) -> tuple[float, 
 
     With Delta = A/alpha - A_var, each component is
     d_k C^2 = -2 Re <Delta, d_k A_var>_F.  All components come from one
-    pullback of the residual Delta through the circuit's backward sweep, so
-    the gradient is exact to machine precision.
+    pullback of the residual Delta through the circuit's backward sweep
+    (over the U half only for a hermitized circuit), so the gradient is
+    exact to machine precision.
     """
     _ancilla_count(t, c)
     u, pullback = evaluate_with_gradients(c, theta)
@@ -116,7 +119,11 @@ def squared_cost_and_gradient(t: TargetSpec, c: Circuit, theta) -> tuple[float, 
 
 
 class EncodeObjective:
-    """Callable objective f = C^2 with fused gradient, for the optimizer."""
+    """Callable objective f = C^2 with fused gradient, for the optimizer.
+
+    ``evaluations`` counts the calls; the encoding drivers sum it into
+    ``EncodeReport.evaluations``.
+    """
 
     def __init__(self, target: TargetSpec, circuit: Circuit):
         self.target = target

@@ -212,6 +212,7 @@ class EncodeReport:
     restart_index: int = 0
     status: str = ""
     total_iterations: int = 0
+    evaluations: int = 0
     sequence_labels: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -220,6 +221,7 @@ class EncodeReport:
             "converged": self.converged,
             "iterations": self.iterations,
             "total_iterations": self.total_iterations,
+            "evaluations": self.evaluations,
             "param_count": self.param_count,
             "nonlocal_gates": self.nonlocal_gates,
             "layers": self.layers,
@@ -242,9 +244,10 @@ def _optimize_circuit(
     theta0: np.ndarray,
     opts: OptimizeOptions,
     trace=None,
-) -> BfgsResult:
+) -> tuple[BfgsResult, int]:
+    """One BFGS run on C^2, and the number of objective evaluations it made."""
     obj = EncodeObjective(target, circuit)
-    return bfgs_minimize(obj.value_and_gradient, theta0, opts, trace=trace)
+    return bfgs_minimize(obj.value_and_gradient, theta0, opts, trace=trace), obj.evaluations
 
 
 def multistart_encode(
@@ -262,17 +265,20 @@ def multistart_encode(
 
     ``converged`` in the report means an exact encoding
     (epsilon <= opts.epsilon_exact), not merely optimizer termination.
+    ``total_iterations`` and ``evaluations`` (objective calls) are summed
+    over the restarts that ran.
     """
     circuit = build_ansatz(spec)
     t0 = time.perf_counter()
     best: tuple[float, int] | None = None
     best_result: BfgsResult | None = None
-    total_iters = 0
+    total_iters = evaluations = 0
     f_floor = opts.epsilon_exact**2
     for idx, rng in enumerate(_restart_rngs(opts.seed, opts.restarts)):
         theta0 = rng.uniform(-np.pi, np.pi, size=circuit.param_count)
-        res = _optimize_circuit(target, circuit, theta0, opts, trace=trace)
+        res, evals = _optimize_circuit(target, circuit, theta0, opts, trace=trace)
         total_iters += res.iterations
+        evaluations += evals
         key = (res.f, idx)
         if best is None or key < best:
             best = key
@@ -293,6 +299,7 @@ def multistart_encode(
         restart_index=best[1],
         status=best_result.status,
         total_iterations=total_iters,
+        evaluations=evaluations,
         sequence_labels=labels,
     )
 
@@ -450,7 +457,9 @@ def greedy_generator_search(
     error wins.  Stops at exactness or the depth cap.  The root start is
     drawn the same way.  All parameters at zero would be a stationary point
     of every child, so the search could never leave it.  The draws come
-    from one Philox stream seeded by ``opts.seed``.
+    from one Philox stream seeded by ``opts.seed``.  The report's
+    ``iterations`` and ``evaluations`` are summed over every optimization
+    the search ran.
     """
     family = GqspFamily(generator_set=generator_set, hermitian=hermitian)
     sequence: list[int] = []
@@ -461,7 +470,9 @@ def greedy_generator_search(
     rng = _restart_rngs(opts.seed, 1)[0]
     spec0 = family.spec_for_sequence(())
     circ0 = build_ansatz(spec0)
-    res = _optimize_circuit(target, circ0, rng.uniform(-0.1, 0.1, circ0.param_count), opts)
+    res, evaluations = _optimize_circuit(
+        target, circ0, rng.uniform(-0.1, 0.1, circ0.param_count), opts
+    )
     theta = res.x
     best_f = res.f
     total_iters += res.iterations
@@ -473,8 +484,9 @@ def greedy_generator_search(
         for k in range(len(generator_set)):
             spec = family.spec_for_sequence(tuple(sequence) + (k,))
             circ = build_ansatz(spec)
-            res = _optimize_circuit(target, circ, theta0, opts)
+            res, evals = _optimize_circuit(target, circ, theta0, opts)
             total_iters += res.iterations
+            evaluations += evals
             if best_child is None or (res.f, k) < (best_child[0], best_child[1]):
                 best_child = (res.f, k, res)
         f_k, k, res = best_child
@@ -497,6 +509,7 @@ def greedy_generator_search(
         wall_time=time.perf_counter() - t0,
         status="greedy",
         total_iterations=total_iters,
+        evaluations=evaluations,
         sequence_labels=tuple(generator_set.labels[i] for i in sequence),
     )
     return GreedySearchResult(

@@ -294,6 +294,41 @@ class TestHermitize:
         assert linalg.frobenius_norm(u - u.conj().T) < 1e-12
 
 
+    def test_refuses_a_stale_span(self):
+        c = build_generic_ansatz(block_spec(2, n=1, layers=1))
+        hc = hermitize(c, "all_h")
+        a, b = hc.hermitian_v_span
+        for span in ((a, len(hc.gates) + 1), (-1, b), (b, a)):
+            with pytest.raises(ValueError, match="outside"):
+                replace(hc, hermitian_v_span=span)
+        with pytest.raises(ValueError, match="mirror"):
+            replace(hc, hermitian_v_span=(a - 1, b))
+        # a replace that breaks the mirror keeps the old span
+        with pytest.raises(ValueError, match="mirror"):
+            replace(hc, gates=hc.gates[:-1])
+        with pytest.raises(ValueError, match="mirror"):
+            replace(hc, gates=hc.gates[b:] + hc.gates[a:b] + hc.gates[b:])
+        # hand-built: U on both sides of V, not its dagger
+        v = (Gate("h", (0,)),)
+        with pytest.raises(ValueError, match="mirror"):
+            Circuit(2, c.gates + v + c.gates, c.param_count, hermitian_v_span=(len(c.gates),) * 2)
+        with pytest.raises(ValueError, match="no parameters"):
+            Circuit(1, (Gate("rx", (0,), (0,)),), 1, hermitian_v_span=(0, 1))
+
+    def test_hand_built_span_is_u_v_u_dagger(self, rng):
+        u_gates = (Gate("grot", (0,), (0, 1, 2)), Gate("cnot", (0, 1)), Gate("ry", (1,), (3,)))
+        mirror = tuple(replace(g, dagger=not g.dagger) for g in reversed(u_gates))
+        v = (Gate("h", (1,)), Gate("cz", (0, 1)))
+        c = Circuit(2, mirror + v + u_gates, 4, hermitian_v_span=(3, 5))
+        theta = rng.uniform(-np.pi, np.pi, size=4)
+        u = evaluate(Circuit(2, u_gates, 4), theta)
+        core = evaluate(Circuit(2, v, 0), [])
+        assert np.max(np.abs(evaluate(c, theta) - u @ core @ u.conj().T)) < 1e-14
+        # this V is not hermitian, so the pullback must use V and V^dagger apart
+        assert np.max(np.abs(core - core.conj().T)) > 0.5
+        assert_matches_full_sweep(c, rng)
+
+
 class TestControlled:
     def test_controlled_empty(self):
         c = Circuit(n_qubits=2, gates=(), param_count=0)
@@ -444,7 +479,7 @@ class TestGradients:
     @pytest.mark.parametrize("block_id", sorted(BLOCK_CATALOG))
     def test_unitary_is_evaluate(self, rng, block_id, restriction):
         base = build_generic_ansatz(block_spec(block_id, n=2, layers=2, restriction=restriction))
-        for c in (base, hermitize(base), controlled(base)):
+        for c in (base, hermitize(base), controlled(base), controlled(hermitize(base))):
             theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
             u, _ = evaluate_with_gradients(c, theta)
             assert np.array_equal(u, evaluate(c, theta)), c.family
@@ -465,6 +500,51 @@ class TestGradients:
         padded = np.zeros((c.dim, c.dim), dtype=complex)
         padded[:rows, :cols] = w
         assert np.max(np.abs(pullback(w) - pullback(padded))) < 1e-12
+
+
+def assert_matches_full_sweep(c, rng, tol=1e-12):
+    """u and pullback(w) of a mirrored circuit against its full gate list.
+
+    ``replace(c, hermitian_v_span=None)`` lowers and sweeps every gate,
+    mirror included, as unrelated ops.  Cotangents have unit norm.
+    """
+    full = replace(c, hermitian_v_span=None)
+    theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+    u, pullback = evaluate_with_gradients(c, theta)
+    u_full, pullback_full = evaluate_with_gradients(full, theta)
+    assert np.max(np.abs(u - u_full)) <= tol
+    for rows, cols in ((c.dim // 2, c.dim // 2), (c.dim, c.dim), (3, 2), (2, c.dim - 1)):
+        w = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        w /= np.linalg.norm(w)
+        assert np.max(np.abs(pullback(w) - pullback_full(w))) <= tol, (rows, cols)
+
+
+class TestMirroredHalf:
+    """Mirrored circuits lower and sweep only U; the full gate list is the oracle."""
+
+    @pytest.mark.parametrize("restriction", ["complex", "real"])
+    @pytest.mark.parametrize("block_id", sorted(BLOCK_CATALOG))
+    def test_hermitized_block(self, rng, block_id, restriction):
+        base = build_generic_ansatz(block_spec(block_id, n=2, layers=2, restriction=restriction))
+        assert_matches_full_sweep(hermitize(base), rng)
+        assert_matches_full_sweep(controlled(hermitize(base)), rng)
+
+    @pytest.mark.parametrize("n,layers", [(2, 3), (3, 5), (6, 15)])
+    def test_hermitized_gqsp(self, rng, n, layers):
+        gs = symmetry.heisenberg_generator_set("Sn", n)
+        seq = tuple(gs.generators[i] for i in rng.integers(0, len(gs), size=layers))
+        assert_matches_full_sweep(hermitize(build_gqsp_ansatz(seq, n), "ancilla_h"), rng)
+
+    def test_lowers_only_the_u_half(self):
+        c = hermitize(build_generic_ansatz(block_spec(2, n=2, layers=2)), "all_h")
+        a, b = c.hermitian_v_span
+        lowered = [i for run, _, _ in c._schedule for i in run]
+        assert lowered == list(range(b, len(c.gates)))
+        full = replace(c, hermitian_v_span=None)
+        assert [i for run, _, _ in full._schedule for i in run] == list(range(len(c.gates)))
+        # gate counts still see the whole circuit
+        assert count_nonlocal_gates(c) == count_nonlocal_gates(full)
+        assert count_multiqubit_gates(c) == count_multiqubit_gates(full)
 
 
 P0 = np.diag([1.0, 0.0])

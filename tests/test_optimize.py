@@ -33,6 +33,29 @@ class TestGreedyGeneratorSearch:
             assert np.array_equal(again.report.theta, res.report.theta), seed
 
 
+    def test_reports_every_evaluation(self, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        gens = symmetry.heisenberg_generator_set("Sn", 2)
+        opts = optimize.OptimizeOptions(seed=0)
+        res = optimize.greedy_generator_search(symmetric_target("Sn", 2, 0), gens, opts)
+        # the root, then one child per generator at every depth
+        assert res.report.evaluations == len(calls) > res.report.total_iterations
+        assert res.report.to_dict()["evaluations"] == len(calls)
+
+
+def count_evaluations(monkeypatch) -> list:
+    """Record every objective evaluation made through ``EncodeObjective``."""
+    calls = []
+    original = optimize.EncodeObjective.value_and_gradient
+
+    def counting(self, theta):
+        calls.append(self.circuit.param_count)
+        return original(self, theta)
+
+    monkeypatch.setattr(optimize.EncodeObjective, "value_and_gradient", counting)
+    return calls
+
+
 def same_generators(a, b):
     return len(a) == len(b) and all((g - h).is_zero() for g, h in zip(a.generators, b.generators))
 
@@ -106,6 +129,17 @@ class TestMultistartEncode:
         )
         other = optimize.multistart_encode(target, spec, replace(opts, seed=8))
         assert not np.array_equal(other.theta, a.theta)
+
+    def test_reports_every_evaluation(self, monkeypatch):
+        # no restart reaches an exact encoding in 40 iterations, so all 3 run
+        calls = count_evaluations(monkeypatch)
+        target = subnormalize(random_matrix(1, seed=5))
+        spec = AnsatzSpec(family="block", system_qubits=1, layers=1, block_id=2)
+        opts = optimize.OptimizeOptions(restarts=3, max_iterations=40, seed=7)
+        report = optimize.multistart_encode(target, spec, opts)
+        assert not report.converged
+        assert report.evaluations == len(calls) > report.total_iterations
+        assert report.to_dict()["evaluations"] == len(calls)
 
 
 class TestBfgsStoppingRule:
