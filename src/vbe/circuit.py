@@ -143,10 +143,7 @@ class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...]
     param_count: int
-    ancillas: int = 0
-    layers: int = 0
     layer_slot_count: int = 0
-    family: str = ""
     hermitian_v_span: tuple[int, int] | None = None
 
     def __post_init__(self):
@@ -631,8 +628,8 @@ class AnsatzSpec:
     """Declarative description of an ansatz family.
 
     ``family`` is "block" (generic layered circuit, ``block_id`` 0..15) or
-    "gqsp" (single-ancilla symmetric ansatz with an explicit per-layer
-    generator sequence).
+    "gqsp" (symmetric ansatz with an explicit per-layer generator sequence).
+    Both use one ancilla, qubit 0.
     """
 
     family: str
@@ -642,7 +639,6 @@ class AnsatzSpec:
     generators: tuple[PauliSum, ...] = ()
     restriction: str = COMPLEX
     hermitian: bool = False
-    ancillas: int = 1
     sequence_labels: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -653,16 +649,12 @@ class AnsatzSpec:
         if self.family == "block":
             if self.block_id is None or not 0 <= self.block_id <= 15:
                 raise ValueError("generic ansatz needs a block id in 0..15")
-            if self.ancillas < 1:
-                raise ValueError("block-encoding ansatz needs at least one ancilla")
             info = BLOCK_CATALOG[self.block_id]
-            if self.system_qubits + self.ancillas < info.min_qubits:
+            if self.total_qubits < info.min_qubits:
                 raise ValueError(
                     f"block {self.block_id} needs at least {info.min_qubits} qubits"
                 )
         else:
-            if self.ancillas != 1:
-                raise ValueError("the GQSP-type ansatz uses exactly one ancilla")
             if len(self.generators) != self.layers:
                 raise ValueError("need one generator per layer")
             for g in self.generators:
@@ -673,7 +665,7 @@ class AnsatzSpec:
 
     @property
     def total_qubits(self) -> int:
-        return self.system_qubits + self.ancillas
+        return self.system_qubits + 1
 
 
 def build_generic_ansatz(spec: AnsatzSpec) -> Circuit:
@@ -692,10 +684,7 @@ def build_generic_ansatz(spec: AnsatzSpec) -> Circuit:
         n_qubits=N,
         gates=tuple(b.gates),
         param_count=b.next_slot,
-        ancillas=spec.ancillas,
-        layers=spec.layers,
         layer_slot_count=layer_slots,
-        family=f"block{spec.block_id}/{spec.restriction}",
     )
 
 
@@ -722,10 +711,7 @@ def build_gqsp_ansatz(generators: tuple[PauliSum, ...] | list[PauliSum], n: int)
         n_qubits=n + 1,
         gates=tuple(b.gates),
         param_count=b.next_slot,
-        ancillas=1,
-        layers=len(gens),
         layer_slot_count=3 * len(gens),
-        family="gqsp",
     )
 
 
@@ -763,7 +749,6 @@ def hermitize(c: Circuit, v: str = "all_h") -> Circuit:
     return replace(
         c,
         gates=gates,
-        family=c.family + "+herm",
         hermitian_v_span=(len(rev), len(rev) + len(v_gates)),
     )
 
@@ -789,12 +774,7 @@ def controlled(c: Circuit) -> Circuit:
             gates.append(shift(g, span[0] <= idx < span[1]))
         else:
             gates.append(shift(g, True))
-    return replace(
-        c,
-        n_qubits=c.n_qubits + 1,
-        gates=tuple(gates),
-        family=c.family + "+ctrl",
-    )
+    return replace(c, n_qubits=c.n_qubits + 1, gates=tuple(gates))
 
 
 # --------------------------------------------------------------------------

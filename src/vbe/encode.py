@@ -33,7 +33,6 @@ class TargetSpec:
 
     matrix: np.ndarray
     alpha: float
-    delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
         m = linalg.as_matrix(self.matrix)
@@ -54,8 +53,8 @@ class TargetSpec:
         return self.matrix / self.alpha
 
 
-def subnormalize(a: np.ndarray, delta: float = DEFAULT_DELTA) -> TargetSpec:
-    """Target spec with alpha = ||A||_2 + delta.
+def subnormalize(a: np.ndarray) -> TargetSpec:
+    """Target spec with alpha = ||A||_2 + :data:`DEFAULT_DELTA`.
 
     The caller must zero-pad non-power-of-two inputs first; the small delta
     keeps the scaled target strictly inside the unit spectral ball, which
@@ -64,9 +63,7 @@ def subnormalize(a: np.ndarray, delta: float = DEFAULT_DELTA) -> TargetSpec:
     m = linalg.as_matrix(a)
     if m.shape[0] != m.shape[1] or m.shape[0] & (m.shape[0] - 1):
         raise ValueError("subnormalize needs a square power-of-two matrix (zero_pad first)")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return TargetSpec(matrix=m, alpha=linalg.spectral_norm(m) + delta, delta=delta)
+    return TargetSpec(matrix=m, alpha=linalg.spectral_norm(m) + DEFAULT_DELTA)
 
 
 def extract_block(u: np.ndarray, m: int) -> np.ndarray:

@@ -47,16 +47,16 @@ def spectral_norm(a) -> float:
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
-def matrix_exp_antihermitian(g, tol: float = DEFAULT_TOL) -> np.ndarray:
+def matrix_exp_antihermitian(g) -> np.ndarray:
     """exp(G) for anti-hermitian G, via eigendecomposition of the hermitian iG.
 
     The result is unitary by construction.  Raises if G is not anti-hermitian
-    within ``tol``.
+    within :data:`DEFAULT_TOL`.
     """
     m = as_matrix(g)
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix_exp_antihermitian expects a square matrix")
-    if frobenius_norm(m + m.conj().T) > tol:
+    if frobenius_norm(m + m.conj().T) > DEFAULT_TOL:
         raise ValueError("matrix is not anti-hermitian within tolerance")
     h = 1j * m  # hermitian
     w, v = np.linalg.eigh(h)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,17 +32,17 @@ from vbe.symmetry import GeneratorSet, closure_basis
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Optimizer settings."""
+    """Optimizer settings.  An encoding with C <= ``epsilon_exact`` is exact."""
 
+    epsilon_exact: ClassVar[float] = 1e-10
     grad_norm_tol: float = 1e-5
     max_iterations: int = 3000
-    epsilon_exact: float = 1e-10
     restarts: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.grad_norm_tol, self.epsilon_exact) <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.grad_norm_tol <= 0:
+            raise ValueError("tolerance must be positive")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         if self.max_iterations < 1:
@@ -62,10 +63,10 @@ _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
 
 
-def _zoom(fg_line, a_lo, a_hi, f_lo, g_lo, f0, df0, max_iter=30):
-    """Strong-Wolfe zoom on a bracketing interval (Nocedal-Wright 3.6)."""
+def _zoom(fg_line, a_lo, a_hi, f_lo, g_lo, f0, df0):
+    """Strong-Wolfe zoom on a bracketing interval (Nocedal-Wright 3.6), at most 30 steps."""
     f_hi = None
-    for _ in range(max_iter):
+    for _ in range(30):
         # quadratic interpolation through (a_lo, f_lo, g_lo) and f_hi,
         # safeguarded by bisection away from the interval edges
         aj = None
@@ -97,11 +98,12 @@ def _zoom(fg_line, a_lo, a_hi, f_lo, g_lo, f0, df0, max_iter=30):
     return None, None
 
 
-def _line_search_wolfe(fg_line, f0, df0, max_iter=20):
-    """Bracket + zoom strong-Wolfe search; returns (alpha, f_alpha) or None."""
+def _line_search_wolfe(fg_line, f0, df0):
+    """Bracket (at most 20 steps) + zoom strong-Wolfe search; returns
+    (alpha, f_alpha) or (None, None)."""
     a_prev, f_prev, g_prev = 0.0, f0, df0
     alpha = 1.0
-    for it in range(max_iter):
+    for it in range(20):
         fa, ga = fg_line(alpha)
         if fa > f0 + _WOLFE_C1 * alpha * df0 or (fa >= f_prev and it > 0):
             return _zoom(fg_line, a_prev, alpha, f_prev, g_prev, f0, df0)
@@ -114,7 +116,7 @@ def _line_search_wolfe(fg_line, f0, df0, max_iter=20):
     return None, None
 
 
-def bfgs_minimize(fg, x0, opts: OptimizeOptions, *, trace=None) -> BfgsResult:
+def bfgs_minimize(fg, x0, opts: OptimizeOptions) -> BfgsResult:
     """Dense BFGS with a strong-Wolfe line search (c1=1e-4, c2=0.9).
 
     Minimizes a squared error f = C^2 given the fused evaluation
@@ -122,8 +124,6 @@ def bfgs_minimize(fg, x0, opts: OptimizeOptions, *, trace=None) -> BfgsResult:
     when ||grad f||_2 <= 2 sqrt(f) opts.grad_norm_tol (that is,
     ||grad C|| <= opts.grad_norm_tol), or at the iteration cap.  A failed
     line search ends the run with converged=False instead of raising.
-
-    ``trace`` is called as trace(iteration, f, gnorm) once per accepted step.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx, gx = fg(x)
@@ -134,8 +134,6 @@ def bfgs_minimize(fg, x0, opts: OptimizeOptions, *, trace=None) -> BfgsResult:
     first_update = True
     while True:
         gnorm = float(np.linalg.norm(gx))
-        if trace is not None:
-            trace(iterations, fx, gnorm)
         if fx <= f_floor:
             status = "f_floor"
             break
@@ -233,8 +231,8 @@ class EncodeReport:
         }
 
 
-def _restart_rngs(seed: int, count: int, salt: tuple[int, ...] = ()) -> list[np.random.Generator]:
-    root = np.random.SeedSequence(seed, spawn_key=salt)
+def _restart_rngs(seed: int, count: int) -> list[np.random.Generator]:
+    root = np.random.SeedSequence(seed)
     return [np.random.Generator(np.random.Philox(child)) for child in root.spawn(count)]
 
 
@@ -243,20 +241,13 @@ def _optimize_circuit(
     circuit: Circuit,
     theta0: np.ndarray,
     opts: OptimizeOptions,
-    trace=None,
 ) -> tuple[BfgsResult, int]:
     """One BFGS run on C^2, and the number of objective evaluations it made."""
     obj = EncodeObjective(target, circuit)
-    return bfgs_minimize(obj.value_and_gradient, theta0, opts, trace=trace), obj.evaluations
+    return bfgs_minimize(obj.value_and_gradient, theta0, opts), obj.evaluations
 
 
-def multistart_encode(
-    target: TargetSpec,
-    spec: AnsatzSpec,
-    opts: OptimizeOptions,
-    *,
-    trace=None,
-) -> EncodeReport:
+def multistart_encode(target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOptions) -> EncodeReport:
     """Best of ``opts.restarts`` independent optimizations from uniform
     random starts in [-pi, pi); deterministic for a fixed seed.
 
@@ -276,7 +267,7 @@ def multistart_encode(
     f_floor = opts.epsilon_exact**2
     for idx, rng in enumerate(_restart_rngs(opts.seed, opts.restarts)):
         theta0 = rng.uniform(-np.pi, np.pi, size=circuit.param_count)
-        res, evals = _optimize_circuit(target, circuit, theta0, opts, trace=trace)
+        res, evals = _optimize_circuit(target, circuit, theta0, opts)
         total_iters += res.iterations
         evaluations += evals
         key = (res.f, idx)
@@ -286,7 +277,6 @@ def multistart_encode(
         if res.f <= f_floor:
             break
     eps = float(np.sqrt(max(best_result.f, 0.0)))
-    labels = tuple(spec.sequence_labels)
     return EncodeReport(
         epsilon=eps,
         theta=best_result.x,
@@ -300,7 +290,7 @@ def multistart_encode(
         status=best_result.status,
         total_iterations=total_iters,
         evaluations=evaluations,
-        sequence_labels=labels,
+        sequence_labels=spec.sequence_labels,
     )
 
 
@@ -319,7 +309,6 @@ class GqspFamily:
         return AnsatzSpec(
             family="gqsp",
             system_qubits=self.generator_set.n,
-            ancillas=1,
             layers=len(indices),
             generators=gens,
             hermitian=self.hermitian,
@@ -332,7 +321,11 @@ class ThresholdSearchResult:
     m_thres: int | None
     start: int
     reports: dict[int, EncodeReport]
-    complete: bool
+
+    @property
+    def complete(self) -> bool:
+        """True when the search found a threshold (it did not give up)."""
+        return self.m_thres is not None
 
     def to_dict(self) -> dict:
         return {
@@ -343,18 +336,13 @@ class ThresholdSearchResult:
         }
 
 
-def _default_start(target: TargetSpec, family, opts: OptimizeOptions) -> int:
+def _default_start(family: AnsatzSpec | GqspFamily) -> int:
     if isinstance(family, AnsatzSpec):
         est = estimate_generic_threshold(family)
     else:
         dim_b = closure_basis(family.generator_set).dim_b
         est = threshold_layers_symmetric(dim_b, 1 if family.hermitian else 2)
     return max(1, int(np.ceil(1.05 * max(est, 1))))
-
-
-def _try_layers_generic(target, spec_template, m, opts) -> EncodeReport:
-    spec = replace(spec_template, layers=m)
-    return multistart_encode(target, spec, opts)
 
 
 # The paper's random-layering protocol: per layer count M, this many random
@@ -364,8 +352,16 @@ GQSP_INITS = 5
 
 
 def _try_layers_gqsp(target, family: GqspFamily, m, opts) -> EncodeReport:
+    """The best sequence's report, with the work of every sequence tried.
+
+    epsilon, theta, status and labels are those of the lowest-epsilon sequence;
+    ``total_iterations``, ``evaluations`` and ``wall_time`` are summed over
+    all sequences run at this M.
+    """
     n_gens = len(family.generator_set)
     best: EncodeReport | None = None
+    total_iters = evaluations = 0
+    wall_time = 0.0
     for s_idx in range(GQSP_SEQUENCES):
         seq_rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(opts.seed, spawn_key=(m, s_idx)))
@@ -374,11 +370,14 @@ def _try_layers_gqsp(target, family: GqspFamily, m, opts) -> EncodeReport:
         spec = family.spec_for_sequence(indices)
         sub_opts = replace(opts, restarts=GQSP_INITS, seed=int(seq_rng.integers(0, 2**62)))
         report = multistart_encode(target, spec, sub_opts)
+        total_iters += report.total_iterations
+        evaluations += report.evaluations
+        wall_time += report.wall_time
         if best is None or report.epsilon < best.epsilon:
             best = report
         if report.converged:
             break
-    return best
+    return replace(best, total_iterations=total_iters, evaluations=evaluations, wall_time=wall_time)
 
 
 def layer_threshold_search(
@@ -394,17 +393,19 @@ def layer_threshold_search(
     decrements down to one layer.  Generic families run one multistart per
     M; GQSP families try :data:`GQSP_SEQUENCES` random generator sequences
     with :data:`GQSP_INITS` random initializations each, declaring failure
-    for an M only when all of them miss.  If the start itself fails the
-    search walks upward instead, and gives up (partial result) at
-    max(4 * start, start + 8) layers.
+    for an M only when all of them miss.  A GQSP report per M carries the
+    best sequence's epsilon and theta, and the iterations, evaluations and
+    wall time summed over every sequence tried at that M.  If the start
+    itself fails the search walks upward instead, and gives up (``m_thres``
+    None, a partial result) at max(4 * start, start + 8) layers.
     """
     if start is None:
-        start = _default_start(target, family, opts)
+        start = _default_start(family)
     max_layers = max(4 * start, start + 8)
 
     def attempt(m: int) -> EncodeReport:
         if isinstance(family, AnsatzSpec):
-            return _try_layers_generic(target, family, m, opts)
+            return multistart_encode(target, replace(family, layers=m), opts)
         return _try_layers_gqsp(target, family, m, opts)
 
     reports: dict[int, EncodeReport] = {}
@@ -416,10 +417,8 @@ def layer_threshold_search(
             m += 1
             reports[m] = attempt(m)
             if reports[m].converged:
-                return ThresholdSearchResult(
-                    m_thres=m, start=start, reports=reports, complete=True
-                )
-        return ThresholdSearchResult(m_thres=None, start=start, reports=reports, complete=False)
+                return ThresholdSearchResult(m_thres=m, start=start, reports=reports)
+        return ThresholdSearchResult(m_thres=None, start=start, reports=reports)
     last_good = m
     while m > 1:
         m -= 1
@@ -427,16 +426,18 @@ def layer_threshold_search(
         if not reports[m].converged:
             break
         last_good = m
-    return ThresholdSearchResult(m_thres=last_good, start=start, reports=reports, complete=True)
+    return ThresholdSearchResult(m_thres=last_good, start=start, reports=reports)
 
 
 # --------------------------------------------------------------------------
 # greedy generator-sequence search
 # --------------------------------------------------------------------------
+GREEDY_MAX_DEPTH = 32  # layers :func:`greedy_generator_search` adds at most
+
+
 @dataclass(frozen=True)
 class GreedySearchResult:
     sequence: tuple[int, ...]
-    labels: tuple[str, ...]
     report: EncodeReport
     history: tuple[float, ...]
 
@@ -445,23 +446,21 @@ def greedy_generator_search(
     target: TargetSpec,
     generator_set: GeneratorSet,
     opts: OptimizeOptions,
-    *,
-    max_depth: int = 32,
-    hermitian: bool = True,
 ) -> GreedySearchResult:
     """Width-1 tree search over generator sequences.
 
     After each accepted layer every candidate generator is tried as the
     next layer, warm-started from the previous optimum with the three new
     parameters drawn from uniform(-0.1, 0.1); the child with the lowest
-    error wins.  Stops at exactness or the depth cap.  The root start is
+    error wins.  Stops at exactness or at :data:`GREEDY_MAX_DEPTH` layers.
+    The ansatz is the hermitized GQSP circuit.  The root start is
     drawn the same way.  All parameters at zero would be a stationary point
     of every child, so the search could never leave it.  The draws come
     from one Philox stream seeded by ``opts.seed``.  The report's
     ``iterations`` and ``evaluations`` are summed over every optimization
     the search ran.
     """
-    family = GqspFamily(generator_set=generator_set, hermitian=hermitian)
+    family = GqspFamily(generator_set=generator_set)
     sequence: list[int] = []
     history: list[float] = []
     total_iters = 0
@@ -478,7 +477,7 @@ def greedy_generator_search(
     total_iters += res.iterations
     history.append(float(np.sqrt(max(best_f, 0.0))))
 
-    while np.sqrt(max(best_f, 0.0)) > opts.epsilon_exact and len(sequence) < max_depth:
+    while np.sqrt(max(best_f, 0.0)) > opts.epsilon_exact and len(sequence) < GREEDY_MAX_DEPTH:
         best_child = None
         theta0 = np.concatenate([theta, rng.uniform(-0.1, 0.1, 3)])
         for k in range(len(generator_set)):
@@ -514,7 +513,6 @@ def greedy_generator_search(
     )
     return GreedySearchResult(
         sequence=tuple(sequence),
-        labels=report.sequence_labels,
         report=report,
         history=tuple(history),
     )

@@ -123,9 +123,8 @@ class PauliSum:
         return cls(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128))
 
     @classmethod
-    def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
-        keys = np.zeros(1, dtype=np.int64)
-        return sum_from_packed(n, keys, np.array([coeff], dtype=np.complex128))
+    def identity(cls, n: int) -> "PauliSum":
+        return cls(n, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128))
 
     @classmethod
     def from_terms(cls, terms: dict[str, complex]) -> "PauliSum":
@@ -163,10 +162,11 @@ class PauliSum:
     def coeff_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def is_antihermitian(self, tol: float = 1e-12) -> bool:
-        """True when every coefficient is purely imaginary (strings are hermitian)."""
+    def is_antihermitian(self) -> bool:
+        """True when every coefficient is purely imaginary (strings are hermitian),
+        to 1e-12 relative to the coefficient norm."""
         scale = max(self.coeff_norm(), 1.0)
-        return bool(np.all(np.abs(self.coeffs.real) <= tol * scale))
+        return bool(np.all(np.abs(self.coeffs.real) <= 1e-12 * scale))
 
     # ---- algebra -------------------------------------------------------
     def _check(self, other: "PauliSum") -> None:
@@ -434,7 +434,7 @@ class SpanBasis:
     """Incrementally orthonormalized span of Pauli sums in string-coefficient space.
 
     :meth:`add_block` tests candidates in order and keeps each one whose
-    Gram-Schmidt residual exceeds a drop tolerance relative to its norm;
+    Gram-Schmidt residual exceeds :data:`SPAN_TOL` relative to its norm;
     :meth:`add_packed` and :meth:`add` are the block of one.  The residual
     is taken over one of two coordinate maps:
 
@@ -448,9 +448,8 @@ class SpanBasis:
     so far.
     """
 
-    def __init__(self, n: int, tol: float = SPAN_TOL, orbits: OrbitCompression | None = None):
+    def __init__(self, n: int, orbits: OrbitCompression | None = None):
         self.n = n
-        self.tol = tol
         self._coords = _Rows(n, orbits)
         self.size = 0
         self._q = np.zeros((0, 16), dtype=np.complex128)
@@ -483,7 +482,7 @@ class SpanBasis:
             return np.zeros(0, dtype=bool)
         v = self._coords.block(packed)
         rows = v.shape[0]
-        floor = (self.tol**2) * np.sum(np.abs(v) ** 2, axis=0)
+        floor = (SPAN_TOL**2) * np.sum(np.abs(v) ** 2, axis=0)
         self._reserve(rows, self.size)
         q = self._q[:, : self.size]
         # (V^H Q)^H equals Q^H V without copying a conjugate of Q
@@ -525,7 +524,7 @@ def format_pauli_sum(s: PauliSum) -> str:
     return "\n".join(lines)
 
 
-def parse_pauli_sum(text: str, n: int | None = None) -> PauliSum:
+def parse_pauli_sum(text: str) -> PauliSum:
     """Parse the text format produced by :func:`format_pauli_sum`."""
     terms: dict[str, complex] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -538,14 +537,7 @@ def parse_pauli_sum(text: str, n: int | None = None) -> PauliSum:
         re_s, im_s, letters = fields
         coeff = complex(float(re_s), float(im_s))
         terms[letters] = terms.get(letters, 0.0) + coeff
-    if not terms:
-        if n is None:
-            raise ValueError("empty Pauli sum without an explicit qubit count")
-        return PauliSum.zero(n)
-    out = PauliSum.from_terms(terms)
-    if n is not None and out.n != n:
-        raise ValueError(f"expected {n}-qubit strings, found {out.n}-qubit strings")
-    return out
+    return PauliSum.from_terms(terms)
 
 
 def parse_generator_file(text: str) -> list[PauliSum]:

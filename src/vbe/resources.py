@@ -47,38 +47,23 @@ def tlb_cnot(n: int) -> int:
     return math.ceil(Fraction(2 * 4**n - 3 * (n + 1), 4))
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    n: int
-    total_qubits: int
-    field: str = COMPLEX
-    structure: str = "arbitrary"
-    a: Fraction = Fraction(4)
+def nonlocal_gate_bound(n: int, total_qubits: int, field: str, structure: str, a: Fraction) -> int:
+    """Multi-qubit-gate lower bound for an n-qubit target of the given class.
 
-    def __post_init__(self):
-        if self.total_qubits < self.n + 1:
-            raise ValueError("block encoding needs at least one ancilla qubit")
-        if Fraction(self.a) <= 0:
-            raise ValueError("a-ratio must be positive")
-        object.__setattr__(self, "a", Fraction(self.a))
-
-
-def nonlocal_gate_bound(q: BoundQuery) -> int:
-    """Multi-qubit-gate lower bound for the matrix class of the query.
-
-    The subtracted term is the parameter budget of the appended single-qubit
-    layer: 3N general rotations for complex circuits, N Ry rotations for
-    real ones.
+    The free parameters of the matrix class, less the parameter budget of
+    the appended single-qubit layer on all ``total_qubits`` qubits (3 per
+    general rotation for complex circuits, 1 per Ry for real ones), divided
+    by the parameter-per-gate ratio ``a``.
     """
-    d = 1 << q.n
-    N = q.total_qubits
-    if q.structure == "arbitrary":
-        free = (2 * d * d - 3 * N) if q.field == COMPLEX else (d * d - N)
-    elif q.structure == "hermitian":
-        free = (d * d - 3 * N) if q.field == COMPLEX else (d * (d + 1) // 2 - N)
-    else:
-        raise ValueError(f"no gate bound for structure {q.structure!r}")
-    return math.ceil(Fraction(free) / q.a)
+    if total_qubits < n + 1:
+        raise ValueError("block encoding needs at least one ancilla qubit")
+    a = Fraction(a)
+    if a <= 0:
+        raise ValueError("a-ratio must be positive")
+    if structure not in ("arbitrary", "hermitian"):
+        raise ValueError(f"no gate bound for structure {structure!r}")
+    us_params = (3 if field == COMPLEX else 1) * total_qubits
+    return math.ceil(Fraction(free_parameter_bound(n, field, structure) - us_params) / a)
 
 
 def a_ratio(c: Circuit) -> Fraction:

@@ -24,6 +24,7 @@ import numpy as np
 
 from vbe import linalg
 from vbe.pauli import (
+    SPAN_TOL,
     OrbitCompression,
     PauliSum,
     SpanBasis,
@@ -33,14 +34,6 @@ from vbe.pauli import (
     to_dense,
 )
 from vbe.targets import chain_bonds, complete_bonds, make_rng
-
-
-class ClosureCapExceeded(RuntimeError):
-    """Raised when a closure basis outgrows its configured cap."""
-
-    def __init__(self, message: str, dim_reached: int):
-        super().__init__(message)
-        self.dim_reached = dim_reached
 
 
 # --------------------------------------------------------------------------
@@ -66,7 +59,6 @@ class GeneratorSet:
 
     def __len__(self) -> int:
         return len(self.generators)
-
 
 
 def _bond_sum(n: int, letter: str, bonds: list[tuple[int, int]]) -> PauliSum:
@@ -132,24 +124,18 @@ def heisenberg_generator_set(kind: str, n: int) -> GeneratorSet:
     return GeneratorSet(kind=kind, n=n, generators=tuple(gens), labels=tuple(labels))
 
 
-def symmetric_heisenberg_terms(
-    kind: str,
-    n: int,
-    seed: int | np.random.Generator,
-    lo: float = 0.3,
-    hi: float = 1.0,
-) -> PauliSum:
+def symmetric_heisenberg_terms(kind: str, n: int, seed: int | np.random.Generator) -> PauliSum:
     """Random-coefficient Heisenberg Hamiltonian matched to the symmetry.
 
     Every generator orbit receives an independent coupling with magnitude
-    in [lo, hi] and random sign; keeping magnitudes away from zero avoids
+    in [0.3, 1] and random sign; keeping magnitudes away from zero avoids
     accidentally degenerate targets in threshold searches.
     """
     rng = make_rng(seed)
     gs = heisenberg_generator_set(kind, n)
     out = PauliSum.zero(n)
     for g in gs.generators:
-        c = float(rng.uniform(lo, hi)) * (1.0 if rng.random() < 0.5 else -1.0)
+        c = float(rng.uniform(0.3, 1.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         out = out + g * (-1j * c)  # -i maps the anti-hermitian generator to its hermitian term
     return out
 
@@ -229,8 +215,6 @@ def _span_closure(
     seeds: list[PauliSum],
     multipliers: list[PauliSum],
     products,
-    cap: int,
-    name: str,
     orbits: OrbitCompression | None,
     start: int = 0,
 ) -> list[PauliSum]:
@@ -242,8 +226,8 @@ def _span_closure(
     packed products of the pair (the bracket, or the left and right
     products).  All products of one basis element are span-tested as one
     block (:meth:`SpanBasis.add_block`), in multiplier order, and each that
-    extends the span joins the basis at unit norm, until a fixpoint or until
-    the basis outgrows ``cap`` (:class:`ClosureCapExceeded`).
+    extends the span joins the basis at unit norm, until a fixpoint.  The
+    span holds at most 4^n elements, so the loop always ends.
 
     With an orbit partition every input is group invariant, so every basis
     element A is too, and it enters the products in representative form:
@@ -285,15 +269,12 @@ def _span_closure(
             if orbits is not None:
                 keys, coeffs = orbits.expand(keys, coeffs)
             accept(sum_from_packed(n, keys, coeffs / float(np.linalg.norm(coeffs))))
-            if len(basis) > cap:
-                raise ClosureCapExceeded(f"{name} closure exceeded cap {cap} (n={n})", len(basis))
         idx += 1
     return basis
 
 
 def lie_closure(
     generators: GeneratorSet | list[PauliSum] | tuple[PauliSum, ...],
-    cap: int | None = None,
     orbits: OrbitCompression | None = None,
 ) -> list[PauliSum]:
     """Linearly independent basis of the dynamical Lie algebra.
@@ -303,9 +284,9 @@ def lie_closure(
     space) joins the basis.  Brackets are taken against the original
     generators only: left-normed brackets span the generated Lie algebra,
     so a subspace containing the generators and closed under them is the
-    full closure, and generator operands keep every product small.  Aborts
-    with :class:`ClosureCapExceeded` when the basis outgrows ``cap``
-    (default 4^n - 1, the full algebra).
+    full closure, and generator operands keep every product small.  The
+    closure may be the full algebra u(2^n), with 4^n elements (when the
+    generators include the identity, say).
 
     When called with a :class:`GeneratorSet` of verified-invariant
     generators, or with an ``orbits`` partition, the closure runs in orbit
@@ -324,12 +305,11 @@ def lie_closure(
     def bracket(ka, ca, kg, cg, index):
         return [product_packed(n, ka, ca, kg, cg, anticommuting_only=True, scale=2.0, index=index)]
 
-    return _span_closure(n, gens, gens, bracket, 4**n - 1 if cap is None else cap, "Lie", orbits)
+    return _span_closure(n, gens, gens, bracket, orbits)
 
 
 def associative_closure(
     l: list[PauliSum],
-    cap: int | None = None,
     multipliers: list[PauliSum] | None = None,
     orbits: OrbitCompression | None = None,
 ) -> list[PauliSum]:
@@ -360,10 +340,9 @@ def associative_closure(
             product_packed(n, km, cm, ka, ca, index=index),
         ]
 
-    cap = 4**n if cap is None else cap
     # start=1: products with the identity (the first seed) are trivial
     seeds = [PauliSum.identity(n), *l]
-    return _span_closure(n, seeds, mult, left_and_right, cap, "associative", orbits, start=1)
+    return _span_closure(n, seeds, mult, left_and_right, orbits, start=1)
 
 
 @dataclass(frozen=True)
@@ -380,31 +359,22 @@ class ClosureBasis:
         return len(self.full_basis)
 
 
-def closure_basis(
-    generators: GeneratorSet | list[PauliSum],
-    cap: int | None = None,
-) -> ClosureBasis:
+def closure_basis(generators: GeneratorSet | list[PauliSum]) -> ClosureBasis:
     orbits = _compression_for(generators)
     gens = list(generators.generators if isinstance(generators, GeneratorSet) else generators)
-    l = lie_closure(gens, cap=cap, orbits=orbits)
-    b = associative_closure(
-        l, cap=None if cap is None else cap + 1, multipliers=gens, orbits=orbits
-    )
+    l = lie_closure(gens, orbits=orbits)
+    b = associative_closure(l, multipliers=gens, orbits=orbits)
     return ClosureBasis(lie_basis=tuple(l), full_basis=tuple(b))
 
 
 # --------------------------------------------------------------------------
 # expressibility
 # --------------------------------------------------------------------------
-def expressible(
-    m: np.ndarray,
-    b: list[PauliSum] | tuple[PauliSum, ...],
-    rel_tol: float = 1e-9,
-) -> tuple[bool, float]:
+def expressible(m: np.ndarray, b: list[PauliSum] | tuple[PauliSum, ...]) -> tuple[bool, float]:
     """Least-squares projection of a dense matrix onto span_C(B).
 
     Returns (within_span, residual Frobenius norm); membership holds when
-    the residual is below ``rel_tol`` times the matrix norm.
+    the residual is below :data:`~vbe.pauli.SPAN_TOL` times the matrix norm.
     """
     m = linalg.as_matrix(m)
     if not b:
@@ -420,4 +390,4 @@ def expressible(
     coeffs, *_ = np.linalg.lstsq(a, m.ravel(), rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - m.ravel()))
     norm = linalg.frobenius_norm(m)
-    return residual <= rel_tol * max(norm, 1e-300), residual
+    return residual <= SPAN_TOL * max(norm, 1e-300), residual

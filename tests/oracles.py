@@ -2,7 +2,8 @@
 
 Each helper builds or compares explicit 2^n x 2^n matrices, independently of
 the packed Pauli arithmetic and the lowered circuit ops under test.  The
-package itself never needs them, so they live here.
+package itself never needs them, so they live here, together with
+:func:`block_spec`, the generic ansatz spec the tests build circuits from.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from vbe import linalg
+from vbe.circuit import AnsatzSpec
 from vbe.pauli import PauliString, PauliSum, to_dense
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -109,3 +111,15 @@ def symmetric_invariance_check(b, syms: list[np.ndarray]) -> float:
         for s in syms:
             worst = max(worst, linalg.frobenius_norm(s @ dm @ s.conj().T - dm))
     return worst
+
+
+def block_spec(block_id, n, layers=1, restriction="complex", hermitian=False) -> AnsatzSpec:
+    """Generic ansatz spec of block ``block_id`` on ``n`` system qubits."""
+    return AnsatzSpec(
+        family="block",
+        system_qubits=n,
+        layers=layers,
+        block_id=block_id,
+        restriction=restriction,
+        hermitian=hermitian,
+    )

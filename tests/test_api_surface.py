@@ -1,4 +1,4 @@
-"""Every public top-level name in ``src/vbe`` has a user.
+"""Every public top-level name in ``src/vbe`` has a user, and every option is set.
 
 A name counts as used when code under ``src/vbe`` or ``perfbench`` refers to
 it, by a plain name or an attribute, anywhere outside its own definition.
@@ -7,6 +7,14 @@ without such a user either goes or is listed in ``ALLOWED`` with the paper
 result it reproduces or the reason it stays.  ``tables.py`` holds pinned data,
 not API, and is exempt.  Matching is by name only, so a method that shares a
 name with a function marks both as used.
+
+An option is a defaulted parameter of a function or method, or a dataclass
+field with a default, under ``src/vbe``.  It counts as set when some call
+under ``src/vbe``, ``perfbench`` or ``tests`` passes it, by keyword, by
+position or through ``replace(...)``.  An option nothing sets is a constant
+in disguise: it goes, or is listed in ``ALLOWED_OPTIONS`` with the reason it
+stays.  Calls match definitions by name only, and ``*args``/``**kwargs``
+splats set nothing.
 """
 
 import ast
@@ -14,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = sorted((ROOT / "src" / "vbe").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+CALLERS = SCANNED + sorted((ROOT / "tests").glob("*.py"))
 EXEMPT = {"tables"}
 
 ALLOWED = {
@@ -96,3 +105,95 @@ def test_allowlist_names_exist_and_are_unused():
     trees = _trees()
     assert sorted(set(ALLOWED) - public_definitions(trees)) == [], "allowlisted name is gone"
     assert sorted(set(ALLOWED) - unused_definitions(trees)) == [], "allowlisted name has a user"
+
+
+# ---- options ---------------------------------------------------------------
+ALLOWED_OPTIONS: dict[str, str] = {}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+
+
+def options() -> list[tuple[str, str, int | None]]:
+    """(callee name, ``module.qualname(parameter)``, position) of every option.
+
+    The callee name is what a call that sets the option names: the function,
+    the method, the class for ``__init__`` parameters and dataclass fields,
+    or ``replace`` for a field.  The position counts the arguments a call
+    passes, so ``self`` and ``cls`` are skipped; it is None where only a
+    keyword can set the option.
+    """
+    out = []
+
+    def function(fn: ast.FunctionDef, owner: ast.ClassDef | None, module: str):
+        a = fn.args
+        params = a.posonlyargs + a.args
+        if owner is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+        ):
+            params = params[1:]
+        if owner is None:
+            callee, qual = fn.name, f"{module}.{fn.name}"
+        elif fn.name == "__init__":
+            callee, qual = owner.name, f"{module}.{owner.name}"
+        else:
+            callee, qual = fn.name, f"{module}.{owner.name}.{fn.name}"
+        for pos in range(len(params) - len(a.defaults), len(params)):
+            out.append((callee, f"{qual}({params[pos].arg})", pos))
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                out.append((callee, f"{qual}({arg.arg})", None))
+
+    def walk(body, owner, module):
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function(stmt, owner, module)
+                walk(stmt.body, None, module)
+            elif isinstance(stmt, ast.ClassDef):
+                if _is_dataclass(stmt):
+                    fields = [
+                        f
+                        for f in stmt.body
+                        if isinstance(f, ast.AnnAssign)
+                        and "ClassVar" not in ast.unparse(f.annotation)
+                    ]
+                    for pos, f in enumerate(fields):
+                        if f.value is not None:
+                            qual = f"{module}.{stmt.name}({f.target.id})"
+                            out.extend([(stmt.name, qual, pos), ("replace", qual, None)])
+                walk(stmt.body, stmt, module)
+
+    for path in sorted((ROOT / "src" / "vbe").glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)).body, None, path.stem)
+    return out
+
+
+def unset_options() -> set[str]:
+    """Options that no call under ``src/vbe``, ``perfbench`` or ``tests`` sets."""
+    opts = options()
+    found = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            # positions after a *args splat are unknown, so they set nothing
+            n_pos = next(
+                (i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args)
+            )
+            keywords = {k.arg for k in node.keywords}
+            for callee, qual, pos in opts:
+                param = qual[qual.index("(") + 1 : -1]
+                if callee == name and (param in keywords or (pos is not None and pos < n_pos)):
+                    found.add(qual)
+    return {qual for _, qual, _ in opts} - found
+
+
+def test_every_option_is_set():
+    assert sorted(unset_options() - set(ALLOWED_OPTIONS)) == []
+
+
+def test_allowed_options_are_unset():
+    assert sorted(set(ALLOWED_OPTIONS) - unset_options()) == [], "allowlisted option is set"

@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import is_unitary
+from oracles import block_spec, is_unitary
 from vbe import circuit as circ
 from vbe import linalg, symmetry
 from vbe.circuit import (
-    AnsatzSpec,
     BLOCK_CATALOG,
     Circuit,
     Gate,
@@ -26,7 +25,6 @@ from vbe.circuit import (
 )
 from vbe.pauli import PauliSum
 from vbe.resources import (
-    BoundQuery,
     a_ratio,
     estimate_generic_threshold,
     free_parameter_bound,
@@ -39,18 +37,6 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-def block_spec(block_id, n, m=1, layers=1, restriction="complex", hermitian=False):
-    return AnsatzSpec(
-        family="block",
-        system_qubits=n,
-        ancillas=m,
-        layers=layers,
-        block_id=block_id,
-        restriction=restriction,
-        hermitian=hermitian,
-    )
 
 
 def gqsp_gens(seq):
@@ -136,7 +122,7 @@ class TestEvaluate:
 
 class TestParameterCounts:
     def test_block2_small(self):
-        c = build_generic_ansatz(block_spec(2, n=1, m=1, layers=1))
+        c = build_generic_ansatz(block_spec(2, n=1, layers=1))
         assert c.param_count == 10  # one RCN (4) + U_s on 2 qubits (6)
         assert count_nonlocal_gates(c) == 1
 
@@ -152,9 +138,7 @@ class TestParameterCounts:
         spec = block_spec(2, n=4, restriction=field, hermitian=structure == "hermitian")
         c = build_ansatz(replace(spec, layers=estimate_generic_threshold(spec)))
         a = a_ratio(build_generic_ansatz(block_spec(2, n=4, restriction=field)))
-        bound = nonlocal_gate_bound(
-            BoundQuery(n=4, total_qubits=5, field=field, structure=structure, a=a)
-        )
+        bound = nonlocal_gate_bound(4, 5, field, structure, a)
         got = (
             c.param_count,
             free_parameter_bound(4, field, structure),
@@ -182,7 +166,7 @@ class TestParameterCounts:
             (14, 12, 3),
             (15, 16, 4),
         ]:
-            c = build_generic_ansatz(block_spec(bid, n=3, m=1, layers=1))
+            c = build_generic_ansatz(block_spec(bid, n=3, layers=1))
             assert c.layer_slot_count == n_slots, f"block {bid}"
             assert count_multiqubit_gates(c) == n_mq, f"block {bid}"
 
@@ -482,14 +466,14 @@ class TestGradients:
         for c in (base, hermitize(base), controlled(base), controlled(hermitize(base))):
             theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
             u, _ = evaluate_with_gradients(c, theta)
-            assert np.array_equal(u, evaluate(c, theta)), c.family
+            assert np.array_equal(u, evaluate(c, theta))
 
     def test_gqsp_unitary_is_evaluate(self, rng):
         gens = gqsp_gens([{"ZZ": 1j, "XX": 1j}, {"XI": 1j, "IX": 1j}, {"YY": 1j}])
         for c in (build_gqsp_ansatz(gens, n=2), hermitize(build_gqsp_ansatz(gens, n=2), "ancilla_h")):
             theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
             u, _ = evaluate_with_gradients(c, theta)
-            assert np.array_equal(u, evaluate(c, theta)), c.family
+            assert np.array_equal(u, evaluate(c, theta))
 
     @pytest.mark.parametrize("rows,cols", [(4, 4), (2, 8), (8, 1), (5, 3)])
     def test_corner_cotangent_is_zero_padded_full(self, rng, rows, cols):

@@ -5,7 +5,6 @@ import pytest
 
 from vbe import encode, linalg, optimize, symmetry, targets
 from vbe.circuit import (
-    AnsatzSpec,
     Circuit,
     Gate,
     build_ansatz,
@@ -23,21 +22,9 @@ from vbe.encode import (
     squared_cost_and_gradient,
     subnormalize,
 )
-from oracles import string_to_dense
+from oracles import block_spec, string_to_dense
 from vbe.pauli import PauliString, PauliSum, to_dense
 from vbe.targets import chain_bonds, heisenberg_graph_terms
-
-
-def block_spec(block_id, n, m=1, layers=1, restriction="complex", hermitian=False):
-    return AnsatzSpec(
-        family="block",
-        system_qubits=n,
-        ancillas=m,
-        layers=layers,
-        block_id=block_id,
-        restriction=restriction,
-        hermitian=hermitian,
-    )
 
 
 def sn_gqsp_case(n, layers, seed=0):
@@ -62,7 +49,7 @@ def assert_matches_central_differences(t, c, theta, g, slots, h=1e-5):
 
 class TestSubnormalize:
     def test_zero_matrix(self):
-        t = subnormalize(np.zeros((2, 2)), delta=1e-2)
+        t = subnormalize(np.zeros((2, 2)))
         assert t.alpha == pytest.approx(0.01)
 
     def test_pauli_x(self):

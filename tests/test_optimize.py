@@ -24,11 +24,11 @@ class TestGreedyGeneratorSearch:
         for seed in (0, 1, 2):
             target = symmetric_target("Sn", 2, seed)
             opts = optimize.OptimizeOptions(seed=seed)
-            res = optimize.greedy_generator_search(target, gens, opts, max_depth=8)
+            res = optimize.greedy_generator_search(target, gens, opts)
             assert res.report.converged, seed
             assert all(b < a for a, b in zip(res.history, res.history[1:])), seed
             assert len(res.sequence) == GQSP_TABLE[("Sn", 2)][1], seed
-            again = optimize.greedy_generator_search(target, gens, opts, max_depth=8)
+            again = optimize.greedy_generator_search(target, gens, opts)
             assert again.sequence == res.sequence, seed
             assert np.array_equal(again.report.theta, res.report.theta), seed
 
@@ -107,6 +107,18 @@ class TestGqspTable:
         assert sorted(res.reports) == [3, 4]
         assert res.reports[4].epsilon < 1e-10
         assert not res.reports[3].converged
+
+    def test_reports_every_evaluation(self, monkeypatch):
+        # each per-M report sums the work of every sequence tried at that M,
+        # not only the best sequence's
+        calls = count_evaluations(monkeypatch)
+        family = optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 2))
+        res = optimize.layer_threshold_search(
+            symmetric_target("Sn", 2, 0), family, optimize.OptimizeOptions(seed=0)
+        )
+        assert sum(r.evaluations for r in res.reports.values()) == len(calls)
+        for r in res.reports.values():
+            assert r.evaluations > r.total_iterations > 0
 
     def test_rows_dim_b_and_params(self):
         for cell, (dim_b, m, params) in GQSP_TABLE.items():

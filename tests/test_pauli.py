@@ -230,7 +230,7 @@ class TestKeyRangeCap:
         n = MAX_DENSE_QUBITS
         s = PauliSum.from_terms({"X" * n: 1.0, "Z" * n: 1.0})
         # X^9 and Z^9 anticommute, so the cross terms cancel
-        assert (s @ s - PauliSum.identity(n, 2.0)).is_zero()
+        assert (s @ s - 2.0 * PauliSum.identity(n)).is_zero()
         assert SpanBasis(n).add(s)
 
 

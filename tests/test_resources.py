@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from vbe.circuit import AnsatzSpec, build_generic_ansatz, build_gqsp_ansatz, hermitize
+from oracles import block_spec
+from vbe.circuit import build_generic_ansatz, build_gqsp_ansatz, hermitize
 from vbe.pauli import MAX_DENSE_QUBITS, PauliSum
 from vbe.resources import (
-    BoundQuery,
     a_ratio,
     estimate_generic_threshold,
     free_parameter_bound,
@@ -19,18 +19,6 @@ from vbe.resources import (
 from vbe.symmetry import symmetric_heisenberg_terms
 from vbe.tables import FREE_PARAMS_N4
 from vbe.targets import chain_bonds, heisenberg_graph_terms
-
-
-def block_spec(block_id, n, m=1, layers=1, restriction="complex", hermitian=False):
-    return AnsatzSpec(
-        family="block",
-        system_qubits=n,
-        ancillas=m,
-        layers=layers,
-        block_id=block_id,
-        restriction=restriction,
-        hermitian=hermitian,
-    )
 
 
 class TestFreeParameterBound:
@@ -60,25 +48,21 @@ class TestTlb:
 
 class TestNonlocalGateBound:
     def test_real_hermitian_paper_value(self):
-        q = BoundQuery(n=4, total_qubits=5, field="real", structure="hermitian", a=Fraction(2))
-        assert nonlocal_gate_bound(q) == 66
+        assert nonlocal_gate_bound(4, 5, "real", "hermitian", Fraction(2)) == 66
 
     def test_complex_hermitian_paper_value(self):
-        q = BoundQuery(n=4, total_qubits=5, field="complex", structure="hermitian", a=Fraction(4))
-        assert nonlocal_gate_bound(q) == 61
+        assert nonlocal_gate_bound(4, 5, "complex", "hermitian", Fraction(4)) == 61
 
     def test_real_arbitrary_paper_value(self):
-        q = BoundQuery(n=4, total_qubits=5, field="real", structure="arbitrary", a=Fraction(2))
-        assert nonlocal_gate_bound(q) == 126
+        assert nonlocal_gate_bound(4, 5, "real", "arbitrary", Fraction(2)) == 126
 
     def test_consistency_with_tlb(self):
         for n in range(1, 7):
-            q = BoundQuery(n=n, total_qubits=n + 1, field="complex", structure="arbitrary", a=Fraction(4))
-            assert nonlocal_gate_bound(q) == tlb_cnot(n)
+            assert nonlocal_gate_bound(n, n + 1, "complex", "arbitrary", Fraction(4)) == tlb_cnot(n)
 
     def test_rejects_unitary(self):
         with pytest.raises(ValueError):
-            nonlocal_gate_bound(BoundQuery(n=2, total_qubits=3, structure="unitary"))
+            nonlocal_gate_bound(2, 3, "complex", "unitary", Fraction(4))
 
 
 class TestARatio:

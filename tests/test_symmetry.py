@@ -11,7 +11,6 @@ from oracles import (
 from vbe import targets
 from vbe.pauli import PauliString, PauliSum, SpanBasis, commutator, product_packed, to_dense
 from vbe.symmetry import (
-    ClosureCapExceeded,
     associative_closure,
     closure_basis,
     expressible,
@@ -183,11 +182,19 @@ class TestLieClosure:
             coeffs, *_ = np.linalg.lstsq(basis, c, rcond=None)
             assert np.linalg.norm(basis @ coeffs - c) < 1e-10
 
-    def test_cap_aborts(self):
-        gens = [PauliSum.from_terms({"ZZ": 1j}), PauliSum.from_terms({"XI": 1j}),
-                PauliSum.from_terms({"IY": 1j})]
-        with pytest.raises(ClosureCapExceeded):
-            lie_closure(gens, cap=4)
+    @pytest.mark.parametrize(
+        "terms",
+        [["I", "X", "Z"], ["II", "XI", "ZI", "IX", "IZ", "ZZ"]],
+        ids=["n1", "n2"],
+    )
+    def test_full_algebra_with_identity(self, terms):
+        # with the identity among the generators the closure is all of u(2^n),
+        # 4^n elements
+        gens = [PauliSum.from_terms({t: 1j}) for t in terms]
+        full = 4 ** len(terms[0])
+        assert len(lie_closure(gens)) == full
+        cb = closure_basis(gens)
+        assert (cb.dim_l, cb.dim_b) == (full, full)
 
 
 class TestAssociativeClosure:
@@ -342,7 +349,7 @@ class TestSymmetricHeisenberg:
         assert ok
 
     def test_coupling_magnitudes_bounded_away_from_zero(self):
-        terms = symmetric_heisenberg_terms("Sn", 2, seed=3, lo=0.3, hi=1.0)
+        terms = symmetric_heisenberg_terms("Sn", 2, seed=3)
         for _, c in terms.items():
             assert 0.3 - 1e-12 <= abs(c) <= 1.0 + 1e-12
 
