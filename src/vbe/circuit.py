@@ -21,10 +21,7 @@ kind        meaning                                                 slots
 
 Any gate can carry additional ``controls``; a ``gadget`` with one control is
 the controlled Pauli gadget used by the GQSP-type ansatz (only the internal
-rotations are conditioned, matching the standard gadget circuit).  The
-``dagger`` flag conjugate-transposes the gate; it appears in the mirrored
-half of hermitian circuits, which reference the same parameter slots twice
-by construction.
+rotations are conditioned, matching the standard gadget circuit).
 
 Qubit 0 is the leftmost (most significant) tensor factor and ancillas come
 first, so the encoded block always sits in the top-left corner of the
@@ -33,28 +30,26 @@ evaluated unitary.
 Evaluation lowers the gates to local ops.  A gate is a 2^k x 2^k matrix on
 k adjacent qubits, applied only where all of its control qubits are |1>:
 ``cnot`` is X on the target and ``cz`` is Z on the last qubit, with the
-other qubits as controls, and ``dagger`` conjugate-transposes the matrix.
-Consecutive gates on the same qubits and controls fold into one op.  The ops
-act on the reshaped axes of a ``(b,) + (2,)*N + (cols,)`` tensor, so no gate
-is ever embedded in a 2^N x 2^N matrix.  ``evaluate`` applies them to the
-identity.  ``evaluate_with_gradients`` also returns a pullback: for a
-cotangent w of shape (r, s) it gives the gradient of Re <w, U[:r, :s]>_F
-from one backward sweep over the same ops (the adjoint method of Jones &
-Gacon, arXiv:2009.02823), with O(d s 2^k) work per op and O(d s) extra
-memory.  No (param_count, d, d) derivative tensor is ever formed.
+other qubits as controls.  Consecutive gates on the same qubits and controls
+fold into one op.  The ops act on the reshaped axes of a
+``(b,) + (2,)*N + (cols,)`` tensor, so no gate is ever embedded in a
+2^N x 2^N matrix.  ``evaluate`` applies them to the identity.
+``evaluate_with_gradients`` also returns a pullback: for a cotangent w of
+shape (r, s) it gives the gradient of Re <w, U[:r, :s]>_F from one backward
+sweep over the same ops (the adjoint method of Jones & Gacon,
+arXiv:2009.02823), with O(d s 2^k) work per op and O(d s) extra memory.  No
+(param_count, d, d) derivative tensor is ever formed.
 
-A mirrored circuit (``hermitian_v_span`` set, as ``hermitize`` builds it) is
-U V U^dagger: ``gates[b:]`` are U, ``gates[a:b]`` the parameter-free core V
-and ``gates[:a]`` the dagger mirror of U.  Only U is lowered and swept; V is
-one dense matrix per circuit, and the unitary is (U V) U^dagger.  Its
-pullback is one sweep over U's ops with the d x d cotangent
-G = W U V^dagger + W^dagger U V, which already holds the mirror's share of
-every shared slot.  ``gates`` stays the full list, so gate counts and
-``controlled`` see the whole circuit.
+A circuit with a ``core`` (as ``hermitize`` builds it) is U V U^dagger with
+shared parameters: ``gates`` are U and ``core`` the parameter-free V.  Only
+U is lowered and swept; V is one dense matrix per circuit, and the unitary
+is (U V) U^dagger.  Its pullback is one sweep over U's ops with the d x d
+cotangent G = W U V^dagger + W^dagger U V, which holds the share of both of
+U's appearances in every slot.  Gate counts charge U twice and V once.
 
 Circuits are immutable after construction; a circuit places its ops, and
 computes the dense matrix and eigendecomposition of each distinct gadget
-generator and its core V, once, on first evaluation.
+generator and its dense core V, once, on first evaluation.
 """
 
 from __future__ import annotations
@@ -76,7 +71,8 @@ _X2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z2 = np.diag([1.0, -1.0]).astype(np.complex128)
 
-_PARAM_KINDS = {"grot", "ry", "rx", "rz", "gadget"}
+# slot counts of the parameterized kinds
+_SLOT_COUNTS = {"grot": (2, 3), "ry": (1,), "rx": (1,), "rz": (1,), "gadget": (1,)}
 _FIXED_KINDS = {"h", "cnot", "cz"}
 _SINGLE_QUBIT_KINDS = {"h", "grot", "ry", "rx", "rz"}
 
@@ -91,10 +87,9 @@ class Gate:
     slots: tuple[int, ...] = ()
     generator: PauliSum | None = None
     controls: tuple[int, ...] = ()
-    dagger: bool = False
 
     def __post_init__(self):
-        if self.kind not in _PARAM_KINDS and self.kind not in _FIXED_KINDS:
+        if self.kind not in _SLOT_COUNTS and self.kind not in _FIXED_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         touched = self.qubits + self.controls
         if len(set(touched)) != len(touched):
@@ -106,19 +101,9 @@ class Gate:
             or (self.kind == "cz" and k < 2)
         ):
             raise ValueError(f"{self.kind} gate cannot act on {k} qubits")
-        if self.kind in _FIXED_KINDS and self.slots:
-            raise ValueError(f"{self.kind} takes no parameters")
-        expected = {
-            "grot": (2, 3),
-            "ry": (1,),
-            "rx": (1,),
-            "rz": (1,),
-            "gadget": (1,),
-        }
-        if self.kind in expected and len(self.slots) not in expected[self.kind]:
-            raise ValueError(
-                f"{self.kind} expects {expected[self.kind]} slots, got {len(self.slots)}"
-            )
+        expected = _SLOT_COUNTS.get(self.kind, (0,))
+        if len(self.slots) not in expected:
+            raise ValueError(f"{self.kind} expects {expected} slots, got {len(self.slots)}")
         if self.kind != "gadget" and self.generator is not None:
             raise ValueError(f"{self.kind} gate takes no generator")
         if self.kind == "gadget":
@@ -137,32 +122,26 @@ class Circuit:
     """Ordered gate sequence over ``n_qubits`` with a flat parameter vector.
 
     ``gates[0]`` is applied first, i.e. the evaluated unitary is
-    ``G_last @ ... @ G_0``.
+    ``G_last @ ... @ G_0``.  With a ``core`` V (parameter-free gates) the
+    unitary is U V U^dagger for U the product of ``gates``.
     """
 
     n_qubits: int
     gates: tuple[Gate, ...]
     param_count: int
     layer_slot_count: int = 0
-    hermitian_v_span: tuple[int, int] | None = None
+    core: tuple[Gate, ...] | None = None
 
     def __post_init__(self):
-        for g in self.gates:
+        for g in self.gates + (self.core or ()):
             for q in g.qubits + g.controls:
                 if not 0 <= q < self.n_qubits:
                     raise ValueError(f"gate qubit {q} out of range for N={self.n_qubits}")
             for s in g.slots:
                 if not 0 <= s < self.param_count:
                     raise ValueError(f"slot {s} out of range (param_count={self.param_count})")
-        if self.hermitian_v_span is not None:
-            a, b = self.hermitian_v_span
-            if not 0 <= a <= b <= len(self.gates):
-                raise ValueError(f"V span {self.hermitian_v_span} outside {len(self.gates)} gates")
-            mirror = tuple(replace(g, dagger=not g.dagger) for g in reversed(self.gates[b:]))
-            if self.gates[:a] != mirror:
-                raise ValueError("the gates before the V span must mirror the gates after it")
-            if any(g.slots for g in self.gates[a:b]):
-                raise ValueError("the V span must take no parameters")
+        if any(g.slots for g in self.core or ()):
+            raise ValueError("the core must take no parameters")
 
     @property
     def dim(self) -> int:
@@ -172,9 +151,9 @@ class Circuit:
     def _spectra(self) -> dict[PauliSum, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per gadget generator: its dense matrix G and the eigenpairs (w, V) of iG.
 
-        One entry per generator object, however many layers and mirrored
-        gates use it.  Computed on first evaluation, so gadgets too wide for
-        a dense matrix can still be built and counted.
+        One entry per generator object, however many layers use it.
+        Computed on first evaluation, so gadgets too wide for a dense matrix
+        can still be built and counted.
         """
         spectra = {}
         for g in self.gates:
@@ -188,16 +167,14 @@ class Circuit:
     def _schedule(self) -> tuple[tuple[tuple[int, ...], tuple, int], ...]:
         """Runs of consecutive lowered gates that act on the same qubits and controls.
 
-        The lowered gates are all of them, or U's half ``gates[b:]`` of a
-        mirrored circuit.  Each run is lowered to one local op.  Per run: its
-        gate indices, the index of the subspace of a ``(b,) + (2,)*N + (cols,)``
+        Each run of ``gates`` is lowered to one local op.  Per run: its gate
+        indices, the index of the subspace of a ``(b,) + (2,)*N + (cols,)``
         state where every control qubit is |1>, and the number of target
         blocks before the op's first qubit within it.  ``cnot`` is X on its target and
         ``cz`` Z on its last qubit, with the other qubits as controls.
         """
         runs: list[tuple[list[int], tuple, int, int]] = []
-        lo = self.hermitian_v_span[1] if self.hermitian_v_span else 0
-        for i, g in enumerate(self.gates[lo:], lo):
+        for i, g in enumerate(self.gates):
             if g.kind == "cnot":
                 first, ctl, k = g.qubits[1], g.controls + g.qubits[:1], 1
             elif g.kind == "cz":
@@ -215,10 +192,9 @@ class Circuit:
         return tuple((tuple(idx), sel, lead) for idx, sel, lead, _ in runs)
 
     @cached_property
-    def _core(self) -> np.ndarray:
-        """The dense core V of a mirrored circuit: its parameter-free ``gates[a:b]``."""
-        a, b = self.hermitian_v_span
-        return evaluate(Circuit(self.n_qubits, self.gates[a:b], 0), ())
+    def _dense_core(self) -> np.ndarray:
+        """The dense matrix of ``core``."""
+        return evaluate(Circuit(self.n_qubits, self.core, 0), ())
 
 
 # --------------------------------------------------------------------------
@@ -243,18 +219,13 @@ def single_qubit_R(theta: float, phi: float, lam: float) -> np.ndarray:
 _K_LAM = np.diag([0.0, 1.0j])
 
 
-def _grot_generators(theta: float, phi: float, lam: float, dagger: bool) -> tuple[np.ndarray, ...]:
+def _grot_generators(theta: float, lam: float) -> tuple[np.ndarray, ...]:
     """K = O^dagger dO for the slots (theta, phi, lam) of O = R(theta, phi, lam).
 
     R = diag(1, e^{i phi}) Ry(theta) diag(1, e^{i lam}), so K_lam = diag(0, i),
     K_theta is -iY/2 conjugated by diag(1, e^{i lam}) and K_phi is diag(0, i)
-    conjugated by Ry(theta) diag(1, e^{i lam}).  For O = R^dagger the identity
-    R(theta, phi, lam)^dagger = R(-theta, -lam, -phi) and the chain rule give
-    the generators from the plain ones.
+    conjugated by Ry(theta) diag(1, e^{i lam}).  None depends on phi.
     """
-    if dagger:
-        k_theta, k_phi, k_lam = _grot_generators(-theta, -lam, -phi, False)
-        return -k_theta, -k_lam, -k_phi
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     el = _cis(lam)
     k_theta = np.array([[0, -0.5 * el], [0.5 * el.conjugate(), 0]], dtype=np.complex128)
@@ -281,12 +252,8 @@ def _ry(theta: float) -> np.ndarray:
 
 
 _ROTATIONS = {"rx": _rx, "ry": _ry, "rz": _rz}
-# exp(-i theta P / 2) has the generator -iP/2, and its dagger +iP/2
-_ROTATION_GENERATORS = {
-    (kind, dagger): (0.5j if dagger else -0.5j) * p
-    for kind, p in (("rx", _X2), ("ry", _Y2), ("rz", _Z2))
-    for dagger in (False, True)
-}
+# exp(-i theta P / 2) has the generator -iP/2
+_ROTATION_GENERATORS = {"rx": -0.5j * _X2, "ry": -0.5j * _Y2, "rz": -0.5j * _Z2}
 
 
 # --------------------------------------------------------------------------
@@ -318,18 +285,16 @@ def _local(
     elif g.kind == "grot":
         lam = vals[2] if len(vals) == 3 else 0.0
         mat = single_qubit_R(vals[0], vals[1], lam)
-        gens = _grot_generators(vals[0], vals[1], lam, g.dagger)
+        gens = _grot_generators(vals[0], lam)
     elif g.kind in _ROTATIONS:
         mat = _ROTATIONS[g.kind](vals[0])
-        gens = (_ROTATION_GENERATORS[g.kind, g.dagger],)
+        gens = (_ROTATION_GENERATORS[g.kind],)
     elif g.kind == "gadget":
         gd, w, v = c._spectra[g.generator]
         mat = (v * np.exp(-1j * vals[0] * w)) @ v.conj().T
-        gens = (-gd if g.dagger else gd,)
+        gens = (gd,)
     else:  # pragma: no cover - guarded by Gate validation
         raise ValueError(g.kind)
-    if g.dagger:
-        mat = mat.conj().T
     return mat, tuple(zip(g.slots, gens))
 
 
@@ -365,13 +330,6 @@ def _apply(m: np.ndarray, sel: tuple, lead: int, state: np.ndarray) -> np.ndarra
     return out
 
 
-def _check_theta(c: Circuit, theta) -> np.ndarray:
-    th = np.asarray(theta, dtype=np.float64).ravel()
-    if th.size != c.param_count:
-        raise ValueError(f"expected {c.param_count} parameters, got {th.size}")
-    return th
-
-
 def _forward(c: Circuit, ops: list[_Op]) -> np.ndarray:
     """All ops applied to the identity, as a dim x dim matrix."""
     psi = np.eye(c.dim, dtype=np.complex128).reshape((1,) + (2,) * c.n_qubits + (c.dim,))
@@ -380,16 +338,9 @@ def _forward(c: Circuit, ops: list[_Op]) -> np.ndarray:
     return psi.reshape(c.dim, c.dim)
 
 
-def _mirror(c: Circuit, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U V U^dagger and U V of a mirrored circuit, from the product U of its ops."""
-    uv = half @ c._core
-    return uv @ half.conj().T, uv
-
-
 def evaluate(c: Circuit, theta) -> np.ndarray:
     """Dense unitary of the circuit at the given parameter vector."""
-    half = _forward(c, _lower(c, _check_theta(c, theta)))
-    return half if c.hermitian_v_span is None else _mirror(c, half)[0]
+    return evaluate_with_gradients(c, theta)[0]
 
 
 def _pullback_sweep(ops: list[_Op], u: np.ndarray, w: np.ndarray, n_params: int) -> np.ndarray:
@@ -404,8 +355,8 @@ def _pullback_sweep(ops: list[_Op], u: np.ndarray, w: np.ndarray, n_params: int)
     Re <lambda, K P_j> = Re sum(K * E), where the 2^k x 2^k environment
     E = sum conj(lambda) P^T runs over the op's controlled subspace.  The
     work per op is O(d s 2^k) and the extra memory O(d s).  Slots shared by
-    several ops accumulate every contribution.  For a mirrored circuit
-    ``ops`` are U's half only and ``w`` is the cotangent G of
+    several ops accumulate every contribution.  For a circuit with a core
+    ``ops`` are U's and ``w`` is the cotangent G of
     :func:`evaluate_with_gradients`, which has d columns, so the state is
     (2, d, d).
     """
@@ -432,33 +383,35 @@ def _pullback_sweep(ops: list[_Op], u: np.ndarray, w: np.ndarray, n_params: int)
 def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
     """Unitary and the vector-Jacobian product of its parameter derivatives.
 
-    Returns ``(u, pullback)``.  ``u`` is ``evaluate(c, theta)``: the same
-    lowering, forward sweep over the identity and, for a mirrored circuit,
-    the same products (U V) U^dagger.  ``pullback(w)`` takes a cotangent
-    ``w`` of shape (r, s) and returns the real vector
+    Returns ``(u, pullback)``.  ``u`` is the product U of the lowered ops,
+    applied to the identity in one forward sweep, or (U V) U^dagger for a
+    circuit with a core.  ``pullback(w)`` takes a cotangent ``w`` of shape
+    (r, s) and returns the real vector
     d/d(theta_k) Re <w, u[:r, :s]>_F of length ``param_count``, from one
     backward sweep over the lowered ops (:func:`_pullback_sweep`, after Jones
     & Gacon, arXiv:2009.02823).  Each call costs O(d s 2^k) per op and
     O(d s) extra memory; no (param_count, d, d) derivative tensor exists.
 
-    For a mirrored circuit, d(U V U^dagger) = dU V U^dagger + U V dU^dagger,
+    For a circuit with a core, d(U V U^dagger) = dU V U^dagger + U V dU^dagger,
     so with w zero-padded to W, Re <W, du> = Re <G, dU> for
     G = W U V^dagger + W^dagger U V: one sweep over U's ops covers both
     uses of every shared slot.  G is zero below row max(r, s).
     """
-    ops = _lower(c, _check_theta(c, theta))
-    half = _forward(c, ops)
-    if c.hermitian_v_span is None:
-        u = half
-    else:
-        u, uv = _mirror(c, half)
+    theta = np.asarray(theta, dtype=np.float64).ravel()
+    if theta.size != c.param_count:
+        raise ValueError(f"expected {c.param_count} parameters, got {theta.size}")
+    ops = _lower(c, theta)
+    u = half = _forward(c, ops)
+    if c.core is not None:
+        uv = half @ c._dense_core
+        u = uv @ half.conj().T
 
     def pullback(w) -> np.ndarray:
         w = np.asarray(w, dtype=np.complex128)
-        if c.hermitian_v_span is not None:
+        if c.core is not None:
             r, s = w.shape
             g = np.zeros((max(r, s), c.dim), dtype=np.complex128)
-            g[:r] = w @ (half[:s] @ c._core.conj().T)
+            g[:r] = w @ (half[:s] @ c._dense_core.conj().T)
             g[:s] += w.conj().T @ uv[:r]
             w = g
         return _pullback_sweep(ops, half, w, c.param_count)
@@ -731,35 +684,26 @@ def hermitize(c: Circuit, v: str = "all_h") -> Circuit:
     """Circuit realizing U(theta) V U(theta)^dagger with shared parameters.
 
     ``v`` selects the fixed hermitian core: "all_h" places a Hadamard on
-    every qubit, "ancilla_h" a single Hadamard on qubit 0.  The gates are
-    the dagger mirror of ``c.gates``, then V, then ``c.gates``;
-    ``hermitian_v_span`` marks V, so evaluation lowers and sweeps only the
-    U half (see the module docstring) while ``gates`` and every gate count
-    cover the whole circuit.  A span that stops matching the gates (say
-    after ``replace(hc, gates=...)``) is refused on construction.
+    every qubit, "ancilla_h" a single Hadamard on qubit 0.  ``c.gates`` stay
+    U and V becomes the ``core``, so evaluation lowers and sweeps U once
+    (see the module docstring).  A circuit that already has a core is
+    refused.
     """
+    if c.core is not None:
+        raise ValueError("circuit is already hermitized")
     if v not in ("all_h", "ancilla_h"):
         raise ValueError(f"unknown V choice {v!r}")
-    rev = tuple(replace(g, dagger=not g.dagger) for g in reversed(c.gates))
-    if v == "all_h":
-        v_gates = tuple(Gate("h", (q,)) for q in range(c.n_qubits))
-    else:
-        v_gates = (Gate("h", (0,)),)
-    gates = rev + v_gates + c.gates
-    return replace(
-        c,
-        gates=gates,
-        hermitian_v_span=(len(rev), len(rev) + len(v_gates)),
-    )
+    qubits = range(c.n_qubits) if v == "all_h" else (0,)
+    return replace(c, core=tuple(Gate("h", (q,)) for q in qubits))
 
 
 def controlled(c: Circuit) -> Circuit:
     """Add one control qubit (new qubit 0) to the whole circuit.
 
-    For hermitized circuits only the V core is conditioned, which already
-    controls the full U V U^dagger; otherwise every gate gains the control.
+    Every gate gains the control, except in a circuit with a core: there
+    only the core is conditioned, since U (cV) U^dagger is already the
+    controlled U V U^dagger.
     """
-    span = c.hermitian_v_span
 
     def shift(g: Gate, add_control: bool) -> Gate:
         return replace(
@@ -768,13 +712,13 @@ def controlled(c: Circuit) -> Circuit:
             controls=((0,) if add_control else ()) + tuple(q + 1 for q in g.controls),
         )
 
-    gates = []
-    for idx, g in enumerate(c.gates):
-        if span is not None:
-            gates.append(shift(g, span[0] <= idx < span[1]))
-        else:
-            gates.append(shift(g, True))
-    return replace(c, n_qubits=c.n_qubits + 1, gates=tuple(gates))
+    whole = c.core is None
+    return replace(
+        c,
+        n_qubits=c.n_qubits + 1,
+        gates=tuple(shift(g, whole) for g in c.gates),
+        core=None if whole else tuple(shift(g, True) for g in c.core),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -795,6 +739,11 @@ def _gadget_string_weights(g: Gate) -> list[int]:
     return [p.weight for p in g.generator.strings()]
 
 
+def _applied_gates(c: Circuit) -> tuple[Gate, ...]:
+    """Every gate the unitary applies: U twice and V once with a core."""
+    return c.gates if c.core is None else c.gates + c.core + c.gates
+
+
 def count_nonlocal_gates(c: Circuit) -> int:
     """Entangling cost in CNOT equivalents.
 
@@ -804,7 +753,7 @@ def count_nonlocal_gates(c: Circuit) -> int:
     weight-w string plus the (possibly controlled) central rotation.
     """
     total = 0
-    for g in c.gates:
+    for g in _applied_gates(c):
         extra = len(g.controls)
         if g.kind == "gadget":
             for w in _gadget_string_weights(g):
@@ -820,7 +769,7 @@ def count_nonlocal_gates(c: Circuit) -> int:
 def count_multiqubit_gates(c: Circuit) -> int:
     """Raw number of multi-qubit gate instances (no decomposition applied)."""
     total = 0
-    for g in c.gates:
+    for g in _applied_gates(c):
         extra = len(g.controls)
         if g.kind == "gadget":
             total += sum(1 for w in _gadget_string_weights(g) if w + extra >= 2)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from vbe import linalg
-from vbe.circuit import Circuit, evaluate, evaluate_with_gradients, single_qubit_R
-from vbe.pauli import PauliSum, to_dense
+from vbe.circuit import Circuit, evaluate, evaluate_with_gradients
 
 DEFAULT_DELTA = 1e-2
 
@@ -131,35 +130,3 @@ class EncodeObjective:
         self.evaluations += 1
         return squared_cost_and_gradient(self.target, self.circuit, theta)
 
-
-def gqsp_block_expansion(
-    generators: list[PauliSum] | tuple[PauliSum, ...], theta
-) -> np.ndarray:
-    """Extracted block of the GQSP-type ansatz via the ancilla path sum.
-
-    Contracts the bond-dimension-2 operator-valued transfer product
-    F = sum over ancilla paths of the rotation-amplitude-weighted ordered
-    products of the layer operators P_i.  This never forms the (n+1)-qubit
-    unitary, so it is an independent check that the block lives in the span
-    of ordered generator products.
-    """
-    gens = list(generators)
-    m_layers = len(gens)
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != 3 * m_layers + 3:
-        raise ValueError(f"expected {3 * m_layers + 3} parameters, got {theta.size}")
-    if not gens:
-        r0 = single_qubit_R(theta[0], theta[1], theta[2])
-        return r0[0, 0] * np.eye(1)
-    n = gens[0].n
-    dim = 1 << n
-    r0 = single_qubit_R(theta[0], theta[1], theta[2])
-    # operator-valued amplitudes for the ancilla being in |0> / |1>
-    f = [r0[0, 0] * np.eye(dim, dtype=np.complex128), r0[1, 0] * np.eye(dim, dtype=np.complex128)]
-    for i, gen in enumerate(gens):
-        t_i = theta[3 + 3 * i]
-        p_i = linalg.matrix_exp_antihermitian(t_i * to_dense(gen))
-        f = [f[0], p_i @ f[1]]
-        r = single_qubit_R(theta[4 + 3 * i], theta[5 + 3 * i], 0.0)
-        f = [r[0, 0] * f[0] + r[0, 1] * f[1], r[1, 0] * f[0] + r[1, 1] * f[1]]
-    return f[0]

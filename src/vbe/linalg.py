@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
-
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array and check all entries are finite."""
@@ -46,18 +44,3 @@ def spectral_norm(a) -> float:
     w = np.linalg.eigvalsh(m.conj().T @ m)
     return float(np.sqrt(max(w[-1], 0.0)))
 
-
-def matrix_exp_antihermitian(g) -> np.ndarray:
-    """exp(G) for anti-hermitian G, via eigendecomposition of the hermitian iG.
-
-    The result is unitary by construction.  Raises if G is not anti-hermitian
-    within :data:`DEFAULT_TOL`.
-    """
-    m = as_matrix(g)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix_exp_antihermitian expects a square matrix")
-    if frobenius_norm(m + m.conj().T) > DEFAULT_TOL:
-        raise ValueError("matrix is not anti-hermitian within tolerance")
-    h = 1j * m  # hermitian
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)) @ v.conj().T

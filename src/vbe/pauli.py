@@ -519,9 +519,12 @@ class SpanBasis:
 
 # ---- text format -------------------------------------------------------
 def format_pauli_sum(s: PauliSum) -> str:
-    """One term per line: ``<coeff_re> <coeff_im> <letters>``."""
+    """One term per line: ``<coeff_re> <coeff_im> <letters>``.
+
+    A zero sum is the single line ``0 0 I...I``, which keeps its qubit count.
+    """
     lines = [f"{c.real:.17g} {c.imag:.17g} {p.letters}" for p, c in s.items()]
-    return "\n".join(lines)
+    return "\n".join(lines) or f"0 0 {'I' * s.n}"
 
 
 def parse_pauli_sum(text: str) -> PauliSum:

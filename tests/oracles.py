@@ -9,12 +9,16 @@ package itself never needs them, so they live here, together with
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from vbe import linalg
-from vbe.circuit import AnsatzSpec
+from vbe.circuit import AnsatzSpec, single_qubit_R
 from vbe.pauli import PauliString, PauliSum, to_dense
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+# default tolerance of the dense matrix predicates
+DEFAULT_TOL = 1e-10
 
 
 def string_to_dense(p: PauliString) -> np.ndarray:
@@ -35,14 +39,14 @@ def kron(a, b, *rest) -> np.ndarray:
     return out
 
 
-def is_hermitian(a, tol: float = linalg.DEFAULT_TOL) -> bool:
+def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     m = linalg.as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("is_hermitian expects a square matrix")
     return linalg.frobenius_norm(m - m.conj().T) <= tol
 
 
-def is_unitary(a, tol: float = linalg.DEFAULT_TOL) -> bool:
+def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     m = linalg.as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("is_unitary expects a square matrix")
@@ -123,3 +127,29 @@ def block_spec(block_id, n, layers=1, restriction="complex", hermitian=False) ->
         restriction=restriction,
         hermitian=hermitian,
     )
+
+
+def gqsp_block_expansion(generators, theta) -> np.ndarray:
+    """Extracted block of the GQSP-type ansatz via the ancilla path sum.
+
+    Contracts the bond-dimension-2 operator-valued transfer product
+    F = sum over ancilla paths of the rotation-amplitude-weighted ordered
+    products of the layer operators P_i = expm(t_i G_i).  This never forms
+    the (n+1)-qubit unitary and takes each exponential from
+    ``scipy.linalg.expm``, so it is an independent check that the block lives
+    in the span of ordered generator products.
+    """
+    gens = list(generators)
+    theta = np.asarray(theta, dtype=float).ravel()
+    if theta.size != 3 * len(gens) + 3:
+        raise ValueError(f"expected {3 * len(gens) + 3} parameters, got {theta.size}")
+    dim = 1 << gens[0].n if gens else 1
+    r0 = single_qubit_R(theta[0], theta[1], theta[2])
+    # operator-valued amplitudes for the ancilla being in |0> / |1>
+    f = [r0[0, 0] * np.eye(dim, dtype=np.complex128), r0[1, 0] * np.eye(dim, dtype=np.complex128)]
+    for i, gen in enumerate(gens):
+        p_i = scipy.linalg.expm(theta[3 + 3 * i] * to_dense(gen))
+        f = [f[0], p_i @ f[1]]
+        r = single_qubit_R(theta[4 + 3 * i], theta[5 + 3 * i], 0.0)
+        f = [r[0, 0] * f[0] + r[0, 1] * f[1], r[1, 0] * f[0] + r[1, 1] * f[1]]
+    return f[0]

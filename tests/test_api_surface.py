@@ -28,14 +28,12 @@ EXEMPT = {"tables"}
 ALLOWED = {
     "circuit.controlled": "controlled block encoding, the part a linear combination of "
     "block encodings is built from",
-    "encode.gqsp_block_expansion": "ancilla path sum showing the GQSP block lies in the span "
-    "of ordered generator products",
     "optimize.greedy_generator_search": "reaches the GQSP_TABLE anchor M=2 on Sn 2 target "
-    "seeds 1 and 2, where the threshold search lands at 3 (ROADMAP item 4)",
+    "seeds 1 and 2, where the threshold search lands at 3 (ROADMAP, every GQSP_TABLE cell)",
     "pauli.commutator": "the Lie bracket of two sums, which defines the Lie closure",
     "pauli.mul_strings": "the phase rule of the Pauli group on single strings",
-    "pauli.format_pauli_sum": "Pauli text format, for the planned CLI (ROADMAP item 5)",
-    "pauli.parse_generator_file": "Pauli text format, for the planned CLI (ROADMAP item 5)",
+    "pauli.format_pauli_sum": "Pauli text format, for the planned CLI (ROADMAP, the vbe CLI)",
+    "pauli.parse_generator_file": "Pauli text format, for the planned CLI (ROADMAP, the vbe CLI)",
     "resources.tlb_cnot": "the CNOT lower bound TLB of a one-ancilla complex encoding",
     "resources.nonlocal_gate_bound": "reproduces the CNOT-bound column of RESOURCES_N5",
     "resources.a_ratio": "reproduces the a-ratio behind the RESOURCES_N5 CNOT bound",

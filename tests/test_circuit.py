@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oracles import block_spec, is_unitary
 from vbe import circuit as circ
@@ -23,7 +24,7 @@ from vbe.circuit import (
     mc1q,
     single_qubit_R,
 )
-from vbe.pauli import PauliSum
+from vbe.pauli import PauliSum, to_dense
 from vbe.resources import (
     a_ratio,
     estimate_generic_threshold,
@@ -203,10 +204,7 @@ class TestGqspAnsatz:
         theta[3] = 0.37
         u = evaluate(c, theta)
         assert np.allclose(u[:4, :4], np.eye(4))
-        from vbe.pauli import to_dense
-
-        gd = to_dense(gens[0])
-        assert np.allclose(u[4:, 4:], linalg.matrix_exp_antihermitian(0.37 * gd))
+        assert np.allclose(u[4:, 4:], scipy.linalg.expm(0.37 * to_dense(gens[0])))
 
 
 def gadget_unitary(g, theta):
@@ -278,39 +276,36 @@ class TestHermitize:
         assert linalg.frobenius_norm(u - u.conj().T) < 1e-12
 
 
-    def test_refuses_a_stale_span(self):
-        c = build_generic_ansatz(block_spec(2, n=1, layers=1))
-        hc = hermitize(c, "all_h")
-        a, b = hc.hermitian_v_span
-        for span in ((a, len(hc.gates) + 1), (-1, b), (b, a)):
-            with pytest.raises(ValueError, match="outside"):
-                replace(hc, hermitian_v_span=span)
-        with pytest.raises(ValueError, match="mirror"):
-            replace(hc, hermitian_v_span=(a - 1, b))
-        # a replace that breaks the mirror keeps the old span
-        with pytest.raises(ValueError, match="mirror"):
-            replace(hc, gates=hc.gates[:-1])
-        with pytest.raises(ValueError, match="mirror"):
-            replace(hc, gates=hc.gates[b:] + hc.gates[a:b] + hc.gates[b:])
-        # hand-built: U on both sides of V, not its dagger
-        v = (Gate("h", (0,)),)
-        with pytest.raises(ValueError, match="mirror"):
-            Circuit(2, c.gates + v + c.gates, c.param_count, hermitian_v_span=(len(c.gates),) * 2)
+    def test_refuses_a_hermitized_circuit(self):
+        hc = hermitize(build_generic_ansatz(block_spec(2, n=1, layers=1)))
+        with pytest.raises(ValueError, match="already hermitized"):
+            hermitize(hc, "ancilla_h")
+
+    def test_refuses_a_core_with_a_slot(self):
         with pytest.raises(ValueError, match="no parameters"):
-            Circuit(1, (Gate("rx", (0,), (0,)),), 1, hermitian_v_span=(0, 1))
+            Circuit(1, (Gate("rx", (0,), (0,)),), 1, core=(Gate("ry", (0,), (0,)),))
+
+    @pytest.mark.parametrize("v", ["all_h", "ancilla_h"])
+    def test_counts_u_twice_and_v_once(self, v):
+        c = build_generic_ansatz(block_spec(6, n=2, layers=2))
+        hc = hermitize(c, v)
+        chc = controlled(hc)
+        for count in (count_nonlocal_gates, count_multiqubit_gates):
+            assert count(hc) == 2 * count(c) + count(Circuit(hc.n_qubits, hc.core, 0))
+            # controlled conditions only the core, so U costs the same
+            assert count(chc) == 2 * count(c) + count(Circuit(chc.n_qubits, chc.core, 0))
 
     def test_hand_built_span_is_u_v_u_dagger(self, rng):
         u_gates = (Gate("grot", (0,), (0, 1, 2)), Gate("cnot", (0, 1)), Gate("ry", (1,), (3,)))
-        mirror = tuple(replace(g, dagger=not g.dagger) for g in reversed(u_gates))
         v = (Gate("h", (1,)), Gate("cz", (0, 1)))
-        c = Circuit(2, mirror + v + u_gates, 4, hermitian_v_span=(3, 5))
+        c = Circuit(2, u_gates, 4, core=v)
         theta = rng.uniform(-np.pi, np.pi, size=4)
         u = evaluate(Circuit(2, u_gates, 4), theta)
         core = evaluate(Circuit(2, v, 0), [])
         assert np.max(np.abs(evaluate(c, theta) - u @ core @ u.conj().T)) < 1e-14
         # this V is not hermitian, so the pullback must use V and V^dagger apart
         assert np.max(np.abs(core - core.conj().T)) > 0.5
-        assert_matches_full_sweep(c, rng)
+        assert_matches_dense_sandwich(c, rng)
 
 
 class TestControlled:
@@ -423,7 +418,7 @@ class TestGradients:
         self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
 
     def test_hermitized_gqsp_circuit(self, rng):
-        # daggered gadgets, and the mirror's grot-H-grot run on the ancilla
+        # gadgets on both sides of the ancilla core
         gens = gqsp_gens([{"ZZ": 1j, "XX": 1j}, {"XI": 1j, "IX": 1j}])
         c = hermitize(build_gqsp_ansatz(gens, n=2), "ancilla_h")
         self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
@@ -434,7 +429,7 @@ class TestGradients:
         self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
 
     def test_hermitized_cr(self, rng):
-        # the mirror reverses the two gates of each CR
+        # U^dagger reverses the two gates of each CR
         c = hermitize(build_generic_ansatz(block_spec(6, n=1)))
         self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
 
@@ -446,12 +441,12 @@ class TestGradients:
 
     def test_run_on_one_qubit(self, rng):
         # consecutive gates on one qubit and control fold into one op; the
-        # shared slot 0 appears twice in it, once daggered
+        # shared slot 0 appears twice in it
         gates = (
             Gate("rx", (1,), (0,), controls=(0,)),
-            Gate("grot", (1,), (1, 2, 3), controls=(0,), dagger=True),
+            Gate("grot", (1,), (1, 2, 3), controls=(0,)),
             Gate("h", (1,), controls=(0,)),
-            Gate("rx", (1,), (0,), controls=(0,), dagger=True),
+            Gate("rx", (1,), (0,), controls=(0,)),
             Gate("grot", (1,), (4, 5), controls=(0,)),
             Gate("rz", (1,), (6,)),
         )
@@ -486,49 +481,47 @@ class TestGradients:
         assert np.max(np.abs(pullback(w) - pullback(padded))) < 1e-12
 
 
-def assert_matches_full_sweep(c, rng, tol=1e-12):
-    """u and pullback(w) of a mirrored circuit against its full gate list.
+def assert_matches_dense_sandwich(c, rng, tol=1e-12):
+    """u and pullback(w) of a circuit with a core against U V U^dagger made densely.
 
-    ``replace(c, hermitian_v_span=None)`` lowers and sweeps every gate,
-    mirror included, as unrelated ops.  Cotangents have unit norm.
+    U and its Jacobian dU come from ``replace(c, core=None)``, the Jacobian
+    through :func:`pulled_back_jacobian` (checked against finite differences
+    in ``TestGradients``).  The derivative dU V U^dagger + U V dU^dagger is
+    then assembled as dense matrices, with no cotangent G.  Cotangents have
+    unit norm.
     """
-    full = replace(c, hermitian_v_span=None)
+    plain = replace(c, core=None)
     theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+    big_u = evaluate(plain, theta)
+    v = evaluate(Circuit(c.n_qubits, c.core, 0), [])
+    du = pulled_back_jacobian(plain, theta)
+    d_full = du @ (v @ big_u.conj().T) + (big_u @ v) @ du.conj().transpose(0, 2, 1)
     u, pullback = evaluate_with_gradients(c, theta)
-    u_full, pullback_full = evaluate_with_gradients(full, theta)
-    assert np.max(np.abs(u - u_full)) <= tol
+    assert np.max(np.abs(u - big_u @ v @ big_u.conj().T)) <= tol
     for rows, cols in ((c.dim // 2, c.dim // 2), (c.dim, c.dim), (3, 2), (2, c.dim - 1)):
         w = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
         w /= np.linalg.norm(w)
-        assert np.max(np.abs(pullback(w) - pullback_full(w))) <= tol, (rows, cols)
+        want = np.einsum("ij,kij->k", w.conj(), d_full[:, :rows, :cols]).real
+        assert np.max(np.abs(pullback(w) - want)) <= tol, (rows, cols)
 
 
 class TestMirroredHalf:
-    """Mirrored circuits lower and sweep only U; the full gate list is the oracle."""
+    """Circuits with a core sweep only U; dense U V U^dagger and dU are the oracle."""
 
     @pytest.mark.parametrize("restriction", ["complex", "real"])
     @pytest.mark.parametrize("block_id", sorted(BLOCK_CATALOG))
     def test_hermitized_block(self, rng, block_id, restriction):
-        base = build_generic_ansatz(block_spec(block_id, n=2, layers=2, restriction=restriction))
-        assert_matches_full_sweep(hermitize(base), rng)
-        assert_matches_full_sweep(controlled(hermitize(base)), rng)
+        # one layer, and the fewest qubits under a control, keep each dense Jacobian small
+        spec = block_spec(block_id, n=2, restriction=restriction)
+        assert_matches_dense_sandwich(hermitize(build_generic_ansatz(spec)), rng)
+        spec = replace(spec, system_qubits=BLOCK_CATALOG[block_id].min_qubits - 1)
+        assert_matches_dense_sandwich(controlled(hermitize(build_generic_ansatz(spec))), rng)
 
-    @pytest.mark.parametrize("n,layers", [(2, 3), (3, 5), (6, 15)])
+    @pytest.mark.parametrize("n,layers", [(2, 3), (3, 5), (4, 4)])
     def test_hermitized_gqsp(self, rng, n, layers):
         gs = symmetry.heisenberg_generator_set("Sn", n)
         seq = tuple(gs.generators[i] for i in rng.integers(0, len(gs), size=layers))
-        assert_matches_full_sweep(hermitize(build_gqsp_ansatz(seq, n), "ancilla_h"), rng)
-
-    def test_lowers_only_the_u_half(self):
-        c = hermitize(build_generic_ansatz(block_spec(2, n=2, layers=2)), "all_h")
-        a, b = c.hermitian_v_span
-        lowered = [i for run, _, _ in c._schedule for i in run]
-        assert lowered == list(range(b, len(c.gates)))
-        full = replace(c, hermitian_v_span=None)
-        assert [i for run, _, _ in full._schedule for i in run] == list(range(len(c.gates)))
-        # gate counts still see the whole circuit
-        assert count_nonlocal_gates(c) == count_nonlocal_gates(full)
-        assert count_multiqubit_gates(c) == count_multiqubit_gates(full)
+        assert_matches_dense_sandwich(hermitize(build_gqsp_ansatz(seq, n), "ancilla_h"), rng)
 
 
 P0 = np.diag([1.0, 0.0])
@@ -562,12 +555,6 @@ class TestLowering:
         dim = 1 << n
         assert np.allclose(evaluate(c, []), np.kron(P0, np.eye(dim)) + np.kron(P1, expected))
 
-    @pytest.mark.parametrize("gate,n,expected", FIXED_GATES, ids=FIXED_IDS)
-    def test_fixed_gate_dagger(self, gate, n, expected):
-        g = Gate(gate.kind, gate.qubits, dagger=True)
-        c = Circuit(n_qubits=n, gates=(g,), param_count=0)
-        assert np.allclose(evaluate(c, []), expected.conj().T)
-
     @pytest.mark.parametrize("restriction", ["complex", "real"])
     def test_cr_gate(self, rng, restriction):
         # a CR is two gates: R on the control, then a controlled R on the target
@@ -579,14 +566,12 @@ class TestLowering:
             ra, rb = (single_qubit_R(t, 0, 0) for t in theta)
         m = (np.kron(P0, I2) + np.kron(P1, rb)) @ np.kron(ra, I2)
         assert np.allclose(evaluate(c, theta), m)
-        mirrored = tuple(replace(g, dagger=True) for g in reversed(c.gates))
-        assert np.allclose(evaluate(replace(c, gates=mirrored), theta), m.conj().T)
         ctrl = evaluate(controlled(c), theta)
         assert np.allclose(ctrl, np.kron(P0, np.eye(4)) + np.kron(P1, m))
 
     def test_gadget_spectra_once_per_generator(self, monkeypatch, rng):
-        # hermitized GQSP Sn 3, M=6 over all 4 generators: 12 gadget gates
-        # (6 layers and their mirror) share 4 eigendecompositions
+        # hermitized GQSP Sn 3, M=6 over all 4 generators: 6 gadget gates,
+        # each applied in U and in U^dagger, share 4 eigendecompositions
         calls = []
         eigh = np.linalg.eigh
 
@@ -598,7 +583,7 @@ class TestLowering:
         gs = symmetry.heisenberg_generator_set("Sn", 3)
         seq = tuple(gs.generators[i] for i in (0, 1, 2, 3, 0, 1))
         c = hermitize(build_gqsp_ansatz(seq, n=3), "ancilla_h")
-        assert sum(g.kind == "gadget" for g in c.gates) == 12
+        assert sum(g.kind == "gadget" for g in c.gates) == 6
         for _ in range(2):
             theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
             evaluate(c, theta)

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.stats import unitary_group
 
-from oracles import is_hermitian, is_unitary, kron, string_to_dense
+from oracles import is_hermitian, is_unitary, kron
 from vbe import linalg
-from vbe.pauli import PauliString
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -75,51 +73,6 @@ class TestSpectralNorm:
             assert linalg.spectral_norm(u @ a @ v) == pytest.approx(
                 linalg.spectral_norm(a), abs=1e-9
             )
-
-
-class TestMatrixExp:
-    def test_zero(self):
-        assert np.allclose(linalg.matrix_exp_antihermitian(np.zeros((4, 4))), np.eye(4))
-
-    def test_z_rotation(self):
-        got = linalg.matrix_exp_antihermitian(1j * (np.pi / 2) * Z)
-        assert np.allclose(got, np.diag([1j, -1j]), atol=1e-12)
-
-    def test_commuting_strings_product(self):
-        # exp(i 0.3 (ZZ + XX)) must match the product of the single-string
-        # exponentials cos(t) I + i sin(t) P since ZZ and XX commute.
-        t = 0.3
-        zz = kron(Z, Z)
-        xx = kron(X, X)
-        got = linalg.matrix_exp_antihermitian(1j * t * (zz + xx))
-        single = lambda p: np.cos(t) * np.eye(4) + 1j * np.sin(t) * p
-        assert np.max(np.abs(got - single(zz) @ single(xx))) < 1e-12
-
-    def test_matches_scipy_expm(self, rng):
-        h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        h = h + h.conj().T
-        g = 1j * h
-        assert np.max(np.abs(linalg.matrix_exp_antihermitian(g) - scipy.linalg.expm(g))) < 1e-10
-
-    def test_inverse_pair(self, rng):
-        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        g = 1j * (h + h.conj().T)
-        u = linalg.matrix_exp_antihermitian(g)
-        w = linalg.matrix_exp_antihermitian(-g)
-        assert linalg.frobenius_norm(u @ w - np.eye(4)) < 1e-10
-
-    def test_rejects_non_antihermitian(self):
-        with pytest.raises(ValueError):
-            linalg.matrix_exp_antihermitian(np.diag([1.0, 2.0]))
-
-    def test_pauli_string_involution(self, rng):
-        # exp(i t P) == cos(t) I + i sin(t) P for any Pauli string P
-        for letters in ["XZ", "YYX", "ZIZ"]:
-            p = string_to_dense(PauliString.from_letters(letters))
-            t = float(rng.uniform(-np.pi, np.pi))
-            got = linalg.matrix_exp_antihermitian(1j * t * p)
-            want = np.cos(t) * np.eye(p.shape[0]) + 1j * np.sin(t) * p
-            assert np.max(np.abs(got - want)) < 1e-12
 
 
 # self-checks of the dense oracles the other tests rely on

@@ -396,6 +396,20 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_pauli_sum("1 ZZ")
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_sum_roundtrip(self, n):
+        text = format_pauli_sum(PauliSum.zero(n))
+        assert text == "0 0 " + "I" * n
+        back = parse_pauli_sum(text)
+        assert back.n == n and back.is_zero()
+
+    def test_generator_file_zero_block(self):
+        # a block of only zero lines parses to a zero sum that writes back
+        gens = parse_generator_file("0 0 XX\n0 0 ZZ\n\n0 1 YY")
+        assert gens[0].is_zero()
+        for g in gens:
+            assert_same(parse_pauli_sum(format_pauli_sum(g)), g)
+
 
 def assert_same(a: PauliSum, b: PauliSum):
     assert a.n == b.n
