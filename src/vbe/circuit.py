@@ -27,18 +27,27 @@ Qubit 0 is the leftmost (most significant) tensor factor and ancillas come
 first, so the encoded block always sits in the top-left corner of the
 evaluated unitary.
 
-Evaluation lowers the gates to local ops.  A gate is a 2^k x 2^k matrix on
-k adjacent qubits, applied only where all of its control qubits are |1>:
-``cnot`` is X on the target and ``cz`` is Z on the last qubit, with the
-other qubits as controls.  Consecutive gates on the same qubits and controls
-fold into one op.  The ops act on the reshaped axes of a
+Evaluation follows one plan per circuit.  Consecutive non-gadget gates
+whose qubits and controls together lie on at most two adjacent qubits form
+a window run, lowered to one 2 x 2 or 4 x 4 op; a gate with a control inside
+the window embeds as P0 x I + P1 x m.  ``cnot`` is X on its target and
+``cz`` Z on its last qubit, with the other qubits as controls.  A gadget, a
+``cz`` on three or more qubits and a gate with a control or target outside
+a window are one op each, applied only where their outer controls are |1>.
+So block 2's RCN primitive is one op.  Per theta, every rotation matrix,
+window embedding, fold and generator conjugation comes from a few batched
+array calls per gate kind, and the gadget exponentials from a few per
+generator.  The ops act on the reshaped axes of a
 ``(b,) + (2,)*N + (cols,)`` tensor, so no gate is ever embedded in a
 2^N x 2^N matrix.  ``evaluate`` applies them to the identity.
 ``evaluate_with_gradients`` also returns a pullback: for a cotangent w of
 shape (r, s) it gives the gradient of Re <w, U[:r, :s]>_F from one backward
 sweep over the same ops (the adjoint method of Jones & Gacon,
-arXiv:2009.02823), with O(d s 2^k) work per op and O(d s) extra memory.  No
-(param_count, d, d) derivative tensor is ever formed.
+arXiv:2009.02823), with O(d s 2^k) work per op and O(d s) extra memory.
+The window ops' 2^k x 2^k environments are kept in one array, and the
+gradient is one contraction of them with the slots' generators and one
+``bincount`` over the slots.  No (param_count, d, d) derivative tensor is
+ever formed.
 
 A circuit with a ``core`` (as ``hermitize`` builds it) is U V U^dagger with
 shared parameters: ``gates`` are U and ``core`` the parameter-free V.  Only
@@ -47,9 +56,9 @@ is (U V) U^dagger.  Its pullback is one sweep over U's ops with the d x d
 cotangent G = W U V^dagger + W^dagger U V, which holds the share of both of
 U's appearances in every slot.  Gate counts charge U twice and V once.
 
-Circuits are immutable after construction; a circuit places its ops, and
-computes the dense matrix and eigendecomposition of each distinct gadget
-generator and its dense core V, once, on first evaluation.
+Circuits are immutable after construction; a circuit builds its plan, with
+the eigendecomposition of each distinct gadget generator, and its dense
+core V once, on first evaluation.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -148,48 +157,13 @@ class Circuit:
         return 1 << self.n_qubits
 
     @cached_property
-    def _spectra(self) -> dict[PauliSum, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per gadget generator: its dense matrix G and the eigenpairs (w, V) of iG.
+    def _plan(self) -> _Plan:
+        """The ops of the circuit and the index arrays that lower them at any theta.
 
-        One entry per generator object, however many layers use it.
-        Computed on first evaluation, so gadgets too wide for a dense matrix
-        can still be built and counted.
+        Built on first evaluation, so circuits with gadgets too wide for a
+        dense matrix can still be built and counted.
         """
-        spectra = {}
-        for g in self.gates:
-            if g.kind == "gadget" and g.generator not in spectra:
-                gd = to_dense(g.generator)
-                w, v = np.linalg.eigh(1j * gd)
-                spectra[g.generator] = (gd, w, v)
-        return spectra
-
-    @cached_property
-    def _schedule(self) -> tuple[tuple[tuple[int, ...], tuple, int], ...]:
-        """Runs of consecutive lowered gates that act on the same qubits and controls.
-
-        Each run of ``gates`` is lowered to one local op.  Per run: its gate
-        indices, the index of the subspace of a ``(b,) + (2,)*N + (cols,)``
-        state where every control qubit is |1>, and the number of target
-        blocks before the op's first qubit within it.  ``cnot`` is X on its target and
-        ``cz`` Z on its last qubit, with the other qubits as controls.
-        """
-        runs: list[tuple[list[int], tuple, int, int]] = []
-        for i, g in enumerate(self.gates):
-            if g.kind == "cnot":
-                first, ctl, k = g.qubits[1], g.controls + g.qubits[:1], 1
-            elif g.kind == "cz":
-                first, ctl, k = g.qubits[-1], g.controls + g.qubits[:-1], 1
-            else:
-                first, ctl, k = g.qubits[0], g.controls, len(g.qubits)
-            sel = (slice(None),) + tuple(
-                1 if q in ctl else slice(None) for q in range(self.n_qubits)
-            )
-            lead = 1 << (first - sum(q < first for q in ctl))
-            if runs and runs[-1][1:] == (sel, lead, k):
-                runs[-1][0].append(i)
-            else:
-                runs.append(([i], sel, lead, k))
-        return tuple((tuple(idx), sel, lead) for idx, sel, lead, _ in runs)
+        return _Plan(self)
 
     @cached_property
     def _dense_core(self) -> np.ndarray:
@@ -198,143 +172,231 @@ class Circuit:
 
 
 # --------------------------------------------------------------------------
-# single-qubit rotation matrices and their local generators
+# evaluation: one plan per circuit, lowered to local ops at each theta
 # --------------------------------------------------------------------------
-def _cis(x: float) -> complex:
-    """e^{ix} as a Python complex (the same bits as ``np.exp(1j * x)``)."""
-    return complex(math.cos(x), math.sin(x))
-
-
-def single_qubit_R(theta: float, phi: float, lam: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array(
-        [
-            [c, -_cis(lam) * s],
-            [_cis(phi) * s, _cis(phi + lam) * c],
-        ],
-        dtype=np.complex128,
-    )
-
-
+_I2 = np.eye(2, dtype=np.complex128)
+# exp(-i theta P / 2) = cos(theta/2) I + sin(theta/2) B for B = -iP; grot is
+# R(theta, phi, lam) = diag(1, e^{i phi}) Ry(theta) diag(1, e^{i lam})
+_B = {"rx": -1j * _X2, "ry": -1j * _Y2, "rz": -1j * _Z2, "grot": -1j * _Y2}
+_FIXED = {"h": _H2, "cnot": _X2, "cz": _Z2}
 _K_LAM = np.diag([0.0, 1.0j])
+_ZERO2 = np.zeros((2, 2))
+_LAM0 = np.zeros(1)  # the padded slot of a grot with lam fixed to 0
 
 
-def _grot_generators(theta: float, lam: float) -> tuple[np.ndarray, ...]:
-    """K = O^dagger dO for the slots (theta, phi, lam) of O = R(theta, phi, lam).
+def _embedding(t: int, ctl: bool) -> tuple[np.ndarray, list[int], list[int]]:
+    """Where a 2 x 2 m on window qubit ``t`` (0 or 1) sits in its 4 x 4 window matrix.
 
-    R = diag(1, e^{i phi}) Ry(theta) diag(1, e^{i lam}), so K_lam = diag(0, i),
-    K_theta is -iY/2 conjugated by diag(1, e^{i lam}) and K_phi is diag(0, i)
-    conjugated by Ry(theta) diag(1, e^{i lam}).  None depends on phi.
+    Returns the window matrix for m = 0 and the flat positions that take
+    m's flat entries ``src``.  With ``ctl`` the other window qubit controls m
+    (P0 x I + P1 x m); otherwise m acts whatever that qubit holds, which in
+    a one-qubit window is a phantom.
     """
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    el = _cis(lam)
-    k_theta = np.array([[0, -0.5 * el], [0.5 * el.conjugate(), 0]], dtype=np.complex128)
-    k_phi = np.array(
-        [[1j * s * s, 1j * el * s * c], [1j * el.conjugate() * s * c, 1j * c * c]],
-        dtype=np.complex128,
-    )
-    return k_theta, k_phi, _K_LAM
+
+    def index(a: int, b: int) -> int:  # a on qubit t, b on the other
+        return 2 * a + b if t == 0 else 2 * b + a
+
+    zero = np.zeros((4, 4), dtype=np.complex128)
+    if ctl:
+        zero[[index(0, 0), index(1, 0)], [index(0, 0), index(1, 0)]] = 1.0
+    pairs = [
+        (4 * index(a, b) + index(a2, b), 2 * a + a2)
+        for b in ((1,) if ctl else (0, 1))
+        for a in (0, 1)
+        for a2 in (0, 1)
+    ]
+    return zero, [p for p, _ in pairs], [k for _, k in pairs]
 
 
-def _rx(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+_EMBEDDINGS = {(t, ctl): _embedding(t, ctl) for t in (0, 1) for ctl in (False, True)}
 
 
-def _rz(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[complex(c, -s), 0], [0, complex(c, s)]], dtype=np.complex128)
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
-_ROTATIONS = {"rx": _rx, "ry": _ry, "rz": _rz}
-# exp(-i theta P / 2) has the generator -iP/2
-_ROTATION_GENERATORS = {"rx": -0.5j * _X2, "ry": -0.5j * _Y2, "rz": -0.5j * _Z2}
-
-
-# --------------------------------------------------------------------------
-# evaluation: gates lowered to local ops applied on tensor axes
-# --------------------------------------------------------------------------
-class _Op(NamedTuple):
-    """A 2^k x 2^k matrix applied to the subspace ``sel`` of a state where
-    every control qubit is |1>, with the local generator K = O^dagger dO of
-    each parameter slot it depends on (a slot may appear more than once)."""
-
-    mat: np.ndarray
-    derivs: tuple[tuple[int, np.ndarray], ...]
-    sel: tuple
-    lead: int
-
-
-def _local(
-    c: Circuit, g: Gate, theta: list[float]
-) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
-    """The local matrix of gate ``g`` of ``c`` at ``theta`` and its slots' generators."""
-    vals = [theta[s] for s in g.slots]
-    gens: tuple[np.ndarray, ...] = ()
-    if g.kind == "h":
-        mat = _H2
-    elif g.kind == "cnot":
-        mat = _X2
-    elif g.kind == "cz":
-        mat = _Z2
-    elif g.kind == "grot":
-        lam = vals[2] if len(vals) == 3 else 0.0
-        mat = single_qubit_R(vals[0], vals[1], lam)
-        gens = _grot_generators(vals[0], lam)
-    elif g.kind in _ROTATIONS:
-        mat = _ROTATIONS[g.kind](vals[0])
-        gens = (_ROTATION_GENERATORS[g.kind],)
-    elif g.kind == "gadget":
-        gd, w, v = c._spectra[g.generator]
-        mat = (v * np.exp(-1j * vals[0] * w)) @ v.conj().T
-        gens = (gd,)
-    else:  # pragma: no cover - guarded by Gate validation
-        raise ValueError(g.kind)
-    return mat, tuple(zip(g.slots, gens))
-
-
-def _lower(c: Circuit, theta: np.ndarray) -> list[_Op]:
-    """The local ops of ``c`` at ``theta``, one per run of ``c._schedule``.
-
-    A run O = B A folds its gates' matrices; a slot of the later gate B has
-    the generator O^dagger dO = A^dagger K_B A.
-    """
-    vals = theta.tolist()
-    ops = []
-    for run, sel, lead in c._schedule:
-        mat, derivs = _local(c, c.gates[run[0]], vals)
-        for i in run[1:]:
-            later, later_derivs = _local(c, c.gates[i], vals)
-            adj = mat.conj().T
-            derivs += tuple((slot, adj @ k @ mat) for slot, k in later_derivs)
-            mat = later @ mat
-        ops.append(_Op(mat, derivs, sel, lead))
-    return ops
-
-
-def _apply(m: np.ndarray, sel: tuple, lead: int, state: np.ndarray) -> np.ndarray:
-    """Multiply ``m`` into the target axes of ``state`` in place.
-
-    ``state`` has shape ``(b,) + (2,)*N + (cols,)`` and only its subspace
-    ``sel``, where every control qubit is |1>, is written.  Returns that
-    subspace after the product as a ``(b*lead, 2^k, rest)`` array.
-    """
-    sub = state[sel]
-    out = m @ sub.reshape(state.shape[0] * lead, m.shape[0], -1)
-    state[sel] = out.reshape(sub.shape)
+def _embed(m: np.ndarray, t: int, ctl: bool) -> np.ndarray:
+    """The 4 x 4 window matrix of m (see :func:`_embedding`)."""
+    zero, dst, src = _EMBEDDINGS[t, ctl]
+    out = zero.copy()
+    out.reshape(-1)[dst] = m.reshape(-1)[src]
     return out
 
 
-def _forward(c: Circuit, ops: list[_Op]) -> np.ndarray:
+class _Plan:
+    """The ops of a circuit, in gate order, and the index arrays that lower them.
+
+    A window op is a run of consecutive non-gadget gates whose qubits and
+    controls lie on at most two adjacent qubits, its window; a gate with a
+    control or target outside any window is a one-gate window op on its
+    target with the other qubits as outer controls.  A gadget is one op.
+    Window gates are 4 x 4 matrices (a one-qubit window holds a phantom
+    second qubit, dropped from its 2 x 2 op); :meth:`lower` builds them all
+    with a few batched array calls, folds the runs by prefix products and
+    conjugates each slot's generator K by its gate's prefix P in the run.
+    """
+
+    def __init__(self, c: Circuit):
+        # per run: gate indices, first and last qubit, and outer controls (None
+        # for a window run, which later gates may still join)
+        runs: list[list] = []
+        for i, g in enumerate(c.gates):
+            touched = g.qubits + g.controls
+            lo, hi = min(touched), max(touched)
+            last = runs[-1] if runs else None
+            if g.kind == "gadget":
+                runs.append([[i], g.qubits[0], g.qubits[-1], g.controls])
+            elif hi - lo > 1:
+                q = g.qubits[-1]
+                runs.append([[i], q, q, tuple(x for x in touched if x != q)])
+            elif last and last[3] is None and max(hi, last[2]) - min(lo, last[1]) <= 1:
+                last[0].append(i)
+                last[1:3] = min(lo, last[1]), max(hi, last[2])
+            else:
+                runs.append([[i], lo, hi, None])
+        self.runs = tuple(tuple(r[0]) for r in runs)
+
+        # window runs, longest first, so that fold step j multiplies a prefix of them
+        windows = sorted(
+            (r for r in runs if c.gates[r[0][0]].kind != "gadget"), key=lambda r: -len(r[0])
+        )
+        lengths = [len(r[0]) for r in windows]
+        self.active = [sum(n > j for n in lengths) for j in range(max(lengths, default=1))]
+        self.last = (np.array(lengths, dtype=int) - 1, np.arange(len(windows)))
+        self.base = np.zeros((len(self.active), len(windows), 4, 4), dtype=np.complex128)
+        rots, grots = [], []
+        for r, (idx, lo, _, outer) in enumerate(windows):
+            for j, i in enumerate(idx):
+                g = c.gates[i]
+                t, ctl = g.qubits[-1] - lo, outer is None and len(g.qubits + g.controls) == 2
+                self.base[j, r] = _embed(_FIXED.get(g.kind, _ZERO2), t, ctl)
+                if g.slots:
+                    (grots if g.kind == "grot" else rots).append((g, j, r, t, ctl))
+        gates = rots + grots
+        self.n_rot = len(rots)
+        self.angle_slots = np.array([g.slots[0] for g, *_ in gates], dtype=int)
+        self.angle_b = np.array([_B[g.kind] for g, *_ in gates]).reshape(-1, 2, 2)
+        pad = (c.param_count,)  # theta is padded with _LAM0 there
+        self.phase_slots = np.array([(g.slots + pad)[1:3] for g, *_ in grots], dtype=int)
+        scatter = [
+            (16 * (j * len(windows) + r) + pos, 4 * p + k)
+            for p, (_, j, r, t, ctl) in enumerate(gates)
+            for pos, k in zip(*_EMBEDDINGS[t, ctl][1:])
+        ]
+        self.dst, self.src = np.array(scatter, dtype=int).reshape(-1, 2).T
+
+        # one entry per slot use; a grot's K_theta and K_phi are rows of the
+        # (2 n_grot, 2, 2) array lower() builds, every other K is constant
+        entries = []
+        for p, (g, j, r, t, ctl) in enumerate(gates):
+            k = p - self.n_rot
+            ks = (k, len(grots) + k, _K_LAM) if g.kind == "grot" else (_B[g.kind] / 2,)
+            entries += [(j, r, s, t, ctl, kk) for s, kk in zip(g.slots, ks)]
+        entries.sort(key=lambda e: e[0] > 0)  # unconjugated first-gate entries first
+        self.n_first = sum(e[0] == 0 for e in entries)
+        self.kbase = np.zeros((len(entries), 4, 4), dtype=np.complex128)
+        scatter = []
+        for e, (_, _, _, t, ctl, kk) in enumerate(entries):
+            if isinstance(kk, int):
+                scatter += [(16 * e + pos, 4 * kk + k) for pos, k in zip(*_EMBEDDINGS[t, ctl][1:])]
+            else:
+                self.kbase[e] = _embed(kk, t, ctl) - _EMBEDDINGS[t, ctl][0]
+        self.kdst, self.ksrc = np.array(scatter, dtype=int).reshape(-1, 2).T
+        later = entries[self.n_first :]
+        self.conj_at = (
+            np.array([e[0] - 1 for e in later], dtype=int),
+            np.array([e[1] for e in later], dtype=int),
+        )
+        self.entry_run = np.array([e[1] for e in entries], dtype=int)
+        slots = [e[2] for e in entries]
+
+        # gadgets: the eigenpairs of iG once per generator, their ops batched
+        groups: dict[PauliSum, list[int]] = {}
+        window_of = {id(r): k for k, r in enumerate(windows)}
+        self.ops = []
+        for run in runs:
+            idx, lo, hi, outer = run
+            g = c.gates[idx[0]]
+            if g.kind == "gadget":
+                members = groups.setdefault(g.generator, [])
+                where = (2 + list(groups).index(g.generator), len(members))
+                members.append(g.slots[0])
+            else:
+                where = (int(hi == lo), window_of[id(run)])
+            ctl = outer or ()
+            sel = (slice(None),) + tuple(1 if q in ctl else slice(None) for q in range(c.n_qubits))
+            lead = 1 << (lo - sum(q < lo for q in ctl))
+            self.ops.append((where, sel if ctl else None, lead, any(c.gates[i].slots for i in idx)))
+        self.gadgets = []
+        for gen, members in groups.items():
+            gd = to_dense(gen)
+            w, v = np.linalg.eigh(1j * gd)
+            # the group's entries start at len(slots)
+            self.gadgets.append((w, v, v.conj().T, gd.ravel(), np.array(members), len(slots)))
+            slots += members
+        self.entry_slots = np.array(slots, dtype=int)
+
+    def lower(self, theta: np.ndarray) -> tuple[list, list, np.ndarray]:
+        """Each op's matrix and its adjoint at ``theta``, and the window
+        entries' generators P^dagger K P as an (entries, 4, 4) array."""
+        th = np.concatenate((theta, _LAM0))
+        half = 0.5 * th[self.angle_slots]
+        local = np.cos(half)[:, None, None] * _I2 + np.sin(half)[:, None, None] * self.angle_b
+        kw = self.kbase.copy()
+        if len(self.phase_slots):
+            ph = np.exp(1j * th[self.phase_slots])  # e^{i phi}, e^{i lam}
+            q = local[self.n_rot :]
+            q[:, :, 1] *= ph[:, 1:]  # Q = Ry(theta) diag(1, e^{i lam})
+            row = q[:, 1]
+            # K_theta = diag(1, e^{i lam})^dagger (B_y / 2) diag(1, e^{i lam}),
+            # K_phi = Q^dagger diag(0, i) Q
+            kdyn = np.zeros((2,) + q.shape, dtype=np.complex128)
+            kdyn[0, :, 0, 1] = -0.5 * ph[:, 1]
+            kdyn[0, :, 1, 0] = 0.5 * ph[:, 1].conj()
+            kdyn[1] = 1j * row.conj()[:, :, None] * row[:, None, :]
+            row *= ph[:, :1]  # R = diag(1, e^{i phi}) Q
+            kw.reshape(-1)[self.kdst] = kdyn.reshape(-1)[self.ksrc]
+        emb = self.base.copy()
+        emb.reshape(-1)[self.dst] = local.reshape(-1)[self.src]
+        for j, n in enumerate(self.active[1:], 1):
+            np.matmul(emb[j, :n], emb[j - 1, :n], out=emb[j, :n])
+        if len(kw) > self.n_first:
+            p = emb[self.conj_at]
+            kw[self.n_first :] = p.conj().swapaxes(1, 2) @ kw[self.n_first :] @ p
+        ops = emb[self.last]
+        mats, adjs = [ops], [ops.conj().swapaxes(1, 2)]
+        for w, v, vh, _, slots, _ in self.gadgets:
+            m = (v * np.exp(-1j * np.multiply.outer(theta[slots], w))[:, None, :]) @ vh
+            mats.append(m)
+            adjs.append(m.conj().swapaxes(1, 2))
+        for a in (mats, adjs):
+            a.insert(1, a[0][:, ::2, ::2])
+        return (
+            [mats[a][i] for (a, i), *_ in self.ops],
+            [adjs[a][i] for (a, i), *_ in self.ops],
+            kw,
+        )
+
+
+def _apply(m: np.ndarray, sel: tuple | None, lead: int, state: np.ndarray) -> np.ndarray:
+    """Multiply ``m`` into the target axes of ``state`` in place.
+
+    ``state`` has shape ``(b,) + (2,)*N + (cols,)`` and only its subspace
+    ``sel``, where every outer control qubit is |1>, is written (all of it
+    for ``sel`` None).  Returns that subspace after the product as a
+    ``(b*lead, 2^k, rest)`` array.
+    """
+    sub = state if sel is None else state[sel]
+    view = sub.reshape(state.shape[0] * lead, m.shape[0], -1)
+    out = m @ view
+    if sel is None:
+        view[...] = out
+    else:
+        state[sel] = out.reshape(sub.shape)
+    return out
+
+
+def _forward(c: Circuit, mats: list[np.ndarray]) -> np.ndarray:
     """All ops applied to the identity, as a dim x dim matrix."""
     psi = np.eye(c.dim, dtype=np.complex128).reshape((1,) + (2,) * c.n_qubits + (c.dim,))
-    for op in ops:
-        _apply(op.mat, op.sel, op.lead, psi)
+    for m, (_, sel, lead, _) in zip(mats, c._plan.ops):
+        _apply(m, sel, lead, psi)
     return psi.reshape(c.dim, c.dim)
 
 
@@ -343,22 +405,26 @@ def evaluate(c: Circuit, theta) -> np.ndarray:
     return evaluate_with_gradients(c, theta)[0]
 
 
-def _pullback_sweep(ops: list[_Op], u: np.ndarray, w: np.ndarray, n_params: int) -> np.ndarray:
-    """Gradient of Re <w, U[:r, :s]>_F over the slots of ``ops``.
+def _pullback_sweep(
+    plan: _Plan, adjs: list, kw: np.ndarray, u: np.ndarray, w: np.ndarray, n_params: int
+) -> np.ndarray:
+    """Gradient of Re <w, U[:r, :s]>_F over the slots of the plan's ops.
 
-    ``u`` is the product of ``ops`` (U = O_L ... O_1) and ``w`` an (r, s)
-    cotangent.  One backward sweep carries a (2, d, s) state: the prefix
-    U[:, :s], un-computed by each O_j^dagger (every op is unitary) into
-    P_j = O_{j-1} ... O_1 [:, :s], and lambda, ``w`` embedded in rows :r
-    and moved back by the same O_j^dagger.  After O_j is undone, a slot of
-    O_j with generator K = O_j^dagger dO_j adds
-    Re <lambda, K P_j> = Re sum(K * E), where the 2^k x 2^k environment
-    E = sum conj(lambda) P^T runs over the op's controlled subspace.  The
-    work per op is O(d s 2^k) and the extra memory O(d s).  Slots shared by
-    several ops accumulate every contribution.  For a circuit with a core
-    ``ops`` are U's and ``w`` is the cotangent G of
-    :func:`evaluate_with_gradients`, which has d columns, so the state is
-    (2, d, d).
+    ``u`` is the product of the ops (U = O_L ... O_1), ``adjs`` their
+    adjoints and ``w`` an (r, s) cotangent.  One backward sweep carries a
+    (2, d, s) state: the prefix U[:, :s], un-computed by each O_j^dagger
+    (every op is unitary) into P_j = O_{j-1} ... O_1 [:, :s], and lambda,
+    ``w`` embedded in rows :r and moved back by the same O_j^dagger.  After
+    O_j is undone, its 2^k x 2^k environment E = sum conj(lambda) P^T over
+    the op's controlled subspace is taken; a slot of O_j with generator
+    K = O_j^dagger dO_j adds Re sum(K * E).  Window environments go into one
+    array, contracted with every window slot's K at the end; a gadget's,
+    as large as its generator, is contracted at once, so only its sum is
+    kept.  One ``bincount`` then adds the sums up by slot, over slots used
+    more than once too.  The work per op is O(d s 2^k) and the extra memory
+    O(d s).  For a circuit with a core ``adjs`` are U's and ``w`` is the
+    cotangent G of :func:`evaluate_with_gradients`, which has d columns, so
+    the state is (2, d, d).
     """
     r, s = w.shape
     d = u.shape[0]
@@ -366,29 +432,35 @@ def _pullback_sweep(ops: list[_Op], u: np.ndarray, w: np.ndarray, n_params: int)
     state[0] = u[:, :s]
     state[1, :r] = w
     state = state.reshape((2,) + (2,) * (d.bit_length() - 1) + (s,))
-    grad = np.zeros(n_params)
-    for op in reversed(ops):
-        out = _apply(op.mat.conj().T, op.sel, op.lead, state)
-        if op.derivs:
+    env = np.zeros(plan.base.shape[1:], dtype=np.complex128)
+    envs = [env, env[:, ::2, ::2]]
+    sums = np.empty(len(plan.entry_slots), dtype=np.complex128)
+    for m, ((a, i), sel, lead, has_slots) in zip(reversed(adjs), reversed(plan.ops)):
+        out = _apply(m, sel, lead, state)
+        if has_slots:
             # each half as a 2^k x (lead * rest) matrix, target index first
-            k_dim = op.mat.shape[0]
-            prefix = out[: op.lead].transpose(1, 0, 2).reshape(k_dim, -1)
-            lam = out[op.lead :].transpose(1, 0, 2).reshape(k_dim, -1)
-            env = (lam.conj() @ prefix.T).ravel()
-            for slot, k in op.derivs:
-                grad[slot] += (k.ravel() @ env).real
-    return grad
+            k_dim = m.shape[0]
+            prefix = out[:lead].transpose(1, 0, 2).reshape(k_dim, -1)
+            lam = out[lead:].transpose(1, 0, 2).reshape(k_dim, -1)
+            e = lam.conj() @ prefix.T
+            if a < 2:
+                envs[a][i] = e
+            else:
+                _, _, _, gd, _, first = plan.gadgets[a - 2]
+                sums[first + i] = e.ravel() @ gd
+    sums[: len(plan.entry_run)] = (kw * env[plan.entry_run]).sum((1, 2))
+    return np.bincount(plan.entry_slots, sums.real, minlength=n_params)
 
 
 def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
     """Unitary and the vector-Jacobian product of its parameter derivatives.
 
-    Returns ``(u, pullback)``.  ``u`` is the product U of the lowered ops,
+    Returns ``(u, pullback)``.  ``u`` is the product U of the plan's ops,
     applied to the identity in one forward sweep, or (U V) U^dagger for a
     circuit with a core.  ``pullback(w)`` takes a cotangent ``w`` of shape
     (r, s) and returns the real vector
     d/d(theta_k) Re <w, u[:r, :s]>_F of length ``param_count``, from one
-    backward sweep over the lowered ops (:func:`_pullback_sweep`, after Jones
+    backward sweep over the ops (:func:`_pullback_sweep`, after Jones
     & Gacon, arXiv:2009.02823).  Each call costs O(d s 2^k) per op and
     O(d s) extra memory; no (param_count, d, d) derivative tensor exists.
 
@@ -400,8 +472,8 @@ def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
     theta = np.asarray(theta, dtype=np.float64).ravel()
     if theta.size != c.param_count:
         raise ValueError(f"expected {c.param_count} parameters, got {theta.size}")
-    ops = _lower(c, theta)
-    u = half = _forward(c, ops)
+    mats, adjs, kw = c._plan.lower(theta)
+    u = half = _forward(c, mats)
     if c.core is not None:
         uv = half @ c._dense_core
         u = uv @ half.conj().T
@@ -414,7 +486,7 @@ def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
             g[:r] = w @ (half[:s] @ c._dense_core.conj().T)
             g[:s] += w.conj().T @ uv[:r]
             w = g
-        return _pullback_sweep(ops, half, w, c.param_count)
+        return _pullback_sweep(c._plan, adjs, kw, half, w, c.param_count)
 
     return u, pullback
 

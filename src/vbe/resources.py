@@ -78,24 +78,6 @@ def a_ratio(c: Circuit) -> Fraction:
     return Fraction(c.layer_slot_count, gates)
 
 
-def symmetric_a_ratio(kind: str, n: int) -> Fraction:
-    """Per-symmetry parameter-per-2-qubit-gate ratio of the GQSP-type ansatz.
-
-    One gadget parameter drives a full bond-type sweep; each bond costs
-    three native 2-qubit gates (a CNOT ladder pair plus the controlled
-    rotation) and the hermitian mirror doubles the sweep, giving
-    a = 1 / (6 * bonds) on the chain (n-1 bonds), ring (n) and complete
-    graph (n(n-1)/2).
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    bonds = {"Z2xz": n - 1, "Cn": n, "Sn": n * (n - 1) // 2}
-    try:
-        return Fraction(1, 6 * bonds[kind])
-    except KeyError:
-        raise ValueError(f"no symmetric a-ratio for kind {kind!r}") from None
-
-
 def threshold_layers_symmetric(dim_b: int, q: int) -> int:
     """Layer estimate from the block-span dimension: the smallest M with
     3M + 3 >= q*dimB, i.e. enough circuit parameters for the q*dimB real

@@ -1,18 +1,25 @@
 """Dense reference implementations the tests check the package against.
 
 Each helper builds or compares explicit 2^n x 2^n matrices, independently of
-the packed Pauli arithmetic and the lowered circuit ops under test.  The
-package itself never needs them, so they live here, together with
-:func:`block_spec`, the generic ansatz spec the tests build circuits from.
+the packed Pauli arithmetic and the circuit evaluation plan under test.
+:func:`dense_unitary` multiplies gate by gate, each gate embedded with
+``kron`` and control projectors.  The package itself never needs these, so
+they live here, together with :func:`block_spec`, the generic ansatz spec
+the tests build circuits from, and the closed forms :func:`single_qubit_R`
+and :func:`symmetric_a_ratio`, which no package code uses.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
 
 from vbe import linalg
-from vbe.circuit import AnsatzSpec, single_qubit_R
+from vbe.circuit import AnsatzSpec, Circuit, Gate
 from vbe.pauli import PauliString, PauliSum, to_dense
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -117,6 +124,36 @@ def symmetric_invariance_check(b, syms: list[np.ndarray]) -> float:
     return worst
 
 
+def single_qubit_R(theta: float, phi: float, lam: float) -> np.ndarray:
+    """R(theta, phi, lam) from its closed form."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array(
+        [
+            [c, -np.exp(1j * lam) * s],
+            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+        ],
+        dtype=np.complex128,
+    )
+
+
+def symmetric_a_ratio(kind: str, n: int) -> Fraction:
+    """Per-symmetry parameter-per-2-qubit-gate ratio of the GQSP-type ansatz.
+
+    One gadget parameter drives a full bond-type sweep; each bond costs
+    three native 2-qubit gates (a CNOT ladder pair plus the controlled
+    rotation) and the hermitian mirror doubles the sweep, giving
+    a = 1 / (6 * bonds) on the chain (n-1 bonds), ring (n) and complete
+    graph (n(n-1)/2).
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    bonds = {"Z2xz": n - 1, "Cn": n, "Sn": n * (n - 1) // 2}
+    try:
+        return Fraction(1, 6 * bonds[kind])
+    except KeyError:
+        raise ValueError(f"no symmetric a-ratio for kind {kind!r}") from None
+
+
 def block_spec(block_id, n, layers=1, restriction="complex", hermitian=False) -> AnsatzSpec:
     """Generic ansatz spec of block ``block_id`` on ``n`` system qubits."""
     return AnsatzSpec(
@@ -153,3 +190,59 @@ def gqsp_block_expansion(generators, theta) -> np.ndarray:
         r = single_qubit_R(theta[4 + 3 * i], theta[5 + 3 * i], 0.0)
         f = [r[0, 0] * f[0] + r[0, 1] * f[1], r[1, 0] * f[0] + r[1, 1] * f[1]]
     return f[0]
+
+
+_P1 = np.diag([0.0, 1.0])
+_PAULI = {
+    "rx": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "ry": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "rz": np.diag([1.0, -1.0]).astype(np.complex128),
+}
+_FIXED = {
+    "h": np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0),
+    "cnot": _PAULI["rx"],
+    "cz": _PAULI["rz"],
+}
+
+
+def _gate_matrix(g: Gate, theta) -> np.ndarray:
+    """The matrix of ``g`` on its target qubits, from closed forms and ``expm``."""
+    if g.kind == "gadget":
+        return scipy.linalg.expm(theta[g.slots[0]] * to_dense(g.generator))
+    if g.kind == "grot":
+        return single_qubit_R(*([theta[s] for s in g.slots] + [0.0])[:3])
+    if g.kind in _PAULI:
+        return scipy.linalg.expm(-0.5j * theta[g.slots[0]] * _PAULI[g.kind])
+    return _FIXED[g.kind]
+
+
+def _embedded_gate(g: Gate, n: int, theta) -> np.ndarray:
+    """``g`` as a 2^n x 2^n matrix: its matrix kron identities, applied where
+    every control is |1>.  ``cnot`` and ``cz`` act on their last qubit,
+    controlled by the others."""
+    fixed_target = g.kind in ("cnot", "cz")
+    targets = g.qubits[-1:] if fixed_target else g.qubits
+    controls = g.controls + (g.qubits[:-1] if fixed_target else ())
+    first, k = targets[0], len(targets)
+    full = kron(np.eye(1 << first), _gate_matrix(g, theta), np.eye(1 << (n - first - k)))
+    proj = reduce(np.kron, [_P1 if q in controls else np.eye(2) for q in range(n)], np.eye(1))
+    return proj @ full + np.eye(1 << n) - proj
+
+
+def dense_unitary(c: Circuit, theta) -> np.ndarray:
+    """The unitary of ``c`` at ``theta`` from gate-by-gate dense embeddings.
+
+    Each gate becomes a 2^N x 2^N matrix (``kron`` with identities and
+    control projectors) and the product runs gate by gate; a circuit with a
+    core is U V U^dagger.  Nothing of the circuit's evaluation plan is used.
+    """
+    theta = np.asarray(theta, dtype=float)
+
+    def product(gates) -> np.ndarray:
+        u = np.eye(c.dim, dtype=np.complex128)
+        for g in gates:
+            u = _embedded_gate(g, c.n_qubits, theta) @ u
+        return u
+
+    u = product(c.gates)
+    return u if c.core is None else u @ product(c.core) @ u.conj().T

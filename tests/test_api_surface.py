@@ -37,7 +37,6 @@ ALLOWED = {
     "resources.tlb_cnot": "the CNOT lower bound TLB of a one-ancilla complex encoding",
     "resources.nonlocal_gate_bound": "reproduces the CNOT-bound column of RESOURCES_N5",
     "resources.a_ratio": "reproduces the a-ratio behind the RESOURCES_N5 CNOT bound",
-    "resources.symmetric_a_ratio": "parameter-per-gate ratio of the symmetric GQSP ansatz",
     "resources.lcu_estimate": "LCU gate count the symmetric ansatz is compared against",
     "symmetry.expressible": "membership of a target in span(B), the expressibility claim",
     "targets.heisenberg_graph_terms": "Heisenberg targets on a chain, ring or complete graph",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import block_spec, is_unitary
+from oracles import block_spec, is_unitary, single_qubit_R
 from vbe import circuit as circ
 from vbe import linalg, symmetry
 from vbe.circuit import (
@@ -22,7 +22,6 @@ from vbe.circuit import (
     evaluate_with_gradients,
     hermitize,
     mc1q,
-    single_qubit_R,
 )
 from vbe.pauli import PauliSum, to_dense
 from vbe.resources import (
@@ -440,8 +439,8 @@ class TestGradients:
         self.assert_gradients_match(c, rng.uniform(-1, 1, size=4))
 
     def test_run_on_one_qubit(self, rng):
-        # consecutive gates on one qubit and control fold into one op; the
-        # shared slot 0 appears twice in it
+        # consecutive gates on the window of qubits 0 and 1 fold into one op,
+        # the uncontrolled rz too; the shared slot 0 appears twice in it
         gates = (
             Gate("rx", (1,), (0,), controls=(0,)),
             Gate("grot", (1,), (1, 2, 3), controls=(0,)),
@@ -451,7 +450,7 @@ class TestGradients:
             Gate("rz", (1,), (6,)),
         )
         c = Circuit(n_qubits=2, gates=gates, param_count=7)
-        assert [len(run) for run, _, _ in c._schedule] == [5, 1]
+        assert [len(run) for run in c._plan.runs] == [6]
         self.assert_gradients_match(c, rng.uniform(-np.pi, np.pi, size=7))
 
     @pytest.mark.parametrize("restriction", ["complex", "real"])

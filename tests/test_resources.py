@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import block_spec
+from oracles import block_spec, symmetric_a_ratio
 from vbe.circuit import build_generic_ansatz, build_gqsp_ansatz, hermitize
 from vbe.pauli import MAX_DENSE_QUBITS, PauliSum
 from vbe.resources import (
@@ -12,7 +12,6 @@ from vbe.resources import (
     free_parameter_bound,
     lcu_estimate,
     nonlocal_gate_bound,
-    symmetric_a_ratio,
     threshold_layers_symmetric,
     tlb_cnot,
 )
