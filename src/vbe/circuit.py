@@ -34,11 +34,13 @@ the window embeds as P0 x I + P1 x m.  ``cnot`` is X on its target and
 ``cz`` Z on its last qubit, with the other qubits as controls.  A gadget, a
 ``cz`` on three or more qubits and a gate with a control or target outside
 a window are one op each, applied only where their outer controls are |1>.
-So block 2's RCN primitive is one op.  Per theta, every rotation matrix,
-window embedding, fold and generator conjugation comes from a few batched
-array calls per gate kind, and the gadget exponentials from a few per
-generator.  The ops act on the reshaped axes of a
-``(b,) + (2,)*N + (cols,)`` tensor, so no gate is ever embedded in a
+So block 2's RCN primitive is one op.  A window ``grot`` is three factors,
+diag(1, e^{i phi}) Ry(theta) diag(1, e^{i lam}), so every window slot is
+one factor exp(x K) with a constant generator K, conjugated by the
+factor's fold prefix.  Per theta, every factor, window embedding, fold and
+conjugation comes from a few batched array calls, and the gadget
+exponentials from a few per generator.  The ops act on the reshaped axes
+of a ``(b,) + (2,)*N + (cols,)`` tensor, so no gate is ever embedded in a
 2^N x 2^N matrix.  ``evaluate`` applies them to the identity.
 ``evaluate_with_gradients`` also returns a pullback: for a cotangent w of
 shape (r, s) it gives the gradient of Re <w, U[:r, :s]>_F from one backward
@@ -174,14 +176,17 @@ class Circuit:
 # --------------------------------------------------------------------------
 # evaluation: one plan per circuit, lowered to local ops at each theta
 # --------------------------------------------------------------------------
-_I2 = np.eye(2, dtype=np.complex128)
-# exp(-i theta P / 2) = cos(theta/2) I + sin(theta/2) B for B = -iP; grot is
-# R(theta, phi, lam) = diag(1, e^{i phi}) Ry(theta) diag(1, e^{i lam})
-_B = {"rx": -1j * _X2, "ry": -1j * _Y2, "rz": -1j * _Z2, "grot": -1j * _Y2}
+# Every parametrized window factor is exp(x K) for a constant generator K
+# with K^2 = -s^2 Pi, Pi a projector, so it is (I - Pi) + cos(s x) Pi +
+# sin(s x) K / s.  A rotation exp(-i theta P / 2) has K = -iP/2 and s = 1/2;
+# the phase diag(1, e^{i x}) has K = diag(0, i) and s = 1.
+_GENERATORS = {
+    "rx": (-0.5j * _X2, 0.5),
+    "ry": (-0.5j * _Y2, 0.5),
+    "rz": (-0.5j * _Z2, 0.5),
+    "phase": (np.diag([0.0, 1.0j]), 1.0),
+}
 _FIXED = {"h": _H2, "cnot": _X2, "cz": _Z2}
-_K_LAM = np.diag([0.0, 1.0j])
-_ZERO2 = np.zeros((2, 2))
-_LAM0 = np.zeros(1)  # the padded slot of a grot with lam fixed to 0
 
 
 def _embedding(t: int, ctl: bool) -> tuple[np.ndarray, list[int], list[int]]:
@@ -226,10 +231,12 @@ class _Plan:
     controls lie on at most two adjacent qubits, its window; a gate with a
     control or target outside any window is a one-gate window op on its
     target with the other qubits as outer controls.  A gadget is one op.
-    Window gates are 4 x 4 matrices (a one-qubit window holds a phantom
-    second qubit, dropped from its 2 x 2 op); :meth:`lower` builds them all
-    with a few batched array calls, folds the runs by prefix products and
-    conjugates each slot's generator K by its gate's prefix P in the run.
+    A window run is a product of factors, 4 x 4 matrices (a one-qubit window
+    holds a phantom second qubit, dropped from its 2 x 2 op): one per fixed
+    or one-slot gate and three per ``grot``, first applied first.  Each slot
+    belongs to one factor exp(x K) with a constant generator K.
+    :meth:`lower` builds every factor with one batched kernel, folds the
+    runs by prefix products and conjugates each K by its factor's prefix P.
     """
 
     def __init__(self, c: Circuit):
@@ -252,63 +259,62 @@ class _Plan:
                 runs.append([[i], lo, hi, None])
         self.runs = tuple(tuple(r[0]) for r in runs)
 
-        # window runs, longest first, so that fold step j multiplies a prefix of them
-        windows = sorted(
-            (r for r in runs if c.gates[r[0][0]].kind != "gadget"), key=lambda r: -len(r[0])
-        )
-        lengths = [len(r[0]) for r in windows]
+        # window runs as factor lists, longest first, so that fold step j
+        # multiplies a prefix of them
+        windows = []
+        for run in (r for r in runs if c.gates[r[0][0]].kind != "gadget"):
+            idx, lo, _, outer = run
+            factors = []
+            for g in (c.gates[i] for i in idx):
+                t, ctl = g.qubits[-1] - lo, outer is None and len(g.qubits + g.controls) == 2
+                if g.kind == "grot":  # diag(1, e^{i phi}) Ry(theta) diag(1, e^{i lam})
+                    theta, phi, *lam = g.slots  # a two-slot grot has lam fixed to 0
+                    kinds = [("phase", x) for x in lam] + [("ry", theta), ("phase", phi)]
+                else:
+                    kinds = [(g.kind, g.slots[0] if g.slots else None)]
+                factors += [(kind, slot, t, ctl) for kind, slot in kinds]
+            windows.append((run, factors))
+        windows.sort(key=lambda w: -len(w[1]))
+        lengths = [len(f) for _, f in windows]
         self.active = [sum(n > j for n in lengths) for j in range(max(lengths, default=1))]
         self.last = (np.array(lengths, dtype=int) - 1, np.arange(len(windows)))
         self.base = np.zeros((len(self.active), len(windows), 4, 4), dtype=np.complex128)
-        rots, grots = [], []
-        for r, (idx, lo, _, outer) in enumerate(windows):
-            for j, i in enumerate(idx):
-                g = c.gates[i]
-                t, ctl = g.qubits[-1] - lo, outer is None and len(g.qubits + g.controls) == 2
-                self.base[j, r] = _embed(_FIXED.get(g.kind, _ZERO2), t, ctl)
-                if g.slots:
-                    (grots if g.kind == "grot" else rots).append((g, j, r, t, ctl))
-        gates = rots + grots
-        self.n_rot = len(rots)
-        self.angle_slots = np.array([g.slots[0] for g, *_ in gates], dtype=int)
-        self.angle_b = np.array([_B[g.kind] for g, *_ in gates]).reshape(-1, 2, 2)
-        pad = (c.param_count,)  # theta is padded with _LAM0 there
-        self.phase_slots = np.array([(g.slots + pad)[1:3] for g, *_ in grots], dtype=int)
+
+        # one entry per parametrized factor, unconjugated first factors first
+        entries = []
+        for r, (_, factors) in enumerate(windows):
+            for j, (kind, slot, t, ctl) in enumerate(factors):
+                if slot is None:
+                    self.base[j, r] = _embed(_FIXED[kind], t, ctl)
+                else:
+                    self.base[j, r] = _EMBEDDINGS[t, ctl][0]
+                    entries.append((j, r, slot, t, ctl, *_GENERATORS[kind]))
+        entries.sort(key=lambda e: e[0] > 0)
+        self.n_first = sum(e[0] == 0 for e in entries)
+        slots = [e[2] for e in entries]
+        self.angle_slots = np.array(slots, dtype=int)
+        self.angle_scale = np.array([s for *_, s in entries])
+        # the kernel a0 + cos(s x) a1 + sin(s x) a2 of exp(x K): a2 = K/s, a1 = Pi
+        a2 = np.array([k / s for *_, k, s in entries], dtype=np.complex128).reshape(-1, 2, 2)
+        a1 = -a2 @ a2
+        self.kernel = (np.eye(2) - a1, a1, a2)
+        self.kbase = np.array(
+            [_embed(k, t, ctl) - _EMBEDDINGS[t, ctl][0] for *_, t, ctl, k, _ in entries],
+            dtype=np.complex128,
+        ).reshape(-1, 4, 4)
         scatter = [
-            (16 * (j * len(windows) + r) + pos, 4 * p + k)
-            for p, (_, j, r, t, ctl) in enumerate(gates)
+            (16 * (j * len(windows) + r) + pos, 4 * e + k)
+            for e, (j, r, _, t, ctl, *_) in enumerate(entries)
             for pos, k in zip(*_EMBEDDINGS[t, ctl][1:])
         ]
         self.dst, self.src = np.array(scatter, dtype=int).reshape(-1, 2).T
-
-        # one entry per slot use; a grot's K_theta and K_phi are rows of the
-        # (2 n_grot, 2, 2) array lower() builds, every other K is constant
-        entries = []
-        for p, (g, j, r, t, ctl) in enumerate(gates):
-            k = p - self.n_rot
-            ks = (k, len(grots) + k, _K_LAM) if g.kind == "grot" else (_B[g.kind] / 2,)
-            entries += [(j, r, s, t, ctl, kk) for s, kk in zip(g.slots, ks)]
-        entries.sort(key=lambda e: e[0] > 0)  # unconjugated first-gate entries first
-        self.n_first = sum(e[0] == 0 for e in entries)
-        self.kbase = np.zeros((len(entries), 4, 4), dtype=np.complex128)
-        scatter = []
-        for e, (_, _, _, t, ctl, kk) in enumerate(entries):
-            if isinstance(kk, int):
-                scatter += [(16 * e + pos, 4 * kk + k) for pos, k in zip(*_EMBEDDINGS[t, ctl][1:])]
-            else:
-                self.kbase[e] = _embed(kk, t, ctl) - _EMBEDDINGS[t, ctl][0]
-        self.kdst, self.ksrc = np.array(scatter, dtype=int).reshape(-1, 2).T
-        later = entries[self.n_first :]
-        self.conj_at = (
-            np.array([e[0] - 1 for e in later], dtype=int),
-            np.array([e[1] for e in later], dtype=int),
-        )
+        later = [(j - 1, r) for j, r, *_ in entries[self.n_first :]]
+        self.conj_at = tuple(np.array(later, dtype=int).reshape(-1, 2).T)
         self.entry_run = np.array([e[1] for e in entries], dtype=int)
-        slots = [e[2] for e in entries]
 
         # gadgets: the eigenpairs of iG once per generator, their ops batched
         groups: dict[PauliSum, list[int]] = {}
-        window_of = {id(r): k for k, r in enumerate(windows)}
+        window_of = {id(run): k for k, (run, _) in enumerate(windows)}
         self.ops = []
         for run in runs:
             idx, lo, hi, outer = run
@@ -335,30 +341,15 @@ class _Plan:
     def lower(self, theta: np.ndarray) -> tuple[list, list, np.ndarray]:
         """Each op's matrix and its adjoint at ``theta``, and the window
         entries' generators P^dagger K P as an (entries, 4, 4) array."""
-        th = np.concatenate((theta, _LAM0))
-        half = 0.5 * th[self.angle_slots]
-        local = np.cos(half)[:, None, None] * _I2 + np.sin(half)[:, None, None] * self.angle_b
-        kw = self.kbase.copy()
-        if len(self.phase_slots):
-            ph = np.exp(1j * th[self.phase_slots])  # e^{i phi}, e^{i lam}
-            q = local[self.n_rot :]
-            q[:, :, 1] *= ph[:, 1:]  # Q = Ry(theta) diag(1, e^{i lam})
-            row = q[:, 1]
-            # K_theta = diag(1, e^{i lam})^dagger (B_y / 2) diag(1, e^{i lam}),
-            # K_phi = Q^dagger diag(0, i) Q
-            kdyn = np.zeros((2,) + q.shape, dtype=np.complex128)
-            kdyn[0, :, 0, 1] = -0.5 * ph[:, 1]
-            kdyn[0, :, 1, 0] = 0.5 * ph[:, 1].conj()
-            kdyn[1] = 1j * row.conj()[:, :, None] * row[:, None, :]
-            row *= ph[:, :1]  # R = diag(1, e^{i phi}) Q
-            kw.reshape(-1)[self.kdst] = kdyn.reshape(-1)[self.ksrc]
+        x = self.angle_scale * theta[self.angle_slots]
+        a0, a1, a2 = self.kernel
+        local = a0 + np.cos(x)[:, None, None] * a1 + np.sin(x)[:, None, None] * a2
         emb = self.base.copy()
         emb.reshape(-1)[self.dst] = local.reshape(-1)[self.src]
         for j, n in enumerate(self.active[1:], 1):
             np.matmul(emb[j, :n], emb[j - 1, :n], out=emb[j, :n])
-        if len(kw) > self.n_first:
-            p = emb[self.conj_at]
-            kw[self.n_first :] = p.conj().swapaxes(1, 2) @ kw[self.n_first :] @ p
+        kw, p = self.kbase.copy(), emb[self.conj_at]
+        kw[self.n_first :] = p.conj().swapaxes(1, 2) @ kw[self.n_first :] @ p
         ops = emb[self.last]
         mats, adjs = [ops], [ops.conj().swapaxes(1, 2)]
         for w, v, vh, _, slots, _ in self.gadgets:
@@ -822,14 +813,19 @@ def count_nonlocal_gates(c: Circuit) -> int:
     A ``cnot`` or ``cz`` is a single-target gate on its last qubit
     conditioned on the others; with one condition it is native and counts
     1, otherwise ``mc1q``.  Pauli gadgets cost 2(w-1) basis CNOTs per
-    weight-w string plus the (possibly controlled) central rotation.
+    weight-w string plus the (possibly controlled) central rotation.  A
+    weight-0 string is a global phase: free without controls, a phase on the
+    controls (``mc1q`` of one fewer) with them.
     """
     total = 0
     for g in _applied_gates(c):
         extra = len(g.controls)
         if g.kind == "gadget":
             for w in _gadget_string_weights(g):
-                total += 2 * (w - 1) + mc1q(extra)
+                if w:
+                    total += 2 * (w - 1) + mc1q(extra)
+                elif extra:
+                    total += mc1q(extra - 1)
         elif g.kind in ("cnot", "cz"):
             m = len(g.qubits) - 1 + extra
             total += 1 if m == 1 else mc1q(m)

@@ -97,7 +97,7 @@ def cost(t: TargetSpec, c: Circuit, theta) -> float:
     """Encoding error C(theta) = ||A/alpha - A_var(theta)||_F."""
     m = _ancilla_count(t, c)
     block = extract_block(evaluate(c, theta), m)
-    return linalg.frobenius_norm(t.scaled() - block)
+    return float(np.linalg.norm(t.scaled() - block))
 
 
 def squared_cost_and_gradient(t: TargetSpec, c: Circuit, theta) -> tuple[float, np.ndarray]:

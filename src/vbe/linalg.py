@@ -25,11 +25,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def frobenius_norm(a) -> float:
-    """sqrt of the sum of squared entry magnitudes."""
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 def spectral_norm(a) -> float:
     """Largest singular value of a square matrix.
 

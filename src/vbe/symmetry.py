@@ -377,8 +377,9 @@ def expressible(m: np.ndarray, b: list[PauliSum] | tuple[PauliSum, ...]) -> tupl
     the residual is below :data:`~vbe.pauli.SPAN_TOL` times the matrix norm.
     """
     m = linalg.as_matrix(m)
+    norm = float(np.linalg.norm(m))
     if not b:
-        return linalg.frobenius_norm(m) == 0.0, linalg.frobenius_norm(m)
+        return norm == 0.0, norm
     dim = m.shape[0]
     cols = []
     for op in b:
@@ -389,5 +390,4 @@ def expressible(m: np.ndarray, b: list[PauliSum] | tuple[PauliSum, ...]) -> tupl
     a = np.array(cols).T
     coeffs, *_ = np.linalg.lstsq(a, m.ravel(), rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - m.ravel()))
-    norm = linalg.frobenius_norm(m)
     return residual <= SPAN_TOL * max(norm, 1e-300), residual

@@ -57,8 +57,6 @@ def chain_bonds(n: int, periodic: bool = False) -> list[tuple[int, int]]:
     bonds = [(i, i + 1) for i in range(n - 1)]
     if periodic and n > 2:
         bonds.append((n - 1, 0))
-    elif periodic and n == 2:
-        pass  # the ring on two sites is the single existing bond
     return bonds
 
 

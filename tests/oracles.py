@@ -50,14 +50,14 @@ def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     m = linalg.as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("is_hermitian expects a square matrix")
-    return linalg.frobenius_norm(m - m.conj().T) <= tol
+    return np.linalg.norm(m - m.conj().T) <= tol
 
 
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     m = linalg.as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("is_unitary expects a square matrix")
-    return linalg.frobenius_norm(m.conj().T @ m - np.eye(m.shape[0])) <= tol
+    return np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) <= tol
 
 
 def _site_permutation_matrix(n: int, pi: list[int]) -> np.ndarray:
@@ -111,7 +111,7 @@ def check_invariance(h: np.ndarray, s: np.ndarray) -> float:
     s = linalg.as_matrix(s)
     if h.shape != s.shape:
         raise ValueError(f"dimension mismatch: {h.shape} vs {s.shape}")
-    return linalg.frobenius_norm(h @ s - s @ h)
+    return np.linalg.norm(h @ s - s @ h)
 
 
 def symmetric_invariance_check(b, syms: list[np.ndarray]) -> float:
@@ -120,7 +120,7 @@ def symmetric_invariance_check(b, syms: list[np.ndarray]) -> float:
     for op in b:
         dm = to_dense(op)
         for s in syms:
-            worst = max(worst, linalg.frobenius_norm(s @ dm @ s.conj().T - dm))
+            worst = max(worst, np.linalg.norm(s @ dm @ s.conj().T - dm))
     return worst
 
 

@@ -5,8 +5,10 @@ it, by a plain name or an attribute, anywhere outside its own definition.
 Docstrings and comments do not count, and neither do the tests.  A name
 without such a user either goes or is listed in ``ALLOWED`` with the paper
 result it reproduces or the reason it stays.  ``tables.py`` holds pinned data,
-not API, and is exempt.  Matching is by name only, so a method that shares a
-name with a function marks both as used.
+not API, and is exempt.  A private top-level name (dunders aside) under
+``src/vbe`` needs such a user too, with no allowlist: an unused one is a
+leftover.  Matching is by name only, so a method that shares a name with a
+function marks both as used.
 
 An option is a defaulted parameter of a function or method, or a dataclass
 field with a default, under ``src/vbe``.  It counts as set when some call
@@ -69,6 +71,18 @@ def public_definitions(trees) -> set[str]:
     return out
 
 
+def private_definitions(trees) -> set[str]:
+    """``module.name`` of each private top-level name under ``src/vbe``, dunders aside."""
+    return {
+        f"{path.stem}.{n}"
+        for path, tree in trees.items()
+        if path.parent.name == "vbe"
+        for stmt in tree.body
+        for n in _defined_names(stmt)
+        if n.startswith("_") and not n.startswith("__")
+    }
+
+
 def references(trees) -> set[tuple[str, str, str]]:
     """(module, enclosing top-level definition, name) of each name load and attribute."""
     refs = set()
@@ -83,25 +97,32 @@ def references(trees) -> set[tuple[str, str, str]]:
     return refs
 
 
-def unused_definitions(trees) -> set[str]:
-    """Public definitions referred to nowhere but inside themselves."""
+def unused_definitions(trees, defined) -> set[str]:
+    """The names in ``defined`` referred to nowhere but inside themselves."""
     refs = references(trees)
     return {
         qual
-        for qual in public_definitions(trees)
+        for qual in defined
         if not any(n == qual.split(".")[1] and f"{m}.{owner}" != qual for m, owner, n in refs)
     }
 
 
 def test_every_public_name_is_used_or_allowed():
-    unused = unused_definitions(_trees())
+    trees = _trees()
+    unused = unused_definitions(trees, public_definitions(trees))
     assert sorted(unused - set(ALLOWED)) == []
+
+
+def test_every_private_name_is_used():
+    trees = _trees()
+    assert sorted(unused_definitions(trees, private_definitions(trees))) == []
 
 
 def test_allowlist_names_exist_and_are_unused():
     trees = _trees()
     assert sorted(set(ALLOWED) - public_definitions(trees)) == [], "allowlisted name is gone"
-    assert sorted(set(ALLOWED) - unused_definitions(trees)) == [], "allowlisted name has a user"
+    unused = unused_definitions(trees, public_definitions(trees))
+    assert sorted(set(ALLOWED) - unused) == [], "allowlisted name has a user"
 
 
 # ---- options ---------------------------------------------------------------

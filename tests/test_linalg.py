@@ -36,18 +36,6 @@ class TestKron:
             assert np.max(np.abs(left - right)) < 1e-12
 
 
-class TestFrobeniusNorm:
-    def test_zero(self):
-        assert linalg.frobenius_norm(np.zeros((3, 3))) == 0.0
-
-    def test_identity4(self):
-        assert linalg.frobenius_norm(np.eye(4)) == pytest.approx(2.0)
-
-    def test_all_ones(self):
-        # oracle: elementwise sum of squared magnitudes
-        assert linalg.frobenius_norm(np.ones((2, 2))) == pytest.approx(2.0)
-
-
 class TestSpectralNorm:
     def test_pauli_z(self):
         assert linalg.spectral_norm(Z) == pytest.approx(1.0, abs=1e-12)
