@@ -19,13 +19,14 @@ loops all call :func:`product_packed`, which multiplies all term pairs as
 arrays and combines equal results by one ``bincount`` through an index map:
 each packed key is its own bin by default, and an orbit id per key for the
 orbit-coordinate closures of :mod:`vbe.symmetry`.  Like dense conversion,
-the 4^n key range caps products and the plain :class:`SpanBasis` at
+the 4^n key range caps products and string partitions at
 :data:`MAX_DENSE_QUBITS` qubits.
 
-:class:`OrbitCompression` holds the string orbits of a symmetry group: the
-representative form of invariant sums (one weighted string per orbit), and
-the orbit coordinates in which :class:`SpanBasis` tests a whole block of
-candidates at once.
+:class:`OrbitCompression` is a partition of the strings into orbits: those
+of a symmetry group, or the trivial one with one orbit per string.  It gives
+the representative form of invariant sums (one weighted string per orbit),
+and the orbit coordinates, the only coordinates in which :class:`SpanBasis`
+tests a block of candidates.
 """
 
 from __future__ import annotations
@@ -325,15 +326,17 @@ def product_packed(
 
 
 class OrbitCompression:
-    """String orbits of a symmetry group and the coordinates they give invariant sums.
+    """A partition of the strings into orbits and the coordinates it gives invariant sums.
 
     ``orbit_ids`` maps every packed key to its orbit, ``sizes`` counts each
-    orbit's strings and ``reps`` holds each orbit's smallest key.  A
-    group-invariant sum has one coefficient a_o per orbit, so it is fixed by
-    its *representative form*: the representatives rep(o), weighted by the
-    orbit sums a_o * |o|.  :meth:`representatives` and :meth:`fold` give
-    that form, :meth:`expand` turns it back into the full sum, and
-    :mod:`vbe.symmetry` multiplies it by invariant sums.
+    orbit's strings and ``reps`` holds each orbit's smallest key.  The orbits
+    are those of a symmetry group, or one per string (:meth:`trivial`),
+    under which every sum is invariant.  An invariant sum has one
+    coefficient a_o per orbit, so it is fixed by its *representative form*:
+    the representatives rep(o), weighted by the orbit sums a_o * |o|.
+    :meth:`representatives` and :meth:`fold` give that form, :meth:`expand`
+    turns it back into the full sum, and :mod:`vbe.symmetry` multiplies it
+    by invariant sums.
 
     As span coordinates, a sum maps to (sum over each orbit) / sqrt(size).
     That map preserves inner products exactly on the invariant subspace,
@@ -349,6 +352,12 @@ class OrbitCompression:
         self._starts = np.cumsum(self.sizes) - self.sizes
         self.reps = self._members[self._starts]
         self.inv_sqrt = 1.0 / np.sqrt(self.sizes.astype(np.float64))
+
+    @classmethod
+    def trivial(cls, n: int) -> "OrbitCompression":
+        """One orbit per string: orbit ids are the packed keys themselves."""
+        check_dense_qubits(n, "a string-indexed span")
+        return cls(np.arange(1 << (2 * n), dtype=np.int64))
 
     def _sums(self, keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         ids = self.orbit_ids[keys]
@@ -387,32 +396,26 @@ class OrbitCompression:
 
 
 class _Rows:
-    """Span coordinates: one row per string, or per string orbit, assigned
-    the first time a block touches it.
+    """Span coordinates: one row per orbit of an :class:`OrbitCompression`,
+    assigned the first time a block touches it.
 
-    Without orbits a direct-index table over the 4^n packed keys maps each
-    string to its row.  With an :class:`OrbitCompression` the table runs
-    over orbit ids, and a sum's row holds its orbit sum over sqrt(size), as
-    in :meth:`OrbitCompression.vector`.  Either way ``block`` is one gather
-    and one scatter-add, the rows stay proportional to the support seen so
-    far, and a new row is zero in every vector mapped before it, which keeps
-    earlier vectors' coordinates valid as the row count grows.
+    A direct-index table over the orbit ids maps each orbit to its row, and
+    a sum's row holds its orbit sum over sqrt(size), as in
+    :meth:`OrbitCompression.vector`.  So ``block`` is one gather and one
+    scatter-add, the rows stay proportional to the support seen so far, and
+    a new row is zero in every vector mapped before it, which keeps earlier
+    vectors' coordinates valid as the row count grows.
     """
 
-    def __init__(self, n: int, orbits: OrbitCompression | None):
-        if orbits is None:
-            check_dense_qubits(n, "a string-indexed span")
+    def __init__(self, orbits: OrbitCompression):
         self._orbits = orbits
-        self._table = np.full(1 << (2 * n) if orbits is None else orbits.count, -1, dtype=np.int32)
+        self._table = np.full(orbits.count, -1, dtype=np.int32)
         self.count = 0
 
     def block(self, packed: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """Coordinates of several packed sums, one column each."""
-        bins = np.concatenate([k for k, _ in packed])
-        coeffs = np.concatenate([c for _, c in packed])
-        if self._orbits is not None:
-            bins = self._orbits.orbit_ids[bins]
-            coeffs = coeffs * self._orbits.inv_sqrt[bins]
+        bins = self._orbits.orbit_ids[np.concatenate([k for k, _ in packed])]
+        coeffs = np.concatenate([c for _, c in packed]) * self._orbits.inv_sqrt[bins]
         rows = self._table[bins]
         new = rows < 0
         if np.any(new):
@@ -436,21 +439,17 @@ class SpanBasis:
     :meth:`add_block` tests candidates in order and keeps each one whose
     Gram-Schmidt residual exceeds :data:`SPAN_TOL` relative to its norm;
     :meth:`add_packed` and :meth:`add` are the block of one.  The residual
-    is taken over one of two coordinate maps:
-
-    * by default, one row per string;
-    * with an :class:`OrbitCompression`, one row per string orbit; this is
-      only sound when every sum passed in is invariant under the
-      compressing group.
-
-    Either way rows are assigned on first sight, so the projection cost
-    stays proportional to the support of the span and the candidates seen
-    so far.
+    is taken in the orbit coordinates of an :class:`OrbitCompression`, one
+    row per orbit, which is sound when every sum passed in is invariant
+    under the partition.  By default the partition is
+    :meth:`OrbitCompression.trivial`, one row per string, under which every
+    sum is.  Rows are assigned on first sight, so the projection cost stays
+    proportional to the support of the span and the candidates seen so far.
     """
 
     def __init__(self, n: int, orbits: OrbitCompression | None = None):
         self.n = n
-        self._coords = _Rows(n, orbits)
+        self._coords = _Rows(orbits or OrbitCompression.trivial(n))
         self.size = 0
         self._q = np.zeros((0, 16), dtype=np.complex128)
 

@@ -125,7 +125,9 @@ def lcu_estimate(h: PauliSum) -> LcuEstimate:
     The state preparation on m = ceil(log2(terms)) ancillas costs up to
     2^m - 2 CNOTs for real amplitudes and is counted twice (prepare +
     unprepare).  Each select term pays for one m-controlled single-target
-    gate plus the basis-change CNOT ladder of its string.
+    gate plus the basis-change CNOT ladder of its string.  A weight-0
+    (identity) term is a phase on the controls, ``mc1q(m - 1)``, and free
+    with none, as in :func:`~vbe.circuit.count_nonlocal_gates`.
     """
     if h.is_zero():
         raise ValueError("empty Hamiltonian")
@@ -139,7 +141,10 @@ def lcu_estimate(h: PauliSum) -> LcuEstimate:
     select = 0
     for p, _ in h.items():
         w = p.weight
-        select += mc1q(m) + 2 * max(w - 1, 0)
+        if w:
+            select += mc1q(m) + 2 * (w - 1)
+        elif m:
+            select += mc1q(m - 1)
     return LcuEstimate(
         term_count=term_count,
         ancillas=m,

@@ -1,19 +1,21 @@
 """Symmetric generator sets and the expressibility engine: Lie closure,
 associative closure, and span membership of dense matrices.
 
-The supported symmetry kinds are
+The geometric symmetry kinds are
 
-* ``Z2``   - global spin flip X^n (no geometric orbit compression),
 * ``Z2xz`` - reflection of an open chain about its middle,
 * ``Cn``   - one-site cyclic shift of a ring,
 * ``Sn``   - full site permutation.
 
 Closure computations are deterministic: elements are visited breadth-first
 in insertion order and Pauli sums are kept in canonical string order, so
-the produced bases are identical across runs and platforms.  With a
-verified string-orbit partition (Z2xz, Cn, Sn) a closure works in orbit
-coordinates: each basis element multiplies as one weighted string per
-orbit, and the products of one element are span-tested as one block.
+the produced bases are identical across runs and platforms.  A closure
+always works in the orbit coordinates of a string partition: the coarsest
+Sn, Cn or Z2xz partition under which every input sum is invariant, else the
+trivial partition with one orbit per string.  The partition is read off the
+sums, not off how they are passed.  Each basis element multiplies as one
+weighted string per orbit, and the products of one element are span-tested
+as one block.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ from vbe.targets import chain_bonds, complete_bonds, make_rng
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Anti-hermitian circuit generators respecting a declared symmetry."""
+    """Anti-hermitian circuit generators respecting a declared symmetry.
+
+    ``kind`` labels the symmetry; closures read theirs off the generators.
+    """
 
     kind: str
     n: int
@@ -143,15 +148,13 @@ def symmetric_heisenberg_terms(kind: str, n: int, seed: int | np.random.Generato
 # --------------------------------------------------------------------------
 # closures
 # --------------------------------------------------------------------------
-def symmetric_orbit_compression(kind: str, n: int) -> OrbitCompression | None:
-    """String-orbit partition of the geometric symmetry group (None for Z2).
+def symmetric_orbit_compression(kind: str, n: int) -> OrbitCompression:
+    """String-orbit partition of a geometric symmetry group (Z2xz, Cn or Sn).
 
     Conjugation by a site permutation maps a Pauli string to a permuted
     string with no phase, so group-invariant sums carry equal coefficients
     on every orbit; the partition feeds :class:`OrbitCompression`.
     """
-    if kind == "Z2":
-        return None
     check_dense_qubits(n, "a string-orbit table")
     keys = np.arange(1 << (2 * n), dtype=np.int64)
     mask = (1 << n) - 1
@@ -185,22 +188,31 @@ def symmetric_orbit_compression(kind: str, n: int) -> OrbitCompression | None:
 
 
 def _invariant(orbits: OrbitCompression, s: PauliSum) -> bool:
-    """Norm test: compression is a projection followed by an isometry, so it
-    preserves a sum's norm exactly iff the sum is group invariant."""
-    full = float(np.sum(np.abs(s.coeffs) ** 2))
-    compressed = float(np.sum(np.abs(orbits.vector(s.keys, s.coeffs)) ** 2))
-    return abs(full - compressed) <= 1e-12 * max(full, 1.0)
+    """True when ``s`` lies within SPAN_TOL (relative) of its orbit average Ps.
+
+    Ps puts the mean of each orbit's coefficients on every string of the
+    orbit, so ||s - Ps||^2 sums |c - mean|^2 over the support plus |mean|^2
+    for each string of a touched orbit that the support misses.  Measuring
+    the residual itself, not ||s||^2 - ||Ps||^2, keeps a part of size
+    SPAN_TOL from cancelling below the rounding of the squared norms.
+    """
+    ids = orbits.orbit_ids[s.keys]
+    touched = np.bincount(ids, minlength=orbits.count)
+    mean = orbits.vector(s.keys, s.coeffs) * orbits.inv_sqrt
+    missing = (orbits.sizes - touched) * np.abs(mean) ** 2
+    residual = float(np.sum(np.abs(s.coeffs - mean[ids]) ** 2) + np.sum(missing))
+    return residual <= SPAN_TOL**2 * float(np.sum(np.abs(s.coeffs) ** 2))
 
 
-def _compression_for(generators: GeneratorSet | list | tuple) -> OrbitCompression | None:
-    """Orbit compression for a generator set, verified against the inputs;
-    any non-invariant generator disables the orbit path."""
-    if not isinstance(generators, GeneratorSet):
-        return None
-    orbits = symmetric_orbit_compression(generators.kind, generators.n)
-    if orbits is None or not all(_invariant(orbits, g) for g in generators.generators):
-        return None
-    return orbits
+def _compression_for(sums: list[PauliSum]) -> OrbitCompression:
+    """The coarsest Sn, Cn or Z2xz partition under which every sum is
+    invariant, else the trivial partition with one orbit per string."""
+    n = sums[0].n
+    for kind in ("Sn", "Cn", "Z2xz"):  # coarsest first
+        orbits = symmetric_orbit_compression(kind, n)
+        if all(_invariant(orbits, s) for s in sums):
+            return orbits
+    return OrbitCompression.trivial(n)
 
 
 def _check_orbits(orbits: OrbitCompression, sums: list[PauliSum]) -> None:
@@ -215,7 +227,7 @@ def _span_closure(
     seeds: list[PauliSum],
     multipliers: list[PauliSum],
     products,
-    orbits: OrbitCompression | None,
+    orbits: OrbitCompression,
     start: int = 0,
 ) -> list[PauliSum]:
     """Breadth-first closure loop shared by the Lie and associative closures.
@@ -229,7 +241,7 @@ def _span_closure(
     extends the span joins the basis at unit norm, until a fixpoint.  The
     span holds at most 4^n elements, so the loop always ends.
 
-    With an orbit partition every input is group invariant, so every basis
+    Every input is invariant under the orbit partition, so every basis
     element A is too, and it enters the products in representative form:
     A_rep = sum_o a_o |o| rep(o), one weighted string per orbit.  For an
     invariant multiplier G, A G is the group average of A_rep G (and G A,
@@ -238,19 +250,16 @@ def _span_closure(
     :func:`product_packed` bins the pair products straight into orbit ids
     (``index``), which gives A G's representative form with orbits-in-support
     x terms(G) pairs and no 4^n combine.  Only accepted products are
-    expanded into full sums.
+    expanded into full sums.  Under the trivial partition the representative
+    form is the sum itself and the orbit ids are the packed keys.
     """
     span = SpanBasis(n, orbits=orbits)
-    index = None if orbits is None else orbits.orbit_ids
     basis: list[PauliSum] = []
     forms: list[tuple[np.ndarray, np.ndarray]] = []  # what each basis element multiplies as
 
     def accept(element: PauliSum) -> None:
         basis.append(element)
-        if orbits is None:
-            forms.append((element.keys, element.coeffs))
-        else:
-            forms.append(orbits.representatives(element.keys, element.coeffs))
+        forms.append(orbits.representatives(element.keys, element.coeffs))
 
     for s in seeds:
         s = s.normalized()
@@ -260,14 +269,15 @@ def _span_closure(
     idx = start
     while idx < len(basis):
         ka, ca = forms[idx]
-        cands = [p for m in mults for p in products(ka, ca, m.keys, m.coeffs, index)]
-        if orbits is not None:
-            cands = [orbits.fold(ids, sums) for ids, sums in cands]
+        cands = [
+            orbits.fold(ids, sums)
+            for m in mults
+            for ids, sums in products(ka, ca, m.keys, m.coeffs, orbits.orbit_ids)
+        ]
         for (keys, coeffs), extends in zip(cands, span.add_block(cands)):
             if not extends:
                 continue
-            if orbits is not None:
-                keys, coeffs = orbits.expand(keys, coeffs)
+            keys, coeffs = orbits.expand(keys, coeffs)
             accept(sum_from_packed(n, keys, coeffs / float(np.linalg.norm(coeffs))))
         idx += 1
     return basis
@@ -288,19 +298,17 @@ def lie_closure(
     closure may be the full algebra u(2^n), with 4^n elements (when the
     generators include the identity, say).
 
-    When called with a :class:`GeneratorSet` of verified-invariant
-    generators, or with an ``orbits`` partition, the closure runs in orbit
-    coordinates; a partition under which some generator is not invariant
-    raises ``ValueError``.
+    The closure runs in the orbit coordinates of ``orbits``, by default
+    the partition detected from the generators; a partition under which
+    some generator is not invariant raises ``ValueError``.  A list and a
+    :class:`GeneratorSet` of the same generators give the same basis.
     """
     gens = list(generators.generators if isinstance(generators, GeneratorSet) else generators)
-    if orbits is None:
-        orbits = _compression_for(generators)
-    else:
-        _check_orbits(orbits, gens)
     if not gens:
         return []
     n = gens[0].n
+    orbits = orbits or _compression_for(gens)
+    _check_orbits(orbits, gens)
 
     def bracket(ka, ca, kg, cg, index):
         return [product_packed(n, ka, ca, kg, cg, anticommuting_only=True, scale=2.0, index=index)]
@@ -323,16 +331,17 @@ def associative_closure(
     every word in the generators, i.e. the whole generated algebra, and
     nested commutators already are such words.
 
-    With an ``orbits`` partition the closure runs in orbit coordinates; a
-    partition under which some element of L or some multiplier is not
-    invariant raises ``ValueError``.
+    The closure runs in the orbit coordinates of ``orbits``, by default
+    the partition detected from L and the multipliers; a partition under
+    which some element of L or some multiplier is not invariant raises
+    ``ValueError``.
     """
     if not l:
         return []
     n = l[0].n
     mult = l if multipliers is None else multipliers
-    if orbits is not None:
-        _check_orbits(orbits, [*l, *mult])
+    orbits = orbits or _compression_for([*l, *mult])
+    _check_orbits(orbits, [*l, *mult])
 
     def left_and_right(ka, ca, km, cm, index):
         return [
@@ -360,8 +369,12 @@ class ClosureBasis:
 
 
 def closure_basis(generators: GeneratorSet | list[PauliSum]) -> ClosureBasis:
-    orbits = _compression_for(generators)
+    """Lie closure L of the generators and associative closure B of L, in
+    the orbit coordinates of the partition detected from the generators."""
     gens = list(generators.generators if isinstance(generators, GeneratorSet) else generators)
+    if not gens:
+        return ClosureBasis(lie_basis=(), full_basis=())
+    orbits = _compression_for(gens)
     l = lie_closure(gens, orbits=orbits)
     b = associative_closure(l, multipliers=gens, orbits=orbits)
     return ClosureBasis(lie_basis=tuple(l), full_basis=tuple(b))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import block_spec, symmetric_a_ratio
-from vbe.circuit import build_generic_ansatz, build_gqsp_ansatz, hermitize
+from vbe.circuit import build_generic_ansatz, build_gqsp_ansatz, hermitize, mc1q
 from vbe.pauli import MAX_DENSE_QUBITS, PauliSum
 from vbe.resources import (
     a_ratio,
@@ -172,6 +172,20 @@ class TestLcu:
         assert len(h) == 210
         assert lcu_estimate(h).cnot_count == 24424
         assert (h - h).is_zero()
+
+    def test_identity_term_is_a_phase_on_the_controls(self):
+        # II is mc1q(0) = 0 under one control, as count_nonlocal_gates charges
+        # a weight-0 string; ZZ is mc1q(1) = 2 plus a 2-CNOT ladder
+        est = lcu_estimate(PauliSum.from_terms({"II": 1.0, "ZZ": 0.5}))
+        assert est.ancillas == 1
+        assert est.select_cnots == 4
+        # alone, the identity needs no control and costs nothing
+        assert lcu_estimate(PauliSum.identity(2)).cnot_count == 0
+        # three controls: the identity is a doubly controlled phase
+        terms = {"III": 1.0, "ZZI": 0.5, "IZZ": 0.5, "XXI": 0.5, "IXX": 0.5}
+        est = lcu_estimate(PauliSum.from_terms(terms))
+        assert est.ancillas == 3
+        assert est.select_cnots == mc1q(2) + 4 * (mc1q(3) + 2)
 
     def test_rejects_complex_coefficients(self):
         with pytest.raises(ValueError):

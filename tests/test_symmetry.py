@@ -9,8 +9,18 @@ from oracles import (
     symmetry_matrix,
 )
 from vbe import targets
-from vbe.pauli import PauliString, PauliSum, SpanBasis, commutator, product_packed, to_dense
+from vbe.pauli import (
+    OrbitCompression,
+    PauliString,
+    PauliSum,
+    SpanBasis,
+    commutator,
+    product_packed,
+    to_dense,
+)
 from vbe.symmetry import (
+    GeneratorSet,
+    _compression_for,
     associative_closure,
     closure_basis,
     expressible,
@@ -26,6 +36,14 @@ from vbe.targets import chain_bonds, heisenberg_graph_terms
 def heisenberg_chain(n, jx, jy, jz, h, periodic=False):
     """Dense transverse-field Heisenberg chain, open or periodic."""
     return to_dense(heisenberg_graph_terms(n, chain_bonds(n, periodic), jx, jy, jz, h))
+
+
+def same_partition(a, b):
+    """True when two orbit partitions group the strings alike, whatever their ids."""
+    return np.array_equal(a.reps[a.orbit_ids], b.reps[b.orbit_ids])
+
+
+HEAVY_CLOSURES = {("Z2xz", 5), ("Z2xz", 6)}  # over a second
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -217,24 +235,89 @@ class TestAssociativeClosure:
             assert len(slow) == len(fast), (kind, n)
 
     def test_compression_agrees_with_plain(self):
-        # orbit coordinates and representative products against the plain
-        # string path, element by element
+        # orbit coordinates and representative products against the trivial
+        # partition (one orbit per string), element by element
         rows = [("Sn", 4), ("Sn", 5), ("Sn", 6), ("Cn", 4), ("Cn", 5), ("Z2xz", 3), ("Z2xz", 4)]
         for kind, n in rows:
             gs = heisenberg_generator_set(kind, n)
             cb = closure_basis(gs)
-            plain = closure_basis(list(gs.generators))  # list input: no compression
-            for orbit_basis, plain_basis in [
-                (cb.lie_basis, plain.lie_basis),
-                (cb.full_basis, plain.full_basis),
-            ]:
+            gens = list(gs.generators)
+            trivial = OrbitCompression.trivial(n)
+            l = lie_closure(gens, orbits=trivial)
+            b = associative_closure(l, multipliers=gens, orbits=trivial)
+            for orbit_basis, plain_basis in [(cb.lie_basis, l), (cb.full_basis, b)]:
                 assert len(orbit_basis) == len(plain_basis), (kind, n)
                 for e, f in zip(orbit_basis, plain_basis):
                     assert np.array_equal(e.keys, f.keys), (kind, n)
                     assert np.max(np.abs(e.coeffs - f.coeffs)) <= 1e-12, (kind, n)
             if n == 4:
                 # the default multipliers (all of L) give the same span
-                assert len(associative_closure(list(plain.lie_basis))) == cb.dim_b, (kind, n)
+                assert len(associative_closure(l)) == cb.dim_b, (kind, n)
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [
+            pytest.param(kind, n, marks=pytest.mark.heavy if (kind, n) in HEAVY_CLOSURES else ())
+            for kind in ("Sn", "Cn", "Z2xz")
+            for n in range(2, 7)
+        ],
+    )
+    def test_list_and_generator_set_agree(self, kind, n):
+        # the partition comes from the sums, not from how they are passed
+        gs = heisenberg_generator_set(kind, n)
+        as_set, as_list = closure_basis(gs), closure_basis(list(gs.generators))
+        for a, b in [(as_set.lie_basis, as_list.lie_basis), (as_set.full_basis, as_list.full_basis)]:
+            assert len(a) == len(b)
+            for e, f in zip(a, b):
+                assert np.array_equal(e.keys, f.keys) and np.array_equal(e.coeffs, f.coeffs)
+
+    @pytest.mark.parametrize("kind", ["Sn", "Cn", "Z2xz"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_detects_declared_kind_or_coarser(self, kind, n):
+        gens = list(heisenberg_generator_set(kind, n).generators)
+        declared = symmetric_orbit_compression(kind, n)
+        found = _compression_for(gens)
+        # each declared orbit lies inside one detected orbit
+        pairs = {(d, f) for d, f in zip(declared.orbit_ids.tolist(), found.orbit_ids.tolist())}
+        assert len(pairs) == declared.count
+        sn = symmetric_orbit_compression("Sn", n)
+        if n == 2:
+            # the reflection and the shift of two sites are both the swap
+            assert same_partition(declared, sn) and same_partition(found, sn)
+        elif (kind, n) == ("Cn", 3):
+            # a three-site ring is the complete graph
+            assert same_partition(found, sn)
+        else:
+            assert same_partition(found, declared)
+
+    def test_cn3_closes_like_sn3(self):
+        cb = closure_basis(heisenberg_generator_set("Cn", 3))
+        assert cb.dim_b == BDIM_TABLE[("Cn", 3)] == BDIM_TABLE[("Sn", 3)]
+        assert cb.dim_l == closure_basis(heisenberg_generator_set("Sn", 3)).dim_l
+
+    def test_slightly_asymmetric_input_gets_trivial_partition(self):
+        # a 1e-7 asymmetric part is far above SPAN_TOL, so no symmetric
+        # partition may hold it; the dims must match the trivial partition's
+        gs = heisenberg_generator_set("Sn", 3)
+        g0 = gs.generators[0] + PauliSum.from_terms({"ZII": 1e-7j})
+        bad = GeneratorSet("Sn", 3, (g0, *gs.generators[1:]), gs.labels)
+        gens = list(bad.generators)
+        trivial = OrbitCompression.trivial(3)
+        l = lie_closure(gens, orbits=trivial)
+        want = (len(l), len(associative_closure(l, multipliers=gens, orbits=trivial)))
+        assert want == (40, 42)
+        for arg in (bad, gens):
+            cb = closure_basis(arg)
+            assert (cb.dim_l, cb.dim_b) == want
+        assert same_partition(_compression_for(gens), trivial)
+        with pytest.raises(ValueError, match="not invariant"):
+            lie_closure(gens, orbits=symmetric_orbit_compression("Sn", 3))
+
+    def test_empty_input(self):
+        assert lie_closure([]) == []
+        assert associative_closure([]) == []
+        cb = closure_basis([])
+        assert (cb.dim_l, cb.dim_b) == (0, 0)
 
     def test_refuses_partition_the_inputs_break(self):
         orbits = symmetric_orbit_compression("Sn", 3)
@@ -248,9 +331,6 @@ class TestAssociativeClosure:
         with pytest.raises(ValueError, match="not invariant"):
             associative_closure([*l, field], multipliers=gens, orbits=orbits)
         assert len(associative_closure(l, multipliers=gens, orbits=orbits)) == BDIM_TABLE[("Sn", 3)]
-
-
-HEAVY_CLOSURES = {("Z2xz", 5)}  # over a second
 
 
 class TestClosureDimsTable:
