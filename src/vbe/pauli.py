@@ -16,11 +16,12 @@ Sums combine equal strings by sort, so ``+`` and ``-`` work up to
 :data:`MAX_KEY_QUBITS`, where the packed keys fill int64.  Every product has
 one path: ``@``, :func:`commutator`, :func:`mul_strings` and the closure
 loops all call :func:`product_packed`, which multiplies all term pairs as
-arrays and combines equal results by one ``bincount`` through an index map:
-each packed key is its own bin by default, and an orbit id per key for the
-orbit-coordinate closures of :mod:`vbe.symmetry`.  Like dense conversion,
-the 4^n key range caps products and string partitions at
-:data:`MAX_DENSE_QUBITS` qubits.
+arrays, puts each pair in a bin (its packed key, or an orbit id per key for
+the orbit-coordinate closures of :mod:`vbe.symmetry`, with an optional group
+per pair above the key range) and combines equal bins by sort, at a cost set
+by the pair count alone.  One call thus multiplies a closure element by all
+its multipliers at once.  Like dense conversion, the 4^n key range caps
+products and string partitions at :data:`MAX_DENSE_QUBITS` qubits.
 
 :class:`OrbitCompression` is a partition of the strings into orbits: those
 of a symmetry group, or the trivial one with one orbit per string.  It gives
@@ -274,20 +275,28 @@ def product_packed(
     anticommuting_only: bool = False,
     scale: complex = 1.0,
     index: np.ndarray | None = None,
+    *,
+    groups: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Product of two string sums given as packed (keys, coeffs) arrays.
 
     This is the only Pauli product in the package.  All term pairs are
     multiplied at once as outer arrays; with ``anticommuting_only`` the
     commuting pairs are dropped, which together with ``scale=2`` yields the
-    commutator.  Equal result strings are combined by one ``bincount``
-    (no sort) over an index map: by default each packed key is its own bin,
-    so the bins span up to the 4^n key range and n is capped at
-    :data:`MAX_DENSE_QUBITS`; an ``index`` array maps every packed key to a
-    bin instead (an :class:`OrbitCompression`'s orbit ids, say), and the
-    pair products are summed per bin.  Returns (bins, coeffs) with bins
-    ascending, the keys or the ``index`` values, and combined coefficients
-    of magnitude at most :data:`PRUNE_TOL` dropped.
+    commutator.  Each pair lands in a bin: its packed key by default, or
+    ``index[key]`` when an ``index`` array maps every packed key to a bin
+    (an :class:`OrbitCompression`'s orbit ids, say).  ``groups``, integers
+    that broadcast over the (len(k1), len(k2)) pair grid, split one call
+    into several products: a pair's bin becomes ``(group << 2n) | bin``, so
+    one call multiplies a sum by several others, each in its own group.
+
+    Equal bins are combined by sort: a stable argsort of the bins, a rank
+    per sorted run, then one ``bincount`` over the ranks in pair order, so
+    each bin sums its pairs in the order they were formed and the cost
+    depends only on the pair count, not on the 4^n key range.  The key
+    range still caps n at :data:`MAX_DENSE_QUBITS`, as ``index`` tables do.
+    Returns (bins, coeffs) with bins ascending and combined coefficients of
+    magnitude at most :data:`PRUNE_TOL` dropped.
     """
     check_dense_qubits(n, "a Pauli product")
     mask = (1 << n) - 1
@@ -299,30 +308,36 @@ def product_packed(
     zr = z1[:, None] ^ z2[None, :]
     reorder = np.bitwise_count(z1[:, None] & x2[None, :])
     coeff = c1[:, None] * c2[None, :]
+    grid = coeff.shape
     if anticommuting_only:
         keep = ((np.bitwise_count(x1[:, None] & z2[None, :]) + reorder) & 1) == 1
-        if not np.any(keep):
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128)
-        xr, zr = xr[keep], zr[keep]
-        y_sum = np.broadcast_to(y1 + y2, keep.shape)[keep]
-        reorder = reorder[keep]
-        coeff = coeff[keep]
+
+        def pick(a):
+            return a[keep]
+
     else:
-        y_sum = (y1 + y2).ravel()
-        xr, zr = xr.ravel(), zr.ravel()
-        reorder = reorder.ravel()
-        coeff = coeff.ravel()
+        pick = np.ravel
+    xr, zr = pick(xr), pick(zr)
     # bitwise_count arithmetic happens in uint8; wraparound is harmless here
     # because 256 is a multiple of 4 and only the value mod 4 matters
-    k = (y_sum - np.bitwise_count(xr & zr) + 2 * reorder) & 3
-    coeff = coeff * (scale * _I_POWERS)[k]
+    k = (pick(y1 + y2) - np.bitwise_count(xr & zr) + 2 * pick(reorder)) & 3
+    coeff = pick(coeff) * (scale * _I_POWERS)[k]
     bins = (xr << n) | zr
     if index is not None:
         bins = index[bins]
-    acc_re = np.bincount(bins, weights=coeff.real)
-    acc_im = np.bincount(bins, weights=coeff.imag)
+    if groups is not None:
+        group = np.broadcast_to(np.asarray(groups, dtype=np.int64), grid)
+        bins = (pick(group) << (2 * n)) | bins
+    order = np.argsort(bins, kind="stable")
+    ordered = bins[order]
+    first = np.ones(len(bins), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    rank = np.empty(len(bins), dtype=np.intp)
+    rank[order] = np.cumsum(first) - 1
+    acc_re = np.bincount(rank, weights=coeff.real)
+    acc_im = np.bincount(rank, weights=coeff.imag)
     nz = np.flatnonzero(acc_re * acc_re + acc_im * acc_im > PRUNE_TOL * PRUNE_TOL)
-    return nz.astype(np.int64), acc_re[nz] + 1j * acc_im[nz]
+    return ordered[first][nz], acc_re[nz] + 1j * acc_im[nz]
 
 
 class OrbitCompression:
@@ -369,21 +384,28 @@ class OrbitCompression:
         """Span coordinates of a sum: its orbit sums over sqrt(size)."""
         return self._sums(keys, coeffs) * self.inv_sqrt
 
-    def fold(self, ids: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Representative form from orbit ids and orbit sums.
+    def fold(
+        self, bins: np.ndarray, sums: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Representative forms from orbit bins and orbit sums.
 
+        A bin is ``(group << 2n) | orbit id``, as :func:`product_packed`
+        returns them with ``groups``; the result is (groups, representative
+        keys, sums), so one call folds the products of several sums.
         Orbits whose per-string coefficient sum / size is at most
         :data:`PRUNE_TOL` in magnitude are dropped, as a full sum would drop
         those strings.
         """
+        groups, ids = np.divmod(bins, len(self.orbit_ids))
         keep = np.abs(sums) > PRUNE_TOL * self.sizes[ids]
-        return self.reps[ids[keep]], sums[keep]
+        return groups[keep], self.reps[ids[keep]], sums[keep]
 
     def representatives(self, keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Representative form of an invariant sum."""
         sums = self._sums(keys, coeffs)
         ids = np.flatnonzero(sums)
-        return self.fold(ids, sums[ids])
+        _, reps, sums = self.fold(ids, sums[ids])
+        return reps, sums
 
     def expand(self, keys: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full sum (ascending keys, coefficients) of a representative form."""
@@ -401,8 +423,9 @@ class _Rows:
 
     A direct-index table over the orbit ids maps each orbit to its row, and
     a sum's row holds its orbit sum over sqrt(size), as in
-    :meth:`OrbitCompression.vector`.  So ``block`` is one gather and one
-    scatter-add, the rows stay proportional to the support seen so far, and
+    :meth:`OrbitCompression.vector`.  So ``block`` maps the terms of a whole
+    block of sums, each tagged with its column, by one gather and one
+    scatter-add; the rows stay proportional to the support seen so far, and
     a new row is zero in every vector mapped before it, which keeps earlier
     vectors' coordinates valid as the row count grows.
     """
@@ -412,10 +435,12 @@ class _Rows:
         self._table = np.full(orbits.count, -1, dtype=np.int32)
         self.count = 0
 
-    def block(self, packed: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Coordinates of several packed sums, one column each."""
-        bins = self._orbits.orbit_ids[np.concatenate([k for k, _ in packed])]
-        coeffs = np.concatenate([c for _, c in packed]) * self._orbits.inv_sqrt[bins]
+    def block(
+        self, keys: np.ndarray, coeffs: np.ndarray, cols: np.ndarray, count: int
+    ) -> np.ndarray:
+        """Coordinates of ``count`` sums given as terms and the column each term belongs to."""
+        bins = self._orbits.orbit_ids[keys]
+        coeffs = coeffs * self._orbits.inv_sqrt[bins]
         rows = self._table[bins]
         new = rows < 0
         if np.any(new):
@@ -425,12 +450,11 @@ class _Rows:
             self._table[fresh] = self.count + np.arange(len(fresh))
             self.count += len(fresh)
             rows = self._table[bins]
-        k = len(packed)
-        flat = rows * k + np.repeat(np.arange(k), [len(c) for _, c in packed])
-        out = np.empty(self.count * k, dtype=np.complex128)
+        flat = rows * count + cols
+        out = np.empty(self.count * count, dtype=np.complex128)
         out.real = np.bincount(flat, weights=coeffs.real, minlength=len(out))
         out.imag = np.bincount(flat, weights=coeffs.imag, minlength=len(out))
-        return out.reshape(self.count, k)
+        return out.reshape(self.count, count)
 
 
 class SpanBasis:
@@ -438,7 +462,7 @@ class SpanBasis:
 
     :meth:`add_block` tests candidates in order and keeps each one whose
     Gram-Schmidt residual exceeds :data:`SPAN_TOL` relative to its norm;
-    :meth:`add_packed` and :meth:`add` are the block of one.  The residual
+    :meth:`add_packed` and :meth:`add` are its one-column case.  The residual
     is taken in the orbit coordinates of an :class:`OrbitCompression`, one
     row per orbit, which is sound when every sum passed in is invariant
     under the partition.  By default the partition is
@@ -465,11 +489,16 @@ class SpanBasis:
             grown[:, : self.size] = self._q[:, : self.size]
             self._q = grown
 
-    def add_block(self, packed: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Add packed (keys, coeffs) sums in order; returns one flag per sum,
-        True where it extended the basis.
+    def add_block(
+        self, keys: np.ndarray, coeffs: np.ndarray, cols: np.ndarray, count: int
+    ) -> np.ndarray:
+        """Add ``count`` sums in column order; returns one flag per sum, True
+        where it extended the basis.
 
-        The answers are those of one :meth:`add_packed` call per sum.  The
+        The sums arrive as one packed (keys, coeffs) array of all their terms
+        and ``cols``, the column (0 .. count-1) of each term; a column with
+        no terms is a zero sum.  The answers are those of one
+        :meth:`add_packed` call per sum, in column order.  The
         block is projected off the basis held before the call by one pass of
         (I - QQ^H), a pair of matrix products.  A projection never lengthens
         a vector, so a candidate already within tolerance there is dropped;
@@ -477,9 +506,7 @@ class SpanBasis:
         then, one at a time, two passes against the columns accepted earlier
         in this block.
         """
-        if not packed:
-            return np.zeros(0, dtype=bool)
-        v = self._coords.block(packed)
+        v = self._coords.block(keys, coeffs, cols, count)
         rows = v.shape[0]
         floor = (SPAN_TOL**2) * np.sum(np.abs(v) ** 2, axis=0)
         self._reserve(rows, self.size)
@@ -490,7 +517,7 @@ class SpanBasis:
         r = r[:, live]
         r -= q @ (r.conj().T @ q).conj().T
         first = self.size
-        accepted = np.zeros(len(packed), dtype=bool)
+        accepted = np.zeros(count, dtype=bool)
         for j, rj in zip(live, r.T):
             if self.size > first:
                 q = self._q[:, first : self.size]
@@ -507,7 +534,7 @@ class SpanBasis:
 
     def add_packed(self, keys: np.ndarray, coeffs: np.ndarray) -> bool:
         """Add the sum to the span; returns True when it extended the basis."""
-        return bool(self.add_block([(keys, coeffs)])[0])
+        return bool(self.add_block(keys, coeffs, np.zeros(len(keys), dtype=np.int64), 1)[0])
 
     def add(self, s: PauliSum) -> bool:
         """Add ``s`` to the span; returns True when it extended the basis."""

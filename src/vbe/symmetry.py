@@ -14,8 +14,8 @@ always works in the orbit coordinates of a string partition: the coarsest
 Sn, Cn or Z2xz partition under which every input sum is invariant, else the
 trivial partition with one orbit per string.  The partition is read off the
 sums, not off how they are passed.  Each basis element multiplies as one
-weighted string per orbit, and the products of one element are span-tested
-as one block.
+weighted string per orbit, by all multipliers in one product call per side,
+and its products are span-tested as one block.
 """
 
 from __future__ import annotations
@@ -204,6 +204,19 @@ def _invariant(orbits: OrbitCompression, s: PauliSum) -> bool:
     return residual <= SPAN_TOL**2 * float(np.sum(np.abs(s.coeffs) ** 2))
 
 
+class _Detected(OrbitCompression):
+    """A partition that :func:`closure_basis` read off its generators.
+
+    The Lie closure of those generators, and its associative closure under
+    them, are invariant under it by construction, so the closures take it
+    without re-checking their inputs.  It shares the arrays of the
+    partition it wraps.
+    """
+
+    def __init__(self, orbits: OrbitCompression):
+        self.__dict__.update(vars(orbits))
+
+
 def _compression_for(sums: list[PauliSum]) -> OrbitCompression:
     """The coarsest Sn, Cn or Z2xz partition under which every sum is
     invariant, else the trivial partition with one orbit per string."""
@@ -215,11 +228,16 @@ def _compression_for(sums: list[PauliSum]) -> OrbitCompression:
     return OrbitCompression.trivial(n)
 
 
-def _check_orbits(orbits: OrbitCompression, sums: list[PauliSum]) -> None:
-    """Refuse a caller's orbit partition under which some input is not invariant."""
-    for i, s in enumerate(sums):
-        if not _invariant(orbits, s):
-            raise ValueError(f"closure input {i} is not invariant under the orbit partition")
+def _partition(orbits: OrbitCompression | None, sums: list[PauliSum]) -> OrbitCompression:
+    """The partition a closure of ``sums`` runs in: detected when none is
+    given; a caller's is refused when some input is not invariant under it."""
+    if orbits is None:
+        return _compression_for(sums)
+    if not isinstance(orbits, _Detected):
+        for i, s in enumerate(sums):
+            if not _invariant(orbits, s):
+                raise ValueError(f"closure input {i} is not invariant under the orbit partition")
+    return orbits
 
 
 def _span_closure(
@@ -233,13 +251,16 @@ def _span_closure(
     """Breadth-first closure loop shared by the Lie and associative closures.
 
     The seeds that extend the span start the basis.  Each basis element from
-    index ``start`` on, in insertion order, is then combined with every
-    multiplier by ``products(ka, ca, km, cm, index)``, which returns the
-    packed products of the pair (the bracket, or the left and right
-    products).  All products of one basis element are span-tested as one
-    block (:meth:`SpanBasis.add_block`), in multiplier order, and each that
-    extends the span joins the basis at unit norm, until a fixpoint.  The
-    span holds at most 4^n elements, so the loop always ends.
+    index ``start`` on, in insertion order, is then multiplied by all the
+    multipliers at once: ``products(ka, ca, km, cm, ids)`` gets the element
+    and the concatenated multipliers with the multiplier id of each term,
+    and returns a list of :func:`product_packed` results whose groups number
+    the candidates (the bracket with multiplier m is candidate m; the left
+    and right products are 2m and 2m + 1).  The candidates of one element
+    are folded by one call and span-tested as one block
+    (:meth:`SpanBasis.add_block`) in candidate order, and each that extends
+    the span joins the basis at unit norm, until a fixpoint.  The span holds
+    at most 4^n elements, so the loop always ends.
 
     Every input is invariant under the orbit partition, so every basis
     element A is too, and it enters the products in representative form:
@@ -266,19 +287,22 @@ def _span_closure(
         if span.add_packed(s.keys, s.coeffs):
             accept(s)
     mults = [m.normalized() for m in multipliers]
+    if not mults:  # nothing multiplies the seeds, so their span is closed
+        return basis
+    km = np.concatenate([m.keys for m in mults])
+    cm = np.concatenate([m.coeffs for m in mults])
+    ids = np.repeat(np.arange(len(mults)), [len(m) for m in mults])
     idx = start
     while idx < len(basis):
         ka, ca = forms[idx]
-        cands = [
-            orbits.fold(ids, sums)
-            for m in mults
-            for ids, sums in products(ka, ca, m.keys, m.coeffs, orbits.orbit_ids)
-        ]
-        for (keys, coeffs), extends in zip(cands, span.add_block(cands)):
-            if not extends:
-                continue
-            keys, coeffs = orbits.expand(keys, coeffs)
-            accept(sum_from_packed(n, keys, coeffs / float(np.linalg.norm(coeffs))))
+        parts = products(ka, ca, km, cm, ids)
+        cands, keys, sums = orbits.fold(
+            np.concatenate([bins for bins, _ in parts]), np.concatenate([c for _, c in parts])
+        )
+        for j in np.flatnonzero(span.add_block(keys, sums, cands, len(parts) * len(mults))):
+            mine = cands == j
+            full, coeffs = orbits.expand(keys[mine], sums[mine])
+            accept(sum_from_packed(n, full, coeffs / float(np.linalg.norm(coeffs))))
         idx += 1
     return basis
 
@@ -307,11 +331,15 @@ def lie_closure(
     if not gens:
         return []
     n = gens[0].n
-    orbits = orbits or _compression_for(gens)
-    _check_orbits(orbits, gens)
+    orbits = _partition(orbits, gens)
+    index = orbits.orbit_ids
 
-    def bracket(ka, ca, kg, cg, index):
-        return [product_packed(n, ka, ca, kg, cg, anticommuting_only=True, scale=2.0, index=index)]
+    def bracket(ka, ca, km, cm, ids):
+        return [
+            product_packed(
+                n, ka, ca, km, cm, anticommuting_only=True, scale=2.0, index=index, groups=ids
+            )
+        ]
 
     return _span_closure(n, gens, gens, bracket, orbits)
 
@@ -340,13 +368,13 @@ def associative_closure(
         return []
     n = l[0].n
     mult = l if multipliers is None else multipliers
-    orbits = orbits or _compression_for([*l, *mult])
-    _check_orbits(orbits, [*l, *mult])
+    orbits = _partition(orbits, [*l, *mult])
+    index = orbits.orbit_ids
 
-    def left_and_right(ka, ca, km, cm, index):
+    def left_and_right(ka, ca, km, cm, ids):
         return [
-            product_packed(n, ka, ca, km, cm, index=index),
-            product_packed(n, km, cm, ka, ca, index=index),
+            product_packed(n, ka, ca, km, cm, index=index, groups=2 * ids),
+            product_packed(n, km, cm, ka, ca, index=index, groups=2 * ids[:, None] + 1),
         ]
 
     # start=1: products with the identity (the first seed) are trivial
@@ -374,7 +402,7 @@ def closure_basis(generators: GeneratorSet | list[PauliSum]) -> ClosureBasis:
     gens = list(generators.generators if isinstance(generators, GeneratorSet) else generators)
     if not gens:
         return ClosureBasis(lie_basis=(), full_basis=())
-    orbits = _compression_for(gens)
+    orbits = _Detected(_compression_for(gens))
     l = lie_closure(gens, orbits=orbits)
     b = associative_closure(l, multipliers=gens, orbits=orbits)
     return ClosureBasis(lie_basis=tuple(l), full_basis=tuple(b))

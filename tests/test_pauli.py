@@ -352,8 +352,18 @@ class TestRankExtend:
         flags = [one.add(c) for c in cands]
         assert flags == [True, False, True, False, True, False, True, False, False, False,
                          False, False]
-        assert block.add_block([(c.keys, c.coeffs) for c in cands]).tolist() == flags
+        keys = np.concatenate([c.keys for c in cands])
+        coeffs = np.concatenate([c.coeffs for c in cands])
+        cols = np.repeat(np.arange(len(cands)), [len(c) for c in cands])
+        assert block.add_block(keys, coeffs, cols, len(cands)).tolist() == flags
         assert block.size == one.size == 7
+        # a term's column, not its position, says which sum it belongs to
+        shuffled = SpanBasis(n)
+        for h in held:
+            shuffled.add(h)
+        order = rng.permutation(len(keys))
+        got = shuffled.add_block(keys[order], coeffs[order], cols[order], len(cands))
+        assert got.tolist() == flags
         # the block left the span in the same state
         rows = [to_dense(h).ravel() for h in [*held, a, b, a + tilt, fresh]]
         assert np.linalg.matrix_rank(np.array(rows)) == block.size

@@ -318,6 +318,9 @@ class TestAssociativeClosure:
         assert associative_closure([]) == []
         cb = closure_basis([])
         assert (cb.dim_l, cb.dim_b) == (0, 0)
+        # no multipliers: the identity and L span a closed set as they are
+        gens = list(heisenberg_generator_set("Sn", 3).generators)
+        assert len(associative_closure(gens, multipliers=[])) == len(gens) + 1
 
     def test_refuses_partition_the_inputs_break(self):
         orbits = symmetric_orbit_compression("Sn", 3)
@@ -331,6 +334,32 @@ class TestAssociativeClosure:
         with pytest.raises(ValueError, match="not invariant"):
             associative_closure([*l, field], multipliers=gens, orbits=orbits)
         assert len(associative_closure(l, multipliers=gens, orbits=orbits)) == BDIM_TABLE[("Sn", 3)]
+
+    @pytest.mark.parametrize("kind", ["Sn", "Z2xz"])
+    def test_closure_basis_checks_only_while_detecting(self, kind, monkeypatch):
+        # closure_basis reads its partition off the generators and hands it to
+        # both closures, whose inputs are then invariant by construction: every
+        # _invariant call it makes is one of the detection's
+        from vbe import symmetry
+
+        checked = []
+        invariant = symmetry._invariant
+        monkeypatch.setattr(
+            symmetry, "_invariant", lambda orbits, s: checked.append(s) or invariant(orbits, s)
+        )
+        gens = list(heisenberg_generator_set(kind, 4).generators)
+        _compression_for(gens)
+        detecting = len(checked)
+        checked.clear()
+        cb = closure_basis(gens)
+        assert len(checked) == detecting
+        assert cb.dim_b == BDIM_TABLE[(kind, 4)]
+        # the same partition from a caller is checked against every input
+        checked.clear()
+        orbits = symmetric_orbit_compression(kind, 4)
+        b = associative_closure(list(cb.lie_basis), multipliers=gens, orbits=orbits)
+        assert len(checked) == cb.dim_l + len(gens)
+        assert len(b) == cb.dim_b
 
 
 class TestClosureDimsTable:
@@ -451,31 +480,58 @@ class TestOrbitCompression:
             v = orb.vector(g.keys, g.coeffs)
             assert float(np.sum(np.abs(v) ** 2)) == pytest.approx(g.coeff_norm() ** 2)
 
-    @pytest.mark.parametrize("kind", ["Sn", "Cn", "Z2xz"])
+    @pytest.mark.parametrize("kind", ["Sn", "Cn", "Z2xz", "trivial"])
     def test_representative_products_equal_full_products(self, kind, rng):
         # A G, G A and [A, G] from one weighted string per orbit of A, binned
-        # by orbit id, expand to the full products
+        # by orbit id, expand to the full products; one grouped call over all
+        # generators gives each generator's product in its own group
         n = 4
-        gs = heisenberg_generator_set(kind, n)
-        orb = symmetric_orbit_compression(kind, n)
+        if kind == "trivial":
+            gs, orb = heisenberg_generator_set("Z2xz", n), OrbitCompression.trivial(n)
+        else:
+            gs, orb = heisenberg_generator_set(kind, n), symmetric_orbit_compression(kind, n)
         a = PauliSum.zero(n)
         for e in closure_basis(gs).full_basis:
             a = a + e * complex(*rng.standard_normal(2))
         ka, ca = orb.representatives(a.keys, a.coeffs)
-        assert len(ka) < len(a)
+        assert len(ka) < len(a) or kind == "trivial"
         keys, coeffs = orb.expand(ka, ca)
         assert np.array_equal(keys, a.keys) and np.allclose(coeffs, a.coeffs, atol=1e-14)
         bracket = dict(anticommuting_only=True, scale=2.0)
-        for g in gs.generators:
-            for full, args, kw in [
-                (a @ g, (ka, ca, g.keys, g.coeffs), {}),
-                (g @ a, (g.keys, g.coeffs, ka, ca), {}),
-                (commutator(a, g), (ka, ca, g.keys, g.coeffs), bracket),
-            ]:
-                binned = product_packed(n, *args, index=orb.orbit_ids, **kw)
-                keys, coeffs = orb.expand(*orb.fold(*binned))
-                assert np.array_equal(keys, full.keys), kind
-                assert np.allclose(coeffs, full.coeffs, atol=1e-12), kind
+        gens = gs.generators
+        km = np.concatenate([g.keys for g in gens])
+        cm = np.concatenate([g.coeffs for g in gens])
+        ids = np.repeat(np.arange(len(gens)), [len(g) for g in gens])
+
+        def operands(kg, cg, left):
+            return (kg, cg, ka, ca) if left else (ka, ca, kg, cg)
+
+        for left, kw, full in [
+            (False, {}, lambda g: a @ g),
+            (True, {}, lambda g: g @ a),
+            (False, bracket, lambda g: commutator(a, g)),
+        ]:
+            groups = ids[:, None] if left else ids
+            block = operands(km, cm, left)
+            bins, sums = product_packed(n, *block, index=orb.orbit_ids, groups=groups, **kw)
+            assert np.all(np.diff(bins) > 0)
+            group, orbit = np.divmod(bins, 1 << (2 * n))
+            for m, g in enumerate(gens):
+                one = operands(g.keys, g.coeffs, left)
+                binned = product_packed(n, *one, index=orb.orbit_ids, **kw)
+                assert np.array_equal(orbit[group == m], binned[0]), kind
+                assert np.array_equal(sums[group == m], binned[1]), kind
+                _, reps, folded = orb.fold(*binned)
+                keys, coeffs = orb.expand(reps, folded)
+                assert np.array_equal(keys, full(g).keys), kind
+                assert np.allclose(coeffs, full(g).coeffs, atol=1e-12), kind
+        # with no index the bins are the packed keys, grouped the same way
+        keys, sums = product_packed(n, a.keys, a.coeffs, km, cm, groups=ids)
+        group, keys = np.divmod(keys, 1 << (2 * n))
+        for m, g in enumerate(gens):
+            want = product_packed(n, a.keys, a.coeffs, g.keys, g.coeffs)
+            assert np.array_equal(keys[group == m], want[0])
+            assert np.array_equal(sums[group == m], want[1])
 
     def test_refuses_beyond_max_dense_qubits(self):
         from vbe.pauli import MAX_DENSE_QUBITS
