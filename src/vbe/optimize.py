@@ -6,6 +6,18 @@ convergence thresholds are stated in terms of C.  The gradient criterion
 ||grad C^2|| <= 2 C tol, which stays meaningful at the exact-encoding floor
 where C itself is not differentiable.
 
+Every search runs one encode loop: build the circuit once, run BFGS from
+each start in turn, keep the lowest C (the earlier start on ties), and stop
+at the first exact run.  An encoding is exact when C <= epsilon_exact; that
+one rule sets ``EncodeReport.converged`` and ends every loop.
+:func:`multistart_encode` feeds the loop uniform random starts.
+:func:`layer_threshold_search` runs a multistart per candidate at each
+layer count M, in candidate order (the family at M, or the GQSP random
+sequences 0, 1, ...), and accepts M at the first exact candidate.
+:func:`greedy_generator_search` runs the loop once per tree node from one
+warm start.  Where a report stands for several loops, its iterations,
+evaluations and wall time are their sums.
+
 All randomness is derived from ``numpy.random.Philox`` streams spawned per
 restart (and per sequence draw), so every report is reproducible from its
 seed and independent of execution order.
@@ -19,12 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from vbe.circuit import (
-    AnsatzSpec,
-    Circuit,
-    build_ansatz,
-    count_nonlocal_gates,
-)
+from vbe.circuit import AnsatzSpec, build_ansatz, count_nonlocal_gates
 from vbe.encode import EncodeObjective, TargetSpec
 from vbe.resources import estimate_generic_threshold, threshold_layers_symmetric
 from vbe.symmetry import GeneratorSet, closure_basis
@@ -195,7 +202,7 @@ def bfgs_minimize(fg, x0, opts: OptimizeOptions) -> BfgsResult:
 
 
 # --------------------------------------------------------------------------
-# encoding drivers
+# the encode loop
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class EncodeReport:
@@ -236,62 +243,69 @@ def _restart_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(child)) for child in root.spawn(count)]
 
 
-def _optimize_circuit(
-    target: TargetSpec,
-    circuit: Circuit,
-    theta0: np.ndarray,
-    opts: OptimizeOptions,
-) -> tuple[BfgsResult, int]:
-    """One BFGS run on C^2, and the number of objective evaluations it made."""
-    obj = EncodeObjective(target, circuit)
-    return bfgs_minimize(obj.value_and_gradient, theta0, opts), obj.evaluations
+def _encode(target: TargetSpec, spec: AnsatzSpec, starts, opts: OptimizeOptions) -> EncodeReport:
+    """The encode loop: BFGS on C^2 from each vector ``starts(param_count)``
+    yields, in order, on one circuit and one objective.
 
-
-def multistart_encode(target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOptions) -> EncodeReport:
-    """Best of ``opts.restarts`` independent optimizations from uniform
-    random starts in [-pi, pi); deterministic for a fixed seed.
-
-    The remaining restarts are skipped once one reaches an exact encoding;
-    restart seeds are pre-derived, so the result is still deterministic.
-
-    ``converged`` in the report means an exact encoding
-    (epsilon <= opts.epsilon_exact), not merely optimizer termination.
-    ``total_iterations`` and ``evaluations`` (objective calls) are summed
-    over the restarts that ran.
+    The lowest f wins, the earlier start on ties, and the first exact run
+    ends the loop.  ``total_iterations`` and ``evaluations`` cover every run.
     """
     circuit = build_ansatz(spec)
+    obj = EncodeObjective(target, circuit)
     t0 = time.perf_counter()
-    best: tuple[float, int] | None = None
-    best_result: BfgsResult | None = None
-    total_iters = evaluations = 0
-    f_floor = opts.epsilon_exact**2
-    for idx, rng in enumerate(_restart_rngs(opts.seed, opts.restarts)):
-        theta0 = rng.uniform(-np.pi, np.pi, size=circuit.param_count)
-        res, evals = _optimize_circuit(target, circuit, theta0, opts)
+    total_iters = 0
+    for idx, theta0 in enumerate(starts(circuit.param_count)):
+        res = bfgs_minimize(obj.value_and_gradient, theta0, opts)
         total_iters += res.iterations
-        evaluations += evals
-        key = (res.f, idx)
-        if best is None or key < best:
-            best = key
-            best_result = res
-        if res.f <= f_floor:
+        if idx == 0 or res.f < best.f:
+            best, best_idx = res, idx
+        eps = float(np.sqrt(max(best.f, 0.0)))
+        exact = eps <= opts.epsilon_exact
+        if exact:
             break
-    eps = float(np.sqrt(max(best_result.f, 0.0)))
     return EncodeReport(
         epsilon=eps,
-        theta=best_result.x,
-        iterations=best_result.iterations,
-        converged=eps <= opts.epsilon_exact,
+        theta=best.x,
+        iterations=best.iterations,
+        converged=exact,
         param_count=circuit.param_count,
         nonlocal_gates=count_nonlocal_gates(circuit),
         layers=spec.layers,
         wall_time=time.perf_counter() - t0,
-        restart_index=best[1],
-        status=best_result.status,
+        restart_index=best_idx,
+        status=best.status,
         total_iterations=total_iters,
-        evaluations=evaluations,
+        evaluations=obj.evaluations,
         sequence_labels=spec.sequence_labels,
     )
+
+
+def _summed(best: EncodeReport, reports: list[EncodeReport]) -> EncodeReport:
+    """``best`` with the iterations, evaluations and wall time of all ``reports``."""
+    return replace(
+        best,
+        total_iterations=sum(r.total_iterations for r in reports),
+        evaluations=sum(r.evaluations for r in reports),
+        wall_time=sum(r.wall_time for r in reports),
+    )
+
+
+def multistart_encode(target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOptions) -> EncodeReport:
+    """The encode loop from ``opts.restarts`` uniform random starts in
+    [-pi, pi), one Philox stream per restart; deterministic for a fixed seed.
+
+    The restarts after the first exact one are skipped.  ``restart_index``
+    names the winning restart, and ``converged`` means an exact encoding
+    (epsilon <= opts.epsilon_exact), not merely optimizer termination.
+    ``total_iterations`` and ``evaluations`` (objective calls) are summed
+    over the restarts that ran.
+    """
+
+    def starts(param_count: int):
+        for rng in _restart_rngs(opts.seed, opts.restarts):
+            yield rng.uniform(-np.pi, np.pi, size=param_count)
+
+    return _encode(target, spec, starts, opts)
 
 
 # --------------------------------------------------------------------------
@@ -336,48 +350,31 @@ class ThresholdSearchResult:
         }
 
 
-def _default_start(family: AnsatzSpec | GqspFamily) -> int:
-    if isinstance(family, AnsatzSpec):
-        est = estimate_generic_threshold(family)
-    else:
-        dim_b = closure_basis(family.generator_set).dim_b
-        est = threshold_layers_symmetric(dim_b, 1 if family.hermitian else 2)
-    return max(1, int(np.ceil(1.05 * max(est, 1))))
-
-
 # The paper's random-layering protocol: per layer count M, this many random
 # generator sequences with this many random initializations each.
 GQSP_SEQUENCES = 10
 GQSP_INITS = 5
 
 
-def _try_layers_gqsp(target, family: GqspFamily, m, opts) -> EncodeReport:
-    """The best sequence's report, with the work of every sequence tried.
+def _candidates(family: AnsatzSpec | GqspFamily, m: int, opts: OptimizeOptions):
+    """The (spec, options) pairs a threshold search tries at M layers, in order.
 
-    epsilon, theta, status and labels are those of the lowest-epsilon sequence;
-    ``total_iterations``, ``evaluations`` and ``wall_time`` are summed over
-    all sequences run at this M.
+    A generic family has the one pair (family at M, opts).  A GQSP family has
+    :data:`GQSP_SEQUENCES` random generator sequences with
+    :data:`GQSP_INITS` restarts each; sequence ``s`` and its restart seed are
+    drawn from the Philox stream ``SeedSequence(opts.seed, spawn_key=(m, s))``.
     """
+    if isinstance(family, AnsatzSpec):
+        yield replace(family, layers=m), opts
+        return
     n_gens = len(family.generator_set)
-    best: EncodeReport | None = None
-    total_iters = evaluations = 0
-    wall_time = 0.0
     for s_idx in range(GQSP_SEQUENCES):
-        seq_rng = np.random.Generator(
+        rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(opts.seed, spawn_key=(m, s_idx)))
         )
-        indices = tuple(int(v) for v in seq_rng.integers(0, n_gens, size=m))
-        spec = family.spec_for_sequence(indices)
-        sub_opts = replace(opts, restarts=GQSP_INITS, seed=int(seq_rng.integers(0, 2**62)))
-        report = multistart_encode(target, spec, sub_opts)
-        total_iters += report.total_iterations
-        evaluations += report.evaluations
-        wall_time += report.wall_time
-        if best is None or report.epsilon < best.epsilon:
-            best = report
-        if report.converged:
-            break
-    return replace(best, total_iterations=total_iters, evaluations=evaluations, wall_time=wall_time)
+        indices = tuple(int(v) for v in rng.integers(0, n_gens, size=m))
+        seed = int(rng.integers(0, 2**62))
+        yield family.spec_for_sequence(indices), replace(opts, restarts=GQSP_INITS, seed=seed)
 
 
 def layer_threshold_search(
@@ -389,44 +386,47 @@ def layer_threshold_search(
 ) -> ThresholdSearchResult:
     """Find the smallest layer count with at least one exact encoding.
 
-    Starts at ``start``, by default 5% above the closed-form estimate, and
-    decrements down to one layer.  Generic families run one multistart per
-    M; GQSP families try :data:`GQSP_SEQUENCES` random generator sequences
-    with :data:`GQSP_INITS` random initializations each, declaring failure
-    for an M only when all of them miss.  A GQSP report per M carries the
-    best sequence's epsilon and theta, and the iterations, evaluations and
-    wall time summed over every sequence tried at that M.  If the start
-    itself fails the search walks upward instead, and gives up (``m_thres``
-    None, a partial result) at max(4 * start, start + 8) layers.
+    Starts at ``start`` (at least 1), by default 5% above the closed-form
+    estimate, and decrements down to one layer.  Each M runs
+    :func:`multistart_encode` on its candidates in order (a generic family
+    has one, a GQSP family :data:`GQSP_SEQUENCES` random generator
+    sequences of :data:`GQSP_INITS` restarts each) and stops at the first
+    exact one; M fails only when all of them miss.  The report per M is the
+    lowest-epsilon candidate's (the earlier on ties), with the iterations,
+    evaluations and wall time summed over every candidate run at that M.
+    If the start itself fails the search walks upward instead, and gives
+    up (``m_thres`` None, a partial result) at max(4 * start, start + 8)
+    layers.
     """
     if start is None:
-        start = _default_start(family)
-    max_layers = max(4 * start, start + 8)
+        if isinstance(family, AnsatzSpec):
+            est = estimate_generic_threshold(family)
+        else:
+            dim_b = closure_basis(family.generator_set).dim_b
+            est = threshold_layers_symmetric(dim_b, 1 if family.hermitian else 2)
+        start = max(1, int(np.ceil(1.05 * max(est, 1))))
+    if start < 1:
+        raise ValueError(f"start must be at least 1, got {start}")
 
     def attempt(m: int) -> EncodeReport:
-        if isinstance(family, AnsatzSpec):
-            return multistart_encode(target, replace(family, layers=m), opts)
-        return _try_layers_gqsp(target, family, m, opts)
+        reports = []
+        for spec, sub_opts in _candidates(family, m, opts):
+            reports.append(multistart_encode(target, spec, sub_opts))
+            if reports[-1].converged:
+                break
+        return _summed(min(reports, key=lambda r: r.epsilon), reports)
 
-    reports: dict[int, EncodeReport] = {}
-    m = start
-    reports[m] = attempt(m)
-    if not reports[m].converged:
-        # estimate was too optimistic; search upward to the cap
-        while m < max_layers:
-            m += 1
-            reports[m] = attempt(m)
-            if reports[m].converged:
-                return ThresholdSearchResult(m_thres=m, start=start, reports=reports)
-        return ThresholdSearchResult(m_thres=None, start=start, reports=reports)
-    last_good = m
-    while m > 1:
-        m -= 1
+    reports = {start: attempt(start)}
+    # walk down while M stays exact, or up to the cap until it first is
+    up = not reports[start].converged
+    m, last = start, (max(4 * start, start + 8) if up else 1)
+    while m != last:
+        m += 1 if up else -1
         reports[m] = attempt(m)
-        if not reports[m].converged:
+        if reports[m].converged == up:
             break
-        last_good = m
-    return ThresholdSearchResult(m_thres=last_good, start=start, reports=reports)
+    m_thres = min((k for k, r in reports.items() if r.converged), default=None)
+    return ThresholdSearchResult(m_thres=m_thres, start=start, reports=reports)
 
 
 # --------------------------------------------------------------------------
@@ -450,69 +450,37 @@ def greedy_generator_search(
     """Width-1 tree search over generator sequences.
 
     After each accepted layer every candidate generator is tried as the
-    next layer, warm-started from the previous optimum with the three new
-    parameters drawn from uniform(-0.1, 0.1); the child with the lowest
-    error wins.  Stops at exactness or at :data:`GREEDY_MAX_DEPTH` layers.
-    The ansatz is the hermitized GQSP circuit.  The root start is
-    drawn the same way.  All parameters at zero would be a stationary point
-    of every child, so the search could never leave it.  The draws come
-    from one Philox stream seeded by ``opts.seed``.  The report's
-    ``iterations`` and ``evaluations`` are summed over every optimization
-    the search ran.
+    next layer: one encode loop per child, warm-started from the previous
+    optimum with the three new parameters drawn from uniform(-0.1, 0.1).
+    The child with the lowest error wins, the lower generator index on
+    ties.  Stops at exactness or at :data:`GREEDY_MAX_DEPTH` layers.  The
+    ansatz is the hermitized GQSP circuit.  The root start is drawn the
+    same way.  All parameters at zero would be a stationary point of every
+    child, so the search could never leave it.  The draws come from one
+    Philox stream seeded by ``opts.seed``.  The report's ``iterations``,
+    ``total_iterations`` and ``evaluations`` are summed over every
+    optimization the search ran, and ``wall_time`` is the whole search's.
     """
     family = GqspFamily(generator_set=generator_set)
-    sequence: list[int] = []
-    history: list[float] = []
-    total_iters = 0
     t0 = time.perf_counter()
-
     rng = _restart_rngs(opts.seed, 1)[0]
-    spec0 = family.spec_for_sequence(())
-    circ0 = build_ansatz(spec0)
-    res, evaluations = _optimize_circuit(
-        target, circ0, rng.uniform(-0.1, 0.1, circ0.param_count), opts
-    )
-    theta = res.x
-    best_f = res.f
-    total_iters += res.iterations
-    history.append(float(np.sqrt(max(best_f, 0.0))))
-
-    while np.sqrt(max(best_f, 0.0)) > opts.epsilon_exact and len(sequence) < GREEDY_MAX_DEPTH:
-        best_child = None
-        theta0 = np.concatenate([theta, rng.uniform(-0.1, 0.1, 3)])
-        for k in range(len(generator_set)):
-            spec = family.spec_for_sequence(tuple(sequence) + (k,))
-            circ = build_ansatz(spec)
-            res, evals = _optimize_circuit(target, circ, theta0, opts)
-            total_iters += res.iterations
-            evaluations += evals
-            if best_child is None or (res.f, k) < (best_child[0], best_child[1]):
-                best_child = (res.f, k, res)
-        f_k, k, res = best_child
-        sequence.append(k)
-        theta = res.x
-        best_f = f_k
-        history.append(float(np.sqrt(max(best_f, 0.0))))
-
-    eps = float(np.sqrt(max(best_f, 0.0)))
-    spec = family.spec_for_sequence(tuple(sequence))
-    circ = build_ansatz(spec)
-    report = EncodeReport(
-        epsilon=eps,
-        theta=theta,
-        iterations=total_iters,
-        converged=eps <= opts.epsilon_exact,
-        param_count=circ.param_count,
-        nonlocal_gates=count_nonlocal_gates(circ),
-        layers=len(sequence),
-        wall_time=time.perf_counter() - t0,
-        status="greedy",
-        total_iterations=total_iters,
-        evaluations=evaluations,
-        sequence_labels=tuple(generator_set.labels[i] for i in sequence),
-    )
-    return GreedySearchResult(
-        sequence=tuple(sequence),
-        report=report,
-        history=tuple(history),
-    )
+    sequence: tuple[int, ...] = ()
+    root = family.spec_for_sequence(())
+    best = _encode(target, root, lambda p: [rng.uniform(-0.1, 0.1, p)], opts)
+    runs = [best]
+    history = [best.epsilon]
+    while not best.converged and len(sequence) < GREEDY_MAX_DEPTH:
+        theta0 = np.concatenate([best.theta, rng.uniform(-0.1, 0.1, 3)])
+        children = [
+            _encode(target, family.spec_for_sequence(sequence + (k,)), lambda p: [theta0], opts)
+            for k in range(len(generator_set))
+        ]
+        runs += children
+        k = min(range(len(children)), key=lambda k: children[k].epsilon)
+        sequence += (k,)
+        best = children[k]
+        history.append(best.epsilon)
+    total = _summed(best, runs)
+    wall_time = time.perf_counter() - t0
+    report = replace(total, iterations=total.total_iterations, status="greedy", wall_time=wall_time)
+    return GreedySearchResult(sequence=sequence, report=report, history=tuple(history))

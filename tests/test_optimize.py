@@ -42,6 +42,43 @@ class TestGreedyGeneratorSearch:
         assert res.report.evaluations == len(calls) > res.report.total_iterations
         assert res.report.to_dict()["evaluations"] == len(calls)
 
+    def test_reports_every_iteration(self, monkeypatch):
+        runs = record_bfgs(monkeypatch)
+        gens = symmetry.heisenberg_generator_set("Sn", 2)
+        opts = optimize.OptimizeOptions(seed=0)
+        res = optimize.greedy_generator_search(symmetric_target("Sn", 2, 0), gens, opts)
+        assert len(runs) == 1 + len(gens) * len(res.sequence)
+        assert res.report.iterations == res.report.total_iterations == sum(r.iterations for r in runs)
+
+
+def record_bfgs(monkeypatch) -> list:
+    """Record the result of every ``bfgs_minimize`` run."""
+    runs = []
+    original = optimize.bfgs_minimize
+
+    def recording(fg, x0, opts):
+        runs.append(original(fg, x0, opts))
+        return runs[-1]
+
+    monkeypatch.setattr(optimize, "bfgs_minimize", recording)
+    return runs
+
+
+def record_multistarts(monkeypatch) -> list:
+    """Record every ``multistart_encode`` call as (options, report, its BFGS runs)."""
+    runs = record_bfgs(monkeypatch)
+    calls = []
+    original = optimize.multistart_encode
+
+    def recording(target, spec, opts):
+        first = len(runs)
+        report = original(target, spec, opts)
+        calls.append((opts, report, runs[first:]))
+        return report
+
+    monkeypatch.setattr(optimize, "multistart_encode", recording)
+    return calls
+
 
 def count_evaluations(monkeypatch) -> list:
     """Record every objective evaluation made through ``EncodeObjective``."""
@@ -192,6 +229,54 @@ def converges_from(k):
     return encode
 
 
+class TestEarlyStopping:
+    """The encode loop ends at the first exact run, a threshold search at the
+    first exact candidate."""
+
+    def test_multistart_stops_at_first_exact_restart(self, monkeypatch):
+        calls = record_multistarts(monkeypatch)
+        spec = AnsatzSpec(family="block", system_qubits=2, layers=3, block_id=2)
+        opts = optimize.OptimizeOptions(restarts=4, seed=3)
+        report = optimize.multistart_encode(subnormalize(random_matrix(2, seed=0)), spec, opts)
+        ((_, _, runs),) = calls
+        assert (report.converged, report.restart_index) == (True, 2)
+        assert len(runs) == report.restart_index + 1 < opts.restarts
+        assert report.total_iterations == sum(r.iterations for r in runs)
+
+    @pytest.mark.parametrize(
+        "seed,candidates_at_threshold", [(0, optimize.GQSP_SEQUENCES), (1, 1)]
+    )
+    def test_gqsp_search_stops_at_first_exact_candidate(
+        self, monkeypatch, seed, candidates_at_threshold
+    ):
+        calls = record_multistarts(monkeypatch)
+        family = optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 2))
+        res = optimize.layer_threshold_search(
+            symmetric_target("Sn", 2, seed), family, optimize.OptimizeOptions(seed=seed)
+        )
+        assert res.complete
+        for m, report in res.reports.items():
+            at_m = [c for c in calls if c[1].layers == m]
+            assert not any(r.converged for _, r, _ in at_m[:-1]), m
+            assert at_m[-1][1].converged == report.converged, m
+            if not report.converged:
+                assert len(at_m) == optimize.GQSP_SEQUENCES, m
+            for opts, r, runs in at_m:
+                assert len(runs) == (r.restart_index + 1 if r.converged else opts.restarts), m
+        assert len([c for c in calls if c[1].layers == res.m_thres]) == candidates_at_threshold
+
+    def test_generic_search_skips_restarts_after_exact(self, monkeypatch):
+        calls = record_multistarts(monkeypatch)
+        target = subnormalize(random_matrix(2, "complex", "hermitian", seed=0))
+        spec = AnsatzSpec(family="block", system_qubits=2, layers=1, block_id=2, hermitian=True)
+        opts = optimize.OptimizeOptions(restarts=4, seed=0)
+        res = optimize.layer_threshold_search(target, spec, opts)
+        assert [c[1].layers for c in calls] == sorted(res.reports, reverse=True)
+        for _, r, runs in calls:
+            assert len(runs) == (r.restart_index + 1 if r.converged else opts.restarts)
+        assert any(len(runs) < opts.restarts for _, _, runs in calls)
+
+
 class TestLayerThresholdSearch:
     @pytest.mark.parametrize(
         "k,m_thres,complete,tried",
@@ -206,6 +291,19 @@ class TestLayerThresholdSearch:
         assert (res.m_thres, res.complete, res.start) == (m_thres, complete, 4)
         assert sorted(res.reports) == list(tried)
         assert all(r.layers == m for m, r in res.reports.items())
+
+    @pytest.mark.parametrize("start", [0, -1])
+    @pytest.mark.parametrize("kind", ["generic", "gqsp"])
+    def test_start_below_one_is_refused(self, kind, start):
+        if kind == "generic":
+            family = AnsatzSpec(family="block", system_qubits=2, layers=1, block_id=2)
+            target = TargetSpec(np.eye(4), 1.0)
+        else:
+            family = optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 2))
+            target = symmetric_target("Sn", 2, 0)
+        opts = optimize.OptimizeOptions()
+        with pytest.raises(ValueError, match="start"):
+            optimize.layer_threshold_search(target, family, opts, start=start)
 
 
 class TestBfgsAgainstScipy:
