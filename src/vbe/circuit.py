@@ -798,6 +798,19 @@ def mc1q(m: int) -> int:
     return (0, 2, 6)[m] if m <= 2 else 16 * (m - 1)
 
 
+def rotation_cnots(weight: int, controls: int) -> int:
+    """CNOT-equivalent cost of a Pauli-string rotation under ``controls`` controls.
+
+    A weight-w string pays its 2(w-1) basis-change CNOTs plus the central
+    single-target rotation, ``mc1q(controls)``.  A weight-0 string is a
+    global phase: free without controls, a phase on the controls (``mc1q``
+    of one fewer) with them.
+    """
+    if weight:
+        return 2 * (weight - 1) + mc1q(controls)
+    return mc1q(controls - 1) if controls else 0
+
+
 def _gadget_string_weights(g: Gate) -> list[int]:
     return [p.weight for p in g.generator.strings()]
 
@@ -812,25 +825,19 @@ def count_nonlocal_gates(c: Circuit) -> int:
 
     A ``cnot`` or ``cz`` is a single-target gate on its last qubit
     conditioned on the others; with one condition it is native and counts
-    1, otherwise ``mc1q``.  Pauli gadgets cost 2(w-1) basis CNOTs per
-    weight-w string plus the (possibly controlled) central rotation.  A
-    weight-0 string is a global phase: free without controls, a phase on the
-    controls (``mc1q`` of one fewer) with them.
+    1, otherwise ``mc1q``.  Each string of a Pauli gadget, and each
+    single-qubit gate as a weight-1 string, costs :func:`rotation_cnots`.
     """
     total = 0
     for g in _applied_gates(c):
         extra = len(g.controls)
         if g.kind == "gadget":
-            for w in _gadget_string_weights(g):
-                if w:
-                    total += 2 * (w - 1) + mc1q(extra)
-                elif extra:
-                    total += mc1q(extra - 1)
+            total += sum(rotation_cnots(w, extra) for w in _gadget_string_weights(g))
         elif g.kind in ("cnot", "cz"):
             m = len(g.qubits) - 1 + extra
             total += 1 if m == 1 else mc1q(m)
         else:  # single-qubit kinds
-            total += mc1q(extra)
+            total += rotation_cnots(1, extra)
     return total
 
 

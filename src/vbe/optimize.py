@@ -18,9 +18,10 @@ sequences 0, 1, ...), and accepts M at the first exact candidate.
 warm start.  Where a report stands for several loops, its iterations,
 evaluations and wall time are their sums.
 
-All randomness is derived from ``numpy.random.Philox`` streams spawned per
-restart (and per sequence draw), so every report is reproducible from its
-seed and independent of execution order.
+All randomness is derived from ``numpy.random.Philox`` streams
+(:func:`~vbe.targets.make_rng`), one per restart and per sequence draw, so
+every report is reproducible from its seed and independent of execution
+order.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from vbe.circuit import AnsatzSpec, build_ansatz, count_nonlocal_gates
 from vbe.encode import EncodeObjective, TargetSpec
 from vbe.resources import estimate_generic_threshold, threshold_layers_symmetric
 from vbe.symmetry import GeneratorSet, closure_basis
+from vbe.targets import make_rng
 
 
 @dataclass(frozen=True)
@@ -238,11 +240,6 @@ class EncodeReport:
         }
 
 
-def _restart_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    root = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.Philox(child)) for child in root.spawn(count)]
-
-
 def _encode(target: TargetSpec, spec: AnsatzSpec, starts, opts: OptimizeOptions) -> EncodeReport:
     """The encode loop: BFGS on C^2 from each vector ``starts(param_count)``
     yields, in order, on one circuit and one objective.
@@ -302,8 +299,8 @@ def multistart_encode(target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOption
     """
 
     def starts(param_count: int):
-        for rng in _restart_rngs(opts.seed, opts.restarts):
-            yield rng.uniform(-np.pi, np.pi, size=param_count)
+        for r in range(opts.restarts):
+            yield make_rng(opts.seed, r).uniform(-np.pi, np.pi, size=param_count)
 
     return _encode(target, spec, starts, opts)
 
@@ -362,16 +359,14 @@ def _candidates(family: AnsatzSpec | GqspFamily, m: int, opts: OptimizeOptions):
     A generic family has the one pair (family at M, opts).  A GQSP family has
     :data:`GQSP_SEQUENCES` random generator sequences with
     :data:`GQSP_INITS` restarts each; sequence ``s`` and its restart seed are
-    drawn from the Philox stream ``SeedSequence(opts.seed, spawn_key=(m, s))``.
+    drawn from the Philox stream ``make_rng(opts.seed, m, s)``.
     """
     if isinstance(family, AnsatzSpec):
         yield replace(family, layers=m), opts
         return
     n_gens = len(family.generator_set)
     for s_idx in range(GQSP_SEQUENCES):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(opts.seed, spawn_key=(m, s_idx)))
-        )
+        rng = make_rng(opts.seed, m, s_idx)
         indices = tuple(int(v) for v in rng.integers(0, n_gens, size=m))
         seed = int(rng.integers(0, 2**62))
         yield family.spec_for_sequence(indices), replace(opts, restarts=GQSP_INITS, seed=seed)
@@ -457,13 +452,13 @@ def greedy_generator_search(
     ansatz is the hermitized GQSP circuit.  The root start is drawn the
     same way.  All parameters at zero would be a stationary point of every
     child, so the search could never leave it.  The draws come from one
-    Philox stream seeded by ``opts.seed``.  The report's ``iterations``,
+    Philox stream, ``make_rng(opts.seed, 0)``.  The report's ``iterations``,
     ``total_iterations`` and ``evaluations`` are summed over every
     optimization the search ran, and ``wall_time`` is the whole search's.
     """
     family = GqspFamily(generator_set=generator_set)
     t0 = time.perf_counter()
-    rng = _restart_rngs(opts.seed, 1)[0]
+    rng = make_rng(opts.seed, 0)
     sequence: tuple[int, ...] = ()
     root = family.spec_for_sequence(())
     best = _encode(target, root, lambda p: [rng.uniform(-0.1, 0.1, p)], opts)

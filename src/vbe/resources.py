@@ -20,7 +20,7 @@ from vbe.circuit import (
     Circuit,
     build_generic_ansatz,
     count_multiqubit_gates,
-    mc1q,
+    rotation_cnots,
 )
 from vbe.pauli import PauliSum
 
@@ -124,10 +124,9 @@ def lcu_estimate(h: PauliSum) -> LcuEstimate:
 
     The state preparation on m = ceil(log2(terms)) ancillas costs up to
     2^m - 2 CNOTs for real amplitudes and is counted twice (prepare +
-    unprepare).  Each select term pays for one m-controlled single-target
-    gate plus the basis-change CNOT ladder of its string.  A weight-0
-    (identity) term is a phase on the controls, ``mc1q(m - 1)``, and free
-    with none, as in :func:`~vbe.circuit.count_nonlocal_gates`.
+    unprepare).  Each select term is its string's rotation under the m
+    ancilla controls, :func:`~vbe.circuit.rotation_cnots`, the rule
+    :func:`~vbe.circuit.count_nonlocal_gates` charges gadget strings.
     """
     if h.is_zero():
         raise ValueError("empty Hamiltonian")
@@ -138,13 +137,7 @@ def lcu_estimate(h: PauliSum) -> LcuEstimate:
     term_count = len(h)
     m = 0 if term_count == 1 else math.ceil(math.log2(term_count))
     prepare = 2 * (2**m - 2) if m >= 1 else 0
-    select = 0
-    for p, _ in h.items():
-        w = p.weight
-        if w:
-            select += mc1q(m) + 2 * (w - 1)
-        elif m:
-            select += mc1q(m - 1)
+    select = sum(rotation_cnots(p.weight, m) for p in h.strings())
     return LcuEstimate(
         term_count=term_count,
         ancillas=m,

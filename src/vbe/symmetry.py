@@ -14,8 +14,14 @@ always works in the orbit coordinates of a string partition: the coarsest
 Sn, Cn or Z2xz partition under which every input sum is invariant, else the
 trivial partition with one orbit per string.  The partition is read off the
 sums, not off how they are passed.  Each basis element multiplies as one
-weighted string per orbit, by all multipliers in one product call per side,
-and its products are span-tested as one block.
+weighted string per orbit, by all multipliers in one product call, and its
+products are span-tested as one block.
+
+The associative closure is one-sided: it multiplies from the left only.
+With the multipliers among its seeds, that reaches every word in them, so
+it spans the whole algebra they generate, provided L lies in that algebra.
+It does for :func:`closure_basis`, where L is the multipliers' Lie closure,
+and for the default multipliers, L itself.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from vbe.pauli import (
     sum_from_packed,
     to_dense,
 )
-from vbe.targets import chain_bonds, complete_bonds, make_rng
+from vbe.targets import chain_bonds, complete_bonds, heisenberg_graph_terms, make_rng
 
 
 # --------------------------------------------------------------------------
@@ -66,14 +72,6 @@ class GeneratorSet:
         return len(self.generators)
 
 
-def _bond_sum(n: int, letter: str, bonds: list[tuple[int, int]]) -> PauliSum:
-    terms: dict[str, complex] = {}
-    for i, j in bonds:
-        key = "".join(letter if q in (i, j) else "I" for q in range(n))
-        terms[key] = terms.get(key, 0.0) + 1j
-    return PauliSum.from_terms(terms)
-
-
 def _field_sum(n: int, sites: list[int]) -> PauliSum:
     terms = {}
     for i in sites:
@@ -92,40 +90,33 @@ def heisenberg_generator_set(kind: str, n: int) -> GeneratorSet:
     """
     if n < 2:
         raise ValueError("need n >= 2 sites")
-    gens: list[PauliSum] = []
-    labels: list[str] = []
     if kind == "Z2xz":
-        bond_orbits: list[list[tuple[int, int]]] = []
+        bond_orbits: list[tuple[str, list[tuple[int, int]]]] = []
         for i in range(n - 1):
             mirror = n - 2 - i
             if i < mirror:
-                bond_orbits.append([(i, i + 1), (mirror, mirror + 1)])
+                bond_orbits.append((f"{[i, mirror]}", [(i, i + 1), (mirror, mirror + 1)]))
             elif i == mirror:
-                bond_orbits.append([(i, i + 1)])
-        for letter in "XYZ":
-            for orbit in bond_orbits:
-                gens.append(_bond_sum(n, letter, orbit))
-                labels.append(f"{letter}{letter}{sorted(b[0] for b in orbit)}")
-        for j in range((n + 1) // 2):
-            sites = sorted({j, n - 1 - j})
-            gens.append(_field_sum(n, sites))
-            labels.append(f"X{sites}")
+                bond_orbits.append((f"{[i]}", [(i, i + 1)]))
+        field_orbits = {f"X{s}": s for s in (sorted({j, n - 1 - j}) for j in range((n + 1) // 2))}
     elif kind == "Cn":
-        bonds = chain_bonds(n, periodic=True)
-        for letter in "XYZ":
-            gens.append(_bond_sum(n, letter, bonds))
-            labels.append(f"{letter}{letter}-ring")
-        gens.append(_field_sum(n, list(range(n))))
-        labels.append("X-all")
+        bond_orbits = [("-ring", chain_bonds(n, periodic=True))]
+        field_orbits = {"X-all": list(range(n))}
     elif kind == "Sn":
-        bonds = complete_bonds(n)
-        for letter in "XYZ":
-            gens.append(_bond_sum(n, letter, bonds))
-            labels.append(f"{letter}{letter}-pairs")
-        gens.append(_field_sum(n, list(range(n))))
-        labels.append("X-all")
+        bond_orbits = [("-pairs", complete_bonds(n))]
+        field_orbits = {"X-all": list(range(n))}
     else:
         raise ValueError(f"no Heisenberg generator set for kind {kind!r}")
+    gens: list[PauliSum] = []
+    labels: list[str] = []
+    for letter in "XYZ":
+        for suffix, bonds in bond_orbits:
+            couplings = (1j * (l == letter) for l in "XYZ")
+            gens.append(heisenberg_graph_terms(n, bonds, *couplings, 0.0))
+            labels.append(f"{letter}{letter}{suffix}")
+    for label, sites in field_orbits.items():
+        gens.append(_field_sum(n, sites))
+        labels.append(label)
     return GeneratorSet(kind=kind, n=n, generators=tuple(gens), labels=tuple(labels))
 
 
@@ -254,13 +245,12 @@ def _span_closure(
     index ``start`` on, in insertion order, is then multiplied by all the
     multipliers at once: ``products(ka, ca, km, cm, ids)`` gets the element
     and the concatenated multipliers with the multiplier id of each term,
-    and returns a list of :func:`product_packed` results whose groups number
-    the candidates (the bracket with multiplier m is candidate m; the left
-    and right products are 2m and 2m + 1).  The candidates of one element
-    are folded by one call and span-tested as one block
-    (:meth:`SpanBasis.add_block`) in candidate order, and each that extends
-    the span joins the basis at unit norm, until a fixpoint.  The span holds
-    at most 4^n elements, so the loop always ends.
+    and returns the one :func:`product_packed` result whose groups number
+    the candidates: candidate m is the bracket [A, G_m] or the left product
+    G_m A.  The candidates of one element are folded and span-tested as one
+    block (:meth:`SpanBasis.add_block`) in candidate order, and each that
+    extends the span joins the basis at unit norm, until a fixpoint.  The
+    span holds at most 4^n elements, so the loop always ends.
 
     Every input is invariant under the orbit partition, so every basis
     element A is too, and it enters the products in representative form:
@@ -295,11 +285,8 @@ def _span_closure(
     idx = start
     while idx < len(basis):
         ka, ca = forms[idx]
-        parts = products(ka, ca, km, cm, ids)
-        cands, keys, sums = orbits.fold(
-            np.concatenate([bins for bins, _ in parts]), np.concatenate([c for _, c in parts])
-        )
-        for j in np.flatnonzero(span.add_block(keys, sums, cands, len(parts) * len(mults))):
+        cands, keys, sums = orbits.fold(*products(ka, ca, km, cm, ids))
+        for j in np.flatnonzero(span.add_block(keys, sums, cands, len(mults))):
             mine = cands == j
             full, coeffs = orbits.expand(keys[mine], sums[mine])
             accept(sum_from_packed(n, full, coeffs / float(np.linalg.norm(coeffs))))
@@ -335,11 +322,9 @@ def lie_closure(
     index = orbits.orbit_ids
 
     def bracket(ka, ca, km, cm, ids):
-        return [
-            product_packed(
-                n, ka, ca, km, cm, anticommuting_only=True, scale=2.0, index=index, groups=ids
-            )
-        ]
+        return product_packed(
+            n, ka, ca, km, cm, anticommuting_only=True, scale=2.0, index=index, groups=ids
+        )
 
     return _span_closure(n, gens, gens, bracket, orbits)
 
@@ -351,13 +336,16 @@ def associative_closure(
 ) -> list[PauliSum]:
     """Basis of the span generated from L u {identity} under operator products.
 
-    Products that extend the span are added until a fixpoint.  By default
-    every basis element is multiplied (both sides) by the elements of L;
-    when L is a Lie closure, passing the original circuit generators as
-    ``multipliers`` yields the same span much faster: a subspace containing
-    L that is closed under one-letter generator multiplication contains
-    every word in the generators, i.e. the whole generated algebra, and
-    nested commutators already are such words.
+    The identity, L and the multipliers seed the span.  Every basis element
+    A is then multiplied from the left by each multiplier G, and each
+    product G A that extends the span is added, until a fixpoint.  The span
+    is then closed under left multiplication, so it holds every word in the
+    multipliers: the algebra they generate.  This one-sided rule has a
+    precondition: L lies in that algebra, or the span may miss products
+    A G.  It holds for the default multipliers, L itself, and when L is the
+    Lie closure of the ``multipliers`` (as in :func:`closure_basis`), since
+    nested commutators are words in the generators; passing the circuit
+    generators there gives the same span much faster.
 
     The closure runs in the orbit coordinates of ``orbits``, by default
     the partition detected from L and the multipliers; a partition under
@@ -371,15 +359,13 @@ def associative_closure(
     orbits = _partition(orbits, [*l, *mult])
     index = orbits.orbit_ids
 
-    def left_and_right(ka, ca, km, cm, ids):
-        return [
-            product_packed(n, ka, ca, km, cm, index=index, groups=2 * ids),
-            product_packed(n, km, cm, ka, ca, index=index, groups=2 * ids[:, None] + 1),
-        ]
+    def left(ka, ca, km, cm, ids):
+        return product_packed(n, km, cm, ka, ca, index=index, groups=ids[:, None])
 
-    # start=1: products with the identity (the first seed) are trivial
-    seeds = [PauliSum.identity(n), *l]
-    return _span_closure(n, seeds, mult, left_and_right, orbits, start=1)
+    # start=1: the identity (the first seed) is not expanded, its products
+    # are the multipliers, which are seeds
+    seeds = [PauliSum.identity(n), *l, *mult]
+    return _span_closure(n, seeds, mult, left, orbits, start=1)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,16 @@ import numpy as np
 from vbe.pauli import PauliSum
 
 
-def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    """Philox-backed generator (counter based, cheap to split deterministically)."""
+def make_rng(seed: int | np.random.Generator, *key: int) -> np.random.Generator:
+    """Philox-backed generator (counter based, cheap to split deterministically).
+
+    ``key`` names an independent child stream of ``seed``:
+    ``make_rng(seed, i)`` draws what child i of ``SeedSequence(seed).spawn``
+    draws.  A generator is returned as it is, whatever the key.
+    """
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _letters(n: int, assignments: dict[int, str]) -> str:
@@ -29,13 +34,14 @@ def _letters(n: int, assignments: dict[int, str]) -> str:
 def heisenberg_graph_terms(
     n: int,
     bonds: list[tuple[int, int]],
-    jx: float,
-    jy: float,
-    jz: float,
-    h: float,
+    jx: complex,
+    jy: complex,
+    jz: complex,
+    h: complex,
 ) -> PauliSum:
     """Pauli decomposition of a Heisenberg model on an arbitrary bond graph,
-    with a transverse X field on every site."""
+    with a transverse X field on every site.  Couplings may be complex: with
+    imaginary ones the sum is an anti-hermitian generator."""
     terms: dict[str, complex] = {}
     for i, j in bonds:
         if not (0 <= i < n and 0 <= j < n and i != j):

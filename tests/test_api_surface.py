@@ -41,7 +41,6 @@ ALLOWED = {
     "resources.a_ratio": "reproduces the a-ratio behind the RESOURCES_N5 CNOT bound",
     "resources.lcu_estimate": "LCU gate count the symmetric ansatz is compared against",
     "symmetry.expressible": "membership of a target in span(B), the expressibility claim",
-    "targets.heisenberg_graph_terms": "Heisenberg targets on a chain, ring or complete graph",
     "targets.zero_pad": "zero padding of non-power-of-two inputs before sub-normalization",
 }
 

@@ -172,6 +172,53 @@ def brute_force_lie_dim(gens, max_rounds=8):
     return rank
 
 
+def brute_force_algebra_dim(gens):
+    """Dense-matrix oracle: from {I}, add g s and s g until the rank stops growing."""
+    mats = [to_dense(g) for g in gens]
+    current = [np.eye(mats[0].shape[0], dtype=complex)]
+    basis = [current[0].ravel()]
+    while current:
+        new = []
+        for s in current:
+            for g in mats:
+                for c in (g @ s, s @ g):
+                    if np.max(np.abs(c)) < 1e-12:
+                        continue
+                    stacked = np.array(basis + [c.ravel() / np.linalg.norm(c)])
+                    if np.linalg.matrix_rank(stacked, tol=1e-9) > len(basis):
+                        basis.append(stacked[-1])
+                        new.append(c)
+        current = new
+    return len(basis)
+
+
+def random_generators(n, seed, count=2, terms=3):
+    """Anti-hermitian sums of random strings with random real weights: no symmetry."""
+    rng = np.random.default_rng(seed)
+
+    def term():
+        return "".join(rng.choice(list("IXYZ"), size=n)), 1j * rng.uniform(0.5, 1.5)
+
+    return [PauliSum.from_terms(dict(term() for _ in range(terms))) for _ in range(count)]
+
+
+ORACLE_SETS = [(kind, n) for kind in ("Sn", "Cn", "Z2xz") for n in (2, 3)]
+ORACLE_SETS += [("random", n, seed) for n in (2, 3) for seed in (1, 2)]
+
+
+def case_id(case):
+    return "".join(map(str, case))
+
+
+def oracle_generators(case):
+    if case[0] == "random":
+        _, n, seed = case
+        gens = random_generators(n, seed)
+        assert same_partition(_compression_for(gens), OrbitCompression.trivial(n))
+        return gens
+    return list(heisenberg_generator_set(*case).generators)
+
+
 class TestLieClosure:
     def test_single_qubit_full_algebra(self):
         gens = [PauliSum.from_terms({"Z": 1j}), PauliSum.from_terms({"X": 1j})]
@@ -225,6 +272,45 @@ class TestAssociativeClosure:
         l = [PauliSum.from_terms({"ZZ": 1j})]
         b = associative_closure(l)
         assert any((e - PauliSum.identity(2)).is_zero() for e in b)
+
+    @pytest.mark.parametrize("case", ORACLE_SETS, ids=case_id)
+    def test_matches_two_sided_dense_oracle(self, case):
+        # the closure multiplies from the left only; the oracle from both sides
+        gens = oracle_generators(case)
+        want = brute_force_algebra_dim(gens)
+        assert closure_basis(gens).dim_b == want
+        assert len(associative_closure(lie_closure(gens))) == want
+
+    def test_multipliers_outside_span_of_l(self):
+        # L = {E11} lies in the algebra of E12 and E21, which is all 2 x 2
+        # matrices, but E12 is no left product G A: it is reached only
+        # because the multipliers are seeds
+        e11 = PauliSum.from_terms({"I": 0.5, "Z": 0.5})
+        e12 = PauliSum.from_terms({"X": 0.5, "Y": 0.5j})
+        e21 = PauliSum.from_terms({"X": 0.5, "Y": -0.5j})
+        want = brute_force_algebra_dim([e12, e21])
+        assert want == 4
+        assert len(associative_closure([e11], multipliers=[e12, e21])) == want
+
+    @pytest.mark.parametrize(
+        "case", [("Sn", 4), ("Cn", 4), ("Z2xz", 4), ("random", 3, 1)], ids=case_id
+    )
+    def test_one_product_call_per_expanded_element(self, case, monkeypatch):
+        # the identity (the first seed) is not expanded: its products are the
+        # multipliers themselves
+        from vbe import symmetry
+
+        calls = []
+        product = symmetry.product_packed
+        monkeypatch.setattr(
+            symmetry, "product_packed", lambda *a, **k: calls.append(1) or product(*a, **k)
+        )
+        gens = oracle_generators(case)
+        l = lie_closure(gens)
+        assert len(calls) == len(l)
+        calls.clear()
+        b = associative_closure(l, multipliers=gens)
+        assert len(calls) == len(b) - 1
 
     def test_generator_multipliers_give_same_span(self):
         for kind, n in [("Sn", 3), ("Cn", 4), ("Z2xz", 3)]:
