@@ -46,10 +46,13 @@ of a ``(b,) + (2,)*N + (cols,)`` tensor, so no gate is ever embedded in a
 shape (r, s) it gives the gradient of Re <w, U[:r, :s]>_F from one backward
 sweep over the same ops (the adjoint method of Jones & Gacon,
 arXiv:2009.02823), with O(d s 2^k) work per op and O(d s) extra memory.
-The window ops' 2^k x 2^k environments are kept in one array, and the
-gradient is one contraction of them with the slots' generators and one
-``bincount`` over the slots.  No (param_count, d, d) derivative tensor is
-ever formed.
+For a (B, r, s) stack of cotangents the same sweep carries one prefix row
+and B adjoint rows, so it gives B gradients for the cost of B + 1 rows, not
+2B; a single cotangent is the stack of one.  The block Jacobian, one row per
+unit cotangent, so costs a few sweeps.  The window ops' 2^k x 2^k
+environments are kept in one array, and the gradients are one contraction
+of them with the slots' generators and one ``bincount`` over the slots per
+cotangent.  No (param_count, d, d) derivative tensor is ever formed.
 
 A circuit with a ``core`` (as ``hermitize`` builds it) is U V U^dagger with
 shared parameters: ``gates`` are U and ``core`` the parameter-free V.  Only
@@ -371,10 +374,10 @@ def _apply(m: np.ndarray, sel: tuple | None, lead: int, state: np.ndarray) -> np
     ``state`` has shape ``(b,) + (2,)*N + (cols,)`` and only its subspace
     ``sel``, where every outer control qubit is |1>, is written (all of it
     for ``sel`` None).  Returns that subspace after the product as a
-    ``(b*lead, 2^k, rest)`` array.
+    ``(b, lead, 2^k, rest)`` array.
     """
     sub = state if sel is None else state[sel]
-    view = sub.reshape(state.shape[0] * lead, m.shape[0], -1)
+    view = sub.reshape(state.shape[0], lead, m.shape[0], -1)
     out = m @ view
     if sel is None:
         view[...] = out
@@ -398,49 +401,59 @@ def evaluate(c: Circuit, theta) -> np.ndarray:
 
 def _pullback_sweep(
     plan: _Plan, adjs: list, kw: np.ndarray, u: np.ndarray, w: np.ndarray, n_params: int
-) -> np.ndarray:
-    """Gradient of Re <w, U[:r, :s]>_F over the slots of the plan's ops.
+) -> list[np.ndarray]:
+    """Gradients of Re <w_b, U[:r, :s]>_F over the slots of the plan's ops.
 
     ``u`` is the product of the ops (U = O_L ... O_1), ``adjs`` their
-    adjoints and ``w`` an (r, s) cotangent.  One backward sweep carries a
-    (2, d, s) state: the prefix U[:, :s], un-computed by each O_j^dagger
-    (every op is unitary) into P_j = O_{j-1} ... O_1 [:, :s], and lambda,
-    ``w`` embedded in rows :r and moved back by the same O_j^dagger.  After
-    O_j is undone, its 2^k x 2^k environment E = sum conj(lambda) P^T over
-    the op's controlled subspace is taken; a slot of O_j with generator
-    K = O_j^dagger dO_j adds Re sum(K * E).  Window environments go into one
-    array, contracted with every window slot's K at the end; a gadget's,
-    as large as its generator, is contracted at once, so only its sum is
-    kept.  One ``bincount`` then adds the sums up by slot, over slots used
-    more than once too.  The work per op is O(d s 2^k) and the extra memory
-    O(d s).  For a circuit with a core ``adjs`` are U's and ``w`` is the
-    cotangent G of :func:`evaluate_with_gradients`, which has d columns, so
-    the state is (2, d, d).
+    adjoints and ``w`` a (B, r, s) stack of cotangents; the result is a
+    list of B gradients, one per cotangent.  One backward sweep carries a
+    (1 + B, d, s) state: the prefix U[:, :s], un-computed by each
+    O_j^dagger (every op is unitary) into P_j = O_{j-1} ... O_1 [:, :s],
+    and B adjoint rows lambda_b, each ``w_b`` embedded in rows :r and moved
+    back by the same O_j^dagger, so the prefix is shared by the whole
+    stack.  After O_j is undone, its 2^k x 2^k environments
+    E_b = sum conj(lambda_b) P^T over the op's controlled subspace come
+    from one product of the B adjoint rows, stacked, with the prefix; a
+    slot of O_j with generator K = O_j^dagger dO_j adds Re sum(K * E_b).
+    Window environments go into one array, contracted with every window
+    slot's K at the end; a gadget's, as large as its generator, is
+    contracted at once, so only its sums are kept.  One ``bincount`` per
+    cotangent then adds its sums up by slot, over slots used more than once
+    too.  The work per op is O((1 + B) d s 2^k) and the extra memory
+    O((1 + B) d s).  For a circuit with a core ``adjs`` are U's and ``w``
+    holds the cotangents G of :func:`evaluate_with_gradients`, which have d
+    columns, so the state is (1 + B, d, d).
     """
-    r, s = w.shape
+    b, r, s = w.shape
     d = u.shape[0]
-    state = np.zeros((2, d, s), dtype=np.complex128)
+    state = np.zeros((1 + b, d, s), dtype=np.complex128)
     state[0] = u[:, :s]
-    state[1, :r] = w
-    state = state.reshape((2,) + (2,) * (d.bit_length() - 1) + (s,))
-    env = np.zeros(plan.base.shape[1:], dtype=np.complex128)
+    state[1:, :r] = w
+    state = state.reshape((1 + b,) + (2,) * (d.bit_length() - 1) + (s,))
+    # each window's B environments stacked as one (B * 4) x 4 matrix; a
+    # one-qubit window's 2 x 2 ones are every other row and column of it
+    n_runs = plan.base.shape[1]
+    env = np.zeros((n_runs, b * 4, 4), dtype=np.complex128)
     envs = [env, env[:, ::2, ::2]]
-    sums = np.empty(len(plan.entry_slots), dtype=np.complex128)
+    sums = np.empty((len(plan.entry_slots), b), dtype=np.complex128)
     for m, ((a, i), sel, lead, has_slots) in zip(reversed(adjs), reversed(plan.ops)):
         out = _apply(m, sel, lead, state)
         if has_slots:
-            # each half as a 2^k x (lead * rest) matrix, target index first
+            # the prefix as a 2^k x (lead * rest) matrix and the adjoint rows
+            # as B of them stacked, target index first; ``dot`` skips the
+            # ufunc dispatch of ``@``, a visible share at these small sizes
             k_dim = m.shape[0]
-            prefix = out[:lead].transpose(1, 0, 2).reshape(k_dim, -1)
-            lam = out[lead:].transpose(1, 0, 2).reshape(k_dim, -1)
-            e = lam.conj() @ prefix.T
+            prefix = out[0].transpose(1, 0, 2).reshape(k_dim, -1)
+            lam = out[1:].transpose(0, 2, 1, 3).reshape(b * k_dim, -1)
+            e = lam.conj().dot(prefix.T)
             if a < 2:
                 envs[a][i] = e
             else:
                 _, _, _, gd, _, first = plan.gadgets[a - 2]
-                sums[first + i] = e.ravel() @ gd
-    sums[: len(plan.entry_run)] = (kw * env[plan.entry_run]).sum((1, 2))
-    return np.bincount(plan.entry_slots, sums.real, minlength=n_params)
+                sums[first + i] = e.reshape(b, -1).dot(gd)
+    stacked = env.reshape(n_runs, b, 4, 4)[plan.entry_run]
+    sums[: len(plan.entry_run)] = (kw[:, None] * stacked).sum((2, 3))
+    return [np.bincount(plan.entry_slots, col, minlength=n_params) for col in sums.real.T]
 
 
 def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
@@ -452,8 +465,14 @@ def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
     (r, s) and returns the real vector
     d/d(theta_k) Re <w, u[:r, :s]>_F of length ``param_count``, from one
     backward sweep over the ops (:func:`_pullback_sweep`, after Jones
-    & Gacon, arXiv:2009.02823).  Each call costs O(d s 2^k) per op and
-    O(d s) extra memory; no (param_count, d, d) derivative tensor exists.
+    & Gacon, arXiv:2009.02823).  It also takes a (B, r, s) stack of
+    cotangents and returns a (B, param_count) array, one row per
+    cotangent, from one sweep that shares the prefix across the stack; a
+    single cotangent is the stack of one.  Each call costs O((1 + B) d s 2^k)
+    per op and O((1 + B) d s) extra memory; no (param_count, d, d)
+    derivative tensor exists.  So the real Jacobian of u[:r, :s], whose
+    rows are the pullbacks of the 2 r s unit cotangents E_ij and i E_ij,
+    costs a few stacked sweeps.
 
     For a circuit with a core, d(U V U^dagger) = dU V U^dagger + U V dU^dagger,
     so with w zero-padded to W, Re <W, du> = Re <G, dU> for
@@ -471,13 +490,17 @@ def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
 
     def pullback(w) -> np.ndarray:
         w = np.asarray(w, dtype=np.complex128)
+        stack = w if w.ndim == 3 else w[None]
+        b, r, s = stack.shape
         if c.core is not None:
-            r, s = w.shape
-            g = np.zeros((max(r, s), c.dim), dtype=np.complex128)
-            g[:r] = w @ (half[:s] @ c._dense_core.conj().T)
-            g[:s] += w.conj().T @ uv[:r]
-            w = g
-        return _pullback_sweep(c._plan, adjs, kw, half, w, c.param_count)
+            g = np.zeros((b, max(r, s), c.dim), dtype=np.complex128)
+            g[:, :r] = stack @ (half[:s] @ c._dense_core.conj().T)
+            g[:, :s] += stack.conj().swapaxes(1, 2) @ uv[:r]
+            stack = g
+        grads = _pullback_sweep(c._plan, adjs, kw, half, stack, c.param_count)
+        if w.ndim == 2:
+            return grads[0]
+        return np.reshape(grads, (b, c.param_count))
 
     return u, pullback
 

@@ -16,7 +16,20 @@ layer count M, in candidate order (the family at M, or the GQSP random
 sequences 0, 1, ...), and accepts M at the first exact candidate.
 :func:`greedy_generator_search` runs the loop once per tree node from one
 warm start.  Where a report stands for several loops, its iterations,
-evaluations and wall time are their sums.
+evaluations, skips and wall time are their sums.
+
+The threshold search rank-screens each candidate first.  A circuit can
+reach a generic target of a matrix class only if the Jacobian of
+theta -> U(theta)[:sub, :sub] has rank equal to the class dimension, the
+class's number of real parameters (the "parameter dimension" of Haug,
+Bharti and Kim, arXiv:2102.01659): ``free_parameter_bound`` of the class for
+a generic family, q * dim B for a GQSP family.  The Jacobian comes from
+stacked pullbacks of the unit cotangents at the candidate's first start.
+A candidate below the class dimension is skipped without BFGS and counted
+in ``EncodeReport.skipped``.  This assumes the target is generic in its
+class, as the closed-form start estimates do.  The Heisenberg targets are
+not (a four-coupling family inside span(B)), yet on every pinned cell no
+skipped candidate would have converged.
 
 All randomness is derived from ``numpy.random.Philox`` streams
 (:func:`~vbe.targets.make_rng`), one per restart and per sequence draw, so
@@ -32,9 +45,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from vbe.circuit import AnsatzSpec, build_ansatz, count_nonlocal_gates
+from vbe.circuit import AnsatzSpec, build_ansatz, count_nonlocal_gates, evaluate_with_gradients
 from vbe.encode import EncodeObjective, TargetSpec
-from vbe.resources import estimate_generic_threshold, threshold_layers_symmetric
+from vbe.resources import (
+    estimate_generic_threshold,
+    free_parameter_bound,
+    threshold_layers_symmetric,
+)
 from vbe.symmetry import GeneratorSet, closure_basis
 from vbe.targets import make_rng
 
@@ -221,6 +238,7 @@ class EncodeReport:
     total_iterations: int = 0
     evaluations: int = 0
     sequence_labels: tuple[str, ...] = ()
+    skipped: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -229,6 +247,7 @@ class EncodeReport:
             "iterations": self.iterations,
             "total_iterations": self.total_iterations,
             "evaluations": self.evaluations,
+            "skipped": self.skipped,
             "param_count": self.param_count,
             "nonlocal_gates": self.nonlocal_gates,
             "layers": self.layers,
@@ -278,13 +297,19 @@ def _encode(target: TargetSpec, spec: AnsatzSpec, starts, opts: OptimizeOptions)
 
 
 def _summed(best: EncodeReport, reports: list[EncodeReport]) -> EncodeReport:
-    """``best`` with the iterations, evaluations and wall time of all ``reports``."""
+    """``best`` with the iterations, evaluations, skips and wall time of all ``reports``."""
     return replace(
         best,
         total_iterations=sum(r.total_iterations for r in reports),
         evaluations=sum(r.evaluations for r in reports),
         wall_time=sum(r.wall_time for r in reports),
+        skipped=sum(r.skipped for r in reports),
     )
+
+
+def _random_start(seed: int, restart: int, param_count: int) -> np.ndarray:
+    """Restart ``restart``'s start in [-pi, pi), from its own Philox stream."""
+    return make_rng(seed, restart).uniform(-np.pi, np.pi, size=param_count)
 
 
 def multistart_encode(target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOptions) -> EncodeReport:
@@ -300,7 +325,7 @@ def multistart_encode(target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOption
 
     def starts(param_count: int):
         for r in range(opts.restarts):
-            yield make_rng(opts.seed, r).uniform(-np.pi, np.pi, size=param_count)
+            yield _random_start(opts.seed, r, param_count)
 
     return _encode(target, spec, starts, opts)
 
@@ -372,6 +397,64 @@ def _candidates(family: AnsatzSpec | GqspFamily, m: int, opts: OptimizeOptions):
         yield family.spec_for_sequence(indices), replace(opts, restarts=GQSP_INITS, seed=seed)
 
 
+# Unit cotangents per stacked pullback of the block Jacobian: a fixed chunk,
+# so the cotangent stack and the sweep state stay O(chunk * d^2) at any size.
+_JACOBIAN_CHUNK = 32
+_RANK_RTOL = 1e-9  # singular values above this share of the largest count
+
+
+def _block_jacobian(circuit, theta: np.ndarray, sub: int) -> tuple[np.ndarray, np.ndarray]:
+    """U(theta) and the real Jacobian of theta -> U(theta)[:sub, :sub].
+
+    Row k < sub^2 is the gradient of Re U_ij and row sub^2 + k that of
+    Im U_ij, for flat block index k = i * sub + j: the pullbacks of the unit
+    cotangents E_ij and i E_ij, :data:`_JACOBIAN_CHUNK` of them per sweep.
+    """
+    u, pullback = evaluate_with_gradients(circuit, theta)
+    n_entries = sub * sub
+    rows = []
+    for lo in range(0, 2 * n_entries, _JACOBIAN_CHUNK):
+        k = np.arange(lo, min(lo + _JACOBIAN_CHUNK, 2 * n_entries))
+        units = np.zeros((len(k), n_entries), dtype=np.complex128)
+        units[np.arange(len(k)), k % n_entries] = np.where(k < n_entries, 1.0, 1.0j)
+        rows.append(pullback(units.reshape(-1, sub, sub)))
+    return u, np.concatenate(rows)
+
+
+def _rank_screen(
+    target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOptions, class_dim: int
+) -> EncodeReport | None:
+    """The report of a candidate that cannot reach a generic target, or None.
+
+    A candidate is screened when its block Jacobian, at its own first start
+    (restart 0 of :func:`multistart_encode` under ``opts``), has numerical
+    rank below ``class_dim``.  Its report holds that start and C there, with
+    status "rank_deficient", no iterations and no evaluations, and counts
+    one skip.
+    """
+    t0 = time.perf_counter()
+    circuit = build_ansatz(spec)
+    theta0 = _random_start(opts.seed, 0, circuit.param_count)
+    sub = target.matrix.shape[0]
+    u, jac = _block_jacobian(circuit, theta0, sub)
+    sv = np.linalg.svd(jac, compute_uv=False)
+    if np.sum(sv > _RANK_RTOL * sv.max(initial=0.0)) >= class_dim:
+        return None
+    return EncodeReport(
+        epsilon=float(np.linalg.norm(target.scaled() - u[:sub, :sub])),
+        theta=theta0,
+        iterations=0,
+        converged=False,
+        param_count=circuit.param_count,
+        nonlocal_gates=count_nonlocal_gates(circuit),
+        layers=spec.layers,
+        wall_time=time.perf_counter() - t0,
+        status="rank_deficient",
+        sequence_labels=spec.sequence_labels,
+        skipped=1,
+    )
+
+
 def layer_threshold_search(
     target: TargetSpec,
     family: AnsatzSpec | GqspFamily,
@@ -386,19 +469,40 @@ def layer_threshold_search(
     :func:`multistart_encode` on its candidates in order (a generic family
     has one, a GQSP family :data:`GQSP_SEQUENCES` random generator
     sequences of :data:`GQSP_INITS` restarts each) and stops at the first
-    exact one; M fails only when all of them miss.  The report per M is the
-    lowest-epsilon candidate's (the earlier on ties), with the iterations,
-    evaluations and wall time summed over every candidate run at that M.
-    If the start itself fails the search walks upward instead, and gives
-    up (``m_thres`` None, a partial result) at max(4 * start, start + 8)
-    layers.
+    exact one; M fails only when all of them miss.
+
+    Every candidate is first rank-screened.  The class dimension, computed
+    once per search from what the start estimate rests on, is the number of
+    real parameters of a generic target: ``free_parameter_bound`` of the
+    spec's (restriction, hermitian) class for a generic family, q * dim B
+    for a GQSP family (q = 1 hermitian, 2 not).  A candidate whose block
+    Jacobian at its first start has numerical rank (singular values above
+    1e-9 of the largest) below it cannot reach a generic target of the
+    class, so it runs no BFGS (:func:`_rank_screen`).  The screen changes
+    neither the candidates drawn nor their order.  It assumes the target is
+    generic in its class, as the start estimates do.  The Heisenberg
+    targets of ``GQSP_TABLE`` are not: they form a four-coupling family
+    inside span(B).  Yet on every pinned cell (the ``perfbench`` searches
+    and the ``GQSP_TABLE`` cells in the tests) no skipped candidate would
+    have converged, so ``m_thres`` and its report are the unscreened
+    search's.
+
+    The report per M is the lowest-epsilon candidate's (the earlier on
+    ties), with the iterations, evaluations, skips and wall time summed over
+    every candidate tried at that M.  If the start itself fails the search
+    walks upward instead, and gives up (``m_thres`` None, a partial result)
+    at max(4 * start, start + 8) layers.
     """
+    if isinstance(family, AnsatzSpec):
+        structure = "hermitian" if family.hermitian else "arbitrary"
+        class_dim = free_parameter_bound(family.system_qubits, family.restriction, structure)
+        est = estimate_generic_threshold(family)
+    else:
+        q = 1 if family.hermitian else 2
+        dim_b = closure_basis(family.generator_set).dim_b
+        class_dim = q * dim_b
+        est = threshold_layers_symmetric(dim_b, q)
     if start is None:
-        if isinstance(family, AnsatzSpec):
-            est = estimate_generic_threshold(family)
-        else:
-            dim_b = closure_basis(family.generator_set).dim_b
-            est = threshold_layers_symmetric(dim_b, 1 if family.hermitian else 2)
         start = max(1, int(np.ceil(1.05 * max(est, 1))))
     if start < 1:
         raise ValueError(f"start must be at least 1, got {start}")
@@ -406,7 +510,8 @@ def layer_threshold_search(
     def attempt(m: int) -> EncodeReport:
         reports = []
         for spec, sub_opts in _candidates(family, m, opts):
-            reports.append(multistart_encode(target, spec, sub_opts))
+            screened = _rank_screen(target, spec, sub_opts, class_dim)
+            reports.append(screened or multistart_encode(target, spec, sub_opts))
             if reports[-1].converged:
                 break
         return _summed(min(reports, key=lambda r: r.epsilon), reports)

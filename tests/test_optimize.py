@@ -5,11 +5,12 @@ import pytest
 from scipy.optimize import minimize, rosen, rosen_der
 
 from vbe import optimize, symmetry
-from vbe.circuit import AnsatzSpec
-from vbe.encode import TargetSpec, subnormalize
+from vbe.circuit import AnsatzSpec, build_ansatz
+from vbe.encode import TargetSpec, cost, subnormalize
 from vbe.pauli import to_dense
+from vbe.resources import free_parameter_bound
 from vbe.tables import BDIM_TABLE, GQSP_TABLE
-from vbe.targets import random_matrix
+from vbe.targets import make_rng, random_matrix
 
 
 def symmetric_target(kind, n, seed):
@@ -80,6 +81,31 @@ def record_multistarts(monkeypatch) -> list:
     return calls
 
 
+def record_screens(monkeypatch) -> list:
+    """Record every rank screen as (spec, options, report or None)."""
+    screens = []
+    original = optimize._rank_screen
+
+    def recording(target, spec, opts, class_dim):
+        screens.append((spec, opts, original(target, spec, opts, class_dim)))
+        return screens[-1][2]
+
+    monkeypatch.setattr(optimize, "_rank_screen", recording)
+    return screens
+
+
+def assert_screened_report(target, spec, opts, report):
+    """A screened candidate's report: its first start, C there, and no work."""
+    circuit = build_ansatz(spec)
+    theta0 = make_rng(opts.seed, 0).uniform(-np.pi, np.pi, size=circuit.param_count)
+    assert report.status == "rank_deficient"
+    assert np.array_equal(report.theta, theta0)
+    assert report.epsilon == pytest.approx(cost(target, circuit, theta0), rel=1e-12)
+    assert (report.iterations, report.total_iterations, report.evaluations) == (0, 0, 0)
+    assert (report.skipped, report.converged, report.layers) == (1, False, spec.layers)
+    assert report.sequence_labels == spec.sequence_labels
+
+
 def count_evaluations(monkeypatch) -> list:
     """Record every objective evaluation made through ``EncodeObjective``."""
     calls = []
@@ -105,8 +131,8 @@ class TestGqspTable:
         [
             ("Sn", 2, 0),
             ("Sn", 3, 0),
-            # about 10 s and 75 s on one core
-            pytest.param("Z2xz", 3, 0, marks=pytest.mark.heavy),
+            ("Z2xz", 3, 0),
+            # about 19 s on one core
             pytest.param("Cn", 4, 0, marks=pytest.mark.heavy),
             # these targets land at M=3 against the anchor 2 (ROADMAP, every
             # GQSP_TABLE cell)
@@ -151,20 +177,88 @@ class TestGqspTable:
 
     def test_reports_every_evaluation(self, monkeypatch):
         # each per-M report sums the work of every sequence tried at that M,
-        # not only the best sequence's
+        # not only the best sequence's, and counts the sequences screened out
         calls = count_evaluations(monkeypatch)
+        screens = record_screens(monkeypatch)
         family = optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 2))
         res = optimize.layer_threshold_search(
             symmetric_target("Sn", 2, 0), family, optimize.OptimizeOptions(seed=0)
         )
         assert sum(r.evaluations for r in res.reports.values()) == len(calls)
-        for r in res.reports.values():
-            assert r.evaluations > r.total_iterations > 0
+        for m, r in res.reports.items():
+            at_m = [rep for spec, _, rep in screens if spec.layers == m]
+            assert r.skipped == sum(rep is not None for rep in at_m), m
+            assert r.to_dict()["skipped"] == r.skipped, m
+            if r.skipped < len(at_m):
+                assert r.evaluations > r.total_iterations > 0, m
+            else:
+                assert r.evaluations == r.total_iterations == 0, m
+        # no sequence of one layer reaches rank dim B = 6
+        assert res.reports[1].skipped == optimize.GQSP_SEQUENCES
 
     def test_rows_dim_b_and_params(self):
         for cell, (dim_b, m, params) in GQSP_TABLE.items():
             assert dim_b == BDIM_TABLE[cell], cell
             assert params == 3 * m + 3, cell
+
+
+def block_rank(spec, rng):
+    """Numerical rank of the block Jacobian of ``spec``'s circuit at a random theta."""
+    c = build_ansatz(spec)
+    theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+    _, jac = optimize._block_jacobian(c, theta, 1 << spec.system_qubits)
+    sv = np.linalg.svd(jac, compute_uv=False)
+    return int(np.sum(sv > optimize._RANK_RTOL * sv.max()))
+
+
+class TestBlockJacobianRank:
+    """The generic rank of theta -> U(theta)[:sub, :sub], which the search screens on."""
+
+    @pytest.mark.parametrize(
+        "field,structure,ranks,class_dim",
+        [
+            ("complex", "arbitrary", {2: 23, 3: 32}, 32),
+            ("complex", "hermitian", {1: 13, 2: 16}, 16),
+            ("real", "hermitian", {1: 7, 2: 10}, 10),
+        ],
+    )
+    def test_block2_n2(self, rng, field, structure, ranks, class_dim):
+        spec = AnsatzSpec(
+            family="block",
+            system_qubits=2,
+            layers=1,
+            block_id=2,
+            restriction=field,
+            hermitian=structure == "hermitian",
+        )
+        assert free_parameter_bound(2, field, structure) == class_dim
+        for m, rank in ranks.items():
+            assert block_rank(replace(spec, layers=m), rng) == rank, m
+        # the first full-rank M is the m_thres of the generic_encode search
+        # of this cell (block 2, n=2, target seed 0, 4 restarts)
+        res = optimize.layer_threshold_search(
+            subnormalize(random_matrix(2, field, structure, seed=0)),
+            spec,
+            optimize.OptimizeOptions(restarts=4, seed=0),
+        )
+        assert res.m_thres == max(ranks)
+
+    @pytest.mark.parametrize(
+        "n,sequence,rank",
+        [
+            (2, ("YY-pairs", "X-all"), 6),
+            (2, ("X-all", "X-all"), 3),
+            (2, ("ZZ-pairs", "ZZ-pairs"), 2),
+            (3, ("X-all", "YY-pairs", "ZZ-pairs"), 10),
+            (3, ("XX-pairs", "YY-pairs", "YY-pairs"), 5),
+        ],
+    )
+    def test_gqsp_sn(self, rng, n, sequence, rank):
+        gens = symmetry.heisenberg_generator_set("Sn", n)
+        assert BDIM_TABLE[("Sn", n)] == {2: 6, 3: 10}[n]
+        family = optimize.GqspFamily(gens)
+        spec = family.spec_for_sequence(tuple(gens.labels.index(g) for g in sequence))
+        assert block_rank(spec, rng) == rank
 
 
 class TestMultistartEncode:
@@ -249,32 +343,57 @@ class TestEarlyStopping:
     def test_gqsp_search_stops_at_first_exact_candidate(
         self, monkeypatch, seed, candidates_at_threshold
     ):
+        # every candidate is screened in the order _candidates draws it; the
+        # ones that pass run multistart_encode, the others make no call
+        run_at_threshold = {0: 2, 1: 1}[seed]
         calls = record_multistarts(monkeypatch)
+        screens = record_screens(monkeypatch)
         family = optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 2))
-        res = optimize.layer_threshold_search(
-            symmetric_target("Sn", 2, seed), family, optimize.OptimizeOptions(seed=seed)
-        )
+        target = symmetric_target("Sn", 2, seed)
+        opts = optimize.OptimizeOptions(seed=seed)
+        res = optimize.layer_threshold_search(target, family, opts)
         assert res.complete
         for m, report in res.reports.items():
+            tried = [c for c in screens if c[0].layers == m]
+            drawn = list(optimize._candidates(family, m, opts))[: len(tried)]
+            assert [(s.sequence_labels, o) for s, o, _ in tried] == [
+                (s.sequence_labels, o) for s, o in drawn
+            ], m
             at_m = [c for c in calls if c[1].layers == m]
-            assert not any(r.converged for _, r, _ in at_m[:-1]), m
-            assert at_m[-1][1].converged == report.converged, m
+            assert [o for o, _, _ in at_m] == [o for _, o, rep in tried if rep is None], m
+            outcomes = iter(r for _, r, _ in at_m)
+            reports = [rep if rep is not None else next(outcomes) for _, _, rep in tried]
+            assert not any(r.converged for r in reports[:-1]), m
+            assert reports[-1].converged == report.converged, m
             if not report.converged:
-                assert len(at_m) == optimize.GQSP_SEQUENCES, m
-            for opts, r, runs in at_m:
-                assert len(runs) == (r.restart_index + 1 if r.converged else opts.restarts), m
-        assert len([c for c in calls if c[1].layers == res.m_thres]) == candidates_at_threshold
+                assert len(tried) == optimize.GQSP_SEQUENCES, m
+            for o, r, runs in at_m:
+                assert len(runs) == (r.restart_index + 1 if r.converged else o.restarts), m
+            for spec, o, rep in tried:
+                if rep is not None:
+                    assert_screened_report(target, spec, o, rep)
+            assert report.skipped == len(tried) - len(at_m), m
+        at_threshold = [c for c in screens if c[0].layers == res.m_thres]
+        assert len(at_threshold) == candidates_at_threshold
+        assert len([c for c in calls if c[1].layers == res.m_thres]) == run_at_threshold
 
     def test_generic_search_skips_restarts_after_exact(self, monkeypatch):
         calls = record_multistarts(monkeypatch)
         target = subnormalize(random_matrix(2, "complex", "hermitian", seed=0))
         spec = AnsatzSpec(family="block", system_qubits=2, layers=1, block_id=2, hermitian=True)
         opts = optimize.OptimizeOptions(restarts=4, seed=0)
+        screens = record_screens(monkeypatch)
         res = optimize.layer_threshold_search(target, spec, opts)
-        assert [c[1].layers for c in calls] == sorted(res.reports, reverse=True)
+        assert [c[0].layers for c in screens] == sorted(res.reports, reverse=True)
+        assert [c[1].layers for c in calls] == [s.layers for s, _, rep in screens if rep is None]
         for _, r, runs in calls:
             assert len(runs) == (r.restart_index + 1 if r.converged else opts.restarts)
         assert any(len(runs) < opts.restarts for _, _, runs in calls)
+        # one layer reaches rank 13 of the class dimension 16, so M=1 runs no BFGS
+        ((spec1, opts1, screened),) = [c for c in screens if c[2] is not None]
+        assert (spec1.layers, opts1) == (1, opts)
+        assert_screened_report(target, spec1, opts1, screened)
+        assert res.reports[1] == screened and res.reports[1].skipped == 1
 
 
 class TestLayerThresholdSearch:

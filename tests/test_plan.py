@@ -19,6 +19,7 @@ from vbe.circuit import (
     build_gqsp_ansatz,
     controlled,
     evaluate,
+    evaluate_with_gradients,
     hermitize,
 )
 from vbe.encode import subnormalize
@@ -117,3 +118,60 @@ def test_multistart_bytes_do_not_depend_on_other_circuits():
     assert first.theta.tobytes() == second.theta.tobytes()
     assert np.float64(first.epsilon).tobytes() == np.float64(second.epsilon).tobytes()
     assert first.evaluations == second.evaluations
+
+
+def stacked_cases(rng):
+    """A plain block-2 circuit, a hermitized GQSP Sn 3 circuit and a controlled one."""
+    block2 = build_generic_ansatz(block_spec(2, n=3, layers=2))
+    sn3 = gqsp_circuit("Sn", 3, 4, rng, hermitian=True)
+    return {"block2": block2, "gqsp_sn3": sn3, "controlled": controlled(block2)}
+
+
+class TestStackedPullback:
+    """A (B, r, s) stack of cotangents is B pullbacks from one sweep."""
+
+    @pytest.mark.parametrize("name", ["block2", "gqsp_sn3", "controlled"])
+    def test_rows_are_single_pullbacks(self, rng, name):
+        c = stacked_cases(rng)[name]
+        theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+        _, pullback = evaluate_with_gradients(c, theta)
+        for rows, cols in ((c.dim // 2, c.dim // 2), (3, 5), (c.dim, 1)):
+            w = rng.normal(size=(6, rows, cols)) + 1j * rng.normal(size=(6, rows, cols))
+            stacked = pullback(w)
+            assert stacked.shape == (6, c.param_count)
+            for row, wb in zip(stacked, w):
+                assert np.max(np.abs(row - pullback(wb))) <= 1e-13, (rows, cols)
+
+    @pytest.mark.parametrize("name", ["block2", "gqsp_sn3", "controlled"])
+    def test_block_jacobian_across_chunks(self, rng, name):
+        # 2 * sub^2 unit cotangents span several stacked sweeps at sub = 8 and 16
+        c = stacked_cases(rng)[name]
+        sub = c.dim // 2
+        assert 2 * sub * sub > optimize._JACOBIAN_CHUNK
+        theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+        u, jac = optimize._block_jacobian(c, theta, sub)
+        want_u, pullback = evaluate_with_gradients(c, theta)
+        assert np.array_equal(u, want_u)
+        assert jac.shape == (2 * sub * sub, c.param_count)
+        for k in range(2 * sub * sub):
+            e = np.zeros((sub, sub), dtype=complex)
+            e.reshape(-1)[k % (sub * sub)] = 1.0 if k < sub * sub else 1.0j
+            assert np.max(np.abs(jac[k] - pullback(e))) <= 1e-13, k
+
+    @pytest.mark.parametrize("name", ["block2", "gqsp_sn3", "controlled"])
+    def test_single_cotangent_matches_oracle(self, rng, name, h=1e-5):
+        # the gradient of Re <w, U[:r, :s]> against central differences of the dense oracle
+        c = stacked_cases(rng)[name]
+        theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+        rows, cols = c.dim // 2, 3
+        w = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        _, pullback = evaluate_with_gradients(c, theta)
+        grad = pullback(w)
+        assert grad.shape == (c.param_count,)
+
+        def f(t):
+            return np.vdot(w, dense_unitary(c, t)[:rows, :cols]).real
+
+        step = h * np.eye(c.param_count)
+        fd = np.array([(f(theta + s) - f(theta - s)) / (2 * h) for s in step])
+        assert np.max(np.abs(grad - fd)) < 1e-6
