@@ -87,7 +87,6 @@ _Z2 = np.diag([1.0, -1.0]).astype(np.complex128)
 
 # slot counts of the parameterized kinds
 _SLOT_COUNTS = {"grot": (2, 3), "ry": (1,), "rx": (1,), "rz": (1,), "gadget": (1,)}
-_FIXED_KINDS = {"h", "cnot", "cz"}
 _SINGLE_QUBIT_KINDS = {"h", "grot", "ry", "rx", "rz"}
 
 
@@ -103,7 +102,7 @@ class Gate:
     controls: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _SLOT_COUNTS and self.kind not in _FIXED_KINDS:
+        if self.kind not in _SLOT_COUNTS and self.kind not in _FIXED:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         touched = self.qubits + self.controls
         if len(set(touched)) != len(touched):

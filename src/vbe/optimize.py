@@ -6,30 +6,20 @@ convergence thresholds are stated in terms of C.  The gradient criterion
 ||grad C^2|| <= 2 C tol, which stays meaningful at the exact-encoding floor
 where C itself is not differentiable.
 
+An encoding is exact when a BFGS run ends with status "f_floor", that is
+f = C^2 <= epsilon_exact^2.  That one rule ends every encode loop and sets
+``EncodeReport.converged``.
+
 Every search runs one encode loop: build the circuit once, run BFGS from
 each start in turn, keep the lowest C (the earlier start on ties), and stop
-at the first exact run.  An encoding is exact when C <= epsilon_exact; that
-one rule sets ``EncodeReport.converged`` and ends every loop.
-:func:`multistart_encode` feeds the loop uniform random starts.
-:func:`layer_threshold_search` runs a multistart per candidate at each
-layer count M, in candidate order (the family at M, or the GQSP random
-sequences 0, 1, ...), and accepts M at the first exact candidate.
-:func:`greedy_generator_search` runs the loop once per tree node from one
-warm start.  Where a report stands for several loops, its iterations,
-evaluations, skips and wall time are their sums.
-
-The threshold search rank-screens each candidate first.  A circuit can
-reach a generic target of a matrix class only if the Jacobian of
-theta -> U(theta)[:sub, :sub] has rank equal to the class dimension, the
-class's number of real parameters (the "parameter dimension" of Haug,
-Bharti and Kim, arXiv:2102.01659): ``free_parameter_bound`` of the class for
-a generic family, q * dim B for a GQSP family.  The Jacobian comes from
-stacked pullbacks of the unit cotangents at the candidate's first start.
-A candidate below the class dimension is skipped without BFGS and counted
-in ``EncodeReport.skipped``.  This assumes the target is generic in its
-class, as the closed-form start estimates do.  The Heisenberg targets are
-not (a four-coupling family inside span(B)), yet on every pinned cell no
-skipped candidate would have converged.
+at the first exact run.  :func:`multistart_encode` feeds the loop uniform
+random starts.  :func:`layer_threshold_search` rank-screens each candidate
+at each layer count M, runs a multistart on those that pass, in candidate
+order (the family at M, or the GQSP random sequences 0, 1, ...), and
+accepts M at the first exact candidate.  :func:`greedy_generator_search`
+runs the loop once per tree node from one warm start.  Every report comes
+from one builder, and where a report stands for several loops, its
+iterations, evaluations, skips and wall time are their sums.
 
 All randomness is derived from ``numpy.random.Philox`` streams
 (:func:`~vbe.targets.make_rng`), one per restart and per sequence draw, so
@@ -46,7 +36,7 @@ from typing import ClassVar
 import numpy as np
 
 from vbe.circuit import AnsatzSpec, build_ansatz, count_nonlocal_gates, evaluate_with_gradients
-from vbe.encode import EncodeObjective, TargetSpec
+from vbe.encode import EncodeObjective, TargetSpec, _ancilla_count
 from vbe.resources import (
     estimate_generic_threshold,
     free_parameter_bound,
@@ -58,17 +48,16 @@ from vbe.targets import make_rng
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Optimizer settings.  An encoding with C <= ``epsilon_exact`` is exact."""
+    """Optimizer settings.  An encoding with C <= ``epsilon_exact`` is exact,
+    and a run stops early once ||grad C|| <= ``grad_norm_tol``."""
 
     epsilon_exact: ClassVar[float] = 1e-10
-    grad_norm_tol: float = 1e-5
+    grad_norm_tol: ClassVar[float] = 1e-5
     max_iterations: int = 3000
     restarts: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_norm_tol <= 0:
-            raise ValueError("tolerance must be positive")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         if self.max_iterations < 1:
@@ -79,9 +68,7 @@ class OptimizeOptions:
 class BfgsResult:
     x: np.ndarray
     f: float
-    grad_norm: float
     iterations: int
-    converged: bool
     status: str
 
 
@@ -146,24 +133,24 @@ def bfgs_minimize(fg, x0, opts: OptimizeOptions) -> BfgsResult:
     """Dense BFGS with a strong-Wolfe line search (c1=1e-4, c2=0.9).
 
     Minimizes a squared error f = C^2 given the fused evaluation
-    ``fg(x) -> (f, grad f)``.  Terminates when f <= opts.epsilon_exact^2,
-    when ||grad f||_2 <= 2 sqrt(f) opts.grad_norm_tol (that is,
-    ||grad C|| <= opts.grad_norm_tol), or at the iteration cap.  A failed
-    line search ends the run with converged=False instead of raising.
+    ``fg(x) -> (f, grad f)``.  The run ends with one of four statuses:
+    "f_floor" when f <= opts.epsilon_exact^2 (an exact encoding),
+    "grad_tol" when ||grad f||_2 <= 2 sqrt(f) opts.grad_norm_tol (that is,
+    ||grad C|| <= opts.grad_norm_tol) or no descent direction is left,
+    "max_iterations" at the iteration cap, and "line_search_failed" when
+    the line search finds no step, instead of raising.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx, gx = fg(x)
     f_floor = opts.epsilon_exact**2
     h = np.eye(len(x))
     iterations = 0
-    status = "max_iterations"
     first_update = True
     while True:
-        gnorm = float(np.linalg.norm(gx))
         if fx <= f_floor:
             status = "f_floor"
             break
-        if gnorm <= 2.0 * np.sqrt(max(fx, 0.0)) * opts.grad_norm_tol:
+        if np.linalg.norm(gx) <= 2.0 * np.sqrt(max(fx, 0.0)) * opts.grad_norm_tol:
             status = "grad_tol"
             break
         if iterations >= opts.max_iterations:
@@ -209,15 +196,7 @@ def bfgs_minimize(fg, x0, opts: OptimizeOptions) -> BfgsResult:
             h += rho * (rho * float(y @ hy) + 1.0) * np.outer(s, s)
         fx, gx = f_new, g_new
         iterations += 1
-    converged = status in ("f_floor", "grad_tol")
-    return BfgsResult(
-        x=x,
-        f=fx,
-        grad_norm=float(np.linalg.norm(gx)),
-        iterations=iterations,
-        converged=converged,
-        status=status,
-    )
+    return BfgsResult(x=x, f=fx, iterations=iterations, status=status)
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +238,40 @@ class EncodeReport:
         }
 
 
+def _report(
+    spec: AnsatzSpec,
+    circuit,
+    best: BfgsResult,
+    restart_index: int,
+    total_iterations: int,
+    evaluations: int,
+    skipped: int,
+    t0: float,
+) -> EncodeReport:
+    """The report of one encode loop, or of one screened candidate, on ``circuit``.
+
+    ``best`` is the loop's lowest-f run, or the candidate's first start as a
+    run of no iterations.  It is exact when its status is "f_floor", and
+    the wall time runs from ``t0``.
+    """
+    return EncodeReport(
+        epsilon=float(np.sqrt(max(best.f, 0.0))),
+        theta=best.x,
+        iterations=best.iterations,
+        converged=best.status == "f_floor",
+        param_count=circuit.param_count,
+        nonlocal_gates=count_nonlocal_gates(circuit),
+        layers=spec.layers,
+        wall_time=time.perf_counter() - t0,
+        restart_index=restart_index,
+        status=best.status,
+        total_iterations=total_iterations,
+        evaluations=evaluations,
+        sequence_labels=spec.sequence_labels,
+        skipped=skipped,
+    )
+
+
 def _encode(target: TargetSpec, spec: AnsatzSpec, starts, opts: OptimizeOptions) -> EncodeReport:
     """The encode loop: BFGS on C^2 from each vector ``starts(param_count)``
     yields, in order, on one circuit and one objective.
@@ -275,25 +288,9 @@ def _encode(target: TargetSpec, spec: AnsatzSpec, starts, opts: OptimizeOptions)
         total_iters += res.iterations
         if idx == 0 or res.f < best.f:
             best, best_idx = res, idx
-        eps = float(np.sqrt(max(best.f, 0.0)))
-        exact = eps <= opts.epsilon_exact
-        if exact:
+        if res.status == "f_floor":
             break
-    return EncodeReport(
-        epsilon=eps,
-        theta=best.x,
-        iterations=best.iterations,
-        converged=exact,
-        param_count=circuit.param_count,
-        nonlocal_gates=count_nonlocal_gates(circuit),
-        layers=spec.layers,
-        wall_time=time.perf_counter() - t0,
-        restart_index=best_idx,
-        status=best.status,
-        total_iterations=total_iters,
-        evaluations=obj.evaluations,
-        sequence_labels=spec.sequence_labels,
-    )
+    return _report(spec, circuit, best, best_idx, total_iters, obj.evaluations, skipped=0, t0=t0)
 
 
 def _summed(best: EncodeReport, reports: list[EncodeReport]) -> EncodeReport:
@@ -317,10 +314,9 @@ def multistart_encode(target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOption
     [-pi, pi), one Philox stream per restart; deterministic for a fixed seed.
 
     The restarts after the first exact one are skipped.  ``restart_index``
-    names the winning restart, and ``converged`` means an exact encoding
-    (epsilon <= opts.epsilon_exact), not merely optimizer termination.
-    ``total_iterations`` and ``evaluations`` (objective calls) are summed
-    over the restarts that ran.
+    names the winning restart, and ``converged`` means an exact encoding,
+    not merely optimizer termination.  ``total_iterations`` and
+    ``evaluations`` (objective calls) are summed over the restarts that ran.
     """
 
     def starts(param_count: int):
@@ -434,24 +430,17 @@ def _rank_screen(
     """
     t0 = time.perf_counter()
     circuit = build_ansatz(spec)
+    _ancilla_count(target, circuit)
     theta0 = _random_start(opts.seed, 0, circuit.param_count)
     sub = target.matrix.shape[0]
     u, jac = _block_jacobian(circuit, theta0, sub)
     sv = np.linalg.svd(jac, compute_uv=False)
     if np.sum(sv > _RANK_RTOL * sv.max(initial=0.0)) >= class_dim:
         return None
-    return EncodeReport(
-        epsilon=float(np.linalg.norm(target.scaled() - u[:sub, :sub])),
-        theta=theta0,
-        iterations=0,
-        converged=False,
-        param_count=circuit.param_count,
-        nonlocal_gates=count_nonlocal_gates(circuit),
-        layers=spec.layers,
-        wall_time=time.perf_counter() - t0,
-        status="rank_deficient",
-        sequence_labels=spec.sequence_labels,
-        skipped=1,
+    f0 = float(np.linalg.norm(target.scaled() - u[:sub, :sub])) ** 2
+    start = BfgsResult(x=theta0, f=f0, iterations=0, status="rank_deficient")
+    return _report(
+        spec, circuit, start, restart_index=0, total_iterations=0, evaluations=0, skipped=1, t0=t0
     )
 
 
@@ -471,33 +460,40 @@ def layer_threshold_search(
     sequences of :data:`GQSP_INITS` restarts each) and stops at the first
     exact one; M fails only when all of them miss.
 
-    Every candidate is first rank-screened.  The class dimension, computed
-    once per search from what the start estimate rests on, is the number of
-    real parameters of a generic target: ``free_parameter_bound`` of the
-    spec's (restriction, hermitian) class for a generic family, q * dim B
-    for a GQSP family (q = 1 hermitian, 2 not).  A candidate whose block
-    Jacobian at its first start has numerical rank (singular values above
-    1e-9 of the largest) below it cannot reach a generic target of the
-    class, so it runs no BFGS (:func:`_rank_screen`).  The screen changes
-    neither the candidates drawn nor their order.  It assumes the target is
-    generic in its class, as the start estimates do.  The Heisenberg
-    targets of ``GQSP_TABLE`` are not: they form a four-coupling family
-    inside span(B).  Yet on every pinned cell (the ``perfbench`` searches
-    and the ``GQSP_TABLE`` cells in the tests) no skipped candidate would
-    have converged, so ``m_thres`` and its report are the unscreened
-    search's.
+    Every candidate is first rank-screened (:func:`_rank_screen`).  A
+    circuit can reach a generic target of a matrix class only if the
+    Jacobian of theta -> U(theta)[:sub, :sub] has rank equal to the class
+    dimension, the class's number of real parameters (the "parameter
+    dimension" of Haug, Bharti and Kim, arXiv:2102.01659).  That is
+    ``free_parameter_bound`` of the target's qubit count and the spec's
+    (restriction, hermitian) class for a generic family, and q * dim B for
+    a GQSP family (q = 1 hermitian, 2 not), computed once per search.  A
+    candidate whose block Jacobian at its first start has numerical rank
+    (singular values above 1e-9 of the largest) below it runs no BFGS and
+    counts as a skip.  The screen changes neither the candidates drawn nor
+    their order.  It assumes the target is generic in its class, as the
+    start estimates do.  The Heisenberg targets of ``GQSP_TABLE`` are not:
+    they form a four-coupling family inside span(B).  Yet on every pinned
+    cell (the ``perfbench`` searches and the ``GQSP_TABLE`` cells in the
+    tests) no skipped candidate would have converged, so ``m_thres`` and
+    its report are the unscreened search's.
 
     The report per M is the lowest-epsilon candidate's (the earlier on
     ties), with the iterations, evaluations, skips and wall time summed over
     every candidate tried at that M.  If the start itself fails the search
     walks upward instead, and gives up (``m_thres`` None, a partial result)
-    at max(4 * start, start + 8) layers.
+    at max(4 * start, start + 8) layers.  A GQSP target on other than the
+    generators' qubit count raises ``ValueError``, and a target the register
+    cannot block-encode raises :func:`multistart_encode`'s at the first
+    screen, before any rank is taken.
     """
     if isinstance(family, AnsatzSpec):
         structure = "hermitian" if family.hermitian else "arbitrary"
-        class_dim = free_parameter_bound(family.system_qubits, family.restriction, structure)
+        class_dim = free_parameter_bound(target.n, family.restriction, structure)
         est = estimate_generic_threshold(family)
     else:
+        if target.n != family.generator_set.n:
+            raise ValueError(f"target on {target.n} qubits, generators on {family.generator_set.n}")
         q = 1 if family.hermitian else 2
         dim_b = closure_basis(family.generator_set).dim_b
         class_dim = q * dim_b

@@ -221,7 +221,11 @@ def _compression_for(sums: list[PauliSum]) -> OrbitCompression:
 
 def _partition(orbits: OrbitCompression | None, sums: list[PauliSum]) -> OrbitCompression:
     """The partition a closure of ``sums`` runs in: detected when none is
-    given; a caller's is refused when some input is not invariant under it."""
+    given; a caller's is refused when some input is not invariant under it.
+    Sums on different qubit counts are refused."""
+    counts = sorted({s.n for s in sums})
+    if len(counts) > 1:
+        raise ValueError(f"closure inputs mix qubit counts {counts}")
     if orbits is None:
         return _compression_for(sums)
     if not isinstance(orbits, _Detected):
@@ -388,7 +392,7 @@ def closure_basis(generators: GeneratorSet | list[PauliSum]) -> ClosureBasis:
     gens = list(generators.generators if isinstance(generators, GeneratorSet) else generators)
     if not gens:
         return ClosureBasis(lie_basis=(), full_basis=())
-    orbits = _Detected(_compression_for(gens))
+    orbits = _Detected(_partition(None, gens))
     l = lie_closure(gens, orbits=orbits)
     b = associative_closure(l, multipliers=gens, orbits=orbits)
     return ClosureBasis(lie_basis=tuple(l), full_basis=tuple(b))

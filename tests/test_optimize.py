@@ -106,6 +106,12 @@ def assert_screened_report(target, spec, opts, report):
     assert report.sequence_labels == spec.sequence_labels
 
 
+def assert_exact_iff_f_floor(reports):
+    """Each report is exact exactly when its best run ended on the f floor."""
+    for r in reports:
+        assert r.converged == (r.status == "f_floor"), r.status
+
+
 def count_evaluations(monkeypatch) -> list:
     """Record every objective evaluation made through ``EncodeObjective``."""
     calls = []
@@ -298,10 +304,12 @@ class TestBfgsStoppingRule:
             jac = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
             return float(r @ r), 2.0 * jac.T @ r
 
-        opts = optimize.OptimizeOptions(grad_norm_tol=1e-6)
+        opts = optimize.OptimizeOptions()
         res = optimize.bfgs_minimize(fg, np.array([3.0, 1.0]), opts)
-        assert (res.status, res.converged) == ("grad_tol", True)
-        assert res.grad_norm <= 2.0 * np.sqrt(res.f) * opts.grad_norm_tol
+        assert res.status == "grad_tol"
+        f, grad = fg(res.x)
+        assert f == res.f
+        assert np.linalg.norm(grad) <= 2.0 * np.sqrt(res.f) * opts.grad_norm_tol
         assert np.allclose(res.x, [1.0, -2.0], atol=1e-6)
 
 
@@ -336,6 +344,7 @@ class TestEarlyStopping:
         assert (report.converged, report.restart_index) == (True, 2)
         assert len(runs) == report.restart_index + 1 < opts.restarts
         assert report.total_iterations == sum(r.iterations for r in runs)
+        assert_exact_iff_f_floor([report])
 
     @pytest.mark.parametrize(
         "seed,candidates_at_threshold", [(0, optimize.GQSP_SEQUENCES), (1, 1)]
@@ -376,6 +385,8 @@ class TestEarlyStopping:
         at_threshold = [c for c in screens if c[0].layers == res.m_thres]
         assert len(at_threshold) == candidates_at_threshold
         assert len([c for c in calls if c[1].layers == res.m_thres]) == run_at_threshold
+        screened = [rep for _, _, rep in screens if rep is not None]
+        assert_exact_iff_f_floor([r for _, r, _ in calls] + screened + list(res.reports.values()))
 
     def test_generic_search_skips_restarts_after_exact(self, monkeypatch):
         calls = record_multistarts(monkeypatch)
@@ -394,6 +405,7 @@ class TestEarlyStopping:
         assert (spec1.layers, opts1) == (1, opts)
         assert_screened_report(target, spec1, opts1, screened)
         assert res.reports[1] == screened and res.reports[1].skipped == 1
+        assert_exact_iff_f_floor([r for _, r, _ in calls] + [screened, *res.reports.values()])
 
 
 class TestLayerThresholdSearch:
@@ -410,6 +422,30 @@ class TestLayerThresholdSearch:
         assert (res.m_thres, res.complete, res.start) == (m_thres, complete, 4)
         assert sorted(res.reports) == list(tried)
         assert all(r.layers == m for m, r in res.reports.items())
+
+    def test_class_dimension_is_the_targets(self):
+        # a 2 x 2 target on block 2 with n=2 is a two-ancilla encoding: the
+        # screen ranks its 2 x 2 block against the n=1 class, not the n=2 one
+        target = subnormalize(random_matrix(1, seed=0))
+        spec = AnsatzSpec(family="block", system_qubits=2, layers=1, block_id=2)
+        opts = optimize.OptimizeOptions(restarts=1, seed=0)
+        assert optimize.multistart_encode(target, spec, opts).converged
+        res = optimize.layer_threshold_search(target, spec, opts)
+        assert (res.m_thres, res.complete) == (1, True)
+
+    def test_target_larger_than_register_is_refused(self):
+        target = subnormalize(random_matrix(3, seed=0))
+        spec = AnsatzSpec(family="block", system_qubits=1, layers=1, block_id=2)
+        with pytest.raises(ValueError, match="incompatible"):
+            optimize.multistart_encode(target, spec, optimize.OptimizeOptions(restarts=1))
+        with pytest.raises(ValueError, match="incompatible"):
+            optimize.layer_threshold_search(target, spec, optimize.OptimizeOptions())
+
+    def test_gqsp_target_on_other_qubits_is_refused(self):
+        family = optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 3))
+        target = symmetric_target("Sn", 2, 0)
+        with pytest.raises(ValueError, match="target on 2 qubits, generators on 3"):
+            optimize.layer_threshold_search(target, family, optimize.OptimizeOptions())
 
     @pytest.mark.parametrize("start", [0, -1])
     @pytest.mark.parametrize("kind", ["generic", "gqsp"])
@@ -434,7 +470,7 @@ class TestBfgsAgainstScipy:
         res = optimize.bfgs_minimize(fg, x0, optimize.OptimizeOptions())
         ref = minimize(rosen, x0, jac=rosen_der, method="BFGS")
         assert ref.success
-        assert (res.status, res.converged) == ("f_floor", True)
+        assert res.status == "f_floor"
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-9)
         assert np.allclose(ref.x, [1.0, 1.0], atol=1e-4)
         assert res.iterations <= 2 * ref.nit

@@ -421,6 +421,19 @@ class TestAssociativeClosure:
             associative_closure([*l, field], multipliers=gens, orbits=orbits)
         assert len(associative_closure(l, multipliers=gens, orbits=orbits)) == BDIM_TABLE[("Sn", 3)]
 
+    def test_refuses_mixed_qubit_counts(self):
+        three = PauliSum.from_terms({"ZZZ": 1j, "XII": 1j})
+        two = PauliSum.from_terms({"XX": 1j})
+        for sums in ([three, two], [two, three]):
+            with pytest.raises(ValueError, match=r"qubit counts \[2, 3\]"):
+                closure_basis(sums)
+            with pytest.raises(ValueError, match=r"qubit counts \[2, 3\]"):
+                lie_closure(sums)
+            with pytest.raises(ValueError, match=r"qubit counts \[2, 3\]"):
+                associative_closure(sums)
+        with pytest.raises(ValueError, match=r"qubit counts \[2, 3\]"):
+            associative_closure([three], multipliers=[two])
+
     @pytest.mark.parametrize("kind", ["Sn", "Z2xz"])
     def test_closure_basis_checks_only_while_detecting(self, kind, monkeypatch):
         # closure_basis reads its partition off the generators and hands it to
