@@ -40,8 +40,18 @@ one factor exp(x K) with a constant generator K, conjugated by the
 factor's fold prefix.  Per theta, every factor, window embedding, fold and
 conjugation comes from a few batched array calls, and the gadget
 exponentials from a few per generator.  The ops act on the reshaped axes
-of a ``(b,) + (2,)*N + (cols,)`` tensor, so no gate is ever embedded in a
+of a ``(T, b) + (2,)*N + (cols,)`` tensor, so no gate is ever embedded in a
 2^N x 2^N matrix.  ``evaluate`` applies them to the identity.
+
+Every evaluation carries a leading theta axis T: a (T, param_count) theta
+is lowered, swept forward and pulled back through the same calls as one
+vector, which is the batch of one.  Each NumPy call then does T times the
+work for about the cost of one, which is what an evaluation of these small
+circuits is made of.  Every product keeps, per theta row, the shape and
+the BLAS route it has for a single theta, so row t of a batch equals the
+evaluation of theta row t alone bit for bit; a gadget's environment is
+contracted with its generator row by row for that reason.  The cotangent
+stack below is an axis of its own, inside the theta axis.
 ``evaluate_with_gradients`` also returns a pullback: for a cotangent w of
 shape (r, s) it gives the gradient of Re <w, U[:r, :s]>_F from one backward
 sweep over the same ops (the adjoint method of Jones & Gacon,
@@ -294,22 +304,26 @@ class _Plan:
         entries.sort(key=lambda e: e[0] > 0)
         self.n_first = sum(e[0] == 0 for e in entries)
         slots = [e[2] for e in entries]
-        self.angle_slots = np.array(slots, dtype=int)
         self.angle_scale = np.array([s for *_, s in entries])
         # the kernel a0 + cos(s x) a1 + sin(s x) a2 of exp(x K): a2 = K/s, a1 = Pi
         a2 = np.array([k / s for *_, k, s in entries], dtype=np.complex128).reshape(-1, 2, 2)
         a1 = -a2 @ a2
-        self.kernel = (np.eye(2) - a1, a1, a2)
+        self.kernel = tuple(k[:, None] for k in (np.eye(2) - a1, a1, a2))
         self.kbase = np.array(
             [_embed(k, t, ctl) - _EMBEDDINGS[t, ctl][0] for *_, t, ctl, k, _ in entries],
             dtype=np.complex128,
         ).reshape(-1, 4, 4)
+        # each entry's flat 2 x 2 entries k and the (factor, flat position)
+        # they go to
         scatter = [
-            (16 * (j * len(windows) + r) + pos, 4 * e + k)
+            (j * len(windows) + r, pos, e, k)
             for e, (j, r, _, t, ctl, *_) in enumerate(entries)
             for pos, k in zip(*_EMBEDDINGS[t, ctl][1:])
         ]
-        self.dst, self.src = np.array(scatter, dtype=int).reshape(-1, 2).T
+        self.scatter = np.array(scatter, dtype=int).reshape(-1, 4).T
+        self._flat: dict[int, tuple] = {}
+        self.n_params = c.param_count
+        self.identity = np.eye(c.dim, dtype=np.complex128)[None]
         later = [(j - 1, r) for j, r, *_ in entries[self.n_first :]]
         self.conj_at = tuple(np.array(later, dtype=int).reshape(-1, 2).T)
         self.entry_run = np.array([e[1] for e in entries], dtype=int)
@@ -318,6 +332,7 @@ class _Plan:
         groups: dict[PauliSum, list[int]] = {}
         window_of = {id(run): k for k, (run, _) in enumerate(windows)}
         self.ops = []
+        probe = np.empty((2, 2) + (2,) * c.n_qubits + (2,), dtype=np.int8)
         for run in runs:
             idx, lo, hi, outer = run
             g = c.gates[idx[0]]
@@ -328,131 +343,178 @@ class _Plan:
             else:
                 where = (int(hi == lo), window_of[id(run)])
             ctl = outer or ()
-            sel = (slice(None),) + tuple(1 if q in ctl else slice(None) for q in range(c.n_qubits))
-            lead = 1 << (lo - sum(q < lo for q in ctl))
-            self.ops.append((where, sel if ctl else None, lead, any(c.gates[i].slots for i in idx)))
+            sel = (slice(None),) * 2 + tuple(
+                1 if q in ctl else slice(None) for q in range(c.n_qubits)
+            )
+            # the op's view of the state: lead x 2^k target x rest, per state
+            # row; ``copied`` when the controlled subspace takes that shape
+            # only as a copy, so the product goes back through ``sel``
+            view = (1 << (lo - sum(q < lo for q in ctl)), 1 << (hi - lo + 1), -1)
+            sub = probe[sel].reshape((2, 2) + view)
+            copied = not np.may_share_memory(sub, probe)
+            has_slots = any(c.gates[i].slots for i in idx)
+            self.ops.append((where, sel if ctl else None, view, copied, has_slots))
+        self.where = [op[0] for op in self.ops]
         self.gadgets = []
         for gen, members in groups.items():
             gd = to_dense(gen)
             w, v = np.linalg.eigh(1j * gd)
             # the group's entries start at len(slots)
-            self.gadgets.append((w, v, v.conj().T, gd.ravel(), np.array(members), len(slots)))
+            self.gadgets.append((w, v, v.conj().T, gd.ravel(), len(members), len(slots)))
             slots += members
         self.entry_slots = np.array(slots, dtype=int)
 
+    def flat_indices(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat indices for a batch of ``t`` theta rows, built once per width.
+
+        Into a raveled (t, param_count) array, each entry's slot in every
+        row, entries first (the gather of theta, and the bins of the
+        gradient sums); into the raveled (factors, t, 4, 4) window factors
+        and (entries, t, 2, 2) kernels, the scatter of the kernels into
+        their factors.  Flat indices keep every gather and scatter on
+        NumPy's one-dimensional fast path.
+        """
+        if t not in self._flat:
+            rows = np.arange(t)
+            factor, pos, entry, k = (a[:, None] for a in self.scatter)
+            self._flat[t] = (
+                (self.entry_slots[:, None] + self.n_params * rows).ravel(),
+                ((factor * t + rows) * 16 + pos).ravel(),
+                ((entry * t + rows) * 4 + k).ravel(),
+            )
+        return self._flat[t]
+
     def lower(self, theta: np.ndarray) -> tuple[list, list, np.ndarray]:
-        """Each op's matrix and its adjoint at ``theta``, and the window
-        entries' generators P^dagger K P as an (entries, 4, 4) array."""
-        x = self.angle_scale * theta[self.angle_slots]
+        """Each op's matrix and its adjoint at every row of ``theta`` (T, P),
+        as (T, 1, 1, 2^k, 2^k) arrays, and the window entries' generators
+        P^dagger K P as an (entries, T, 4, 4) array.
+
+        Every array is laid out factor or op first and theta row second, so
+        the fold, the conjugation and each op index it as for one row.
+        """
+        t = theta.shape[0]
+        at_slots, dst, src = self.flat_indices(t)
+        values = theta.ravel()[at_slots].reshape(-1, t)
+        x = self.angle_scale[:, None] * values[: len(self.angle_scale)]
         a0, a1, a2 = self.kernel
-        local = a0 + np.cos(x)[:, None, None] * a1 + np.sin(x)[:, None, None] * a2
-        emb = self.base.copy()
-        emb.reshape(-1)[self.dst] = local.reshape(-1)[self.src]
+        local = a0 + np.cos(x)[..., None, None] * a1 + np.sin(x)[..., None, None] * a2
+        emb = self.base[:, :, None].repeat(t, 2)
+        emb.reshape(-1)[dst] = local.reshape(-1)[src]
         for j, n in enumerate(self.active[1:], 1):
             np.matmul(emb[j, :n], emb[j - 1, :n], out=emb[j, :n])
-        kw, p = self.kbase.copy(), emb[self.conj_at]
-        kw[self.n_first :] = p.conj().swapaxes(1, 2) @ kw[self.n_first :] @ p
-        ops = emb[self.last]
-        mats, adjs = [ops], [ops.conj().swapaxes(1, 2)]
-        for w, v, vh, _, slots, _ in self.gadgets:
-            m = (v * np.exp(-1j * np.multiply.outer(theta[slots], w))[:, None, :]) @ vh
+        kw, p = self.kbase[:, None].repeat(t, 1), emb[self.conj_at]
+        kw[self.n_first :] = np.conjugate(p).mT @ kw[self.n_first :] @ p
+        ops = emb[self.last][:, :, None, None]
+        mats, adjs = [ops], [np.conjugate(ops).mT]
+        for w, v, vh, _, count, first in self.gadgets:
+            phases = np.exp(-1j * np.multiply.outer(values[first : first + count], w))
+            m = ((v * phases[..., None, :]) @ vh)[:, :, None, None]
             mats.append(m)
-            adjs.append(m.conj().swapaxes(1, 2))
+            adjs.append(np.conjugate(m).mT)
         for a in (mats, adjs):
-            a.insert(1, a[0][:, ::2, ::2])
-        return (
-            [mats[a][i] for (a, i), *_ in self.ops],
-            [adjs[a][i] for (a, i), *_ in self.ops],
-            kw,
-        )
+            a.insert(1, a[0][..., ::2, ::2])
+        return [mats[a][i] for a, i in self.where], [adjs[a][i] for a, i in self.where], kw
 
 
-def _apply(m: np.ndarray, sel: tuple | None, lead: int, state: np.ndarray) -> np.ndarray:
+def _apply(m: np.ndarray, op: tuple, state: np.ndarray) -> np.ndarray:
     """Multiply ``m`` into the target axes of ``state`` in place.
 
-    ``state`` has shape ``(b,) + (2,)*N + (cols,)`` and only its subspace
-    ``sel``, where every outer control qubit is |1>, is written (all of it
-    for ``sel`` None).  Returns that subspace after the product as a
-    ``(b, lead, 2^k, rest)`` array.
+    ``state`` has shape ``(T, b) + (2,)*N + (cols,)``, one block of b rows
+    per theta row, and ``m`` shape (T, 1, 1, 2^k, 2^k).  Only the subspace
+    ``sel`` of the plan's ``op``, where every outer control qubit is |1>, is
+    written (all of it for ``sel`` None): through its reshaped view, or
+    back through ``sel`` where the reshape is a copy.  Returns that
+    subspace after the product as a ``(T, b, lead, 2^k, rest)`` array.
     """
+    _, sel, view, copied, _ = op
     sub = state if sel is None else state[sel]
-    view = sub.reshape(state.shape[0], lead, m.shape[0], -1)
-    out = m @ view
-    if sel is None:
-        view[...] = out
-    else:
+    target = sub.reshape(state.shape[:2] + view)
+    out = m @ target
+    if copied:
         state[sel] = out.reshape(sub.shape)
+    else:
+        target[...] = out
     return out
 
 
-def _forward(c: Circuit, mats: list[np.ndarray]) -> np.ndarray:
-    """All ops applied to the identity, as a dim x dim matrix."""
-    psi = np.eye(c.dim, dtype=np.complex128).reshape((1,) + (2,) * c.n_qubits + (c.dim,))
-    for m, (_, sel, lead, _) in zip(mats, c._plan.ops):
-        _apply(m, sel, lead, psi)
-    return psi.reshape(c.dim, c.dim)
+def _forward(c: Circuit, mats: list[np.ndarray], t: int) -> np.ndarray:
+    """All ops applied to T copies of the identity, as a (T, dim, dim) array."""
+    psi = c._plan.identity.repeat(t, 0).reshape((t, 1) + (2,) * c.n_qubits + (c.dim,))
+    for m, op in zip(mats, c._plan.ops):
+        _apply(m, op, psi)
+    return psi.reshape(t, c.dim, c.dim)
 
 
 def evaluate(c: Circuit, theta) -> np.ndarray:
-    """Dense unitary of the circuit at the given parameter vector."""
+    """Dense unitary of the circuit at the given parameter vector, or the
+    (T, dim, dim) stack of them at the rows of a (T, param_count) array."""
     return evaluate_with_gradients(c, theta)[0]
 
 
 def _pullback_sweep(
-    plan: _Plan, adjs: list, kw: np.ndarray, u: np.ndarray, w: np.ndarray, n_params: int
-) -> list[np.ndarray]:
-    """Gradients of Re <w_b, U[:r, :s]>_F over the slots of the plan's ops.
+    plan: _Plan, adjs: list, kw: np.ndarray, u: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """Gradients of Re <w_tb, U_t[:r, :s]>_F over the slots of the plan's ops.
 
-    ``u`` is the product of the ops (U = O_L ... O_1), ``adjs`` their
-    adjoints and ``w`` a (B, r, s) stack of cotangents; the result is a
-    list of B gradients, one per cotangent.  One backward sweep carries a
-    (1 + B, d, s) state: the prefix U[:, :s], un-computed by each
-    O_j^dagger (every op is unitary) into P_j = O_{j-1} ... O_1 [:, :s],
-    and B adjoint rows lambda_b, each ``w_b`` embedded in rows :r and moved
-    back by the same O_j^dagger, so the prefix is shared by the whole
-    stack.  After O_j is undone, its 2^k x 2^k environments
-    E_b = sum conj(lambda_b) P^T over the op's controlled subspace come
-    from one product of the B adjoint rows, stacked, with the prefix; a
-    slot of O_j with generator K = O_j^dagger dO_j adds Re sum(K * E_b).
-    Window environments go into one array, contracted with every window
-    slot's K at the end; a gadget's, as large as its generator, is
-    contracted at once, so only its sums are kept.  One ``bincount`` per
-    cotangent then adds its sums up by slot, over slots used more than once
-    too.  The work per op is O((1 + B) d s 2^k) and the extra memory
-    O((1 + B) d s).  For a circuit with a core ``adjs`` are U's and ``w``
-    holds the cotangents G of :func:`evaluate_with_gradients`, which have d
-    columns, so the state is (1 + B, d, d).
+    ``u`` is the (T, d, d) stack of products of the ops (U_t = O_L ... O_1
+    at theta row t), ``adjs`` their adjoints and ``w`` a (T, B, r, s) stack
+    of cotangents, B per theta row; the result is a (T, B, param_count)
+    array.  One backward sweep carries a (T, 1 + B, d, s) state: per row
+    the prefix U[:, :s], un-computed by each O_j^dagger (every op is
+    unitary) into P_j = O_{j-1} ... O_1 [:, :s], and B adjoint rows
+    lambda_b, each ``w_b`` embedded in rows :r and moved back by the same
+    O_j^dagger, so the prefix is shared by the whole stack.  After O_j is
+    undone, its 2^k x 2^k environments E_b = sum conj(lambda_b) P^T over
+    the op's controlled subspace come from one product of the B adjoint
+    rows, stacked, with the prefix; a slot of O_j with generator
+    K = O_j^dagger dO_j adds Re sum(K * E_b).  Window environments go into
+    one array, contracted with every window slot's K at the end; a
+    gadget's, as large as its generator, is contracted at once, so only
+    its sums are kept.  One ``bincount`` then adds the sums up by slot,
+    over slots used more than once too.  The work per op is
+    O((1 + B) d s 2^k) per theta row and the extra memory
+    O(T (1 + B) d s).  Every product keeps the shape it has for one row, so
+    row t equals the sweep of theta row t alone bit for bit.  For a circuit
+    with a core ``adjs`` are U's and ``w`` holds the cotangents G of
+    :func:`evaluate_with_gradients`, which have d columns, so the state is
+    (T, 1 + B, d, d).
     """
-    b, r, s = w.shape
-    d = u.shape[0]
-    state = np.zeros((1 + b, d, s), dtype=np.complex128)
-    state[0] = u[:, :s]
-    state[1:, :r] = w
-    state = state.reshape((1 + b,) + (2,) * (d.bit_length() - 1) + (s,))
+    t, b, r, s = w.shape
+    d = u.shape[1]
+    state = np.zeros((t, 1 + b, d, s), dtype=np.complex128)
+    state[:, 0] = u[:, :, :s]
+    state[:, 1:, :r] = w
+    state = state.reshape((t, 1 + b) + (2,) * (d.bit_length() - 1) + (s,))
     # each window's B environments stacked as one (B * 4) x 4 matrix; a
     # one-qubit window's 2 x 2 ones are every other row and column of it
     n_runs = plan.base.shape[1]
-    env = np.zeros((n_runs, b * 4, 4), dtype=np.complex128)
-    envs = [env, env[:, ::2, ::2]]
-    sums = np.empty((len(plan.entry_slots), b), dtype=np.complex128)
-    for m, ((a, i), sel, lead, has_slots) in zip(reversed(adjs), reversed(plan.ops)):
-        out = _apply(m, sel, lead, state)
+    env = np.zeros((n_runs, t, b * 4, 4), dtype=np.complex128)
+    envs = [env, env[..., ::2, ::2]]
+    sums = np.empty((len(plan.entry_slots), t, b), dtype=np.complex128)
+    for m, op in zip(reversed(adjs), reversed(plan.ops)):
+        (a, i), _, view, _, has_slots = op
+        out = _apply(m, op, state)
         if has_slots:
-            # the prefix as a 2^k x (lead * rest) matrix and the adjoint rows
-            # as B of them stacked, target index first; ``dot`` skips the
-            # ufunc dispatch of ``@``, a visible share at these small sizes
-            k_dim = m.shape[0]
-            prefix = out[0].transpose(1, 0, 2).reshape(k_dim, -1)
-            lam = out[1:].transpose(0, 2, 1, 3).reshape(b * k_dim, -1)
-            e = lam.conj().dot(prefix.T)
+            # per theta row, the prefix as a 2^k x (lead * rest) matrix and
+            # the adjoint rows as B of them stacked below it, target index
+            # first, in one copy; ``np.conjugate`` skips the method's slower
+            # dispatch
+            rows = out.transpose(0, 1, 3, 2, 4).reshape(t, (1 + b) * view[1], -1)
+            lam, prefix = np.conjugate(rows[:, view[1] :]), rows[:, : view[1]].mT
             if a < 2:
-                envs[a][i] = e
+                np.matmul(lam, prefix, out=envs[a][i])
             else:
+                # a (B, 4^k) @ (4^k,) product per row: one (T * B, 4^k)
+                # product would sum in another order once T > 1
                 _, _, _, gd, _, first = plan.gadgets[a - 2]
-                sums[first + i] = e.reshape(b, -1).dot(gd)
-    stacked = env.reshape(n_runs, b, 4, 4)[plan.entry_run]
-    sums[: len(plan.entry_run)] = (kw[:, None] * stacked).sum((2, 3))
-    return [np.bincount(plan.entry_slots, col, minlength=n_params) for col in sums.real.T]
+                sums[first + i] = (lam @ prefix).reshape(t, b, -1) @ gd
+    stacked = env.reshape(n_runs, t, b, 4, 4)[plan.entry_run]
+    sums[: len(plan.entry_run)] = (kw[:, :, None] * stacked).sum((3, 4))
+    # the sums as rows of a (T * B, param_count) gradient: bin (row, slot) of
+    # one bincount gets its terms in entry order, as a bincount per row would
+    bins = plan.flat_indices(t * b)[0]
+    grads = np.bincount(bins, sums.real.ravel(), minlength=t * b * plan.n_params)
+    return grads.reshape(t, b, plan.n_params)
 
 
 def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
@@ -473,35 +535,42 @@ def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
     rows are the pullbacks of the 2 r s unit cotangents E_ij and i E_ij,
     costs a few stacked sweeps.
 
+    A (T, param_count) ``theta`` evaluates T parameter vectors through the
+    same calls: ``u`` is (T, d, d), and ``pullback`` takes a leading T axis
+    on its cotangent, (T, r, s) or (T, B, r, s), and returns (T,
+    param_count) or (T, B, param_count).  A vector theta is the batch of
+    one, and row t of a batch equals the evaluation of theta row t alone
+    bit for bit.
+
     For a circuit with a core, d(U V U^dagger) = dU V U^dagger + U V dU^dagger,
     so with w zero-padded to W, Re <W, du> = Re <G, dU> for
     G = W U V^dagger + W^dagger U V: one sweep over U's ops covers both
     uses of every shared slot.  G is zero below row max(r, s).
     """
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    if theta.size != c.param_count:
-        raise ValueError(f"expected {c.param_count} parameters, got {theta.size}")
-    mats, adjs, kw = c._plan.lower(theta)
-    u = half = _forward(c, mats)
+    theta = np.asarray(theta, dtype=np.float64)
+    rows = theta.reshape(1, -1) if theta.ndim < 2 else theta
+    if rows.ndim != 2 or rows.shape[1] != c.param_count:
+        raise ValueError(f"expected {c.param_count} parameters, got shape {theta.shape}")
+    t = rows.shape[0]
+    mats, adjs, kw = c._plan.lower(rows)
+    u = half = _forward(c, mats, t)
     if c.core is not None:
         uv = half @ c._dense_core
-        u = uv @ half.conj().T
+        u = uv @ np.conjugate(half).mT
 
     def pullback(w) -> np.ndarray:
         w = np.asarray(w, dtype=np.complex128)
-        stack = w if w.ndim == 3 else w[None]
-        b, r, s = stack.shape
+        stack = w.reshape((t, -1) + w.shape[-2:])
+        _, b, r, s = stack.shape
         if c.core is not None:
-            g = np.zeros((b, max(r, s), c.dim), dtype=np.complex128)
-            g[:, :r] = stack @ (half[:s] @ c._dense_core.conj().T)
-            g[:, :s] += stack.conj().swapaxes(1, 2) @ uv[:r]
+            g = np.zeros((t, b, max(r, s), c.dim), dtype=np.complex128)
+            g[:, :, :r] = stack @ (half[:, None, :s] @ np.conjugate(c._dense_core).T)
+            g[:, :, :s] += np.conjugate(stack).mT @ uv[:, None, :r]
             stack = g
-        grads = _pullback_sweep(c._plan, adjs, kw, half, stack, c.param_count)
-        if w.ndim == 2:
-            return grads[0]
-        return np.reshape(grads, (b, c.param_count))
+        grads = _pullback_sweep(c._plan, adjs, kw, half, stack)
+        return grads.reshape(w.shape[:-2] + (c.param_count,))
 
-    return u, pullback
+    return (u[0] if theta.ndim < 2 else u), pullback
 
 
 # --------------------------------------------------------------------------

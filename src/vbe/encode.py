@@ -15,6 +15,10 @@ hermitized circuit U V U^dagger the sweep runs over U's ops only, once,
 with a d x d cotangent that carries both of U's appearances, so it costs
 O(d^2 * 2^k) per op of U.  No per-parameter derivative of the unitary is
 ever formed.
+
+The cost and its gradient also take a (T, param_count) batch of parameter
+vectors and evaluate them in one pass, each row equal to its single
+evaluation bit for bit; the encode loop's lockstep restarts run on it.
 """
 
 from __future__ import annotations
@@ -100,28 +104,35 @@ def cost(t: TargetSpec, c: Circuit, theta) -> float:
     return float(np.linalg.norm(t.scaled() - block))
 
 
-def squared_cost_and_gradient(t: TargetSpec, c: Circuit, theta) -> tuple[float, np.ndarray]:
+def squared_cost_and_gradient(
+    t: TargetSpec, c: Circuit, theta
+) -> tuple[float | np.ndarray, np.ndarray]:
     """C^2 and its exact gradient.
 
     With Delta = A/alpha - A_var, each component is
     d_k C^2 = -2 Re <Delta, d_k A_var>_F.  All components come from one
     pullback of the residual Delta through the circuit's backward sweep
     (over the U half only for a hermitized circuit), so the gradient is
-    exact to machine precision.
+    exact to machine precision.  A (T, param_count) ``theta`` gives a
+    length-T array of C^2 and a (T, param_count) gradient from one
+    evaluation of the batch; row t equals the call on theta row t bit for
+    bit.
     """
     _ancilla_count(t, c)
     u, pullback = evaluate_with_gradients(c, theta)
     sub = t.matrix.shape[0]
-    delta = t.scaled() - u[:sub, :sub]
-    f = float(np.sum(delta.real**2 + delta.imag**2))
-    return f, -2.0 * pullback(delta)
+    delta = t.scaled() - u[..., :sub, :sub]
+    f = (delta.real**2 + delta.imag**2).sum((-2, -1))
+    return (float(f) if f.ndim == 0 else f), -2.0 * pullback(delta)
 
 
 class EncodeObjective:
     """Callable objective f = C^2 with fused gradient, for the optimizer.
 
-    ``evaluations`` counts the calls; the encoding drivers sum it into
-    ``EncodeReport.evaluations``.
+    ``value_and_gradient`` takes one parameter vector or a (T, param_count)
+    batch of them (see :func:`squared_cost_and_gradient`).  ``evaluations``
+    counts the parameter vectors evaluated, T for a batch; the encoding
+    drivers sum it into ``EncodeReport.evaluations``.
     """
 
     def __init__(self, target: TargetSpec, circuit: Circuit):
@@ -129,7 +140,7 @@ class EncodeObjective:
         self.circuit = circuit
         self.evaluations = 0
 
-    def value_and_gradient(self, theta) -> tuple[float, np.ndarray]:
-        self.evaluations += 1
+    def value_and_gradient(self, theta) -> tuple[float | np.ndarray, np.ndarray]:
+        self.evaluations += 1 if np.ndim(theta) < 2 else len(theta)
         return squared_cost_and_gradient(self.target, self.circuit, theta)
 

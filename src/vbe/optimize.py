@@ -11,15 +11,25 @@ f = C^2 <= epsilon_exact^2.  That one rule ends every encode loop and sets
 ``EncodeReport.converged``.
 
 Every search runs one encode loop: build the circuit once, run BFGS from
-each start in turn, keep the lowest C (the earlier start on ties), and stop
-at the first exact run.  :func:`multistart_encode` feeds the loop uniform
-random starts.  :func:`layer_threshold_search` rank-screens each candidate
-at each layer count M, runs a multistart on those that pass, in candidate
-order (the family at M, or the GQSP random sequences 0, 1, ...), and
-accepts M at the first exact candidate.  :func:`greedy_generator_search`
-runs the loop once per tree node from one warm start.  Every report comes
-from one builder, and where a report stands for several loops, its
-iterations, evaluations, skips and wall time are their sums.
+each start, keep the lowest C (the earlier start on ties), and stop at the
+first exact run.  The first start runs alone, since where it is exact
+(the generic searches' loops mostly end there) the others would only add
+work.  If it is not exact, the other starts run in lockstep: BFGS is one
+generator per start that yields the points it needs, and each step
+evaluates the pending point of every start still going in one batched
+call (a (T, P) theta through the one evaluation path, row t equal to the
+single evaluation bit for bit).  When a start ends exact, the starts after
+it stop and the ones before it run to their end, so the winner and its
+report are those of running the starts one at a time; only
+``evaluations`` grows, by the lockstep work past the exact start.
+:func:`multistart_encode` feeds the loop uniform random starts.
+:func:`layer_threshold_search` rank-screens each candidate at each layer
+count M, runs a multistart on those that pass, in candidate order (the
+family at M, or the GQSP random sequences 0, 1, ...), and accepts M at the
+first exact candidate.  :func:`greedy_generator_search` runs the loop once
+per tree node from one warm start.  Every report comes from one builder,
+and where a report stands for several loops, its iterations, evaluations,
+skips and wall time are their sums.
 
 All randomness is derived from ``numpy.random.Philox`` streams
 (:func:`~vbe.targets.make_rng`), one per restart and per sequence draw, so
@@ -31,15 +41,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from typing import ClassVar, Generator
 
 import numpy as np
 
 from vbe.circuit import AnsatzSpec, build_ansatz, count_nonlocal_gates, evaluate_with_gradients
 from vbe.encode import EncodeObjective, TargetSpec, _ancilla_count
 from vbe.resources import (
-    estimate_generic_threshold,
     free_parameter_bound,
+    threshold_layers_generic,
     threshold_layers_symmetric,
 )
 from vbe.symmetry import GeneratorSet, closure_basis
@@ -94,7 +104,7 @@ def _zoom(fg_line, a_lo, a_hi, f_lo, g_lo, f0, df0):
         lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
         if not lo + 0.1 * (hi - lo) <= aj <= hi - 0.1 * (hi - lo):
             aj = mid
-        fj, gj = fg_line(aj)
+        fj, gj = yield from fg_line(aj)
         if fj > f0 + _WOLFE_C1 * aj * df0 or fj >= f_lo:
             a_hi, f_hi = aj, fj
         else:
@@ -117,31 +127,28 @@ def _line_search_wolfe(fg_line, f0, df0):
     a_prev, f_prev, g_prev = 0.0, f0, df0
     alpha = 1.0
     for it in range(20):
-        fa, ga = fg_line(alpha)
+        fa, ga = yield from fg_line(alpha)
         if fa > f0 + _WOLFE_C1 * alpha * df0 or (fa >= f_prev and it > 0):
-            return _zoom(fg_line, a_prev, alpha, f_prev, g_prev, f0, df0)
+            return (yield from _zoom(fg_line, a_prev, alpha, f_prev, g_prev, f0, df0))
         if abs(ga) <= -_WOLFE_C2 * df0:
             return alpha, fa
         if ga >= 0:
-            return _zoom(fg_line, alpha, a_prev, fa, ga, f0, df0)
+            return (yield from _zoom(fg_line, alpha, a_prev, fa, ga, f0, df0))
         a_prev, f_prev, g_prev = alpha, fa, ga
         alpha = min(2.0 * alpha, 1e10)
     return None, None
 
 
-def bfgs_minimize(fg, x0, opts: OptimizeOptions) -> BfgsResult:
-    """Dense BFGS with a strong-Wolfe line search (c1=1e-4, c2=0.9).
+def _bfgs(x0, opts: OptimizeOptions) -> Generator[np.ndarray, tuple, BfgsResult]:
+    """The BFGS run of :func:`bfgs_minimize` as a generator.
 
-    Minimizes a squared error f = C^2 given the fused evaluation
-    ``fg(x) -> (f, grad f)``.  The run ends with one of four statuses:
-    "f_floor" when f <= opts.epsilon_exact^2 (an exact encoding),
-    "grad_tol" when ||grad f||_2 <= 2 sqrt(f) opts.grad_norm_tol (that is,
-    ||grad C|| <= opts.grad_norm_tol) or no descent direction is left,
-    "max_iterations" at the iteration cap, and "line_search_failed" when
-    the line search finds no step, instead of raising.
+    It yields every point it needs evaluated, is sent back (f, grad f)
+    there, and returns its :class:`BfgsResult`.  So whoever drives it picks
+    how the points are evaluated, one at a time or batched with other runs,
+    and the run is the same either way.
     """
     x = np.asarray(x0, dtype=float).copy()
-    fx, gx = fg(x)
+    fx, gx = yield x
     f_floor = opts.epsilon_exact**2
     h = np.eye(len(x))
     iterations = 0
@@ -171,12 +178,11 @@ def bfgs_minimize(fg, x0, opts: OptimizeOptions) -> BfgsResult:
 
         def fg_line(alpha: float):
             if alpha not in cache:
-                fa, ga = fg(x + alpha * p)
-                cache[alpha] = (fa, ga)
+                cache[alpha] = yield x + alpha * p
             fa, ga = cache[alpha]
             return fa, float(ga @ p)
 
-        alpha, f_new = _line_search_wolfe(fg_line, fx, df0)
+        alpha, f_new = yield from _line_search_wolfe(fg_line, fx, df0)
         if alpha is None:
             status = "line_search_failed"
             break
@@ -199,11 +205,67 @@ def bfgs_minimize(fg, x0, opts: OptimizeOptions) -> BfgsResult:
     return BfgsResult(x=x, f=fx, iterations=iterations, status=status)
 
 
+def bfgs_minimize(fg, x0, opts: OptimizeOptions) -> BfgsResult:
+    """Dense BFGS with a strong-Wolfe line search (c1=1e-4, c2=0.9).
+
+    Minimizes a squared error f = C^2 given the fused evaluation
+    ``fg(x) -> (f, grad f)``.  The run ends with one of four statuses:
+    "f_floor" when f <= opts.epsilon_exact^2 (an exact encoding),
+    "grad_tol" when ||grad f||_2 <= 2 sqrt(f) opts.grad_norm_tol (that is,
+    ||grad C|| <= opts.grad_norm_tol) or no descent direction is left,
+    "max_iterations" at the iteration cap, and "line_search_failed" when
+    the line search finds no step, instead of raising.
+    """
+    run = _bfgs(x0, opts)
+    x = next(run)
+    while True:
+        try:
+            x = run.send(fg(x))
+        except StopIteration as done:
+            return done.value
+
+
+def _lockstep(fg, starts: list[np.ndarray], opts: OptimizeOptions) -> list[BfgsResult]:
+    """BFGS from every start at once, as the encode loop would run them in turn.
+
+    Every step stacks the next point of each run still going and evaluates
+    the stack in one call of the batched ``fg`` ((T, P) -> (T,), (T, P)).
+    Each run is the one :func:`bfgs_minimize` makes from its start, because
+    row t of a batch equals the single evaluation bit for bit.  Once a run
+    ends exact, the runs after it stop, and the runs before it go on to
+    their end.  Returns the runs up to the first exact one, in start order:
+    the runs the loop would have made.
+    """
+    runs = [_bfgs(x0, opts) for x0 in starts]
+    points = [next(run) for run in runs]
+    done: dict[int, BfgsResult] = {}
+    first_exact = len(runs)
+    going = list(range(len(runs)))
+    while going:
+        f, g = fg(np.stack([points[k] for k in going]))
+        for row, k in enumerate(going):
+            try:
+                points[k] = runs[k].send((float(f[row]), g[row]))
+            except StopIteration as stop:
+                done[k] = stop.value
+                if stop.value.status == "f_floor":
+                    first_exact = min(first_exact, k)
+        going = [k for k in going if k not in done and k < first_exact]
+    return [done[k] for k in range(min(first_exact + 1, len(runs)))]
+
+
 # --------------------------------------------------------------------------
 # the encode loop
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class EncodeReport:
+    """The outcome of an encode loop, or of several summed.
+
+    ``evaluations`` counts every parameter vector the objective evaluated:
+    each row of a batched lockstep call, including the steps of restarts
+    that stopped once an earlier one ended exact.
+    """
+
     epsilon: float
     theta: np.ndarray = field(compare=False, repr=False)
     iterations: int
@@ -277,20 +339,24 @@ def _encode(target: TargetSpec, spec: AnsatzSpec, starts, opts: OptimizeOptions)
     yields, in order, on one circuit and one objective.
 
     The lowest f wins, the earlier start on ties, and the first exact run
-    ends the loop.  ``total_iterations`` and ``evaluations`` cover every run.
+    ends the loop.  The first start runs alone through
+    :func:`bfgs_minimize`; if it is not exact, the rest run in lockstep
+    (:func:`_lockstep`), which gives the same runs.  ``total_iterations``
+    covers the runs up to the first exact one, and ``evaluations`` every
+    theta evaluated, lockstep work past that run included.
     """
     circuit = build_ansatz(spec)
     obj = EncodeObjective(target, circuit)
     t0 = time.perf_counter()
-    total_iters = 0
-    for idx, theta0 in enumerate(starts(circuit.param_count)):
-        res = bfgs_minimize(obj.value_and_gradient, theta0, opts)
-        total_iters += res.iterations
-        if idx == 0 or res.f < best.f:
-            best, best_idx = res, idx
-        if res.status == "f_floor":
-            break
-    return _report(spec, circuit, best, best_idx, total_iters, obj.evaluations, skipped=0, t0=t0)
+    queued = iter(starts(circuit.param_count))
+    runs = [bfgs_minimize(obj.value_and_gradient, next(queued), opts)]
+    if runs[0].status != "f_floor":
+        runs += _lockstep(obj.value_and_gradient, list(queued), opts)
+    best_idx = min(range(len(runs)), key=lambda k: runs[k].f)
+    total_iters = sum(r.iterations for r in runs)
+    return _report(
+        spec, circuit, runs[best_idx], best_idx, total_iters, obj.evaluations, skipped=0, t0=t0
+    )
 
 
 def _summed(best: EncodeReport, reports: list[EncodeReport]) -> EncodeReport:
@@ -313,10 +379,14 @@ def multistart_encode(target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOption
     """The encode loop from ``opts.restarts`` uniform random starts in
     [-pi, pi), one Philox stream per restart; deterministic for a fixed seed.
 
-    The restarts after the first exact one are skipped.  ``restart_index``
-    names the winning restart, and ``converged`` means an exact encoding,
-    not merely optimizer termination.  ``total_iterations`` and
-    ``evaluations`` (objective calls) are summed over the restarts that ran.
+    Restart 0 runs alone; if it is not exact, the others run in lockstep
+    (see the module docstring), and the restarts after the first exact one
+    stop.  ``restart_index`` names the winning restart, and ``converged``
+    means an exact encoding, not merely optimizer termination.
+    ``total_iterations`` is summed over the restarts up to the first exact
+    one, as if they had run one at a time.  ``evaluations`` counts every
+    theta evaluated, so it also holds the lockstep steps that restarts
+    after the exact one took before they stopped.
     """
 
     def starts(param_count: int):
@@ -454,7 +524,8 @@ def layer_threshold_search(
     """Find the smallest layer count with at least one exact encoding.
 
     Starts at ``start`` (at least 1), by default 5% above the closed-form
-    estimate, and decrements down to one layer.  Each M runs
+    estimate for the class dimension below, and decrements down to one
+    layer.  Each M runs
     :func:`multistart_encode` on its candidates in order (a generic family
     has one, a GQSP family :data:`GQSP_SEQUENCES` random generator
     sequences of :data:`GQSP_INITS` restarts each) and stops at the first
@@ -490,7 +561,7 @@ def layer_threshold_search(
     if isinstance(family, AnsatzSpec):
         structure = "hermitian" if family.hermitian else "arbitrary"
         class_dim = free_parameter_bound(target.n, family.restriction, structure)
-        est = estimate_generic_threshold(family)
+        est = threshold_layers_generic(family, class_dim)
     else:
         if target.n != family.generator_set.n:
             raise ValueError(f"target on {target.n} qubits, generators on {family.generator_set.n}")

@@ -91,20 +91,28 @@ def threshold_layers_symmetric(dim_b: int, q: int) -> int:
     return max(0, math.ceil(Fraction(q * dim_b - 3, 3)))
 
 
-def estimate_generic_threshold(spec) -> int:
-    """Threshold-layer estimate for a generic AnsatzSpec from its own layer
-    geometry and the free-parameter count of the matching matrix class."""
+def threshold_layers_generic(spec, class_dim: int) -> int:
+    """Layer estimate for a generic AnsatzSpec from its own layer geometry:
+    the smallest M whose M layers, with the appended single-qubit layer,
+    have at least ``class_dim`` parameters."""
     probe = build_generic_ansatz(replace(spec, layers=1))
     layer_params = probe.layer_slot_count
     us_params = probe.param_count - probe.layer_slot_count
     if layer_params == 0:
         raise ValueError("block contributes no layer parameters")
-    structure = "hermitian" if spec.hermitian else "arbitrary"
-    n_p = free_parameter_bound(spec.system_qubits, spec.restriction, structure)
-    remaining = n_p - us_params
+    remaining = class_dim - us_params
     if remaining <= 0:
         return 0
     return math.ceil(Fraction(remaining, layer_params))
+
+
+def estimate_generic_threshold(spec) -> int:
+    """Threshold-layer estimate for a generic AnsatzSpec: enough parameters
+    for the free-parameter count of the matching matrix class on its
+    ``system_qubits``."""
+    structure = "hermitian" if spec.hermitian else "arbitrary"
+    n_p = free_parameter_bound(spec.system_qubits, spec.restriction, structure)
+    return threshold_layers_generic(spec, n_p)
 
 
 @dataclass(frozen=True)

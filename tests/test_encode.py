@@ -11,7 +11,9 @@ from vbe.circuit import (
     build_ansatz,
     build_generic_ansatz,
     build_gqsp_ansatz,
+    controlled,
     evaluate,
+    evaluate_with_gradients,
     hermitize,
 )
 from vbe.encode import (
@@ -275,3 +277,77 @@ class TestObjective:
         for (args, kwargs), theta in zip(calls, thetas):
             assert kwargs == {} and len(args) == 2
             assert args[0] is c and args[1] is theta
+
+
+def batch_case(name):
+    """A circuit and a target of the same block size for each batched case."""
+    if name.startswith("block2"):
+        _, restriction, variant = name.split("/")
+        hermitian = variant == "hermitized"
+        structure = "hermitian" if hermitian else "arbitrary"
+        spec = block_spec(2, n=2, layers=3, restriction=restriction, hermitian=hermitian)
+        t = subnormalize(targets.random_matrix(2, restriction, structure, seed=3))
+        return build_ansatz(spec), t
+    if name == "controlled":
+        c = controlled(build_generic_ansatz(block_spec(2, n=2, layers=2)))
+        return c, subnormalize(targets.random_matrix(2, seed=3))
+    # GQSP sequences that repeat a generator, so one gadget group holds
+    # several ops
+    n, labels = {
+        "gqsp/Sn2": (2, ("XX-pairs", "X-all", "XX-pairs")),
+        "gqsp/Sn3": (3, ("YY-pairs", "X-all", "ZZ-pairs", "YY-pairs")),
+    }[name]
+    gs = symmetry.heisenberg_generator_set("Sn", n)
+    spec = optimize.GqspFamily(gs).spec_for_sequence(tuple(gs.labels.index(x) for x in labels))
+    t = subnormalize(to_dense(symmetry.symmetric_heisenberg_terms("Sn", n, 0)))
+    return build_ansatz(spec), t
+
+
+BATCH_CASES = [
+    "block2/complex/plain",
+    "block2/complex/hermitized",
+    "block2/real/plain",
+    "block2/real/hermitized",
+    "controlled",
+    "gqsp/Sn2",
+    "gqsp/Sn3",
+]
+
+
+class TestBatchedEvaluation:
+    """Row t of a (T, param_count) evaluation is the evaluation of theta row t
+    alone, bit for bit: the lockstep restarts rely on it to run the same
+    BFGS iterates as the restarts run one at a time."""
+
+    @pytest.mark.parametrize("name", BATCH_CASES)
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_rows_equal_single_evaluations(self, rng, name, width):
+        c, t = batch_case(name)
+        thetas = rng.uniform(-np.pi, np.pi, size=(width, c.param_count))
+        f, g = squared_cost_and_gradient(t, c, thetas)
+        u, pullback = evaluate_with_gradients(c, thetas)
+        sub = t.matrix.shape[0]
+        w = rng.normal(size=(width, 3, sub, sub)) + 1j * rng.normal(size=(width, 3, sub, sub))
+        stacked = pullback(w)
+        assert (f.shape, g.shape, u.shape) == ((width,), thetas.shape, (width, c.dim, c.dim))
+        assert stacked.shape == (width, 3, c.param_count)
+        for row, theta in enumerate(thetas):
+            f1, g1 = squared_cost_and_gradient(t, c, theta)
+            u1, pullback1 = evaluate_with_gradients(c, theta)
+            assert f1 == f[row] and type(f1) is float
+            assert np.array_equal(g1, g[row])
+            assert np.array_equal(u1, u[row])
+            assert np.array_equal(pullback1(w[row]), stacked[row])
+            assert np.array_equal(pullback1(w[row, 0]), pullback(w[:, 0])[row])
+
+    def test_objective_counts_every_row(self):
+        c, t = batch_case("gqsp/Sn2")
+        obj = EncodeObjective(t, c)
+        obj.value_and_gradient(np.zeros(c.param_count))
+        obj.value_and_gradient(np.zeros((4, c.param_count)))
+        assert obj.evaluations == 5
+
+    def test_wrong_width_is_refused(self):
+        c, _ = batch_case("gqsp/Sn2")
+        with pytest.raises(ValueError, match="parameters"):
+            evaluate(c, np.zeros((2, c.param_count + 1)))

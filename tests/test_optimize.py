@@ -6,7 +6,7 @@ from scipy.optimize import minimize, rosen, rosen_der
 
 from vbe import optimize, symmetry
 from vbe.circuit import AnsatzSpec, build_ansatz
-from vbe.encode import TargetSpec, cost, subnormalize
+from vbe.encode import EncodeObjective, TargetSpec, cost, subnormalize
 from vbe.pauli import to_dense
 from vbe.resources import free_parameter_bound
 from vbe.tables import BDIM_TABLE, GQSP_TABLE
@@ -53,15 +53,22 @@ class TestGreedyGeneratorSearch:
 
 
 def record_bfgs(monkeypatch) -> list:
-    """Record the result of every ``bfgs_minimize`` run."""
+    """Record the result of every BFGS run an encode loop keeps: its first
+    start's ``bfgs_minimize`` run, then the runs ``_lockstep`` returns."""
     runs = []
-    original = optimize.bfgs_minimize
+    original, lockstep = optimize.bfgs_minimize, optimize._lockstep
 
     def recording(fg, x0, opts):
         runs.append(original(fg, x0, opts))
         return runs[-1]
 
+    def recording_lockstep(fg, starts, opts):
+        kept = lockstep(fg, starts, opts)
+        runs.extend(kept)
+        return kept
+
     monkeypatch.setattr(optimize, "bfgs_minimize", recording)
+    monkeypatch.setattr(optimize, "_lockstep", recording_lockstep)
     return runs
 
 
@@ -113,12 +120,13 @@ def assert_exact_iff_f_floor(reports):
 
 
 def count_evaluations(monkeypatch) -> list:
-    """Record every objective evaluation made through ``EncodeObjective``."""
+    """Record every parameter vector evaluated through ``EncodeObjective``,
+    one entry per row of a batched call."""
     calls = []
     original = optimize.EncodeObjective.value_and_gradient
 
     def counting(self, theta):
-        calls.append(self.circuit.param_count)
+        calls.extend([self.circuit.param_count] * (len(theta) if np.ndim(theta) == 2 else 1))
         return original(self, theta)
 
     monkeypatch.setattr(optimize.EncodeObjective, "value_and_gradient", counting)
@@ -433,6 +441,17 @@ class TestLayerThresholdSearch:
         res = optimize.layer_threshold_search(target, spec, opts)
         assert (res.m_thres, res.complete) == (1, True)
 
+    def test_start_estimate_is_the_targets(self):
+        # the n=1 class of the 2 x 2 target has 8 parameters, fewer than the
+        # 9 of the appended single-qubit layer, so the estimate is 0 layers:
+        # the search starts at M=2 (5% above max(0, 1)), not at M=4 from
+        # the n=2 class, and takes one step down
+        target = subnormalize(random_matrix(1, seed=0))
+        spec = AnsatzSpec(family="block", system_qubits=2, layers=1, block_id=2)
+        opts = optimize.OptimizeOptions(restarts=1, seed=0)
+        res = optimize.layer_threshold_search(target, spec, opts)
+        assert (res.start, res.m_thres, sorted(res.reports)) == (2, 1, [1, 2])
+
     def test_target_larger_than_register_is_refused(self):
         target = subnormalize(random_matrix(3, seed=0))
         spec = AnsatzSpec(family="block", system_qubits=1, layers=1, block_id=2)
@@ -474,3 +493,134 @@ class TestBfgsAgainstScipy:
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-9)
         assert np.allclose(ref.x, [1.0, 1.0], atol=1e-4)
         assert res.iterations <= 2 * ref.nit
+
+
+def sequential_report(target, spec, opts):
+    """The encode loop of ``multistart_encode`` run one start at a time, each
+    BFGS run on an objective of its own: the report lockstep restarts must
+    give, with the evaluations the starts needed."""
+    circuit = build_ansatz(spec)
+    runs, evaluations = [], 0
+    for r in range(opts.restarts):
+        obj = EncodeObjective(target, circuit)
+        theta0 = make_rng(opts.seed, r).uniform(-np.pi, np.pi, size=circuit.param_count)
+        runs.append(optimize.bfgs_minimize(obj.value_and_gradient, theta0, opts))
+        evaluations += obj.evaluations
+        if r == 0 or runs[-1].f < runs[best].f:
+            best = r
+        if runs[-1].status == "f_floor":
+            break
+    total = sum(run.iterations for run in runs)
+    return optimize._report(spec, circuit, runs[best], best, total, evaluations, 0, 0.0)
+
+
+def record_lockstep(monkeypatch) -> list:
+    """Record the starts of every ``_lockstep`` call."""
+    calls = []
+    original = optimize._lockstep
+
+    def recording(fg, starts, opts):
+        calls.append(starts)
+        return original(fg, starts, opts)
+
+    monkeypatch.setattr(optimize, "_lockstep", recording)
+    return calls
+
+
+class TestLockstepRestarts:
+    """After an inexact first start the encode loop runs the other starts in
+    lockstep, and reports what the loop run one start at a time reports."""
+
+    def assert_sequential(self, target, spec, opts, extra_evaluations):
+        report = optimize.multistart_encode(target, spec, opts)
+        want = sequential_report(target, spec, opts)
+        assert np.array_equal(report.theta, want.theta)
+        assert report == replace(want, evaluations=want.evaluations + extra_evaluations)
+        return report, want
+
+    def test_exact_first_start_runs_alone(self, monkeypatch):
+        calls = record_lockstep(monkeypatch)
+        target = subnormalize(random_matrix(2, "complex", "hermitian", seed=0))
+        spec = AnsatzSpec(family="block", system_qubits=2, layers=2, block_id=2, hermitian=True)
+        report, _ = self.assert_sequential(target, spec, optimize.OptimizeOptions(restarts=4), 0)
+        assert (report.converged, report.restart_index, calls) == (True, 0, [])
+
+    def test_later_exact_start_stops_the_rest(self, monkeypatch):
+        # GQSP Sn 3, target seed 0, the first sequence drawn at M=4: restart 0
+        # ends inexact after 304 evaluations and restart 1 exact after 70.
+        # Restarts 2-4 took a step beside restart 1 at each of its 70
+        calls = record_lockstep(monkeypatch)
+        family = optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 3))
+        spec, opts = next(optimize._candidates(family, 4, optimize.OptimizeOptions(seed=0)))
+        assert spec.sequence_labels == ("YY-pairs", "X-all", "ZZ-pairs", "YY-pairs")
+        target = symmetric_target("Sn", 3, 0)
+        report, want = self.assert_sequential(target, spec, opts, 3 * 70)
+        assert (report.converged, report.restart_index, want.evaluations) == (True, 1, 304 + 70)
+        assert [len(starts) for starts in calls] == [optimize.GQSP_INITS - 1]
+
+    def test_no_exact_start_runs_every_start(self, monkeypatch):
+        calls = record_lockstep(monkeypatch)
+        target = subnormalize(random_matrix(1, seed=5))
+        spec = AnsatzSpec(family="block", system_qubits=1, layers=1, block_id=2)
+        opts = optimize.OptimizeOptions(restarts=3, max_iterations=40, seed=7)
+        report, _ = self.assert_sequential(target, spec, opts, 0)
+        assert not report.converged
+        assert [len(starts) for starts in calls] == [2]
+
+
+def batched_rosen(widths):
+    """The 2-D Rosenbrock function on a (T, 2) batch, recording each T."""
+
+    def fg(x):
+        widths.append(len(x))
+        return rosen(x.T), rosen_der(x.T).T
+
+    return fg
+
+
+class TestLockstepDriver:
+    """``_lockstep`` on the Rosenbrock function: each run is the run
+    ``bfgs_minimize`` makes from its start, up to the first exact one."""
+
+    def solo(self, starts, opts):
+        def fg(x):
+            return rosen(x), rosen_der(x)
+
+        return [optimize.bfgs_minimize(fg, x0, opts) for x0 in starts]
+
+    def assert_runs_equal(self, got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.x, b.x)
+            assert (a.f, a.iterations, a.status) == (b.f, b.iterations, b.status)
+
+    def test_inexact_runs_all_end(self):
+        opts = optimize.OptimizeOptions(max_iterations=8)
+        starts = [np.array(x) for x in ([-1.2, 1.0], [2.0, -1.0], [0.0, 0.0])]
+        widths = []
+        runs = optimize._lockstep(batched_rosen(widths), starts, opts)
+        assert [r.status for r in runs] == ["max_iterations"] * 3
+        self.assert_runs_equal(runs, self.solo(starts, opts))
+        assert widths[0] == 3 and widths == sorted(widths, reverse=True)
+
+    def test_exact_run_stops_the_later_ones(self):
+        # the minimum itself is exact at its first point; the start before it
+        # runs on alone, the one after it stops
+        opts = optimize.OptimizeOptions(max_iterations=8)
+        starts = [np.array(x) for x in ([-1.2, 1.0], [1.0, 1.0], [2.0, -1.0])]
+        widths = []
+        runs = optimize._lockstep(batched_rosen(widths), starts, opts)
+        assert [r.status for r in runs] == ["max_iterations", "f_floor"]
+        self.assert_runs_equal(runs, self.solo(starts[:2], opts))
+        assert widths[0] == 3 and set(widths[1:]) == {1}
+
+    def test_earlier_exact_run_wins(self):
+        # the later start is exact first, but the earlier one ends exact too
+        opts = optimize.OptimizeOptions()
+        starts = [np.array(x) for x in ([1.1, 1.2], [1.0, 1.0])]
+        runs = optimize._lockstep(batched_rosen([]), starts, opts)
+        self.assert_runs_equal(runs, self.solo(starts[:1], opts))
+        assert runs[0].status == "f_floor" and runs[0].iterations > 0
+
+    def test_no_starts(self):
+        assert optimize._lockstep(batched_rosen([]), [], optimize.OptimizeOptions()) == []
