@@ -45,7 +45,13 @@ from typing import ClassVar, Generator
 
 import numpy as np
 
-from vbe.circuit import AnsatzSpec, build_ansatz, count_nonlocal_gates, evaluate_with_gradients
+from vbe.circuit import (
+    AnsatzSpec,
+    Circuit,
+    build_ansatz,
+    count_nonlocal_gates,
+    evaluate_with_gradients,
+)
 from vbe.encode import EncodeObjective, TargetSpec, _ancilla_count
 from vbe.resources import (
     free_parameter_bound,
@@ -334,9 +340,11 @@ def _report(
     )
 
 
-def _encode(target: TargetSpec, spec: AnsatzSpec, starts, opts: OptimizeOptions) -> EncodeReport:
+def _encode(
+    target: TargetSpec, spec: AnsatzSpec, circuit: Circuit, starts, opts: OptimizeOptions
+) -> EncodeReport:
     """The encode loop: BFGS on C^2 from each vector ``starts(param_count)``
-    yields, in order, on one circuit and one objective.
+    yields, in order, on ``circuit`` (built from ``spec``) and one objective.
 
     The lowest f wins, the earlier start on ties, and the first exact run
     ends the loop.  The first start runs alone through
@@ -345,7 +353,6 @@ def _encode(target: TargetSpec, spec: AnsatzSpec, starts, opts: OptimizeOptions)
     covers the runs up to the first exact one, and ``evaluations`` every
     theta evaluated, lockstep work past that run included.
     """
-    circuit = build_ansatz(spec)
     obj = EncodeObjective(target, circuit)
     t0 = time.perf_counter()
     queued = iter(starts(circuit.param_count))
@@ -375,9 +382,14 @@ def _random_start(seed: int, restart: int, param_count: int) -> np.ndarray:
     return make_rng(seed, restart).uniform(-np.pi, np.pi, size=param_count)
 
 
-def multistart_encode(target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOptions) -> EncodeReport:
+def multistart_encode(
+    target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOptions, *, circuit: Circuit | None = None
+) -> EncodeReport:
     """The encode loop from ``opts.restarts`` uniform random starts in
     [-pi, pi), one Philox stream per restart; deterministic for a fixed seed.
+    It runs on ``circuit`` when given, which must be ``build_ansatz(spec)``
+    (:func:`layer_threshold_search` passes the one its screen built), else
+    on a circuit built from ``spec``.
 
     Restart 0 runs alone; if it is not exact, the others run in lockstep
     (see the module docstring), and the restarts after the first exact one
@@ -393,7 +405,7 @@ def multistart_encode(target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOption
         for r in range(opts.restarts):
             yield _random_start(opts.seed, r, param_count)
 
-    return _encode(target, spec, starts, opts)
+    return _encode(target, spec, build_ansatz(spec) if circuit is None else circuit, starts, opts)
 
 
 # --------------------------------------------------------------------------
@@ -488,18 +500,18 @@ def _block_jacobian(circuit, theta: np.ndarray, sub: int) -> tuple[np.ndarray, n
 
 
 def _rank_screen(
-    target: TargetSpec, spec: AnsatzSpec, opts: OptimizeOptions, class_dim: int
+    target: TargetSpec, spec: AnsatzSpec, circuit: Circuit, opts: OptimizeOptions, class_dim: int
 ) -> EncodeReport | None:
     """The report of a candidate that cannot reach a generic target, or None.
 
-    A candidate is screened when its block Jacobian, at its own first start
+    A candidate is ``circuit``, built from ``spec``.  It is screened when
+    its block Jacobian, at its own first start
     (restart 0 of :func:`multistart_encode` under ``opts``), has numerical
     rank below ``class_dim``.  Its report holds that start and C there, with
     status "rank_deficient", no iterations and no evaluations, and counts
     one skip.
     """
     t0 = time.perf_counter()
-    circuit = build_ansatz(spec)
     _ancilla_count(target, circuit)
     theta0 = _random_start(opts.seed, 0, circuit.param_count)
     sub = target.matrix.shape[0]
@@ -531,7 +543,8 @@ def layer_threshold_search(
     sequences of :data:`GQSP_INITS` restarts each) and stops at the first
     exact one; M fails only when all of them miss.
 
-    Every candidate is first rank-screened (:func:`_rank_screen`).  A
+    Every candidate is first rank-screened (:func:`_rank_screen`) on the
+    circuit its encode loop then runs on, built once.  A
     circuit can reach a generic target of a matrix class only if the
     Jacobian of theta -> U(theta)[:sub, :sub] has rank equal to the class
     dimension, the class's number of real parameters (the "parameter
@@ -577,8 +590,9 @@ def layer_threshold_search(
     def attempt(m: int) -> EncodeReport:
         reports = []
         for spec, sub_opts in _candidates(family, m, opts):
-            screened = _rank_screen(target, spec, sub_opts, class_dim)
-            reports.append(screened or multistart_encode(target, spec, sub_opts))
+            circuit = build_ansatz(spec)
+            screened = _rank_screen(target, spec, circuit, sub_opts, class_dim)
+            reports.append(screened or multistart_encode(target, spec, sub_opts, circuit=circuit))
             if reports[-1].converged:
                 break
         return _summed(min(reports, key=lambda r: r.epsilon), reports)
@@ -633,15 +647,15 @@ def greedy_generator_search(
     rng = make_rng(opts.seed, 0)
     sequence: tuple[int, ...] = ()
     root = family.spec_for_sequence(())
-    best = _encode(target, root, lambda p: [rng.uniform(-0.1, 0.1, p)], opts)
+    best = _encode(target, root, build_ansatz(root), lambda p: [rng.uniform(-0.1, 0.1, p)], opts)
     runs = [best]
     history = [best.epsilon]
     while not best.converged and len(sequence) < GREEDY_MAX_DEPTH:
         theta0 = np.concatenate([best.theta, rng.uniform(-0.1, 0.1, 3)])
-        children = [
-            _encode(target, family.spec_for_sequence(sequence + (k,)), lambda p: [theta0], opts)
-            for k in range(len(generator_set))
-        ]
+        children = []
+        for k in range(len(generator_set)):
+            spec = family.spec_for_sequence(sequence + (k,))
+            children.append(_encode(target, spec, build_ansatz(spec), lambda p: [theta0], opts))
         runs += children
         k = min(range(len(children)), key=lambda k: children[k].epsilon)
         sequence += (k,)

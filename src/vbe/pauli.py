@@ -19,9 +19,10 @@ loops all call :func:`product_packed`, which multiplies all term pairs as
 arrays, puts each pair in a bin (its packed key, or an orbit id per key for
 the orbit-coordinate closures of :mod:`vbe.symmetry`, with an optional group
 per pair above the key range) and combines equal bins by sort, at a cost set
-by the pair count alone.  One call thus multiplies a closure element by all
-its multipliers at once.  Like dense conversion, the 4^n key range caps
-products and string partitions at :data:`MAX_DENSE_QUBITS` qubits.
+by the pair count alone.  One call thus multiplies a chunk of closure
+elements by all their multipliers at once.  Like dense conversion, the 4^n
+key range caps products and string partitions at :data:`MAX_DENSE_QUBITS`
+qubits.
 
 :class:`OrbitCompression` is a partition of the strings into orbits: those
 of a symmetry group, or the trivial one with one orbit per string.  It gives
@@ -288,7 +289,10 @@ def product_packed(
     (an :class:`OrbitCompression`'s orbit ids, say).  ``groups``, integers
     that broadcast over the (len(k1), len(k2)) pair grid, split one call
     into several products: a pair's bin becomes ``(group << 2n) | bin``, so
-    one call multiplies a sum by several others, each in its own group.
+    one call multiplies several sums, concatenated, by several others, each
+    pair of sums in its own group.  A group's bins sum the same pairs in the
+    same order as a call on its two sums alone, so they equal that call's
+    bitwise.
 
     Equal bins are combined by sort: a stable argsort of the bins, a rank
     per sorted run, then one ``bincount`` over the ranks in pair order, so
@@ -498,16 +502,21 @@ class SpanBasis:
         The sums arrive as one packed (keys, coeffs) array of all their terms
         and ``cols``, the column (0 .. count-1) of each term; a column with
         no terms is a zero sum.  The answers are those of one
-        :meth:`add_packed` call per sum, in column order.  The
-        block is projected off the basis held before the call by one pass of
-        (I - QQ^H), a pair of matrix products.  A projection never lengthens
-        a vector, so a candidate already within tolerance there is dropped;
-        the rest take a second (re-orthogonalization) pass as one block, and
-        then, one at a time, two passes against the columns accepted earlier
-        in this block.
+        :meth:`add_packed` call per sum, in column order.  A basis as large
+        as the row count, the block's rows counted, spans every coordinate
+        vector, so it rejects the whole block without projecting.  Otherwise
+        the block is projected off the basis held before the call by one
+        pass of (I - QQ^H), a pair of matrix products.  A projection never
+        lengthens a vector, so a candidate already within tolerance there is
+        dropped; the rest take a second (re-orthogonalization) pass as one
+        block, and then, one at a time, two passes against the columns
+        accepted earlier in this block.
         """
         v = self._coords.block(keys, coeffs, cols, count)
         rows = v.shape[0]
+        accepted = np.zeros(count, dtype=bool)
+        if self.size == rows:  # Q spans every row, so it holds every candidate
+            return accepted
         floor = (SPAN_TOL**2) * np.sum(np.abs(v) ** 2, axis=0)
         self._reserve(rows, self.size)
         q = self._q[:, : self.size]
@@ -517,7 +526,6 @@ class SpanBasis:
         r = r[:, live]
         r -= q @ (r.conj().T @ q).conj().T
         first = self.size
-        accepted = np.zeros(count, dtype=bool)
         for j, rj in zip(live, r.T):
             if self.size > first:
                 q = self._q[:, first : self.size]

@@ -14,8 +14,9 @@ always works in the orbit coordinates of a string partition: the coarsest
 Sn, Cn or Z2xz partition under which every input sum is invariant, else the
 trivial partition with one orbit per string.  The partition is read off the
 sums, not off how they are passed.  Each basis element multiplies as one
-weighted string per orbit, by all multipliers in one product call, and its
-products are span-tested as one block.
+weighted string per orbit.  A chunk of basis elements is multiplied by all
+multipliers in one product call, and each element's products are
+span-tested as one block.
 
 The associative closure is one-sided: it multiplies from the left only.
 With the multipliers among its seeds, that reaches every word in them, so
@@ -235,6 +236,12 @@ def _partition(orbits: OrbitCompression | None, sums: list[PauliSum]) -> OrbitCo
     return orbits
 
 
+# Term pairs per product call of the closure loop: a chunk of basis elements
+# is expanded by one call while its product grid stays within this budget,
+# which keeps the pair arrays small and the calls few.
+_CHUNK_PAIRS = 4096
+
+
 def _span_closure(
     n: int,
     seeds: list[PauliSum],
@@ -247,14 +254,24 @@ def _span_closure(
 
     The seeds that extend the span start the basis.  Each basis element from
     index ``start`` on, in insertion order, is then multiplied by all the
-    multipliers at once: ``products(ka, ca, km, cm, ids)`` gets the element
-    and the concatenated multipliers with the multiplier id of each term,
-    and returns the one :func:`product_packed` result whose groups number
-    the candidates: candidate m is the bracket [A, G_m] or the left product
-    G_m A.  The candidates of one element are folded and span-tested as one
-    block (:meth:`SpanBasis.add_block`) in candidate order, and each that
-    extends the span joins the basis at unit norm, until a fixpoint.  The
-    span holds at most 4^n elements, so the loop always ends.
+    multipliers, and each product that extends the span joins the basis at
+    unit norm, until a fixpoint.  The span holds at most 4^n elements, so
+    the loop always ends.
+
+    The elements are expanded in chunks: the longest run of unexpanded
+    elements, at least one, whose product grid (element terms x multiplier
+    terms) stays within :data:`_CHUNK_PAIRS` term pairs.
+    ``products(ka, ca, km, cm, groups)`` gets the chunk's elements
+    concatenated, the multipliers concatenated and the (len(ka), len(km))
+    grid of groups, element e of the chunk times multiplier m being group
+    e * len(multipliers) + m, and returns the one :func:`product_packed`
+    result of the chunk: group (e, m) holds the bracket [A_e, G_m] or the
+    left product G_m A_e.  Each bin sums the same pairs in the same order as
+    a call on element e alone would, so the candidates are bitwise those of
+    one call per element.  The span tests stay per element: the candidates
+    of element e are folded and tested as one block
+    (:meth:`SpanBasis.add_block`) in multiplier order, against the basis as
+    it stands after the acceptances of the elements before e.
 
     Every input is invariant under the orbit partition, so every basis
     element A is too, and it enters the products in representative form:
@@ -288,13 +305,25 @@ def _span_closure(
     ids = np.repeat(np.arange(len(mults)), [len(m) for m in mults])
     idx = start
     while idx < len(basis):
-        ka, ca = forms[idx]
-        cands, keys, sums = orbits.fold(*products(ka, ca, km, cm, ids))
-        for j in np.flatnonzero(span.add_block(keys, sums, cands, len(mults))):
-            mine = cands == j
-            full, coeffs = orbits.expand(keys[mine], sums[mine])
-            accept(sum_from_packed(n, full, coeffs / float(np.linalg.norm(coeffs))))
-        idx += 1
+        stop, terms = idx + 1, len(forms[idx][0])
+        while stop < len(basis) and (terms + len(forms[stop][0])) * len(km) <= _CHUNK_PAIRS:
+            terms += len(forms[stop][0])
+            stop += 1
+        chunk = forms[idx:stop]
+        ka = np.concatenate([k for k, _ in chunk])
+        ca = np.concatenate([c for _, c in chunk])
+        owner = np.repeat(np.arange(len(chunk)), [len(k) for k, _ in chunk])
+        grid = owner[:, None] * len(mults) + ids
+        groups, keys, sums = orbits.fold(*products(ka, ca, km, cm, grid))
+        element, cands = np.divmod(groups, len(mults))
+        bounds = np.searchsorted(element, np.arange(len(chunk) + 1))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            keys_e, sums_e, cands_e = keys[lo:hi], sums[lo:hi], cands[lo:hi]
+            for j in np.flatnonzero(span.add_block(keys_e, sums_e, cands_e, len(mults))):
+                mine = cands_e == j
+                full, coeffs = orbits.expand(keys_e[mine], sums_e[mine])
+                accept(sum_from_packed(n, full, coeffs / float(np.linalg.norm(coeffs))))
+        idx = stop
     return basis
 
 
@@ -311,7 +340,10 @@ def lie_closure(
     so a subspace containing the generators and closed under them is the
     full closure, and generator operands keep every product small.  The
     closure may be the full algebra u(2^n), with 4^n elements (when the
-    generators include the identity, say).
+    generators include the identity, say).  One product call brackets a
+    chunk of basis elements with every generator, and the span tests run
+    element by element (:func:`_span_closure`), so the basis is bitwise
+    that of one call per element.
 
     The closure runs in the orbit coordinates of ``orbits``, by default
     the partition detected from the generators; a partition under which
@@ -325,9 +357,9 @@ def lie_closure(
     orbits = _partition(orbits, gens)
     index = orbits.orbit_ids
 
-    def bracket(ka, ca, km, cm, ids):
+    def bracket(ka, ca, km, cm, groups):
         return product_packed(
-            n, ka, ca, km, cm, anticommuting_only=True, scale=2.0, index=index, groups=ids
+            n, ka, ca, km, cm, anticommuting_only=True, scale=2.0, index=index, groups=groups
         )
 
     return _span_closure(n, gens, gens, bracket, orbits)
@@ -349,7 +381,9 @@ def associative_closure(
     A G.  It holds for the default multipliers, L itself, and when L is the
     Lie closure of the ``multipliers`` (as in :func:`closure_basis`), since
     nested commutators are words in the generators; passing the circuit
-    generators there gives the same span much faster.
+    generators there gives the same span much faster.  As in
+    :func:`lie_closure`, one product call multiplies a chunk of basis
+    elements and the span tests run element by element.
 
     The closure runs in the orbit coordinates of ``orbits``, by default
     the partition detected from L and the multipliers; a partition under
@@ -363,8 +397,8 @@ def associative_closure(
     orbits = _partition(orbits, [*l, *mult])
     index = orbits.orbit_ids
 
-    def left(ka, ca, km, cm, ids):
-        return product_packed(n, km, cm, ka, ca, index=index, groups=ids[:, None])
+    def left(ka, ca, km, cm, groups):
+        return product_packed(n, km, cm, ka, ca, index=index, groups=groups.T)
 
     # start=1: the identity (the first seed) is not expanded, its products
     # are the multipliers, which are seeds

@@ -5,8 +5,10 @@ the packed Pauli arithmetic and the circuit evaluation plan under test.
 :func:`dense_unitary` multiplies gate by gate, each gate embedded with
 ``kron`` and control projectors.  The package itself never needs these, so
 they live here, together with :func:`block_spec`, the generic ansatz spec
-the tests build circuits from, and the closed forms :func:`single_qubit_R`
-and :func:`symmetric_a_ratio`, which no package code uses.
+the tests build circuits from, the closed forms :func:`single_qubit_R`
+and :func:`symmetric_a_ratio`, which no package code uses, and
+:func:`lie_closure_per_element` and :func:`associative_closure_per_element`,
+the closure loop with one product call and one span test per basis element.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import scipy.linalg
 
 from vbe import linalg
 from vbe.circuit import AnsatzSpec, Circuit, Gate
-from vbe.pauli import PauliString, PauliSum, to_dense
+from vbe.pauli import PauliString, PauliSum, SpanBasis, product_packed, sum_from_packed, to_dense
+from vbe.symmetry import _partition
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -246,3 +249,68 @@ def dense_unitary(c: Circuit, theta) -> np.ndarray:
 
     u = product(c.gates)
     return u if c.core is None else u @ product(c.core) @ u.conj().T
+
+
+def _closure_per_element(n, seeds, multipliers, products, orbits, start=0) -> list[PauliSum]:
+    """The breadth-first closure loop of :mod:`vbe.symmetry`, one basis
+    element at a time: one ``products`` call multiplies the element's
+    representative form by every multiplier (group m for multiplier m), and
+    one :meth:`SpanBasis.add_block` call tests its candidates."""
+    span = SpanBasis(n, orbits=orbits)
+    basis, forms = [], []
+
+    def accept(element):
+        basis.append(element)
+        forms.append(orbits.representatives(element.keys, element.coeffs))
+
+    for s in seeds:
+        s = s.normalized()
+        if span.add_packed(s.keys, s.coeffs):
+            accept(s)
+    mults = [m.normalized() for m in multipliers]
+    if not mults:
+        return basis
+    km = np.concatenate([m.keys for m in mults])
+    cm = np.concatenate([m.coeffs for m in mults])
+    ids = np.repeat(np.arange(len(mults)), [len(m) for m in mults])
+    idx = start
+    while idx < len(basis):
+        ka, ca = forms[idx]
+        cands, keys, sums = orbits.fold(*products(ka, ca, km, cm, ids))
+        for j in np.flatnonzero(span.add_block(keys, sums, cands, len(mults))):
+            mine = cands == j
+            full, coeffs = orbits.expand(keys[mine], sums[mine])
+            accept(sum_from_packed(n, full, coeffs / float(np.linalg.norm(coeffs))))
+        idx += 1
+    return basis
+
+
+def lie_closure_per_element(gens, orbits=None) -> list[PauliSum]:
+    """Reference Lie closure: nested brackets with the generators, one
+    element per product call, in the partition ``lie_closure`` takes."""
+    gens = list(gens)
+    n = gens[0].n
+    orbits = _partition(orbits, gens)
+
+    def bracket(ka, ca, km, cm, ids):
+        index = orbits.orbit_ids
+        return product_packed(
+            n, ka, ca, km, cm, anticommuting_only=True, scale=2.0, index=index, groups=ids
+        )
+
+    return _closure_per_element(n, gens, gens, bracket, orbits)
+
+
+def associative_closure_per_element(l, multipliers=None, orbits=None) -> list[PauliSum]:
+    """Reference associative closure: left products with the multipliers,
+    one element per product call, in the partition ``associative_closure``
+    takes."""
+    n = l[0].n
+    mult = l if multipliers is None else multipliers
+    orbits = _partition(orbits, [*l, *mult])
+
+    def left(ka, ca, km, cm, ids):
+        return product_packed(n, km, cm, ka, ca, index=orbits.orbit_ids, groups=ids[:, None])
+
+    seeds = [PauliSum.identity(n), *l, *mult]
+    return _closure_per_element(n, seeds, mult, left, orbits, start=1)

@@ -78,9 +78,9 @@ def record_multistarts(monkeypatch) -> list:
     calls = []
     original = optimize.multistart_encode
 
-    def recording(target, spec, opts):
+    def recording(target, spec, opts, **kwargs):
         first = len(runs)
-        report = original(target, spec, opts)
+        report = original(target, spec, opts, **kwargs)
         calls.append((opts, report, runs[first:]))
         return report
 
@@ -93,8 +93,8 @@ def record_screens(monkeypatch) -> list:
     screens = []
     original = optimize._rank_screen
 
-    def recording(target, spec, opts, class_dim):
-        screens.append((spec, opts, original(target, spec, opts, class_dim)))
+    def recording(target, spec, circuit, opts, class_dim):
+        screens.append((spec, opts, original(target, spec, circuit, opts, class_dim)))
         return screens[-1][2]
 
     monkeypatch.setattr(optimize, "_rank_screen", recording)
@@ -324,7 +324,7 @@ class TestBfgsStoppingRule:
 def converges_from(k):
     """A stand-in for ``multistart_encode`` that is exact iff layers >= k."""
 
-    def encode(target, spec, opts):
+    def encode(target, spec, opts, **_):
         ok = k is not None and spec.layers >= k
         return optimize.EncodeReport(
             epsilon=0.0 if ok else 1.0,
@@ -430,6 +430,38 @@ class TestLayerThresholdSearch:
         assert (res.m_thres, res.complete, res.start) == (m_thres, complete, 4)
         assert sorted(res.reports) == list(tried)
         assert all(r.layers == m for m, r in res.reports.items())
+
+    def test_builds_each_candidate_once(self, monkeypatch):
+        # the screen and the encode loop of a candidate share one circuit
+        built, screened, encoded = [], [], []
+        build, screen, encode = (
+            optimize.build_ansatz,
+            optimize._rank_screen,
+            optimize.multistart_encode,
+        )
+
+        def recording_build(spec):
+            built.append(build(spec))
+            return built[-1]
+
+        def recording_screen(target, spec, circuit, opts, class_dim):
+            screened.append(circuit)
+            return screen(target, spec, circuit, opts, class_dim)
+
+        def recording_encode(target, spec, opts, *, circuit):
+            encoded.append(circuit)
+            return encode(target, spec, opts, circuit=circuit)
+
+        monkeypatch.setattr(optimize, "build_ansatz", recording_build)
+        monkeypatch.setattr(optimize, "_rank_screen", recording_screen)
+        monkeypatch.setattr(optimize, "multistart_encode", recording_encode)
+        family = optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 2))
+        res = optimize.layer_threshold_search(
+            symmetric_target("Sn", 2, 0), family, optimize.OptimizeOptions(seed=0)
+        )
+        assert res.complete and encoded
+        assert [id(c) for c in built] == [id(c) for c in screened]
+        assert all(any(c is s for s in screened) for c in encoded)
 
     def test_class_dimension_is_the_targets(self):
         # a 2 x 2 target on block 2 with n=2 is a two-ancilla encoding: the

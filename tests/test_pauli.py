@@ -8,6 +8,7 @@ from vbe.pauli import (
     MAX_DENSE_QUBITS,
     MAX_KEY_QUBITS,
     PRUNE_TOL,
+    SPAN_TOL,
     PauliString,
     PauliSum,
     SpanBasis,
@@ -369,6 +370,50 @@ class TestRankExtend:
         assert np.linalg.matrix_rank(np.array(rows)) == block.size
         probe = random_pauli_sum(n, 5, rng)
         assert block.add(probe) == one.add(probe)
+
+    def test_saturated_span(self, rng):
+        # once the basis spans every row seen, candidates on those rows are
+        # rejected without a projection; the answers match an explicit one,
+        # and a candidate that touches a new row is still accepted
+        n = 2
+        held = [
+            PauliSum.from_terms({"XX": 1.0, "ZZ": 0.5}),
+            PauliSum.from_terms({"XX": 1j, "YI": 0.25}),
+            PauliSum.from_terms({"YI": 2.0, "ZZ": -1.0}),
+        ]
+        span = SpanBasis(n)
+        for h in held:
+            assert span.add(h)
+
+        def on_rows(*letters):
+            return PauliSum.from_terms({p: complex(*rng.standard_normal(2)) for p in letters})
+
+        def explicit(basis, cands):
+            # Gram-Schmidt on dense matrices, one candidate at a time
+            q = np.linalg.qr(np.array([to_dense(b).ravel() for b in basis]).T)[0]
+            flags = []
+            for c in cands:
+                v = to_dense(c).ravel()
+                r = v - q @ (q.conj().T @ v)
+                flags.append(bool(np.sum(np.abs(r) ** 2) > SPAN_TOL**2 * np.sum(np.abs(v) ** 2)))
+                if flags[-1]:
+                    q = np.column_stack([q, r / np.linalg.norm(r)])
+            return flags
+
+        def block(cands):
+            keys = np.concatenate([c.keys for c in cands])
+            coeffs = np.concatenate([c.coeffs for c in cands])
+            cols = np.repeat(np.arange(len(cands)), [len(c) for c in cands])
+            return span.add_block(keys, coeffs, cols, len(cands)).tolist()
+
+        old = [on_rows("XX", "ZZ", "YI"), on_rows("XX"), PauliSum.zero(n), on_rows("YI", "ZZ")]
+        assert span.size == span._coords.count == 3  # three rows, three basis vectors
+        assert block(old) == explicit(held, old) == [False] * 4
+        assert span.size == 3
+        # a new row: the basis no longer spans every row, so the block projects
+        fresh = [old[0], on_rows("XX", "IZ"), on_rows("IZ")]
+        assert block(fresh) == explicit(held, fresh) == [False, True, False]
+        assert span.size == span._coords.count == 4
 
     def test_span_basis_incremental(self):
         span = SpanBasis(2)

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from oracles import (
+    associative_closure_per_element,
     check_invariance,
+    lie_closure_per_element,
     string_to_dense,
     symmetric_invariance_check,
     symmetry_matrices,
@@ -43,7 +47,7 @@ def same_partition(a, b):
     return np.array_equal(a.reps[a.orbit_ids], b.reps[b.orbit_ids])
 
 
-HEAVY_CLOSURES = {("Z2xz", 5), ("Z2xz", 6)}  # over a second
+HEAVY_CLOSURES = {("Z2xz", 6)}  # several seconds
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -219,6 +223,43 @@ def oracle_generators(case):
     return list(heisenberg_generator_set(*case).generators)
 
 
+def asymmetric_generators():
+    """Sn 3 generators with a 1e-7 asymmetric part on the first: no symmetric
+    partition holds them."""
+    gens = list(heisenberg_generator_set("Sn", 3).generators)
+    return [gens[0] + PauliSum.from_terms({"ZII": 1e-7j}), *gens[1:]]
+
+
+def open_chain5_generators():
+    """XX, YY and ZZ bond sums and an X field sum on an open 5-site chain,
+    each term weighted 1j * uniform(0.5, 1.5) from ``default_rng(7)``."""
+    n, rng = 5, np.random.default_rng(7)
+
+    def term(letter, sites):
+        return "".join(letter if q in sites else "I" for q in range(n)), 1j * rng.uniform(0.5, 1.5)
+
+    gens = [dict(term(p, (i, i + 1)) for i in range(n - 1)) for p in "XYZ"]
+    gens.append(dict(term("X", (i,)) for i in range(n)))
+    return [PauliSum.from_terms(g) for g in gens]
+
+
+def basis_digest(basis):
+    """sha256 over the bytes of each element's keys, then its coefficients, in order."""
+    h = hashlib.sha256()
+    for e in basis:
+        h.update(e.keys.tobytes())
+        h.update(e.coeffs.tobytes())
+    return h.hexdigest()
+
+
+def assert_same_bases(got, want):
+    """Bit for bit: the same elements in the same order, keys and coefficients."""
+    assert len(got) == len(want)
+    for e, f in zip(got, want):
+        assert e.keys.tobytes() == f.keys.tobytes()
+        assert e.coeffs.tobytes() == f.coeffs.tobytes()
+
+
 class TestLieClosure:
     def test_single_qubit_full_algebra(self):
         gens = [PauliSum.from_terms({"Z": 1j}), PauliSum.from_terms({"X": 1j})]
@@ -295,22 +336,41 @@ class TestAssociativeClosure:
     @pytest.mark.parametrize(
         "case", [("Sn", 4), ("Cn", 4), ("Z2xz", 4), ("random", 3, 1)], ids=case_id
     )
-    def test_one_product_call_per_expanded_element(self, case, monkeypatch):
-        # the identity (the first seed) is not expanded: its products are the
-        # multipliers themselves
+    @pytest.mark.parametrize("budget", [None, 64], ids=["default", "small"])
+    def test_one_product_call_per_chunk(self, case, budget, monkeypatch):
+        # each call expands a run of basis elements, in order, within the
+        # pair budget unless the run is one element; every element is
+        # expanded once, except the identity (the first seed), whose
+        # products are the multipliers themselves
         from vbe import symmetry
 
-        calls = []
-        product = symmetry.product_packed
-        monkeypatch.setattr(
-            symmetry, "product_packed", lambda *a, **k: calls.append(1) or product(*a, **k)
-        )
+        if budget is not None:
+            monkeypatch.setattr(symmetry, "_CHUNK_PAIRS", budget)
         gens = oracle_generators(case)
+        calls = []  # (term pairs, elements) of each call
+        product = symmetry.product_packed
+
+        def record(n, k1, c1, k2, c2, *args, groups, **kwargs):
+            elements = np.unique(np.asarray(groups) // len(gens))
+            assert np.array_equal(elements, np.arange(len(elements)))
+            calls.append((len(k1) * len(k2), len(elements)))
+            return product(n, k1, c1, k2, c2, *args, groups=groups, **kwargs)
+
+        monkeypatch.setattr(symmetry, "product_packed", record)
         l = lie_closure(gens)
-        assert len(calls) == len(l)
+        lie_calls = list(calls)
         calls.clear()
         b = associative_closure(l, multipliers=gens)
-        assert len(calls) == len(b) - 1
+        for got, expanded in [(lie_calls, len(l)), (calls, len(b) - 1)]:
+            assert sum(elements for _, elements in got) == expanded
+            for pairs, elements in got:
+                assert pairs <= symmetry._CHUNK_PAIRS or elements == 1
+            if budget is None:  # the default budget merges elements into chunks
+                assert len(got) < expanded
+        # the budget changes the calls, never the bases
+        monkeypatch.undo()
+        assert_same_bases(l, lie_closure_per_element(gens))
+        assert_same_bases(b, associative_closure_per_element(l, multipliers=gens))
 
     def test_generator_multipliers_give_same_span(self):
         for kind, n in [("Sn", 3), ("Cn", 4), ("Z2xz", 3)]:
@@ -461,6 +521,48 @@ class TestAssociativeClosure:
         assert len(b) == cb.dim_b
 
 
+class TestPerElementOracle:
+    """The chunked closures equal the loop of one product call and one span
+    test per basis element (``tests/oracles.py``) bit for bit."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [(kind, n) for kind in ("Sn", "Cn", "Z2xz") for n in range(2, 6)] + [("random", 3, 1)],
+        ids=case_id,
+    )
+    def test_closures_match(self, case):
+        gens = oracle_generators(case)
+        l = lie_closure(gens)
+        assert_same_bases(l, lie_closure_per_element(gens))
+        b = associative_closure(l, multipliers=gens)
+        assert_same_bases(b, associative_closure_per_element(l, multipliers=gens))
+        cb = closure_basis(gens)
+        assert_same_bases(cb.lie_basis, l)
+        assert_same_bases(cb.full_basis, b)
+
+    @pytest.mark.parametrize("kind,n", [("Sn", 3), ("Z2xz", 4)])
+    def test_plain_list_in_trivial_partition(self, kind, n):
+        gens = list(heisenberg_generator_set(kind, n).generators)
+        trivial = OrbitCompression.trivial(n)
+        l = lie_closure(gens, orbits=trivial)
+        assert_same_bases(l, lie_closure_per_element(gens, orbits=trivial))
+        b = associative_closure(l, multipliers=gens, orbits=trivial)
+        assert_same_bases(b, associative_closure_per_element(l, multipliers=gens, orbits=trivial))
+
+    def test_slightly_asymmetric_generators(self):
+        gens = asymmetric_generators()
+        l = lie_closure(gens)
+        assert_same_bases(l, lie_closure_per_element(gens))
+        b = associative_closure(l, multipliers=gens)
+        assert_same_bases(b, associative_closure_per_element(l, multipliers=gens))
+        assert (len(l), len(b)) == (40, 42)
+
+    def test_default_multipliers(self):
+        # L multiplies itself: more multipliers per chunk than generators
+        l = lie_closure(heisenberg_generator_set("Cn", 4))
+        assert_same_bases(associative_closure(l), associative_closure_per_element(l))
+
+
 class TestClosureDimsTable:
     @pytest.mark.parametrize(
         "kind,n,dim_b",
@@ -484,6 +586,20 @@ class TestClosureDimsTable:
         # n = 9 (dim B 110) is an extension beyond the paper's table
         assert want == (BDIM_TABLE[("Sn", n)] if n <= 8 else 110)
         assert closure_basis(heisenberg_generator_set("Sn", n)).dim_b == want
+
+    def test_open_chain5(self):
+        # no symmetry: the trivial partition, 4^5 strings
+        gens = open_chain5_generators()
+        assert same_partition(_compression_for(gens), OrbitCompression.trivial(5))
+        cb = closure_basis(gens)
+        assert (cb.dim_l, cb.dim_b) == (510, 512)
+        # the bases recorded in BENCH_one_sided_closure.json
+        assert basis_digest(cb.lie_basis) == (
+            "9f7b769aadf4762d33c9ddc73c7f84a71d45ef655016d92b23fd585a424458e3"
+        )
+        assert basis_digest(cb.full_basis) == (
+            "186663a44eb4a50fbcfd1f15fbf949f8dea38bc804cf0786bd904d2f7ee55d26"
+        )
 
     def test_l_subset_of_b(self):
         cb = closure_basis(heisenberg_generator_set("Cn", 3))
