@@ -10,26 +10,26 @@ An encoding is exact when a BFGS run ends with status "f_floor", that is
 f = C^2 <= epsilon_exact^2.  That one rule ends every encode loop and sets
 ``EncodeReport.converged``.
 
-Every search runs one encode loop: build the circuit once, run BFGS from
-each start, keep the lowest C (the earlier start on ties), and stop at the
-first exact run.  The first start runs alone, since where it is exact
-(the generic searches' loops mostly end there) the others would only add
-work.  If it is not exact, the other starts run in lockstep: BFGS is one
-generator per start that yields the points it needs, and each step
-evaluates the pending point of every start still going in one batched
-call (a (T, P) theta through the one evaluation path, row t equal to the
-single evaluation bit for bit).  When a start ends exact, the starts after
-it stop and the ones before it run to their end, so the winner and its
-report are those of running the starts one at a time; only
-``evaluations`` grows, by the lockstep work past the exact start.
-:func:`multistart_encode` feeds the loop uniform random starts.
-:func:`layer_threshold_search` rank-screens each candidate at each layer
-count M, runs a multistart on those that pass, in candidate order (the
-family at M, or the GQSP random sequences 0, 1, ...), and accepts M at the
-first exact candidate.  :func:`greedy_generator_search` runs the loop once
-per tree node from one warm start.  Every report comes from one builder,
-and where a report stands for several loops, its iterations, evaluations,
-skips and wall time are their sums.
+Every search runs one encode loop, :func:`multistart_encode`: build the
+circuit once, run BFGS from each uniform random start, keep the lowest C
+(the earlier start on ties), and stop at the first exact run.  The first
+start runs alone, since where it is exact (the generic searches' loops
+mostly end there) the others would only add work.  If it is not exact,
+the other starts run in lockstep: BFGS is one generator per start that
+yields the points it needs, and each step evaluates the pending point of
+every start still going in one batched call (a (T, P) theta through the
+one evaluation path, row t equal to the single evaluation bit for bit).
+When a start ends exact, the starts after it stop and the ones before it
+run to their end, so the winner and its report are those of running the
+starts one at a time; only ``evaluations`` grows, by the lockstep work
+past the exact start.
+:func:`layer_threshold_search` is the one sequence search.  It rank-screens
+each candidate at each layer count M, runs a multistart on those that pass,
+in candidate order (the family at M, or the distinct GQSP random sequences
+in the order they are first drawn), and accepts M at the first exact
+candidate.  Every report comes from one builder, and where a report stands
+for several loops, its iterations, evaluations, skips and wall time are
+their sums.
 
 All randomness is derived from ``numpy.random.Philox`` streams
 (:func:`~vbe.targets.make_rng`), one per restart and per sequence draw, so
@@ -39,6 +39,7 @@ order.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Generator
@@ -340,43 +341,6 @@ def _report(
     )
 
 
-def _encode(
-    target: TargetSpec, spec: AnsatzSpec, circuit: Circuit, starts, opts: OptimizeOptions
-) -> EncodeReport:
-    """The encode loop: BFGS on C^2 from each vector ``starts(param_count)``
-    yields, in order, on ``circuit`` (built from ``spec``) and one objective.
-
-    The lowest f wins, the earlier start on ties, and the first exact run
-    ends the loop.  The first start runs alone through
-    :func:`bfgs_minimize`; if it is not exact, the rest run in lockstep
-    (:func:`_lockstep`), which gives the same runs.  ``total_iterations``
-    covers the runs up to the first exact one, and ``evaluations`` every
-    theta evaluated, lockstep work past that run included.
-    """
-    obj = EncodeObjective(target, circuit)
-    t0 = time.perf_counter()
-    queued = iter(starts(circuit.param_count))
-    runs = [bfgs_minimize(obj.value_and_gradient, next(queued), opts)]
-    if runs[0].status != "f_floor":
-        runs += _lockstep(obj.value_and_gradient, list(queued), opts)
-    best_idx = min(range(len(runs)), key=lambda k: runs[k].f)
-    total_iters = sum(r.iterations for r in runs)
-    return _report(
-        spec, circuit, runs[best_idx], best_idx, total_iters, obj.evaluations, skipped=0, t0=t0
-    )
-
-
-def _summed(best: EncodeReport, reports: list[EncodeReport]) -> EncodeReport:
-    """``best`` with the iterations, evaluations, skips and wall time of all ``reports``."""
-    return replace(
-        best,
-        total_iterations=sum(r.total_iterations for r in reports),
-        evaluations=sum(r.evaluations for r in reports),
-        wall_time=sum(r.wall_time for r in reports),
-        skipped=sum(r.skipped for r in reports),
-    )
-
-
 def _random_start(seed: int, restart: int, param_count: int) -> np.ndarray:
     """Restart ``restart``'s start in [-pi, pi), from its own Philox stream."""
     return make_rng(seed, restart).uniform(-np.pi, np.pi, size=param_count)
@@ -391,21 +355,30 @@ def multistart_encode(
     (:func:`layer_threshold_search` passes the one its screen built), else
     on a circuit built from ``spec``.
 
-    Restart 0 runs alone; if it is not exact, the others run in lockstep
-    (see the module docstring), and the restarts after the first exact one
-    stop.  ``restart_index`` names the winning restart, and ``converged``
-    means an exact encoding, not merely optimizer termination.
-    ``total_iterations`` is summed over the restarts up to the first exact
-    one, as if they had run one at a time.  ``evaluations`` counts every
-    theta evaluated, so it also holds the lockstep steps that restarts
-    after the exact one took before they stopped.
+    Restart 0 runs alone through :func:`bfgs_minimize`; if it is not exact,
+    the others run in lockstep (:func:`_lockstep`, which gives the same
+    runs), and the restarts after the first exact one stop.  The lowest f
+    wins, the earlier restart on ties: ``restart_index`` names it, and
+    ``converged`` means an exact encoding, not merely optimizer
+    termination.  ``total_iterations`` is summed over the restarts up to
+    the first exact one, as if they had run one at a time.  ``evaluations``
+    counts every theta evaluated, so it also holds the lockstep steps that
+    restarts after the exact one took before they stopped.
     """
-
-    def starts(param_count: int):
-        for r in range(opts.restarts):
-            yield _random_start(opts.seed, r, param_count)
-
-    return _encode(target, spec, build_ansatz(spec) if circuit is None else circuit, starts, opts)
+    if circuit is None:
+        circuit = build_ansatz(spec)
+    obj = EncodeObjective(target, circuit)
+    t0 = time.perf_counter()
+    p = circuit.param_count
+    runs = [bfgs_minimize(obj.value_and_gradient, _random_start(opts.seed, 0, p), opts)]
+    if runs[0].status != "f_floor":
+        rest = [_random_start(opts.seed, r, p) for r in range(1, opts.restarts)]
+        runs += _lockstep(obj.value_and_gradient, rest, opts)
+    best_idx = min(range(len(runs)), key=lambda k: runs[k].f)
+    total_iters = sum(r.iterations for r in runs)
+    return _report(
+        spec, circuit, runs[best_idx], best_idx, total_iters, obj.evaluations, skipped=0, t0=t0
+    )
 
 
 # --------------------------------------------------------------------------
@@ -451,7 +424,9 @@ class ThresholdSearchResult:
 
 
 # The paper's random-layering protocol: per layer count M, this many random
-# generator sequences with this many random initializations each.
+# generator sequences with this many random initializations each.  The
+# sequences are distinct, so where M layers of |G| generators make no more
+# than this many (|G|**M <= GQSP_SEQUENCES), every one of them is tried.
 GQSP_SEQUENCES = 10
 GQSP_INITS = 5
 
@@ -460,19 +435,29 @@ def _candidates(family: AnsatzSpec | GqspFamily, m: int, opts: OptimizeOptions):
     """The (spec, options) pairs a threshold search tries at M layers, in order.
 
     A generic family has the one pair (family at M, opts).  A GQSP family has
-    :data:`GQSP_SEQUENCES` random generator sequences with
-    :data:`GQSP_INITS` restarts each; sequence ``s`` and its restart seed are
-    drawn from the Philox stream ``make_rng(opts.seed, m, s)``.
+    min(:data:`GQSP_SEQUENCES`, |G|**M) distinct random generator sequences
+    with :data:`GQSP_INITS` restarts each.  Draw s = 0, 1, ... takes a
+    sequence and then its restart seed from the Philox stream
+    ``make_rng(opts.seed, m, s)``.  A draw that repeats a sequence already
+    drawn at this M is passed over, so each candidate keeps the restart
+    seed of the first draw of its sequence.
     """
     if isinstance(family, AnsatzSpec):
         yield replace(family, layers=m), opts
         return
     n_gens = len(family.generator_set)
-    for s_idx in range(GQSP_SEQUENCES):
+    budget = min(GQSP_SEQUENCES, n_gens**m)
+    drawn: set[tuple[int, ...]] = set()
+    for s_idx in itertools.count():
         rng = make_rng(opts.seed, m, s_idx)
         indices = tuple(int(v) for v in rng.integers(0, n_gens, size=m))
         seed = int(rng.integers(0, 2**62))
+        if indices in drawn:
+            continue
+        drawn.add(indices)
         yield family.spec_for_sequence(indices), replace(opts, restarts=GQSP_INITS, seed=seed)
+        if len(drawn) == budget:
+            return
 
 
 # Unit cotangents per stacked pullback of the block Jacobian: a fixed chunk,
@@ -537,11 +522,11 @@ def layer_threshold_search(
 
     Starts at ``start`` (at least 1), by default 5% above the closed-form
     estimate for the class dimension below, and decrements down to one
-    layer.  Each M runs
-    :func:`multistart_encode` on its candidates in order (a generic family
-    has one, a GQSP family :data:`GQSP_SEQUENCES` random generator
-    sequences of :data:`GQSP_INITS` restarts each) and stops at the first
-    exact one; M fails only when all of them miss.
+    layer.  Each M runs :func:`multistart_encode` on its candidates in
+    order (:func:`_candidates`: a generic family has one, a GQSP family
+    min(:data:`GQSP_SEQUENCES`, |G|**M) distinct random generator sequences
+    of :data:`GQSP_INITS` restarts each) and stops at the first exact one;
+    M fails only when all of them miss.
 
     Every candidate is first rank-screened (:func:`_rank_screen`) on the
     circuit its encode loop then runs on, built once.  A
@@ -559,8 +544,9 @@ def layer_threshold_search(
     start estimates do.  The Heisenberg targets of ``GQSP_TABLE`` are not:
     they form a four-coupling family inside span(B).  Yet on every pinned
     cell (the ``perfbench`` searches and the ``GQSP_TABLE`` cells in the
-    tests) no skipped candidate would have converged, so ``m_thres`` and
-    its report are the unscreened search's.
+    tests, the ``heavy`` ones included) no skipped candidate would have
+    converged: the unscreened search gives the same ``m_thres`` and the same
+    winning candidate.
 
     The report per M is the lowest-epsilon candidate's (the earlier on
     ties), with the iterations, evaluations, skips and wall time summed over
@@ -595,7 +581,13 @@ def layer_threshold_search(
             reports.append(screened or multistart_encode(target, spec, sub_opts, circuit=circuit))
             if reports[-1].converged:
                 break
-        return _summed(min(reports, key=lambda r: r.epsilon), reports)
+        return replace(
+            min(reports, key=lambda r: r.epsilon),
+            total_iterations=sum(r.total_iterations for r in reports),
+            evaluations=sum(r.evaluations for r in reports),
+            wall_time=sum(r.wall_time for r in reports),
+            skipped=sum(r.skipped for r in reports),
+        )
 
     reports = {start: attempt(start)}
     # walk down while M stays exact, or up to the cap until it first is
@@ -608,60 +600,3 @@ def layer_threshold_search(
             break
     m_thres = min((k for k, r in reports.items() if r.converged), default=None)
     return ThresholdSearchResult(m_thres=m_thres, start=start, reports=reports)
-
-
-# --------------------------------------------------------------------------
-# greedy generator-sequence search
-# --------------------------------------------------------------------------
-GREEDY_MAX_DEPTH = 32  # layers :func:`greedy_generator_search` adds at most
-
-
-@dataclass(frozen=True)
-class GreedySearchResult:
-    sequence: tuple[int, ...]
-    report: EncodeReport
-    history: tuple[float, ...]
-
-
-def greedy_generator_search(
-    target: TargetSpec,
-    generator_set: GeneratorSet,
-    opts: OptimizeOptions,
-) -> GreedySearchResult:
-    """Width-1 tree search over generator sequences.
-
-    After each accepted layer every candidate generator is tried as the
-    next layer: one encode loop per child, warm-started from the previous
-    optimum with the three new parameters drawn from uniform(-0.1, 0.1).
-    The child with the lowest error wins, the lower generator index on
-    ties.  Stops at exactness or at :data:`GREEDY_MAX_DEPTH` layers.  The
-    ansatz is the hermitized GQSP circuit.  The root start is drawn the
-    same way.  All parameters at zero would be a stationary point of every
-    child, so the search could never leave it.  The draws come from one
-    Philox stream, ``make_rng(opts.seed, 0)``.  The report's ``iterations``,
-    ``total_iterations`` and ``evaluations`` are summed over every
-    optimization the search ran, and ``wall_time`` is the whole search's.
-    """
-    family = GqspFamily(generator_set=generator_set)
-    t0 = time.perf_counter()
-    rng = make_rng(opts.seed, 0)
-    sequence: tuple[int, ...] = ()
-    root = family.spec_for_sequence(())
-    best = _encode(target, root, build_ansatz(root), lambda p: [rng.uniform(-0.1, 0.1, p)], opts)
-    runs = [best]
-    history = [best.epsilon]
-    while not best.converged and len(sequence) < GREEDY_MAX_DEPTH:
-        theta0 = np.concatenate([best.theta, rng.uniform(-0.1, 0.1, 3)])
-        children = []
-        for k in range(len(generator_set)):
-            spec = family.spec_for_sequence(sequence + (k,))
-            children.append(_encode(target, spec, build_ansatz(spec), lambda p: [theta0], opts))
-        runs += children
-        k = min(range(len(children)), key=lambda k: children[k].epsilon)
-        sequence += (k,)
-        best = children[k]
-        history.append(best.epsilon)
-    total = _summed(best, runs)
-    wall_time = time.perf_counter() - t0
-    report = replace(total, iterations=total.total_iterations, status="greedy", wall_time=wall_time)
-    return GreedySearchResult(sequence=sequence, report=report, history=tuple(history))

@@ -30,8 +30,6 @@ EXEMPT = {"tables"}
 ALLOWED = {
     "circuit.controlled": "controlled block encoding, the part a linear combination of "
     "block encodings is built from",
-    "optimize.greedy_generator_search": "reaches the GQSP_TABLE anchor M=2 on Sn 2 target "
-    "seeds 1 and 2, where the threshold search lands at 3 (ROADMAP, every GQSP_TABLE cell)",
     "pauli.commutator": "the Lie bracket of two sums, which defines the Lie closure",
     "pauli.mul_strings": "the phase rule of the Pauli group on single strings",
     "pauli.format_pauli_sum": "Pauli text format, for the planned CLI (ROADMAP, the vbe CLI)",

@@ -17,41 +17,6 @@ def symmetric_target(kind, n, seed):
     return subnormalize(to_dense(symmetry.symmetric_heisenberg_terms(kind, n, seed)))
 
 
-class TestGreedyGeneratorSearch:
-    def test_sn2_reaches_table_depth(self):
-        # on target seeds 1 and 2 too, where the random-layering threshold
-        # search lands one layer above the anchor
-        gens = symmetry.heisenberg_generator_set("Sn", 2)
-        for seed in (0, 1, 2):
-            target = symmetric_target("Sn", 2, seed)
-            opts = optimize.OptimizeOptions(seed=seed)
-            res = optimize.greedy_generator_search(target, gens, opts)
-            assert res.report.converged, seed
-            assert all(b < a for a, b in zip(res.history, res.history[1:])), seed
-            assert len(res.sequence) == GQSP_TABLE[("Sn", 2)][1], seed
-            again = optimize.greedy_generator_search(target, gens, opts)
-            assert again.sequence == res.sequence, seed
-            assert np.array_equal(again.report.theta, res.report.theta), seed
-
-
-    def test_reports_every_evaluation(self, monkeypatch):
-        calls = count_evaluations(monkeypatch)
-        gens = symmetry.heisenberg_generator_set("Sn", 2)
-        opts = optimize.OptimizeOptions(seed=0)
-        res = optimize.greedy_generator_search(symmetric_target("Sn", 2, 0), gens, opts)
-        # the root, then one child per generator at every depth
-        assert res.report.evaluations == len(calls) > res.report.total_iterations
-        assert res.report.to_dict()["evaluations"] == len(calls)
-
-    def test_reports_every_iteration(self, monkeypatch):
-        runs = record_bfgs(monkeypatch)
-        gens = symmetry.heisenberg_generator_set("Sn", 2)
-        opts = optimize.OptimizeOptions(seed=0)
-        res = optimize.greedy_generator_search(symmetric_target("Sn", 2, 0), gens, opts)
-        assert len(runs) == 1 + len(gens) * len(res.sequence)
-        assert res.report.iterations == res.report.total_iterations == sum(r.iterations for r in runs)
-
-
 def record_bfgs(monkeypatch) -> list:
     """Record the result of every BFGS run an encode loop keeps: its first
     start's ``bfgs_minimize`` run, then the runs ``_lockstep`` returns."""
@@ -148,10 +113,9 @@ class TestGqspTable:
             ("Z2xz", 3, 0),
             # about 19 s on one core
             pytest.param("Cn", 4, 0, marks=pytest.mark.heavy),
-            # these targets land at M=3 against the anchor 2 (ROADMAP, every
-            # GQSP_TABLE cell)
-            pytest.param("Sn", 2, 1, marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
-            pytest.param("Sn", 2, 2, marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
+            # the first ten draws at M=2 repeat sequences on these targets
+            ("Sn", 2, 1),
+            ("Sn", 2, 2),
         ],
     )
     def test_threshold_search_reaches_anchor(self, kind, n, seed):
@@ -207,13 +171,53 @@ class TestGqspTable:
                 assert r.evaluations > r.total_iterations > 0, m
             else:
                 assert r.evaluations == r.total_iterations == 0, m
-        # no sequence of one layer reaches rank dim B = 6
-        assert res.reports[1].skipped == optimize.GQSP_SEQUENCES
+        # no sequence of one layer reaches rank dim B = 6, and M=1 tries
+        # each of the four once
+        assert res.reports[1].skipped == len(family.generator_set)
 
     def test_rows_dim_b_and_params(self):
         for cell, (dim_b, m, params) in GQSP_TABLE.items():
             assert dim_b == BDIM_TABLE[cell], cell
             assert params == 3 * m + 3, cell
+
+
+class TestCandidates:
+    """The draw rule of a threshold search: distinct sequences per layer count."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_gqsp_draws_distinct_sequences(self, m, seed):
+        gens = symmetry.heisenberg_generator_set("Sn", 2)
+        opts = optimize.OptimizeOptions(seed=seed)
+        got = [
+            (spec.sequence_labels, o)
+            for spec, o in optimize._candidates(optimize.GqspFamily(gens), m, opts)
+        ]
+        assert len(got) == min(optimize.GQSP_SEQUENCES, len(gens) ** m)
+        assert len({labels for labels, _ in got}) == len(got)
+        if m == 1:
+            assert sorted(labels for labels, _ in got) == sorted((g,) for g in gens.labels)
+        # each candidate is the draw of its own stream s, sequence and then
+        # restart seed, and the streams between two candidates repeat a
+        # sequence drawn before
+        drawn = set()
+        s = 0
+        for labels, o in got:
+            while True:
+                rng = make_rng(seed, m, s)
+                s += 1
+                draw = tuple(gens.labels[int(i)] for i in rng.integers(0, len(gens), size=m))
+                if draw not in drawn:
+                    break
+            drawn.add(draw)
+            init_seed = int(rng.integers(0, 2**62))
+            assert labels == draw
+            assert o == replace(opts, restarts=optimize.GQSP_INITS, seed=init_seed)
+
+    def test_generic_family_has_one_candidate(self):
+        spec = AnsatzSpec(family="block", system_qubits=2, layers=1, block_id=2)
+        opts = optimize.OptimizeOptions(restarts=4, seed=3)
+        assert list(optimize._candidates(spec, 3, opts)) == [(replace(spec, layers=3), opts)]
 
 
 def block_rank(spec, rng):
@@ -354,15 +358,14 @@ class TestEarlyStopping:
         assert report.total_iterations == sum(r.iterations for r in runs)
         assert_exact_iff_f_floor([report])
 
-    @pytest.mark.parametrize(
-        "seed,candidates_at_threshold", [(0, optimize.GQSP_SEQUENCES), (1, 1)]
-    )
+    @pytest.mark.parametrize("seed,candidates_at_threshold", [(0, 7), (1, 9)])
     def test_gqsp_search_stops_at_first_exact_candidate(
         self, monkeypatch, seed, candidates_at_threshold
     ):
         # every candidate is screened in the order _candidates draws it; the
-        # ones that pass run multistart_encode, the others make no call
-        run_at_threshold = {0: 2, 1: 1}[seed]
+        # ones that pass run multistart_encode, the others make no call.  At
+        # the threshold M=2 two candidates pass on either seed, and the
+        # second is exact
         calls = record_multistarts(monkeypatch)
         screens = record_screens(monkeypatch)
         family = optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 2))
@@ -383,7 +386,8 @@ class TestEarlyStopping:
             assert not any(r.converged for r in reports[:-1]), m
             assert reports[-1].converged == report.converged, m
             if not report.converged:
-                assert len(tried) == optimize.GQSP_SEQUENCES, m
+                n_sequences = len(family.generator_set) ** m
+                assert len(tried) == min(optimize.GQSP_SEQUENCES, n_sequences), m
             for o, r, runs in at_m:
                 assert len(runs) == (r.restart_index + 1 if r.converged else o.restarts), m
             for spec, o, rep in tried:
@@ -392,7 +396,7 @@ class TestEarlyStopping:
             assert report.skipped == len(tried) - len(at_m), m
         at_threshold = [c for c in screens if c[0].layers == res.m_thres]
         assert len(at_threshold) == candidates_at_threshold
-        assert len([c for c in calls if c[1].layers == res.m_thres]) == run_at_threshold
+        assert len([c for c in calls if c[1].layers == res.m_thres]) == 2
         screened = [rep for _, _, rep in screens if rep is not None]
         assert_exact_iff_f_floor([r for _, r, _ in calls] + screened + list(res.reports.values()))
 
