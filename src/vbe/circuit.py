@@ -39,9 +39,16 @@ diag(1, e^{i phi}) Ry(theta) diag(1, e^{i lam}), so every window slot is
 one factor exp(x K) with a constant generator K, conjugated by the
 factor's fold prefix.  Per theta, every factor, window embedding, fold and
 conjugation comes from a few batched array calls, and the gadget
-exponentials from a few per generator.  The ops act on the reshaped axes
-of a ``(T, b) + (2,)*N + (cols,)`` tensor, so no gate is ever embedded in a
-2^N x 2^N matrix.  ``evaluate`` applies them to the identity.
+exponentials from a few per generator.  The window algebra is real: a
+complex 4 x 4 matrix A + iB is the 8 x 8 block [[A, -B], [B, A]], products
+map to products and the block's transpose is the adjoint's block, so the
+fold and the conjugations are float64 products of 8 x 8 blocks, which
+NumPy runs faster than complex 4 x 4 ones at these sizes.  Only the window
+ops and the conjugated generators leave the plan as complex matrices,
+read off each block's first block column.  The ops act on the
+reshaped axes of a ``(T, b) + (2,)*N + (cols,)`` tensor, so no gate is
+ever embedded in a 2^N x 2^N matrix.  ``evaluate`` applies them to the
+identity.
 
 Every evaluation carries a leading theta axis T: a (T, param_count) theta
 is lowered, swept forward and pulled back through the same calls as one
@@ -81,7 +88,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -236,6 +243,72 @@ def _embed(m: np.ndarray, t: int, ctl: bool) -> np.ndarray:
     return out
 
 
+def _real_block(m: np.ndarray) -> np.ndarray:
+    """The real matrices [[Re m, -Im m], [Im m, Re m]] of a stack of complex m.
+
+    The map is a ring homomorphism, and the transpose of a block is the
+    block of the adjoint.
+    """
+    k = m.shape[-1]
+    b = np.empty(m.shape[:-2] + (2 * k, 2 * k))
+    b[..., :k, :k] = b[..., k:, k:] = m.real
+    b[..., k:, :k] = m.imag
+    b[..., :k, k:] = -m.imag
+    return b
+
+
+def _complex(b: np.ndarray) -> np.ndarray:
+    """The complex matrices B[:k, :k] + i B[k:, :k] of a stack of first block
+    columns B (2k x k) of real blocks."""
+    k = b.shape[-1]
+    m = np.empty(b.shape[:-2] + (k, k), dtype=np.complex128)
+    m.real, m.imag = b[..., :k, :k], b[..., k:, :k]
+    return m
+
+
+class _Slot(NamedTuple):
+    """The constants of a parametrized window factor exp(x K), as real blocks."""
+
+    scale: float  # s, with x = s theta
+    kernel: np.ndarray  # (a0, a1, a2) as a (3, 4, 4) stack of real blocks
+    generator: np.ndarray  # K in the window, an 8 x 8 real block
+    pairs: list  # (flat 8 x 8 factor position, flat 4 x 4 kernel position)
+
+
+def _window_slot(kind: str, t: int, ctl: bool) -> _Slot:
+    """The :class:`_Slot` of a factor of ``kind`` on window qubit ``t`` (with
+    ``ctl`` as in :func:`_embedding`).
+
+    A complex entry (a, b) of the kernel fills (a + 2u, b + 2v) of its real
+    block and goes to (p + 4u, q + 4v) of the factor for window position
+    (p, q).  The factor's base is zero there, so only the kernel's nonzero
+    real slots are paired.
+    """
+    k, s = _GENERATORS[kind]
+    # the kernel a0 + cos(s x) a1 + sin(s x) a2 of exp(x K): a2 = K/s, a1 = Pi
+    a2 = k / s
+    a1 = -a2 @ a2
+    kernel = _real_block(np.stack([np.eye(2) - a1, a1, a2]))
+    nonzero = np.any(kernel != 0, axis=0).ravel()
+    zero, dst, src = _EMBEDDINGS[t, ctl]
+    pairs = [
+        (p + p // 4 * 4 + 32 * u + 4 * v, q + q // 2 * 2 + 8 * u + 2 * v)
+        for p, q in zip(dst, src)
+        for u in (0, 1)
+        for v in (0, 1)
+    ]
+    generator = _real_block(_embed(k, t, ctl) - zero)
+    return _Slot(s, kernel, generator, [x for x in pairs if nonzero[x[1]]])
+
+
+_WINDOW_SLOTS = {
+    (kind, t, ctl): _window_slot(kind, t, ctl)
+    for kind in _GENERATORS
+    for t in (0, 1)
+    for ctl in (False, True)
+}
+
+
 class _Plan:
     """The ops of a circuit, in gate order, and the index arrays that lower them.
 
@@ -249,6 +322,15 @@ class _Plan:
     belongs to one factor exp(x K) with a constant generator K.
     :meth:`lower` builds every factor with one batched kernel, folds the
     runs by prefix products and conjugates each K by its factor's prefix P.
+
+    The factors, their fixed ``base``, the kernels and the generators
+    ``kbase`` are stored as real blocks [[Re, -Im], [Im, Re]] (8 x 8 for a
+    window matrix, 4 x 4 for a one-qubit kernel), and ``scatter`` sends
+    each nonzero real kernel slot to its slot of the factor.  So the
+    fold is a product of real blocks and the conjugation P^T K P, because
+    the block transpose is the adjoint.  The window arithmetic is complex
+    only at the boundary: an op matrix or a conjugated generator is
+    B[:4, :4] + i B[4:, :4] of its block B.
     """
 
     def __init__(self, c: Circuit):
@@ -290,35 +372,32 @@ class _Plan:
         lengths = [len(f) for _, f in windows]
         self.active = [sum(n > j for n in lengths) for j in range(max(lengths, default=1))]
         self.last = (np.array(lengths, dtype=int) - 1, np.arange(len(windows)))
-        self.base = np.zeros((len(self.active), len(windows), 4, 4), dtype=np.complex128)
+        base = np.zeros((len(self.active), len(windows), 4, 4), dtype=np.complex128)
 
         # one entry per parametrized factor, unconjugated first factors first
         entries = []
         for r, (_, factors) in enumerate(windows):
             for j, (kind, slot, t, ctl) in enumerate(factors):
                 if slot is None:
-                    self.base[j, r] = _embed(_FIXED[kind], t, ctl)
+                    base[j, r] = _embed(_FIXED[kind], t, ctl)
                 else:
-                    self.base[j, r] = _EMBEDDINGS[t, ctl][0]
-                    entries.append((j, r, slot, t, ctl, *_GENERATORS[kind]))
+                    base[j, r] = _EMBEDDINGS[t, ctl][0]
+                    entries.append((j, r, slot, _WINDOW_SLOTS[kind, t, ctl]))
+        self.base = _real_block(base)
         entries.sort(key=lambda e: e[0] > 0)
         self.n_first = sum(e[0] == 0 for e in entries)
         slots = [e[2] for e in entries]
-        self.angle_scale = np.array([s for *_, s in entries])
-        # the kernel a0 + cos(s x) a1 + sin(s x) a2 of exp(x K): a2 = K/s, a1 = Pi
-        a2 = np.array([k / s for *_, k, s in entries], dtype=np.complex128).reshape(-1, 2, 2)
-        a1 = -a2 @ a2
-        self.kernel = tuple(k[:, None] for k in (np.eye(2) - a1, a1, a2))
-        self.kbase = np.array(
-            [_embed(k, t, ctl) - _EMBEDDINGS[t, ctl][0] for *_, t, ctl, k, _ in entries],
-            dtype=np.complex128,
-        ).reshape(-1, 4, 4)
-        # each entry's flat 2 x 2 entries k and the (factor, flat position)
-        # they go to
+        consts = [e[3] for e in entries]
+        self.angle_scale = np.array([c.scale for c in consts])
+        self.kernel = tuple(
+            np.array([c.kernel[i] for c in consts]).reshape(-1, 1, 4, 4) for i in range(3)
+        )
+        self.kbase = np.array([c.generator for c in consts]).reshape(-1, 8, 8)
+        # each entry's factor, flat position in the factor, and kernel slot
         scatter = [
             (j * len(windows) + r, pos, e, k)
-            for e, (j, r, _, t, ctl, *_) in enumerate(entries)
-            for pos, k in zip(*_EMBEDDINGS[t, ctl][1:])
+            for e, (j, r, _, const) in enumerate(entries)
+            for pos, k in const.pairs
         ]
         self.scatter = np.array(scatter, dtype=int).reshape(-1, 4).T
         self._flat: dict[int, tuple] = {}
@@ -369,18 +448,18 @@ class _Plan:
 
         Into a raveled (t, param_count) array, each entry's slot in every
         row, entries first (the gather of theta, and the bins of the
-        gradient sums); into the raveled (factors, t, 4, 4) window factors
-        and (entries, t, 2, 2) kernels, the scatter of the kernels into
-        their factors.  Flat indices keep every gather and scatter on
-        NumPy's one-dimensional fast path.
+        gradient sums); into the raveled (factors, t, 8, 8) real window
+        factors and (entries, t, 4, 4) real kernels, the scatter of the
+        kernels into their factors.  Flat indices keep every gather and
+        scatter on NumPy's one-dimensional fast path.
         """
         if t not in self._flat:
             rows = np.arange(t)
             factor, pos, entry, k = (a[:, None] for a in self.scatter)
             self._flat[t] = (
                 (self.entry_slots[:, None] + self.n_params * rows).ravel(),
-                ((factor * t + rows) * 16 + pos).ravel(),
-                ((entry * t + rows) * 4 + k).ravel(),
+                ((factor * t + rows) * 64 + pos).ravel(),
+                ((entry * t + rows) * 16 + k).ravel(),
             )
         return self._flat[t]
 
@@ -389,8 +468,12 @@ class _Plan:
         as (T, 1, 1, 2^k, 2^k) arrays, and the window entries' generators
         P^dagger K P as an (entries, T, 4, 4) array.
 
-        Every array is laid out factor or op first and theta row second, so
-        the fold, the conjugation and each op index it as for one row.
+        The window factors, their fold and the conjugations are real 8 x 8
+        blocks, whose transpose is the adjoint; only the first block
+        column of each product taken out is needed, so P^T K P is formed as
+        P^T (K P[:, :4]).  Every array is laid out factor or op first and
+        theta row second, so the fold, the conjugation and each op index it
+        as for one row.
         """
         t = theta.shape[0]
         at_slots, dst, src = self.flat_indices(t)
@@ -402,9 +485,10 @@ class _Plan:
         emb.reshape(-1)[dst] = local.reshape(-1)[src]
         for j, n in enumerate(self.active[1:], 1):
             np.matmul(emb[j, :n], emb[j - 1, :n], out=emb[j, :n])
-        kw, p = self.kbase[:, None].repeat(t, 1), emb[self.conj_at]
-        kw[self.n_first :] = np.conjugate(p).mT @ kw[self.n_first :] @ p
-        ops = emb[self.last][:, :, None, None]
+        kw = self.kbase[:, None, :, :4].repeat(t, 1)
+        p = emb[self.conj_at]
+        kw[self.n_first :] = p.mT @ (self.kbase[self.n_first :, None] @ p[..., :4])
+        ops = _complex(emb[self.last][..., :4])[:, :, None, None]
         mats, adjs = [ops], [np.conjugate(ops).mT]
         for w, v, vh, _, count, first in self.gadgets:
             phases = np.exp(-1j * np.multiply.outer(values[first : first + count], w))
@@ -413,7 +497,7 @@ class _Plan:
             adjs.append(np.conjugate(m).mT)
         for a in (mats, adjs):
             a.insert(1, a[0][..., ::2, ::2])
-        return [mats[a][i] for a, i in self.where], [adjs[a][i] for a, i in self.where], kw
+        return [mats[a][i] for a, i in self.where], [adjs[a][i] for a, i in self.where], _complex(kw)
 
 
 def _apply(m: np.ndarray, op: tuple, state: np.ndarray) -> np.ndarray:

@@ -146,6 +146,23 @@ def _line_search_wolfe(fg_line, f0, df0):
     return None, None
 
 
+def _inverse_hessian_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
+    """The BFGS update of the inverse Hessian ``h``, in place, for a step ``s``
+    with gradient change ``y`` (s^T y > 0).
+
+    The textbook form (I - rho s y^T) H (I - rho y s^T) + rho s s^T, with
+    rho = 1 / s^T y, expands to H + c s s^T - rho (s (Hy)^T + Hy s^T) for
+    c = rho (rho y^T H y + 1), which is H + U + U^T for U = s a^T and
+    a = (c / 2) s - rho Hy: one outer product and two passes over H.
+    U + U^T is symmetric to the last bit, so H stays exactly symmetric.
+    """
+    rho = 1.0 / float(s @ y)
+    hy = h @ y
+    a = (0.5 * rho * (rho * float(y @ hy) + 1.0)) * s - rho * hy
+    u = np.outer(s, a)
+    h += u + u.T
+
+
 def _bfgs(x0, opts: OptimizeOptions) -> Generator[np.ndarray, tuple, BfgsResult]:
     """The BFGS run of :func:`bfgs_minimize` as a generator.
 
@@ -202,11 +219,9 @@ def _bfgs(x0, opts: OptimizeOptions) -> Generator[np.ndarray, tuple, BfgsResult]
             h *= sy / float(y @ y)
             first_update = False
         if sy > 1e-14 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            rho = 1.0 / sy
-            hy = h @ y
-            # BFGS inverse update via the Sherman-Morrison form
-            h -= rho * (np.outer(s, hy) + np.outer(hy, s))
-            h += rho * (rho * float(y @ hy) + 1.0) * np.outer(s, s)
+            # the Sherman-Morrison form as one symmetric rank-2 term,
+            # H += U + U^T, which keeps H exactly symmetric
+            _inverse_hessian_update(h, s, y)
         fx, gx = f_new, g_new
         iterations += 1
     return BfgsResult(x=x, f=fx, iterations=iterations, status=status)

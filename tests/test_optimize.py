@@ -516,6 +516,35 @@ class TestLayerThresholdSearch:
             optimize.layer_threshold_search(target, family, opts, start=start)
 
 
+class TestInverseHessianUpdate:
+    """The BFGS inverse-Hessian update as one symmetric rank-2 term."""
+
+    @staticmethod
+    def curvature_pair(rng, p):
+        # y = B s for a well-conditioned positive definite B, plus a small
+        # perturbation, so that s^T y > 0 as after a Wolfe step
+        a = rng.normal(size=(p, p))
+        s = rng.normal(size=p)
+        return s, (np.eye(p) + a @ a.T / p) @ s + 0.1 * rng.normal(size=p)
+
+    @pytest.mark.parametrize("p", [3, 33, 144])
+    def test_matches_textbook_form(self, rng, p):
+        a = rng.normal(size=(p, p))
+        h = np.eye(p) + a @ a.T / p
+        s, y = self.curvature_pair(rng, p)
+        rho = 1.0 / (s @ y)
+        v = np.eye(p) - rho * np.outer(s, y)
+        want = v @ h @ v.T + rho * np.outer(s, s)
+        optimize._inverse_hessian_update(h, s, y)
+        assert np.linalg.norm(h - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_stays_exactly_symmetric(self, rng):
+        h = np.eye(33)
+        for _ in range(50):
+            optimize._inverse_hessian_update(h, *self.curvature_pair(rng, 33))
+        assert np.array_equal(h, h.T)
+
+
 class TestBfgsAgainstScipy:
     def test_rosenbrock(self):
         def fg(x):
@@ -583,7 +612,7 @@ class TestLockstepRestarts:
 
     def test_later_exact_start_stops_the_rest(self, monkeypatch):
         # GQSP Sn 3, target seed 0, the first sequence drawn at M=4: restart 0
-        # ends inexact after 304 evaluations and restart 1 exact after 70.
+        # ends inexact after 305 evaluations and restart 1 exact after 70.
         # Restarts 2-4 took a step beside restart 1 at each of its 70
         calls = record_lockstep(monkeypatch)
         family = optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 3))
@@ -591,7 +620,7 @@ class TestLockstepRestarts:
         assert spec.sequence_labels == ("YY-pairs", "X-all", "ZZ-pairs", "YY-pairs")
         target = symmetric_target("Sn", 3, 0)
         report, want = self.assert_sequential(target, spec, opts, 3 * 70)
-        assert (report.converged, report.restart_index, want.evaluations) == (True, 1, 304 + 70)
+        assert (report.converged, report.restart_index, want.evaluations) == (True, 1, 305 + 70)
         assert [len(starts) for starts in calls] == [optimize.GQSP_INITS - 1]
 
     def test_no_exact_start_runs_every_start(self, monkeypatch):

@@ -2,6 +2,8 @@
 
 ``dense_unitary`` embeds every gate into 2^N x 2^N and multiplies, so it
 shares nothing with the plan's window runs, batched lowering or sweeps.
+The plan's real-block window lowering is also checked against the complex
+lowering of ``oracles.lower_complex``.
 """
 
 from dataclasses import replace
@@ -9,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import block_spec, dense_unitary
+from oracles import block_spec, dense_unitary, lower_complex
 from test_circuit import pulled_back_jacobian
 from vbe import optimize, symmetry
 from vbe.circuit import (
@@ -44,6 +46,33 @@ def gqsp_circuit(kind, n, layers, rng, hermitian):
 def block_variants(block_id, restriction, n, layers):
     base = build_generic_ansatz(block_spec(block_id, n=n, layers=layers, restriction=restriction))
     return {name: make(base) for name, make in VARIANTS.items()}
+
+
+class TestRealBlockLowering:
+    """The plan's real 8 x 8 window algebra against the complex 4 x 4 fold
+    and conjugation it replaced: every op, adjoint and conjugated generator
+    to 1e-14 absolute."""
+
+    TOL = 1e-14
+
+    def assert_lowering(self, c, theta):
+        got, want = c._plan.lower(theta), lower_complex(c._plan, theta)
+        assert len(got[2]) > 0
+        for ours, ref in zip(got[0] + got[1] + [got[2]], want[0] + want[1] + [want[2]]):
+            assert ours.shape == ref.shape
+            assert np.max(np.abs(ours - ref)) <= self.TOL
+
+    @pytest.mark.parametrize("t", [1, 4])
+    @pytest.mark.parametrize("variant", ["plain", "hermitized", "controlled"])
+    @pytest.mark.parametrize("restriction", ["complex", "real"])
+    def test_block2(self, rng, restriction, variant, t):
+        c = block_variants(2, restriction, n=3, layers=3)[variant]
+        self.assert_lowering(c, rng.uniform(-np.pi, np.pi, size=(t, c.param_count)))
+
+    @pytest.mark.parametrize("t", [1, 4])
+    def test_gqsp_sn3(self, rng, t):
+        c = gqsp_circuit("Sn", 3, 4, rng, hermitian=False)
+        self.assert_lowering(c, rng.uniform(-np.pi, np.pi, size=(t, c.param_count)))
 
 
 class TestDenseOracle:
