@@ -400,7 +400,8 @@ class _Plan:
             for pos, k in const.pairs
         ]
         self.scatter = np.array(scatter, dtype=int).reshape(-1, 4).T
-        self._flat: dict[int, tuple] = {}
+        self._slots: dict[int, np.ndarray] = {}
+        self._scatter: dict[int, tuple] = {}
         self.n_params = c.param_count
         self.identity = np.eye(c.dim, dtype=np.complex128)[None]
         later = [(j - 1, r) for j, r, *_ in entries[self.n_first :]]
@@ -443,25 +444,28 @@ class _Plan:
             slots += members
         self.entry_slots = np.array(slots, dtype=int)
 
-    def flat_indices(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat indices for a batch of ``t`` theta rows, built once per width.
+    def slot_index(self, t: int) -> np.ndarray:
+        """Into a raveled (t, param_count) array, each entry's slot in every
+        row, entries first: the gather of theta and the gradient's bins."""
+        if t not in self._slots:
+            self._slots[t] = (self.entry_slots[:, None] + self.n_params * np.arange(t)).ravel()
+        return self._slots[t]
 
-        Into a raveled (t, param_count) array, each entry's slot in every
-        row, entries first (the gather of theta, and the bins of the
-        gradient sums); into the raveled (factors, t, 8, 8) real window
-        factors and (entries, t, 4, 4) real kernels, the scatter of the
-        kernels into their factors.  Flat indices keep every gather and
-        scatter on NumPy's one-dimensional fast path.
+    def scatter_index(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Into the raveled (factors, t, 8, 8) real window factors and
+        (entries, t, 4, 4) real kernels, the scatter of the kernels into
+        their factors.  Both indices are built once per width ``t`` and are
+        flat, which keeps every gather and scatter on NumPy's
+        one-dimensional fast path.
         """
-        if t not in self._flat:
+        if t not in self._scatter:
             rows = np.arange(t)
             factor, pos, entry, k = (a[:, None] for a in self.scatter)
-            self._flat[t] = (
-                (self.entry_slots[:, None] + self.n_params * rows).ravel(),
+            self._scatter[t] = (
                 ((factor * t + rows) * 64 + pos).ravel(),
                 ((entry * t + rows) * 16 + k).ravel(),
             )
-        return self._flat[t]
+        return self._scatter[t]
 
     def lower(self, theta: np.ndarray) -> tuple[list, list, np.ndarray]:
         """Each op's matrix and its adjoint at every row of ``theta`` (T, P),
@@ -476,8 +480,8 @@ class _Plan:
         as for one row.
         """
         t = theta.shape[0]
-        at_slots, dst, src = self.flat_indices(t)
-        values = theta.ravel()[at_slots].reshape(-1, t)
+        dst, src = self.scatter_index(t)
+        values = theta.ravel()[self.slot_index(t)].reshape(-1, t)
         x = self.angle_scale[:, None] * values[: len(self.angle_scale)]
         a0, a1, a2 = self.kernel
         local = a0 + np.cos(x)[..., None, None] * a1 + np.sin(x)[..., None, None] * a2
@@ -596,7 +600,7 @@ def _pullback_sweep(
     sums[: len(plan.entry_run)] = (kw[:, :, None] * stacked).sum((3, 4))
     # the sums as rows of a (T * B, param_count) gradient: bin (row, slot) of
     # one bincount gets its terms in entry order, as a bincount per row would
-    bins = plan.flat_indices(t * b)[0]
+    bins = plan.slot_index(t * b)
     grads = np.bincount(bins, sums.real.ravel(), minlength=t * b * plan.n_params)
     return grads.reshape(t, b, plan.n_params)
 

@@ -1,9 +1,14 @@
-"""Block-encoding core: sub-normalization, block extraction, cost, gradient.
+"""Block-encoding core: sub-normalization, the block residual, cost, gradient.
 
 The encoding error is the Frobenius distance between the scaled target and
 the top-left block of the circuit unitary.  Optimizers work on the smooth
 surrogate C^2 (the squared distance); reports and convergence thresholds
 are stated in terms of C itself.
+
+One residual (:func:`_residual`) scores every block, of one unitary or of
+a (T, d, d) stack, and holds the one check that the register is larger
+than the target.  The cost, the gradient and the search's rank screen all
+read it, so C is the same number to the last bit wherever it is reported.
 
 The gradient of C^2 is one pullback of the residual Delta = A/alpha - block
 through the circuit (``circuit.evaluate_with_gradients``): a backward sweep
@@ -23,6 +28,7 @@ evaluation bit for bit; the encode loop's lockstep restarts run on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +51,8 @@ class TargetSpec:
         rows, cols = m.shape
         if rows != cols or rows & (rows - 1):
             raise ValueError("target must be square with power-of-two dimension")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if linalg.spectral_norm(m) / self.alpha > 1.0 + 1e-12:
             raise ValueError("spectral norm exceeds alpha; increase the sub-normalization")
         object.__setattr__(self, "matrix", m)
@@ -72,36 +78,24 @@ def subnormalize(a: np.ndarray) -> TargetSpec:
     return TargetSpec(matrix=m, alpha=linalg.spectral_norm(m) + DEFAULT_DELTA)
 
 
-def extract_block(u: np.ndarray, m: int) -> np.ndarray:
-    """Top-left 2^n block of a 2^(n+m) unitary under ancilla-first ordering."""
-    u = linalg.as_matrix(u)
-    dim = u.shape[0]
-    if u.shape[0] != u.shape[1] or dim & (dim - 1):
-        raise ValueError("expected a square power-of-two matrix")
-    total = dim.bit_length() - 1
-    if not 0 <= m < total:
-        raise ValueError(f"ancilla count {m} out of range for {total} qubits")
-    sub = 1 << (total - m)
-    return u[:sub, :sub]
+def _residual(t: TargetSpec, u: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """C^2 and the residual Delta = A/alpha - u[:sub, :sub] of the block.
 
-
-def _ancilla_count(t: TargetSpec, c: Circuit) -> int:
-    block_dim = t.matrix.shape[0]
-    if c.dim < block_dim or c.dim % block_dim:
-        raise ValueError(f"circuit dimension {c.dim} incompatible with target {block_dim}")
-    m = (c.dim // block_dim).bit_length() - 1
-    if (1 << m) * block_dim != c.dim:
-        raise ValueError("circuit/target dimensions are not a power-of-two ratio")
-    if m == 0:
-        raise ValueError("block encoding needs at least one ancilla qubit")
-    return m
+    ``u`` is one d x d unitary, giving a float C^2, or a (T, d, d) stack,
+    giving a length-T array.  A ``u`` no larger than the target leaves no
+    ancilla for the encoding and is refused.
+    """
+    sub = t.matrix.shape[0]
+    if u.shape[-1] <= sub:
+        raise ValueError(f"circuit dimension {u.shape[-1]} incompatible with target {sub}")
+    delta = t.scaled() - u[..., :sub, :sub]
+    f = (delta.real**2 + delta.imag**2).sum((-2, -1))
+    return (float(f) if f.ndim == 0 else f), delta
 
 
 def cost(t: TargetSpec, c: Circuit, theta) -> float:
     """Encoding error C(theta) = ||A/alpha - A_var(theta)||_F."""
-    m = _ancilla_count(t, c)
-    block = extract_block(evaluate(c, theta), m)
-    return float(np.linalg.norm(t.scaled() - block))
+    return math.sqrt(_residual(t, evaluate(c, theta))[0])
 
 
 def squared_cost_and_gradient(
@@ -118,12 +112,9 @@ def squared_cost_and_gradient(
     evaluation of the batch; row t equals the call on theta row t bit for
     bit.
     """
-    _ancilla_count(t, c)
     u, pullback = evaluate_with_gradients(c, theta)
-    sub = t.matrix.shape[0]
-    delta = t.scaled() - u[..., :sub, :sub]
-    f = (delta.real**2 + delta.imag**2).sum((-2, -1))
-    return (float(f) if f.ndim == 0 else f), -2.0 * pullback(delta)
+    f, delta = _residual(t, u)
+    return f, -2.0 * pullback(delta)
 
 
 class EncodeObjective:

@@ -53,7 +53,7 @@ from vbe.circuit import (
     count_nonlocal_gates,
     evaluate_with_gradients,
 )
-from vbe.encode import EncodeObjective, TargetSpec, _ancilla_count
+from vbe.encode import EncodeObjective, TargetSpec, _residual
 from vbe.resources import (
     free_parameter_bound,
     threshold_layers_generic,
@@ -481,14 +481,13 @@ _JACOBIAN_CHUNK = 32
 _RANK_RTOL = 1e-9  # singular values above this share of the largest count
 
 
-def _block_jacobian(circuit, theta: np.ndarray, sub: int) -> tuple[np.ndarray, np.ndarray]:
-    """U(theta) and the real Jacobian of theta -> U(theta)[:sub, :sub].
+def _block_jacobian(pullback, sub: int) -> np.ndarray:
+    """The real Jacobian of theta -> U(theta)[:sub, :sub], from U's ``pullback``.
 
     Row k < sub^2 is the gradient of Re U_ij and row sub^2 + k that of
     Im U_ij, for flat block index k = i * sub + j: the pullbacks of the unit
     cotangents E_ij and i E_ij, :data:`_JACOBIAN_CHUNK` of them per sweep.
     """
-    u, pullback = evaluate_with_gradients(circuit, theta)
     n_entries = sub * sub
     rows = []
     for lo in range(0, 2 * n_entries, _JACOBIAN_CHUNK):
@@ -496,7 +495,7 @@ def _block_jacobian(circuit, theta: np.ndarray, sub: int) -> tuple[np.ndarray, n
         units = np.zeros((len(k), n_entries), dtype=np.complex128)
         units[np.arange(len(k)), k % n_entries] = np.where(k < n_entries, 1.0, 1.0j)
         rows.append(pullback(units.reshape(-1, sub, sub)))
-    return u, np.concatenate(rows)
+    return np.concatenate(rows)
 
 
 def _rank_screen(
@@ -507,19 +506,20 @@ def _rank_screen(
     A candidate is ``circuit``, built from ``spec``.  It is screened when
     its block Jacobian, at its own first start
     (restart 0 of :func:`multistart_encode` under ``opts``), has numerical
-    rank below ``class_dim``.  Its report holds that start and C there, with
-    status "rank_deficient", no iterations and no evaluations, and counts
-    one skip.
+    rank below ``class_dim``.  The start is evaluated once: C^2 comes from
+    the one residual, whose fit check comes before any rank, and the
+    Jacobian from the same evaluation's pullback.  A screened report holds
+    that start and C there, with status "rank_deficient", no iterations and
+    no evaluations, and counts one skip.
     """
     t0 = time.perf_counter()
-    _ancilla_count(target, circuit)
     theta0 = _random_start(opts.seed, 0, circuit.param_count)
-    sub = target.matrix.shape[0]
-    u, jac = _block_jacobian(circuit, theta0, sub)
+    u, pullback = evaluate_with_gradients(circuit, theta0)
+    f0 = _residual(target, u)[0]
+    jac = _block_jacobian(pullback, target.matrix.shape[0])
     sv = np.linalg.svd(jac, compute_uv=False)
     if np.sum(sv > _RANK_RTOL * sv.max(initial=0.0)) >= class_dim:
         return None
-    f0 = float(np.linalg.norm(target.scaled() - u[:sub, :sub])) ** 2
     start = BfgsResult(x=theta0, f=f0, iterations=0, status="rank_deficient")
     return _report(
         spec, circuit, start, restart_index=0, total_iterations=0, evaluations=0, skipped=1, t0=t0
@@ -544,9 +544,11 @@ def layer_threshold_search(
     M fails only when all of them miss.
 
     Every candidate is first rank-screened (:func:`_rank_screen`) on the
-    circuit its encode loop then runs on, built once.  A
-    circuit can reach a generic target of a matrix class only if the
-    Jacobian of theta -> U(theta)[:sub, :sub] has rank equal to the class
+    circuit its encode loop then runs on, built once.  The screen evaluates
+    the candidate's first start once, and checks that the target fits the
+    register before it takes any rank.  A circuit can reach a generic
+    target of a matrix class only if the Jacobian of
+    theta -> U(theta)[:sub, :sub] has rank equal to the class
     dimension, the class's number of real parameters (the "parameter
     dimension" of Haug, Bharti and Kim, arXiv:2102.01659).  That is
     ``free_parameter_bound`` of the target's qubit count and the spec's

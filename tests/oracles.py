@@ -271,7 +271,7 @@ def lower_complex(plan, theta) -> tuple[list, list, np.ndarray]:
     adjoints and the conjugated generators.
     """
     t = theta.shape[0]
-    values = theta.ravel()[plan.flat_indices(t)[0]].reshape(-1, t)
+    values = theta.ravel()[plan.slot_index(t)].reshape(-1, t)
     x = plan.angle_scale[:, None] * values[: len(plan.angle_scale)]
     a0, a1, a2 = (_complex_blocks(k) for k in plan.kernel)
     local = a0 + np.cos(x)[..., None, None] * a1 + np.sin(x)[..., None, None] * a2

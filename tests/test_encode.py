@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,6 @@ from vbe.encode import (
     EncodeObjective,
     TargetSpec,
     cost,
-    extract_block,
     squared_cost_and_gradient,
     subnormalize,
 )
@@ -72,23 +72,37 @@ class TestSubnormalize:
         with pytest.raises(ValueError):
             TargetSpec(matrix=np.diag([2.0, 1.0]), alpha=1.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_target_spec_refuses_non_finite_alpha(self, alpha):
+        # nan would make every cost nan, inf would scale the target to zero
+        with pytest.raises(ValueError, match="finite and positive"):
+            TargetSpec(matrix=np.eye(2), alpha=alpha)
+
 
 class TestExtractBlock:
+    """The cost reads the top-left block, ancilla first, of a larger register."""
+
     def test_identity(self):
-        assert np.allclose(extract_block(np.eye(8), 1), np.eye(4))
+        c = Circuit(n_qubits=3, gates=(), param_count=0)
+        assert cost(TargetSpec(matrix=np.eye(4), alpha=1.0), c, []) == 0.0
 
     def test_flipped_ancilla_gives_zero(self):
-        u = np.kron(string_to_dense(PauliString.from_letters("X")), np.eye(4))
-        assert np.max(np.abs(extract_block(u, 1))) == 0.0
+        # Ry(pi) on the ancilla flips it: the block is cos(pi/2) I, zero to
+        # rounding, so C is the norm of the scaled target
+        c = Circuit(n_qubits=3, gates=(Gate("ry", (0,), (0,)),), param_count=1)
+        assert cost(TargetSpec(matrix=np.zeros((4, 4)), alpha=1.0), c, [np.pi]) < 1e-15
+        assert cost(TargetSpec(matrix=np.eye(4), alpha=1.0), c, [np.pi]) == pytest.approx(2.0)
 
     def test_hadamard_block(self):
-        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        u = np.kron(h, np.eye(2))
-        assert np.allclose(extract_block(u, 1), np.eye(2) / np.sqrt(2))
+        c = Circuit(n_qubits=2, gates=(Gate("h", (0,)),), param_count=0)
+        assert cost(TargetSpec(matrix=np.eye(2), alpha=np.sqrt(2)), c, []) < 1e-15
 
     def test_bad_ancilla_count(self):
-        with pytest.raises(ValueError):
-            extract_block(np.eye(4), 2)
+        # a register no larger than the target leaves no ancilla
+        t = TargetSpec(matrix=np.eye(4), alpha=1.0)
+        for n_qubits in (1, 2):
+            with pytest.raises(ValueError, match="incompatible"):
+                cost(t, Circuit(n_qubits=n_qubits, gates=(), param_count=0), [])
 
 
 class TestCost:
@@ -96,7 +110,7 @@ class TestCost:
         # encode the top-left block of some unitary as its own target
         c = build_generic_ansatz(block_spec(2, n=1, layers=1))
         theta = np.linspace(-1, 1, c.param_count)
-        block = extract_block(evaluate(c, theta), 1)
+        block = evaluate(c, theta)[:2, :2]
         t = TargetSpec(matrix=block, alpha=1.0)
         assert cost(t, c, theta) < 1e-14
 
@@ -116,7 +130,7 @@ class TestCost:
         for bid in (2, 8):
             c = build_generic_ansatz(block_spec(bid, n=2, layers=2))
             u = evaluate(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
-            assert linalg.spectral_norm(extract_block(u, 1)) <= 1.0 + 1e-10
+            assert linalg.spectral_norm(u[:4, :4]) <= 1.0 + 1e-10
 
 
 class TestCostGradient:
@@ -135,7 +149,7 @@ class TestCostGradient:
     def test_gradient_zero_at_exact_minimum(self):
         c = build_generic_ansatz(block_spec(2, n=1, layers=1))
         theta = np.linspace(-1, 1, c.param_count)
-        block = extract_block(evaluate(c, theta), 1)
+        block = evaluate(c, theta)[:2, :2]
         t = TargetSpec(matrix=block, alpha=1.0)
         assert np.linalg.norm(squared_cost_and_gradient(t, c, theta)[1]) < 1e-10
 
@@ -174,13 +188,13 @@ class TestStructuralInvariants:
         c = build_ansatz(block_spec(2, n=2, layers=2, hermitian=True))
         for _ in range(5):
             u = evaluate(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
-            b = extract_block(u, 1)
+            b = u[:4, :4]
             assert np.linalg.norm(b - b.conj().T) < 1e-12
 
     def test_real_ansatz_real_block(self, rng):
         c = build_generic_ansatz(block_spec(2, n=2, layers=2, restriction="real"))
         u = evaluate(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
-        assert np.max(np.abs(extract_block(u, 1).imag)) < 1e-12
+        assert np.max(np.abs(u[:4, :4].imag)) < 1e-12
 
     def test_gqsp_block_commutes_with_symmetry(self, rng):
         # generators commuting with S force [A_var, S] = 0 for every theta
@@ -193,14 +207,14 @@ class TestStructuralInvariants:
         swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
         for _ in range(5):
             u = evaluate(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
-            b = extract_block(u, 1)
+            b = u[:4, :4]
             assert np.linalg.norm(b @ swap - swap @ b) < 1e-10
 
     def test_hermitized_gqsp_block_hermitian(self, rng):
         gens = (PauliSum.from_terms({"XX": 1j}), PauliSum.from_terms({"ZZ": 1j}))
         c = hermitize(build_gqsp_ansatz(gens, n=2), "ancilla_h")
         u = evaluate(c, rng.uniform(-np.pi, np.pi, size=c.param_count))
-        b = extract_block(u, 1)
+        b = u[:4, :4]
         assert np.linalg.norm(b - b.conj().T) < 1e-12
 
 
@@ -220,7 +234,7 @@ class TestGqspExpansion:
         c = build_gqsp_ansatz((gen,), n=2)
         theta = rng.uniform(-np.pi, np.pi, size=6)
         u = evaluate(c, theta)
-        block = extract_block(u, 1)
+        block = u[:4, :4]
         p1 = scipy.linalg.expm(theta[3] * to_dense(gen))
         a1 = np.cos(theta[4] / 2) * np.cos(theta[0] / 2)
         b1 = -np.sin(theta[4] / 2) * np.exp(1j * theta[1]) * np.sin(theta[0] / 2)
@@ -239,9 +253,32 @@ class TestGqspExpansion:
         c = build_gqsp_ansatz(gens, n=2)
         for _ in range(10):
             theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
-            dense_block = extract_block(evaluate(c, theta), 1)
+            dense_block = evaluate(c, theta)[:4, :4]
             path_block = gqsp_block_expansion(gens, theta)
             assert np.max(np.abs(dense_block - path_block)) < 1e-10
+
+
+class TestOneScore:
+    """C and C^2 come from one residual, so C is sqrt(C^2) to the last bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "field,structure",
+        [("complex", "arbitrary"), ("complex", "hermitian"), ("real", "hermitian")],
+    )
+    def test_block2_cost_is_root_of_squared_cost(self, rng, n, field, structure):
+        spec = block_spec(2, n=n, layers=2, restriction=field, hermitian=structure == "hermitian")
+        c = build_ansatz(spec)
+        t = subnormalize(targets.random_matrix(n, field, structure, seed=n))
+        for _ in range(50):
+            theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+            assert cost(t, c, theta) == math.sqrt(squared_cost_and_gradient(t, c, theta)[0])
+
+    def test_hermitized_gqsp_cost_is_root_of_squared_cost(self, rng):
+        t, c, _ = sn_gqsp_case(3, 4)
+        for _ in range(50):
+            theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+            assert cost(t, c, theta) == math.sqrt(squared_cost_and_gradient(t, c, theta)[0])
 
 
 class TestObjective:

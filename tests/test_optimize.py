@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize, rosen, rosen_der
 
 from vbe import optimize, symmetry
-from vbe.circuit import AnsatzSpec, build_ansatz
+from vbe.circuit import AnsatzSpec, build_ansatz, evaluate_with_gradients
 from vbe.encode import EncodeObjective, TargetSpec, cost, subnormalize
 from vbe.pauli import to_dense
 from vbe.resources import free_parameter_bound
@@ -224,7 +224,8 @@ def block_rank(spec, rng):
     """Numerical rank of the block Jacobian of ``spec``'s circuit at a random theta."""
     c = build_ansatz(spec)
     theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
-    _, jac = optimize._block_jacobian(c, theta, 1 << spec.system_qubits)
+    _, pullback = evaluate_with_gradients(c, theta)
+    jac = optimize._block_jacobian(pullback, 1 << spec.system_qubits)
     sv = np.linalg.svd(jac, compute_uv=False)
     return int(np.sum(sv > optimize._RANK_RTOL * sv.max()))
 
@@ -495,6 +496,46 @@ class TestLayerThresholdSearch:
             optimize.multistart_encode(target, spec, optimize.OptimizeOptions(restarts=1))
         with pytest.raises(ValueError, match="incompatible"):
             optimize.layer_threshold_search(target, spec, optimize.OptimizeOptions())
+
+    def test_fit_check_comes_before_any_rank(self, monkeypatch):
+        ranked = []
+        monkeypatch.setattr(optimize, "_block_jacobian", lambda *a: ranked.append(a))
+        target = subnormalize(random_matrix(3, seed=0))
+        spec = AnsatzSpec(family="block", system_qubits=1, layers=1, block_id=2)
+        with pytest.raises(ValueError, match="incompatible"):
+            optimize.layer_threshold_search(target, spec, optimize.OptimizeOptions())
+        assert ranked == []
+
+    @pytest.mark.parametrize("kind", ["generic", "gqsp"])
+    def test_every_reported_epsilon_is_the_cost(self, kind):
+        # on the circuit rebuilt from the report, bit for bit, for the
+        # screened candidates' reports too
+        if kind == "generic":
+            target = subnormalize(random_matrix(2, "complex", "hermitian", seed=0))
+            family = AnsatzSpec(
+                family="block", system_qubits=2, layers=1, block_id=2, hermitian=True
+            )
+            opts = optimize.OptimizeOptions(restarts=2, seed=0)
+
+            def spec_for(r):
+                return replace(family, layers=r.layers)
+
+        else:
+            gens = symmetry.heisenberg_generator_set("Sn", 2)
+            family = optimize.GqspFamily(gens)
+            target = symmetric_target("Sn", 2, 0)
+            opts = optimize.OptimizeOptions(seed=0)
+
+            def spec_for(r):
+                return family.spec_for_sequence(
+                    tuple(gens.labels.index(label) for label in r.sequence_labels)
+                )
+
+        res = optimize.layer_threshold_search(target, family, opts)
+        assert res.complete
+        assert any(r.status == "rank_deficient" for r in res.reports.values())
+        for r in res.reports.values():
+            assert r.epsilon == cost(target, build_ansatz(spec_for(r)), r.theta), r.layers
 
     def test_gqsp_target_on_other_qubits_is_refused(self):
         family = optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 3))
