@@ -719,29 +719,27 @@ class _Builder:
 
 @dataclass(frozen=True)
 class BlockInfo:
-    block_id: int
     description: str
-    optimal_a: bool
     min_qubits: int = 2
 
 
 BLOCK_CATALOG: dict[int, BlockInfo] = {
-    0: BlockInfo(0, "single-qubit rotations only, no entanglement", False),
-    1: BlockInfo(1, "rotations + linear CNOT chain", False),
-    2: BlockInfo(2, "linear RCN chain", True),
-    3: BlockInfo(3, "linear RCN, parallel (optimal depth)", True),
-    4: BlockInfo(4, "Rx/Ry rotations + linear CZ chain", False),
-    5: BlockInfo(5, "linear RCZ chain", True),
-    6: BlockInfo(6, "circular CR blocks", False),
-    7: BlockInfo(7, "rotations + circular CNOT ring", False),
-    8: BlockInfo(8, "circular RCN ring", True),
-    9: BlockInfo(9, "star RCNr, control on first qubit", True),
-    10: BlockInfo(10, "star RCNr, target on first qubit", True),
-    11: BlockInfo(11, "all-to-all RCN", True),
-    12: BlockInfo(12, "linear RCCZ", True, min_qubits=3),
-    13: BlockInfo(13, "rotations + full n-controlled Z", True),
-    14: BlockInfo(14, "star RCNr centred on a system qubit", True),
-    15: BlockInfo(15, "circular RCN, parallel (optimal depth)", True),
+    0: BlockInfo("single-qubit rotations only, no entanglement"),
+    1: BlockInfo("rotations + linear CNOT chain"),
+    2: BlockInfo("linear RCN chain"),
+    3: BlockInfo("linear RCN, parallel (optimal depth)"),
+    4: BlockInfo("Rx/Ry rotations + linear CZ chain"),
+    5: BlockInfo("linear RCZ chain"),
+    6: BlockInfo("circular CR blocks"),
+    7: BlockInfo("rotations + circular CNOT ring"),
+    8: BlockInfo("circular RCN ring"),
+    9: BlockInfo("star RCNr, control on first qubit"),
+    10: BlockInfo("star RCNr, target on first qubit"),
+    11: BlockInfo("all-to-all RCN"),
+    12: BlockInfo("linear RCCZ", min_qubits=3),
+    13: BlockInfo("rotations + full n-controlled Z"),
+    14: BlockInfo("star RCNr centred on a system qubit"),
+    15: BlockInfo("circular RCN, parallel (optimal depth)"),
 }
 
 

@@ -39,6 +39,17 @@ from vbe.circuit import Circuit, evaluate, evaluate_with_gradients
 DEFAULT_DELTA = 1e-2
 
 
+def _target_matrix(a) -> np.ndarray:
+    """``a`` as a complex matrix, refused unless nonempty, square and 2^n wide."""
+    m = linalg.as_matrix(a)
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        raise ValueError(f"target is empty, shape {m.shape}")
+    if rows != cols or rows & (rows - 1):
+        raise ValueError("target must be square with power-of-two dimension (zero_pad first)")
+    return m
+
+
 @dataclass(frozen=True)
 class TargetSpec:
     """A 2^n square target together with its sub-normalization factor."""
@@ -47,10 +58,7 @@ class TargetSpec:
     alpha: float
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.matrix)
-        rows, cols = m.shape
-        if rows != cols or rows & (rows - 1):
-            raise ValueError("target must be square with power-of-two dimension")
+        m = _target_matrix(self.matrix)
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if linalg.spectral_norm(m) / self.alpha > 1.0 + 1e-12:
@@ -72,9 +80,7 @@ def subnormalize(a: np.ndarray) -> TargetSpec:
     keeps the scaled target strictly inside the unit spectral ball, which
     avoids numerical instabilities at the encoding boundary.
     """
-    m = linalg.as_matrix(a)
-    if m.shape[0] != m.shape[1] or m.shape[0] & (m.shape[0] - 1):
-        raise ValueError("subnormalize needs a square power-of-two matrix (zero_pad first)")
+    m = _target_matrix(a)
     return TargetSpec(matrix=m, alpha=linalg.spectral_norm(m) + DEFAULT_DELTA)
 
 

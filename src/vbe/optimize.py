@@ -54,11 +54,7 @@ from vbe.circuit import (
     evaluate_with_gradients,
 )
 from vbe.encode import EncodeObjective, TargetSpec, _residual
-from vbe.resources import (
-    free_parameter_bound,
-    threshold_layers_generic,
-    threshold_layers_symmetric,
-)
+from vbe.resources import free_parameter_bound, threshold_layers
 from vbe.symmetry import GeneratorSet, closure_basis
 from vbe.targets import make_rng
 
@@ -66,7 +62,14 @@ from vbe.targets import make_rng
 @dataclass(frozen=True)
 class OptimizeOptions:
     """Optimizer settings.  An encoding with C <= ``epsilon_exact`` is exact,
-    and a run stops early once ||grad C|| <= ``grad_norm_tol``."""
+    and a run stops early once ||grad C|| <= ``grad_norm_tol``.
+
+    ``restarts`` is the start count of :func:`multistart_encode`, and so of
+    a generic family's threshold search; a GQSP family's search runs
+    :data:`GQSP_INITS` starts per sequence whatever it holds.  ``seed`` is a
+    non-negative integer that every start's Philox stream is derived from,
+    so the same options give the same starts on every call.
+    """
 
     epsilon_exact: ClassVar[float] = 1e-10
     grad_norm_tol: ClassVar[float] = 1e-5
@@ -79,6 +82,8 @@ class OptimizeOptions:
             raise ValueError("need at least one restart")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -535,8 +540,9 @@ def layer_threshold_search(
 ) -> ThresholdSearchResult:
     """Find the smallest layer count with at least one exact encoding.
 
-    Starts at ``start`` (at least 1), by default 5% above the closed-form
-    estimate for the class dimension below, and decrements down to one
+    Starts at ``start`` (at least 1), by default 5% above
+    :func:`~vbe.resources.threshold_layers` of the family's one-layer
+    circuit for the class dimension below, and decrements down to one
     layer.  Each M runs :func:`multistart_encode` on its candidates in
     order (:func:`_candidates`: a generic family has one, a GQSP family
     min(:data:`GQSP_SEQUENCES`, |G|**M) distinct random generator sequences
@@ -570,21 +576,24 @@ def layer_threshold_search(
     every candidate tried at that M.  If the start itself fails the search
     walks upward instead, and gives up (``m_thres`` None, a partial result)
     at max(4 * start, start + 8) layers.  A GQSP target on other than the
-    generators' qubit count raises ``ValueError``, and a target the register
+    generators' qubit count, or generators that close to an empty span,
+    raise ``ValueError`` before any candidate, and a target the register
     cannot block-encode raises :func:`multistart_encode`'s at the first
     screen, before any rank is taken.
     """
     if isinstance(family, AnsatzSpec):
         structure = "hermitian" if family.hermitian else "arbitrary"
         class_dim = free_parameter_bound(target.n, family.restriction, structure)
-        est = threshold_layers_generic(family, class_dim)
+        one_layer = replace(family, layers=1)
     else:
         if target.n != family.generator_set.n:
             raise ValueError(f"target on {target.n} qubits, generators on {family.generator_set.n}")
-        q = 1 if family.hermitian else 2
         dim_b = closure_basis(family.generator_set).dim_b
-        class_dim = q * dim_b
-        est = threshold_layers_symmetric(dim_b, q)
+        if dim_b == 0:
+            raise ValueError("the generators close to an empty span")
+        class_dim = (1 if family.hermitian else 2) * dim_b
+        one_layer = family.spec_for_sequence((0,))
+    est = threshold_layers(build_ansatz(one_layer), class_dim)
     if start is None:
         start = max(1, int(np.ceil(1.05 * max(est, 1))))
     if start < 1:

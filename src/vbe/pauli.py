@@ -228,9 +228,7 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     (contribution 2ab), so only the anticommuting term pairs are multiplied.
     """
     a._check(b)
-    keys, coeffs = product_packed(
-        a.n, a.keys, a.coeffs, b.keys, b.coeffs, anticommuting_only=True, scale=2.0
-    )
+    keys, coeffs = product_packed(a.n, a.keys, a.coeffs, b.keys, b.coeffs, bracket=True)
     return sum_from_packed(a.n, keys, coeffs)
 
 
@@ -273,20 +271,20 @@ def product_packed(
     c1: np.ndarray,
     k2: np.ndarray,
     c2: np.ndarray,
-    anticommuting_only: bool = False,
-    scale: complex = 1.0,
     index: np.ndarray | None = None,
     *,
+    bracket: bool = False,
     groups: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Product of two string sums given as packed (keys, coeffs) arrays.
 
     This is the only Pauli product in the package.  All term pairs are
-    multiplied at once as outer arrays; with ``anticommuting_only`` the
-    commuting pairs are dropped, which together with ``scale=2`` yields the
-    commutator.  Each pair lands in a bin: its packed key by default, or
-    ``index[key]`` when an ``index`` array maps every packed key to a bin
-    (an :class:`OrbitCompression`'s orbit ids, say).  ``groups``, integers
+    multiplied at once as outer arrays.  With ``bracket`` it is the
+    commutator instead: the commuting pairs are dropped and every
+    anticommuting pair counts twice (ab - ba = 2ab).  Each pair lands in a
+    bin: its packed key by default, or ``index[key]`` when an ``index``
+    array maps every packed key to a bin (an :class:`OrbitCompression`'s
+    orbit ids, say).  ``groups``, integers
     that broadcast over the (len(k1), len(k2)) pair grid, split one call
     into several products: a pair's bin becomes ``(group << 2n) | bin``, so
     one call multiplies several sums, concatenated, by several others, each
@@ -313,7 +311,7 @@ def product_packed(
     reorder = np.bitwise_count(z1[:, None] & x2[None, :])
     coeff = c1[:, None] * c2[None, :]
     grid = coeff.shape
-    if anticommuting_only:
+    if bracket:
         keep = ((np.bitwise_count(x1[:, None] & z2[None, :]) + reorder) & 1) == 1
 
         def pick(a):
@@ -325,7 +323,7 @@ def product_packed(
     # bitwise_count arithmetic happens in uint8; wraparound is harmless here
     # because 256 is a multiple of 4 and only the value mod 4 matters
     k = (pick(y1 + y2) - np.bitwise_count(xr & zr) + 2 * pick(reorder)) & 3
-    coeff = pick(coeff) * (scale * _I_POWERS)[k]
+    coeff = pick(coeff) * (2.0 * _I_POWERS if bracket else _I_POWERS)[k]
     bins = (xr << n) | zr
     if index is not None:
         bins = index[bins]

@@ -1,8 +1,8 @@
 """Closed-form resource bounds and estimators.
 
 Free-parameter counts of matrix classes, the CNOT lower bound (TLB), the
-parameter-per-gate ratio ``a``, threshold-layer estimates for generic and
-symmetric ansatze, and the LCU gate-count comparison model.
+parameter-per-gate ratio ``a``, the one threshold-layer estimate, and the
+LCU gate-count comparison model.
 
 All bounds are pure integer functions; ratios use exact ``Fraction``
 arithmetic so ceilings are never subject to floating-point rounding.
@@ -78,32 +78,23 @@ def a_ratio(c: Circuit) -> Fraction:
     return Fraction(c.layer_slot_count, gates)
 
 
-def threshold_layers_symmetric(dim_b: int, q: int) -> int:
-    """Layer estimate from the block-span dimension: the smallest M with
-    3M + 3 >= q*dimB, i.e. enough circuit parameters for the q*dimB real
-    degrees of freedom of a target in span(B)."""
-    if dim_b < 1:
-        raise ValueError("dim_b must be >= 1")
-    if q not in (1, 2):
-        raise ValueError("q must be 1 (hermitian) or 2 (non-hermitian)")
-    # The formula as printed, ceil(q*dimB/3 - 3), is not offered: it gives 4
-    # at Sn 4 (dimB 19) against the GQSP_TABLE anchor of 6 layers.
-    return max(0, math.ceil(Fraction(q * dim_b - 3, 3)))
+def threshold_layers(one_layer: Circuit, class_dim: int) -> int:
+    """Layer estimate from a family's one-layer circuit: the smallest M whose
+    M layers, with the family's fixed parameters, have at least ``class_dim``
+    parameters, the class's real degrees of freedom.
 
-
-def threshold_layers_generic(spec, class_dim: int) -> int:
-    """Layer estimate for a generic AnsatzSpec from its own layer geometry:
-    the smallest M whose M layers, with the appended single-qubit layer,
-    have at least ``class_dim`` parameters."""
-    probe = build_generic_ansatz(replace(spec, layers=1))
-    layer_params = probe.layer_slot_count
-    us_params = probe.param_count - probe.layer_slot_count
-    if layer_params == 0:
-        raise ValueError("block contributes no layer parameters")
-    remaining = class_dim - us_params
-    if remaining <= 0:
-        return 0
-    return math.ceil(Fraction(remaining, layer_params))
+    The ``layer_slot_count`` parameters of ``one_layer`` repeat per layer and
+    the rest are fixed: the appended single-qubit layer of a generic circuit,
+    the initial ancilla rotation of a GQSP one.  For GQSP (3M + 3 parameters)
+    at a symmetric target's q*dimB this is ceil((q*dimB - 3) / 3).  The
+    formula as printed, ceil(q*dimB/3 - 3), is not used: it gives 4 at Sn 4
+    (dimB 19) against the GQSP_TABLE anchor of 6 layers.
+    """
+    per_layer = one_layer.layer_slot_count
+    if per_layer == 0:
+        raise ValueError("the layer has no parameters")
+    fixed = one_layer.param_count - per_layer
+    return max(0, math.ceil(Fraction(class_dim - fixed, per_layer)))
 
 
 def estimate_generic_threshold(spec) -> int:
@@ -112,7 +103,7 @@ def estimate_generic_threshold(spec) -> int:
     ``system_qubits``."""
     structure = "hermitian" if spec.hermitian else "arbitrary"
     n_p = free_parameter_bound(spec.system_qubits, spec.restriction, structure)
-    return threshold_layers_generic(spec, n_p)
+    return threshold_layers(build_generic_ansatz(replace(spec, layers=1)), n_p)
 
 
 @dataclass(frozen=True)

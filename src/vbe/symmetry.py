@@ -358,9 +358,7 @@ def lie_closure(
     index = orbits.orbit_ids
 
     def bracket(ka, ca, km, cm, groups):
-        return product_packed(
-            n, ka, ca, km, cm, anticommuting_only=True, scale=2.0, index=index, groups=groups
-        )
+        return product_packed(n, ka, ca, km, cm, index=index, bracket=True, groups=groups)
 
     return _span_closure(n, gens, gens, bracket, orbits)
 

@@ -340,9 +340,7 @@ def lie_closure_per_element(gens, orbits=None) -> list[PauliSum]:
 
     def bracket(ka, ca, km, cm, ids):
         index = orbits.orbit_ids
-        return product_packed(
-            n, ka, ca, km, cm, anticommuting_only=True, scale=2.0, index=index, groups=ids
-        )
+        return product_packed(n, ka, ca, km, cm, index=index, bracket=True, groups=ids)
 
     return _closure_per_element(n, gens, gens, bracket, orbits)
 

@@ -626,7 +626,3 @@ class TestCostModel:
         for k, cost in ((0, 0), (1, 0), (2, 2)):
             g = Gate("gadget", (k, k + 1, k + 2), (0,), generator=ident, controls=tuple(range(k)))
             assert count_nonlocal_gates(Circuit(k + 3, (g,), 1)) == cost
-
-    def test_block_optimal_a_catalog(self):
-        optimal = {bid for bid, info in BLOCK_CATALOG.items() if info.optimal_a}
-        assert optimal == {2, 3, 5, 8, 9, 10, 11, 12, 13, 14, 15}

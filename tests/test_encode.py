@@ -72,6 +72,15 @@ class TestSubnormalize:
         with pytest.raises(ValueError):
             TargetSpec(matrix=np.diag([2.0, 1.0]), alpha=1.0)
 
+    def test_rejects_empty(self):
+        # a 0 x 0 matrix would pass a power-of-two test on its row count
+        with pytest.raises(ValueError, match="empty"):
+            subnormalize(np.zeros((0, 0)))
+
+    def test_target_spec_refuses_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            TargetSpec(matrix=np.zeros((0, 0)), alpha=1.0)
+
     @pytest.mark.parametrize("alpha", [np.nan, np.inf])
     def test_target_spec_refuses_non_finite_alpha(self, alpha):
         # nan would make every cost nan, inf would scale the target to zero

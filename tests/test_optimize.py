@@ -7,7 +7,7 @@ from scipy.optimize import minimize, rosen, rosen_der
 from vbe import optimize, symmetry
 from vbe.circuit import AnsatzSpec, build_ansatz, evaluate_with_gradients
 from vbe.encode import EncodeObjective, TargetSpec, cost, subnormalize
-from vbe.pauli import to_dense
+from vbe.pauli import PauliSum, to_dense
 from vbe.resources import free_parameter_bound
 from vbe.tables import BDIM_TABLE, GQSP_TABLE
 from vbe.targets import make_rng, random_matrix
@@ -296,6 +296,16 @@ class TestMultistartEncode:
         other = optimize.multistart_encode(target, spec, replace(opts, seed=8))
         assert not np.array_equal(other.theta, a.theta)
 
+    @pytest.mark.parametrize(
+        "seed", [np.random.default_rng(7), 7.0, -1], ids=["generator", "float", "negative"]
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # a Generator would give a fresh start on every draw of restart 0, so
+        # the screen would rank one start and BFGS begin from another
+        with pytest.raises(ValueError, match="seed"):
+            optimize.OptimizeOptions(seed=seed)
+        assert optimize.OptimizeOptions(seed=np.int64(7)).seed == 7
+
     def test_reports_every_evaluation(self, monkeypatch):
         # no restart reaches an exact encoding in 40 iterations, so all 3 run
         calls = count_evaluations(monkeypatch)
@@ -465,7 +475,9 @@ class TestLayerThresholdSearch:
             symmetric_target("Sn", 2, 0), family, optimize.OptimizeOptions(seed=0)
         )
         assert res.complete and encoded
-        assert [id(c) for c in built] == [id(c) for c in screened]
+        # the first build is the one-layer circuit the start estimate reads
+        assert built[0].layer_slot_count == 3 and not any(built[0] is c for c in screened)
+        assert [id(c) for c in built[1:]] == [id(c) for c in screened]
         assert all(any(c is s for s in screened) for c in encoded)
 
     def test_class_dimension_is_the_targets(self):
@@ -542,6 +554,18 @@ class TestLayerThresholdSearch:
         target = symmetric_target("Sn", 2, 0)
         with pytest.raises(ValueError, match="target on 2 qubits, generators on 3"):
             optimize.layer_threshold_search(target, family, optimize.OptimizeOptions())
+
+    @pytest.mark.parametrize("gens", [(), (PauliSum.zero(2),)], ids=["none", "zero"])
+    def test_gqsp_generators_with_empty_closure_are_refused(self, monkeypatch, gens):
+        screened = []
+        monkeypatch.setattr(optimize, "_rank_screen", lambda *a: screened.append(a))
+        labels = tuple(f"g{i}" for i in range(len(gens)))
+        family = optimize.GqspFamily(symmetry.GeneratorSet("Sn", 2, gens, labels))
+        with pytest.raises(ValueError, match="empty span"):
+            optimize.layer_threshold_search(
+                symmetric_target("Sn", 2, 0), family, optimize.OptimizeOptions()
+            )
+        assert screened == []
 
     @pytest.mark.parametrize("start", [0, -1])
     @pytest.mark.parametrize("kind", ["generic", "gqsp"])

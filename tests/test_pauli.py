@@ -195,7 +195,7 @@ class TestProductProperties:
         # combining by an index map equals combining by key, then binning
         a, b = ab
         index = np.arange(1 << (2 * a.n)) % modulus
-        kw = dict(anticommuting_only=True, scale=2.0) if bracket else {}
+        kw = dict(bracket=bracket)
         keys, coeffs = product_packed(a.n, a.keys, a.coeffs, b.keys, b.coeffs, **kw)
         want = np.zeros(modulus, dtype=complex)
         np.add.at(want, index[keys], coeffs)

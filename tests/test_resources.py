@@ -1,10 +1,21 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from oracles import block_spec, symmetric_a_ratio
-from vbe.circuit import build_generic_ansatz, build_gqsp_ansatz, hermitize, mc1q
+from vbe.circuit import (
+    BLOCK_CATALOG,
+    COMPLEX,
+    REAL,
+    build_ansatz,
+    build_generic_ansatz,
+    build_gqsp_ansatz,
+    hermitize,
+    mc1q,
+)
+from vbe.optimize import GqspFamily
 from vbe.pauli import MAX_DENSE_QUBITS, PauliSum
 from vbe.resources import (
     a_ratio,
@@ -12,11 +23,11 @@ from vbe.resources import (
     free_parameter_bound,
     lcu_estimate,
     nonlocal_gate_bound,
-    threshold_layers_symmetric,
+    threshold_layers,
     tlb_cnot,
 )
-from vbe.symmetry import symmetric_heisenberg_terms
-from vbe.tables import FREE_PARAMS_N4
+from vbe.symmetry import heisenberg_generator_set, symmetric_heisenberg_terms
+from vbe.tables import BDIM_TABLE, FREE_PARAMS_N4
 from vbe.targets import chain_bonds, heisenberg_graph_terms
 
 
@@ -135,15 +146,53 @@ class TestThresholdGeneric:
         assert estimate_generic_threshold(block_spec(2, n=4, restriction="real")) == 32
 
 
+def one_gqsp_layer(kind: str, n: int, hermitian: bool = True):
+    """The one-layer circuit of the GQSP family on ``kind``'s Heisenberg set."""
+    family = GqspFamily(heisenberg_generator_set(kind, n), hermitian)
+    return build_ansatz(family.spec_for_sequence((0,)))
+
+
 class TestThresholdSymmetric:
     def test_param_inversion_matches_table(self):
-        assert threshold_layers_symmetric(19, 1) == 6
-        assert threshold_layers_symmetric(6, 1) == 1
-        assert threshold_layers_symmetric(28, 1) == 9
+        # 3M + 3 parameters reach q * dimB: Sn 4, 2 and 5 at q = 1
+        assert threshold_layers(one_gqsp_layer("Sn", 4), 19) == 6
+        assert threshold_layers(one_gqsp_layer("Sn", 2), 6) == 1
+        assert threshold_layers(one_gqsp_layer("Sn", 5), 28) == 9
 
-    def test_q_validation(self):
-        with pytest.raises(ValueError):
-            threshold_layers_symmetric(10, 3)
+
+class TestThresholdLayers:
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_every_gqsp_cell(self, q):
+        for (kind, n), dim_b in BDIM_TABLE.items():
+            one_layer = one_gqsp_layer(kind, n, hermitian=q == 1)
+            want = max(0, math.ceil(Fraction(q * dim_b - 3, 3)))
+            assert threshold_layers(one_layer, q * dim_b) == want, (kind, n)
+
+    def test_every_generic_block(self):
+        # P(M) parameters at M layers: the estimate is the smallest M with
+        # P(M) >= the class dimension, read off P(0) and P(1)
+        for block_id, info in BLOCK_CATALOG.items():
+            for n in range(max(1, info.min_qubits - 1), 5):
+                for field in (COMPLEX, REAL):
+                    for hermitian in (False, True):
+                        spec = block_spec(block_id, n, restriction=field, hermitian=hermitian)
+                        p0, p1 = (
+                            build_generic_ansatz(replace(spec, layers=m)).param_count
+                            for m in (0, 1)
+                        )
+                        structure = "hermitian" if hermitian else "arbitrary"
+                        class_dim = free_parameter_bound(n, field, structure)
+                        want = max(0, math.ceil(Fraction(class_dim - p0, p1 - p0)))
+                        got = estimate_generic_threshold(spec)
+                        assert got == want, (block_id, n, field, hermitian)
+
+    def test_layer_without_parameters_is_refused(self):
+        for one_layer in (
+            build_gqsp_ansatz([], 2),
+            build_generic_ansatz(block_spec(2, n=2, layers=0)),
+        ):
+            with pytest.raises(ValueError, match="no parameters"):
+                threshold_layers(one_layer, 16)
 
 
 class TestLcu:

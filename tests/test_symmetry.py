@@ -712,7 +712,7 @@ class TestOrbitCompression:
         assert len(ka) < len(a) or kind == "trivial"
         keys, coeffs = orb.expand(ka, ca)
         assert np.array_equal(keys, a.keys) and np.allclose(coeffs, a.coeffs, atol=1e-14)
-        bracket = dict(anticommuting_only=True, scale=2.0)
+        bracket = dict(bracket=True)
         gens = gs.generators
         km = np.concatenate([g.keys for g in gens])
         cm = np.concatenate([g.coeffs for g in gens])
