@@ -92,7 +92,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from vbe.pauli import PauliSum, to_dense
+from vbe.pauli import PauliSum, check_dense_qubits, to_dense
 
 COMPLEX = "complex"
 REAL = "real"
@@ -181,8 +181,8 @@ class Circuit:
     def _plan(self) -> _Plan:
         """The ops of the circuit and the index arrays that lower them at any theta.
 
-        Built on first evaluation, so circuits with gadgets too wide for a
-        dense matrix can still be built and counted.
+        Built on first evaluation, so circuits too wide for a dense matrix
+        can still be built and counted.
         """
         return _Plan(self)
 
@@ -334,6 +334,8 @@ class _Plan:
     """
 
     def __init__(self, c: Circuit):
+        # the dense unitary is 2^N x 2^N, for a system register and its ancilla
+        check_dense_qubits(c.n_qubits - 1, "dense evaluation of a circuit's system register")
         # per run: gate indices, first and last qubit, and outer controls (None
         # for a window run, which later gates may still join)
         runs: list[list] = []
@@ -664,153 +666,108 @@ def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
 # --------------------------------------------------------------------------
 # generic ansatz catalog
 # --------------------------------------------------------------------------
-class _Builder:
-    def __init__(self, restriction: str):
-        if restriction not in (COMPLEX, REAL):
-            raise ValueError(f"unknown restriction {restriction!r}")
-        self.real = restriction == REAL
-        self.gates: list[Gate] = []
-        self.next_slot = 0
-
-    def take(self, k: int) -> tuple[int, ...]:
-        s = tuple(range(self.next_slot, self.next_slot + k))
-        self.next_slot += k
-        return s
-
-    def grot(self, q: int) -> None:
-        if self.real:
-            self.gates.append(Gate("ry", (q,), self.take(1)))
-        else:
-            self.gates.append(Gate("grot", (q,), self.take(3)))
-
-    def rot2(self, q: int, kinds=("rx", "ry")) -> None:
-        # restricted pair used inside the 2-qubit primitives
-        for kind in kinds:
-            if self.real and kind in ("rx", "rz"):
-                continue
-            self.gates.append(Gate(kind, (q,), self.take(1)))
-
-    def rcn(self, a: int, b: int) -> None:
-        self.rot2(a, ("ry", "rx"))
-        self.rot2(b, ("ry", "rz"))
-        self.gates.append(Gate("cnot", (a, b)))
-
-    def rcnr(self, a: int, b: int) -> None:
-        self.rot2(a, ("rz", "ry"))
-        self.rot2(b, ("rx", "ry"))
-        self.gates.append(Gate("cnot", (a, b)))
-
-    def rcz(self, a: int, b: int) -> None:
-        self.rot2(a, ("rx", "ry"))
-        self.rot2(b, ("rx", "ry"))
-        self.gates.append(Gate("cz", (a, b)))
-
-    def cr(self, a: int, b: int) -> None:
-        # R on the control, then the same R on the target controlled by it
-        kind, k = ("ry", 1) if self.real else ("grot", 3)
-        self.gates.append(Gate(kind, (a,), self.take(k)))
-        self.gates.append(Gate(kind, (b,), self.take(k), controls=(a,)))
-
-    def rncz(self, qs: tuple[int, ...]) -> None:
-        for q in qs:
-            self.rot2(q, ("rx", "ry"))
-        self.gates.append(Gate("cz", qs))
+# A primitive is (rotations on its first qubit, rotations on each later
+# qubit, entangler on all of them): the rotations come first, qubit by qubit,
+# then the entangler gate.  The entangler "control" instead conditions the
+# later qubits' rotations on the first qubit, so CR is R on the control and
+# then the same R on the target controlled by it.  RCZ takes two or more
+# qubits: on three it is RCCZ, on all of them RnCZ.
+_PRIMITIVES = {
+    "R": (("grot",), (), None),
+    "RxRy": (("rx", "ry"), (), None),
+    "CNOT": ((), (), "cnot"),
+    "CZ": ((), (), "cz"),
+    "CR": (("grot",), ("grot",), "control"),
+    "RCN": (("ry", "rx"), ("ry", "rz"), "cnot"),
+    "RCNr": (("rz", "ry"), ("rx", "ry"), "cnot"),
+    "RCZ": (("rx", "ry"), ("rx", "ry"), "cz"),
+}
+# the real restriction: R becomes Ry, and Rx and Rz go
+_REAL_KINDS = {"grot": "ry", "ry": "ry"}
 
 
-@dataclass(frozen=True)
-class BlockInfo:
-    description: str
-    min_qubits: int = 2
-
-
-BLOCK_CATALOG: dict[int, BlockInfo] = {
-    0: BlockInfo("single-qubit rotations only, no entanglement"),
-    1: BlockInfo("rotations + linear CNOT chain"),
-    2: BlockInfo("linear RCN chain"),
-    3: BlockInfo("linear RCN, parallel (optimal depth)"),
-    4: BlockInfo("Rx/Ry rotations + linear CZ chain"),
-    5: BlockInfo("linear RCZ chain"),
-    6: BlockInfo("circular CR blocks"),
-    7: BlockInfo("rotations + circular CNOT ring"),
-    8: BlockInfo("circular RCN ring"),
-    9: BlockInfo("star RCNr, control on first qubit"),
-    10: BlockInfo("star RCNr, target on first qubit"),
-    11: BlockInfo("all-to-all RCN"),
-    12: BlockInfo("linear RCCZ", min_qubits=3),
-    13: BlockInfo("rotations + full n-controlled Z"),
-    14: BlockInfo("star RCNr centred on a system qubit"),
-    15: BlockInfo("circular RCN, parallel (optimal depth)"),
+# the qubit tuples a step's primitive acts on, in order, on N qubits
+_PATTERNS: dict[str, Callable[[int], list[tuple[int, ...]]]] = {
+    "each": lambda n: [(q,) for q in range(n)],
+    "down": lambda n: [(i, i + 1) for i in range(n - 2, -1, -1)],
+    "up": lambda n: [(i, i + 1) for i in range(n - 1)],
+    "even/odd": lambda n: [(i, i + 1) for i in (*range(0, n - 1, 2), *range(1, n - 1, 2))],
+    "closure": lambda n: [(0, n - 1)],
+    "ring": lambda n: [(i, (i + 1) % n) for i in range(n)],
+    "star from 0": lambda n: [(0, k) for k in range(1, n)],
+    "star into 0": lambda n: [(k, 0) for k in range(1, n)],
+    "star from 1": lambda n: [(1, k) for k in range(n) if k != 1],
+    "all pairs": lambda n: [(i, j) for i in range(n - 1) for j in range(i + 1, n)],
+    "triples": lambda n: [(i, i + 1, i + 2) for i in range(n - 2)],
+    "all": lambda n: [tuple(range(n))],
 }
 
 
-def _emit_block_layer(b: _Builder, block_id: int, n_qubits: int) -> None:
-    N = n_qubits
-    down = range(N - 2, -1, -1)
-    if block_id == 0:
-        for q in range(N):
-            b.grot(q)
-    elif block_id == 1:
-        for q in range(N):
-            b.grot(q)
-        for i in down:
-            b.gates.append(Gate("cnot", (i, i + 1)))
-    elif block_id == 2:
-        for i in down:
-            b.rcn(i, i + 1)
-    elif block_id == 3:
-        for i in range(0, N - 1, 2):
-            b.rcn(i, i + 1)
-        for i in range(1, N - 1, 2):
-            b.rcn(i, i + 1)
-    elif block_id == 4:
-        for q in range(N):
-            b.rot2(q, ("rx", "ry"))
-        for i in down:
-            b.gates.append(Gate("cz", (i, i + 1)))
-    elif block_id == 5:
-        for i in down:
-            b.rcz(i, i + 1)
-    elif block_id == 6:
-        for i in down:
-            b.cr(i, i + 1)
-        b.cr(0, N - 1)
-    elif block_id == 7:
-        for q in range(N):
-            b.grot(q)
-        for i in range(N - 1):
-            b.gates.append(Gate("cnot", (i, i + 1)))
-        b.gates.append(Gate("cnot", (N - 1, 0)))
-    elif block_id == 8:
-        for i in range(N - 1):
-            b.rcn(i, i + 1)
-        b.rcn(0, N - 1)
-    elif block_id == 9:
-        for k in range(1, N):
-            b.rcnr(0, k)
-    elif block_id == 10:
-        for k in range(1, N):
-            b.rcnr(k, 0)
-    elif block_id == 11:
-        for i in range(N - 1):
-            for j in range(i + 1, N):
-                b.rcn(i, j)
-    elif block_id == 12:
-        for i in range(N - 2):
-            b.rncz((i, i + 1, i + 2))
-    elif block_id == 13:
-        b.rncz(tuple(range(N)))
-    elif block_id == 14:
-        b.rcnr(1, 0)
-        for k in range(2, N):
-            b.rcnr(1, k)
-    elif block_id == 15:
-        for i in range(0, N - 1, 2):
-            b.rcn(i, i + 1)
-        for i in range(1, N - 1, 2):
-            b.rcn(i, i + 1)
-        b.rcn(0, N - 1)
-    else:
-        raise ValueError(f"unknown generic block id {block_id}")
+class _Block(NamedTuple):
+    description: str
+    min_qubits: int
+    steps: tuple[tuple[str, str], ...]
+
+
+# Row format: (description, min_qubits, steps), min_qubits counting the
+# ancilla.  A block's layer on N qubits is its (primitive, pattern) steps in
+# order, each applying the primitive to the pattern's qubit tuples in turn.
+# A generic ansatz is M copies of the layer, then U_s, an R on every qubit.
+BLOCK_CATALOG: dict[int, _Block] = {
+    0: _Block("single-qubit rotations only, no entanglement", 2, (("R", "each"),)),
+    1: _Block("rotations + linear CNOT chain", 2, (("R", "each"), ("CNOT", "down"))),
+    2: _Block("linear RCN chain", 2, (("RCN", "down"),)),
+    3: _Block("linear RCN, parallel (optimal depth)", 2, (("RCN", "even/odd"),)),
+    4: _Block("Rx/Ry rotations + linear CZ chain", 2, (("RxRy", "each"), ("CZ", "down"))),
+    5: _Block("linear RCZ chain", 2, (("RCZ", "down"),)),
+    6: _Block("circular CR blocks", 2, (("CR", "down"), ("CR", "closure"))),
+    7: _Block("rotations + circular CNOT ring", 2, (("R", "each"), ("CNOT", "ring"))),
+    8: _Block("circular RCN ring", 2, (("RCN", "up"), ("RCN", "closure"))),
+    9: _Block("star RCNr, control on first qubit", 2, (("RCNr", "star from 0"),)),
+    10: _Block("star RCNr, target on first qubit", 2, (("RCNr", "star into 0"),)),
+    11: _Block("all-to-all RCN", 2, (("RCN", "all pairs"),)),
+    12: _Block("linear RCCZ", 3, (("RCZ", "triples"),)),
+    13: _Block("rotations + full n-controlled Z", 2, (("RCZ", "all"),)),
+    14: _Block("star RCNr centred on a system qubit", 2, (("RCNr", "star from 1"),)),
+    15: _Block(
+        "circular RCN, parallel (optimal depth)", 2, (("RCN", "even/odd"), ("RCN", "closure"))
+    ),
+}
+
+
+def _gates_of(primitive: str, qubits: tuple[int, ...], real: bool) -> list[tuple]:
+    """The unnumbered gates (see :func:`_numbered`) of one primitive."""
+    first, later, entangler = _PRIMITIVES[primitive]
+    out = []
+    for i, q in enumerate(qubits):
+        kinds = later if i else first
+        if real:
+            kinds = [_REAL_KINDS[k] for k in kinds if k in _REAL_KINDS]
+        controls = qubits[:1] if i and entangler == "control" else ()
+        out += [(k, (q,), 3 if k == "grot" else 1, None, controls) for k in kinds]
+    if entangler in _FIXED:
+        out.append((entangler, qubits, 0, None, ()))
+    return out
+
+
+def _layer(steps: tuple[tuple[str, str], ...], n: int, real: bool) -> list[tuple]:
+    """The unnumbered gates (see :func:`_numbered`) of ``steps`` on n qubits."""
+    return [
+        g
+        for primitive, pattern in steps
+        for qubits in _PATTERNS[pattern](n)
+        for g in _gates_of(primitive, qubits, real)
+    ]
+
+
+def _numbered(n_qubits: int, gates: list[tuple], layer_slot_count: int) -> Circuit:
+    """The circuit of ``gates``, (kind, qubits, slot count, generator, controls)
+    rows, with their slots numbered in order by one running count."""
+    out, count = [], 0
+    for kind, qubits, k, generator, controls in gates:
+        out.append(Gate(kind, qubits, tuple(range(count, count + k)), generator, controls))
+        count += k
+    return Circuit(n_qubits, tuple(out), count, layer_slot_count)
 
 
 # --------------------------------------------------------------------------
@@ -837,16 +794,16 @@ class AnsatzSpec:
     def __post_init__(self):
         if self.family not in ("block", "gqsp"):
             raise ValueError(f"unknown ansatz family {self.family!r}")
+        if self.restriction not in (COMPLEX, REAL):
+            raise ValueError(f"unknown restriction {self.restriction!r}")
         if self.layers < 0:
             raise ValueError("layer count must be non-negative")
         if self.family == "block":
-            if self.block_id is None or not 0 <= self.block_id <= 15:
+            if self.block_id not in BLOCK_CATALOG:
                 raise ValueError("generic ansatz needs a block id in 0..15")
-            info = BLOCK_CATALOG[self.block_id]
-            if self.total_qubits < info.min_qubits:
-                raise ValueError(
-                    f"block {self.block_id} needs at least {info.min_qubits} qubits"
-                )
+            least = BLOCK_CATALOG[self.block_id].min_qubits
+            if self.total_qubits < least:
+                raise ValueError(f"block {self.block_id} needs at least {least} qubits")
         else:
             if len(self.generators) != self.layers:
                 raise ValueError("need one generator per layer")
@@ -862,23 +819,17 @@ class AnsatzSpec:
 
 
 def build_generic_ansatz(spec: AnsatzSpec) -> Circuit:
-    """M copies of the block's layer followed by the appended single-qubit
-    layer U_s on all qubits; the real restriction swaps every rotation for Ry."""
+    """M copies of the block's layer (its ``BLOCK_CATALOG`` steps) followed by
+    U_s, an R on every qubit.  R is a three-slot ``grot``; the real
+    restriction makes it an ``ry`` and drops every ``rx`` and ``rz``.
+    ``layer_slot_count`` is the slot count of the M layers, which come
+    first, so U_s holds the last slots."""
     if spec.family != "block":
         raise ValueError("spec does not describe a generic ansatz")
-    N = spec.total_qubits
-    b = _Builder(spec.restriction)
-    for _ in range(spec.layers):
-        _emit_block_layer(b, spec.block_id, N)
-    layer_slots = b.next_slot
-    for q in range(N):
-        b.grot(q)
-    return Circuit(
-        n_qubits=N,
-        gates=tuple(b.gates),
-        param_count=b.next_slot,
-        layer_slot_count=layer_slots,
-    )
+    n, real = spec.total_qubits, spec.restriction == REAL
+    layer = _layer(BLOCK_CATALOG[spec.block_id].steps, n, real)
+    u_s = _layer((("R", "each"),), n, real)
+    return _numbered(n, layer * spec.layers + u_s, spec.layers * sum(g[2] for g in layer))
 
 
 def build_gqsp_ansatz(generators: tuple[PauliSum, ...] | list[PauliSum], n: int) -> Circuit:
@@ -894,18 +845,11 @@ def build_gqsp_ansatz(generators: tuple[PauliSum, ...] | list[PauliSum], n: int)
     for g in gens:
         if g.n != n:
             raise ValueError("generator qubit count must match the system register")
-    b = _Builder(COMPLEX)
-    b.gates.append(Gate("grot", (0,), b.take(3)))
-    sys_qubits = tuple(range(1, n + 1))
+    system = tuple(range(1, n + 1))
+    gates = [("grot", (0,), 3, None, ())]
     for g in gens:
-        b.gates.append(Gate("gadget", sys_qubits, b.take(1), generator=g, controls=(0,)))
-        b.gates.append(Gate("grot", (0,), b.take(2)))
-    return Circuit(
-        n_qubits=n + 1,
-        gates=tuple(b.gates),
-        param_count=b.next_slot,
-        layer_slot_count=3 * len(gens),
-    )
+        gates += [("gadget", system, 1, g, (0,)), ("grot", (0,), 2, None, ())]
+    return _numbered(n + 1, gates, 3 * len(gens))
 
 
 def build_ansatz(spec: AnsatzSpec) -> Circuit:

@@ -78,10 +78,10 @@ class OptimizeOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("need at least one restart")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
+        for name in ("restarts", "max_iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 from dataclasses import replace
 
@@ -6,10 +8,10 @@ import pytest
 import scipy.linalg
 
 from oracles import block_spec, is_unitary, single_qubit_R
-from vbe import circuit as circ
 from vbe import symmetry
 from vbe.circuit import (
     BLOCK_CATALOG,
+    AnsatzSpec,
     Circuit,
     Gate,
     build_ansatz,
@@ -45,9 +47,12 @@ def gqsp_gens(seq):
 
 def cr_circuit(restriction, a=0, b=1, n=2):
     """One CR as block 6 emits it: R on qubit a, then R on b controlled by a."""
-    builder = circ._Builder(restriction)
-    builder.cr(a, b)
-    return Circuit(n_qubits=n, gates=tuple(builder.gates), param_count=builder.next_slot)
+    kind, k = ("grot", 3) if restriction == "complex" else ("ry", 1)
+    gates = (
+        Gate(kind, (a,), tuple(range(k))),
+        Gate(kind, (b,), tuple(range(k, 2 * k)), controls=(a,)),
+    )
+    return Circuit(n_qubits=n, gates=gates, param_count=2 * k)
 
 
 class TestSingleQubitR:
@@ -174,6 +179,57 @@ class TestParameterCounts:
         c = build_generic_ansatz(block_spec(11, n=3, layers=2))
         seen = [s for g in c.gates for s in g.slots]
         assert sorted(seen) == list(range(c.param_count))
+
+
+# sha256 of every block's gate list (kind, qubits, slots, controls, then the
+# core's), param_count and layer_slot_count over both restrictions, n = 1..4
+# system qubits (from the block's least), M = 0..3, plain and hermitized
+BLOCK_GATES_SHA256 = "d74ada4340a5342cf4098a23b58117de50c06794ccfa5ac45f3c3b103809b511"
+
+
+class TestBlockCatalog:
+    def test_gate_lists_are_pinned(self):
+        def rows(gates):
+            return tuple((g.kind, g.qubits, g.slots, g.controls) for g in gates)
+
+        h = hashlib.sha256()
+        for bid in sorted(BLOCK_CATALOG):
+            least = max(1, BLOCK_CATALOG[bid].min_qubits - 1)
+            for restriction, n, m, hermitian in itertools.product(
+                ("complex", "real"), range(least, 5), range(4), (False, True)
+            ):
+                c = build_ansatz(block_spec(bid, n, m, restriction, hermitian))
+                gates = rows(c.gates) + (("core",),) + rows(c.core or ())
+                h.update(repr((gates, c.param_count, c.layer_slot_count)).encode())
+        assert h.hexdigest() == BLOCK_GATES_SHA256
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            (dict(family="block", block_id=2, restriction="quaternion"), "unknown restriction"),
+            (dict(family="block", block_id=12), "block 12 needs at least 3 qubits"),
+            (dict(family="block", block_id=16), "block id in 0..15"),
+            (dict(family="block", block_id=-1), "block id in 0..15"),
+            (dict(family="block"), "block id in 0..15"),
+            (dict(family="qsvt", block_id=2), "unknown ansatz family"),
+        ],
+        ids=["restriction", "too-few-qubits", "id-16", "id-negative", "no-id", "family"],
+    )
+    def test_spec_refusals(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            AnsatzSpec(system_qubits=1, layers=1, **kwargs)
+
+    def test_dense_evaluation_cap(self):
+        # block 2 on 10 system qubits builds and counts, but its 2^11 x 2^11
+        # unitary is refused before anything is allocated
+        c = build_generic_ansatz(block_spec(2, n=10, layers=1))
+        assert c.n_qubits == 11
+        assert count_nonlocal_gates(c) == 10
+        with pytest.raises(ValueError, match="dense evaluation"):
+            evaluate(c, np.zeros(c.param_count))
+        # GQSP on 9 system qubits, 10 in all, is still evaluated
+        c = build_gqsp_ansatz(gqsp_gens([{"Z" * 9: 1j}]), n=9)
+        assert np.allclose(evaluate(c, np.zeros(c.param_count)), np.eye(1 << 10))
 
 
 class TestGqspAnsatz:

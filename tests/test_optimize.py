@@ -306,6 +306,14 @@ class TestMultistartEncode:
             optimize.OptimizeOptions(seed=seed)
         assert optimize.OptimizeOptions(seed=np.int64(7)).seed == 7
 
+    @pytest.mark.parametrize("field", ["restarts", "max_iterations"])
+    @pytest.mark.parametrize("value", [2.5, 10.0, 0], ids=["fraction", "float", "zero"])
+    def test_counts_must_be_positive_integers(self, field, value):
+        # a float count would reach range() in multistart_encode as a TypeError
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer, got {value}"):
+            optimize.OptimizeOptions(**{field: value})
+        assert getattr(optimize.OptimizeOptions(**{field: np.int64(3)}), field) == 3
+
     def test_reports_every_evaluation(self, monkeypatch):
         # no restart reaches an exact encoding in 40 iterations, so all 3 run
         calls = count_evaluations(monkeypatch)
