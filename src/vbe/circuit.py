@@ -37,17 +37,21 @@ a window are one op each, applied only where their outer controls are |1>.
 So block 2's RCN primitive is one op.  A window ``grot`` is three factors,
 diag(1, e^{i phi}) Ry(theta) diag(1, e^{i lam}), so every window slot is
 one factor exp(x K) with a constant generator K, conjugated by the
-factor's fold prefix.  Per theta, every factor, window embedding, fold and
-conjugation comes from a few batched array calls, and the gadget
-exponentials from a few per generator.  The window algebra is real: a
-complex 4 x 4 matrix A + iB is the 8 x 8 block [[A, -B], [B, A]], products
-map to products and the block's transpose is the adjoint's block, so the
-fold and the conjugations are float64 products of 8 x 8 blocks, which
-NumPy runs faster than complex 4 x 4 ones at these sizes.  Only the window
-ops and the conjugated generators leave the plan as complex matrices,
-read off each block's first block column.  The ops act on the
-reshaped axes of a ``(T, b) + (2,)*N + (cols,)`` tensor, so no gate is
-ever embedded in a 2^N x 2^N matrix.  ``evaluate`` applies them to the
+factor's fold prefix.  As exp(x K) = (I - Pi) + cos(s x) Pi + sin(s x) K / s
+for a projector Pi, such a factor in its window is B0 + cos(s x) B1 +
+sin(s x) B2 with three constant matrices per (kind, window qubit,
+control), tabled at import with the fixed factors.  Per theta, every
+factor comes from one expression and one index assignment, the folds and
+conjugations from a few batched products, and the gadget exponentials from
+a few per generator.  The window algebra is real: a complex 4 x 4 matrix
+A + iB is the 8 x 8 block [[A, -B], [B, A]], products map to products and
+the block's transpose is the adjoint's block, so the factors, the fold and
+the conjugations are float64 8 x 8 blocks, which NumPy multiplies faster
+than complex 4 x 4 ones at these sizes.  Only the window ops and the
+conjugated generators leave the plan as complex matrices, read off each
+block's first block column.  The ops act on the reshaped axes of a
+``(T, b) + (2,)*N + (cols,)`` tensor, so no gate is ever embedded in a
+2^N x 2^N matrix.  ``evaluate`` applies them to the
 identity.
 
 Every evaluation carries a leading theta axis T: a (T, param_count) theta
@@ -65,11 +69,14 @@ sweep over the same ops (the adjoint method of Jones & Gacon,
 arXiv:2009.02823), with O(d s 2^k) work per op and O(d s) extra memory.
 For a (B, r, s) stack of cotangents the same sweep carries one prefix row
 and B adjoint rows, so it gives B gradients for the cost of B + 1 rows, not
-2B; a single cotangent is the stack of one.  The block Jacobian, one row per
-unit cotangent, so costs a few sweeps.  The window ops' 2^k x 2^k
-environments are kept in one array, and the gradients are one contraction
-of them with the slots' generators and one ``bincount`` over the slots per
-cotangent.  No (param_count, d, d) derivative tensor is ever formed.
+2B; a single cotangent is the stack of one.  The sweep holds the complex
+conjugate of its state, which each op's adjoint moves as the op's
+transpose moves the conjugate, so it applies the transposes of the ops
+the forward sweep applied, as views: no adjoint is ever stored.  The
+block Jacobian, one row per unit cotangent, so costs a few sweeps.  The
+window ops' 2^k x 2^k environments are kept in one array, and the
+gradients are one contraction of them with the slots' generators and one
+``bincount`` over the slots per cotangent.  No (param_count, d, d) derivative tensor is ever formed.
 
 A circuit with a ``core`` (as ``hermitize`` builds it) is U V U^dagger with
 shared parameters: ``gates`` are U and ``core`` the parameter-free V.  Only
@@ -206,41 +213,21 @@ _GENERATORS = {
     "phase": (np.diag([0.0, 1.0j]), 1.0),
 }
 _FIXED = {"h": _H2, "cnot": _X2, "cz": _Z2}
-
-
-def _embedding(t: int, ctl: bool) -> tuple[np.ndarray, list[int], list[int]]:
-    """Where a 2 x 2 m on window qubit ``t`` (0 or 1) sits in its 4 x 4 window matrix.
-
-    Returns the window matrix for m = 0 and the flat positions that take
-    m's flat entries ``src``.  With ``ctl`` the other window qubit controls m
-    (P0 x I + P1 x m); otherwise m acts whatever that qubit holds, which in
-    a one-qubit window is a phantom.
-    """
-
-    def index(a: int, b: int) -> int:  # a on qubit t, b on the other
-        return 2 * a + b if t == 0 else 2 * b + a
-
-    zero = np.zeros((4, 4), dtype=np.complex128)
-    if ctl:
-        zero[[index(0, 0), index(1, 0)], [index(0, 0), index(1, 0)]] = 1.0
-    pairs = [
-        (4 * index(a, b) + index(a2, b), 2 * a + a2)
-        for b in ((1,) if ctl else (0, 1))
-        for a in (0, 1)
-        for a2 in (0, 1)
-    ]
-    return zero, [p for p, _ in pairs], [k for _, k in pairs]
-
-
-_EMBEDDINGS = {(t, ctl): _embedding(t, ctl) for t in (0, 1) for ctl in (False, True)}
+_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 
 
 def _embed(m: np.ndarray, t: int, ctl: bool) -> np.ndarray:
-    """The 4 x 4 window matrix of m (see :func:`_embedding`)."""
-    zero, dst, src = _EMBEDDINGS[t, ctl]
-    out = zero.copy()
-    out.reshape(-1)[dst] = m.reshape(-1)[src]
-    return out
+    """The 4 x 4 window matrix of a 2 x 2 m on window qubit ``t`` (0 or 1).
+
+    With ``ctl`` the other window qubit controls m (P0 x I + P1 x m);
+    otherwise m acts whatever that qubit holds, which in a one-qubit window
+    is a phantom.
+    """
+
+    def kron(a, b):  # a on qubit t, b on the other
+        return np.kron(a, b) if t == 0 else np.kron(b, a)
+
+    return kron(np.eye(2), _P0) + kron(m, _P1) if ctl else kron(m, np.eye(2))
 
 
 def _real_block(m: np.ndarray) -> np.ndarray:
@@ -267,46 +254,28 @@ def _complex(b: np.ndarray) -> np.ndarray:
 
 
 class _Slot(NamedTuple):
-    """The constants of a parametrized window factor exp(x K), as real blocks."""
+    """The constants of a parametrized window factor exp(x K), as real 8 x 8 blocks."""
 
     scale: float  # s, with x = s theta
-    kernel: np.ndarray  # (a0, a1, a2) as a (3, 4, 4) stack of real blocks
-    generator: np.ndarray  # K in the window, an 8 x 8 real block
-    pairs: list  # (flat 8 x 8 factor position, flat 4 x 4 kernel position)
+    terms: np.ndarray  # (B0, B1, B2), the factor B0 + cos(s x) B1 + sin(s x) B2
+    generator: np.ndarray  # K in the window
 
 
 def _window_slot(kind: str, t: int, ctl: bool) -> _Slot:
     """The :class:`_Slot` of a factor of ``kind`` on window qubit ``t`` (with
-    ``ctl`` as in :func:`_embedding`).
-
-    A complex entry (a, b) of the kernel fills (a + 2u, b + 2v) of its real
-    block and goes to (p + 4u, q + 4v) of the factor for window position
-    (p, q).  The factor's base is zero there, so only the kernel's nonzero
-    real slots are paired.
-    """
+    ``ctl`` as in :func:`_embed`): Pi and K / s embedded without the
+    control's P0 x I, which B0 holds with I - Pi."""
     k, s = _GENERATORS[kind]
-    # the kernel a0 + cos(s x) a1 + sin(s x) a2 of exp(x K): a2 = K/s, a1 = Pi
     a2 = k / s
     a1 = -a2 @ a2
-    kernel = _real_block(np.stack([np.eye(2) - a1, a1, a2]))
-    nonzero = np.any(kernel != 0, axis=0).ravel()
-    zero, dst, src = _EMBEDDINGS[t, ctl]
-    pairs = [
-        (p + p // 4 * 4 + 32 * u + 4 * v, q + q // 2 * 2 + 8 * u + 2 * v)
-        for p, q in zip(dst, src)
-        for u in (0, 1)
-        for v in (0, 1)
-    ]
-    generator = _real_block(_embed(k, t, ctl) - zero)
-    return _Slot(s, kernel, generator, [x for x in pairs if nonzero[x[1]]])
+    idle = _embed(np.zeros((2, 2)), t, ctl)  # P0 x I under a control, else zero
+    terms = [_embed(np.eye(2) - a1, t, ctl), _embed(a1, t, ctl) - idle, _embed(a2, t, ctl) - idle]
+    return _Slot(s, _real_block(np.stack(terms)), _real_block(_embed(k, t, ctl) - idle))
 
 
-_WINDOW_SLOTS = {
-    (kind, t, ctl): _window_slot(kind, t, ctl)
-    for kind in _GENERATORS
-    for t in (0, 1)
-    for ctl in (False, True)
-}
+_WINDOWS = [(t, ctl) for t in (0, 1) for ctl in (False, True)]
+_WINDOW_SLOTS = {(kind, *w): _window_slot(kind, *w) for kind in _GENERATORS for w in _WINDOWS}
+_WINDOW_FIXED = {(k, *w): _real_block(_embed(m, *w)) for k, m in _FIXED.items() for w in _WINDOWS}
 
 
 class _Plan:
@@ -320,17 +289,18 @@ class _Plan:
     holds a phantom second qubit, dropped from its 2 x 2 op): one per fixed
     or one-slot gate and three per ``grot``, first applied first.  Each slot
     belongs to one factor exp(x K) with a constant generator K.
-    :meth:`lower` builds every factor with one batched kernel, folds the
-    runs by prefix products and conjugates each K by its factor's prefix P.
+    :meth:`lower` builds every such factor whole, B0 + cos(s x) B1 +
+    sin(s x) B2 with the constant ``terms`` of its (kind, window qubit,
+    control), places them among the fixed factors of ``base`` with one
+    index assignment (``entry_factor``), folds the runs by prefix products
+    and conjugates each K by its factor's prefix P.
 
-    The factors, their fixed ``base``, the kernels and the generators
-    ``kbase`` are stored as real blocks [[Re, -Im], [Im, Re]] (8 x 8 for a
-    window matrix, 4 x 4 for a one-qubit kernel), and ``scatter`` sends
-    each nonzero real kernel slot to its slot of the factor.  So the
-    fold is a product of real blocks and the conjugation P^T K P, because
-    the block transpose is the adjoint.  The window arithmetic is complex
-    only at the boundary: an op matrix or a conjugated generator is
-    B[:4, :4] + i B[4:, :4] of its block B.
+    The factors, their terms and the generators ``kbase`` are stored as
+    real 8 x 8 blocks [[Re, -Im], [Im, Re]] of the 4 x 4 window matrices.
+    So the fold is a product of real blocks and the conjugation P^T K P,
+    because the block transpose is the adjoint.  The window arithmetic is
+    complex only at the boundary: an op matrix or a conjugated generator
+    is B[:4, :4] + i B[4:, :4] of its block B.
     """
 
     def __init__(self, c: Circuit):
@@ -374,36 +344,28 @@ class _Plan:
         lengths = [len(f) for _, f in windows]
         self.active = [sum(n > j for n in lengths) for j in range(max(lengths, default=1))]
         self.last = (np.array(lengths, dtype=int) - 1, np.arange(len(windows)))
-        base = np.zeros((len(self.active), len(windows), 4, 4), dtype=np.complex128)
+        self.base = np.zeros((len(self.active), len(windows), 8, 8))
 
         # one entry per parametrized factor, unconjugated first factors first
         entries = []
         for r, (_, factors) in enumerate(windows):
             for j, (kind, slot, t, ctl) in enumerate(factors):
                 if slot is None:
-                    base[j, r] = _embed(_FIXED[kind], t, ctl)
+                    self.base[j, r] = _WINDOW_FIXED[kind, t, ctl]
                 else:
-                    base[j, r] = _EMBEDDINGS[t, ctl][0]
                     entries.append((j, r, slot, _WINDOW_SLOTS[kind, t, ctl]))
-        self.base = _real_block(base)
         entries.sort(key=lambda e: e[0] > 0)
         self.n_first = sum(e[0] == 0 for e in entries)
         slots = [e[2] for e in entries]
         consts = [e[3] for e in entries]
         self.angle_scale = np.array([c.scale for c in consts])
-        self.kernel = tuple(
-            np.array([c.kernel[i] for c in consts]).reshape(-1, 1, 4, 4) for i in range(3)
+        self.terms = tuple(
+            np.array([c.terms[i] for c in consts]).reshape(-1, 1, 8, 8) for i in range(3)
         )
         self.kbase = np.array([c.generator for c in consts]).reshape(-1, 8, 8)
-        # each entry's factor, flat position in the factor, and kernel slot
-        scatter = [
-            (j * len(windows) + r, pos, e, k)
-            for e, (j, r, _, const) in enumerate(entries)
-            for pos, k in const.pairs
-        ]
-        self.scatter = np.array(scatter, dtype=int).reshape(-1, 4).T
+        # each entry's factor in the raveled (fold steps x windows) base
+        self.entry_factor = np.array([j * len(windows) + r for j, r, *_ in entries], dtype=int)
         self._slots: dict[int, np.ndarray] = {}
-        self._scatter: dict[int, tuple] = {}
         self.n_params = c.param_count
         self.identity = np.eye(c.dim, dtype=np.complex128)[None]
         later = [(j - 1, r) for j, r, *_ in entries[self.n_first :]]
@@ -453,25 +415,9 @@ class _Plan:
             self._slots[t] = (self.entry_slots[:, None] + self.n_params * np.arange(t)).ravel()
         return self._slots[t]
 
-    def scatter_index(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Into the raveled (factors, t, 8, 8) real window factors and
-        (entries, t, 4, 4) real kernels, the scatter of the kernels into
-        their factors.  Both indices are built once per width ``t`` and are
-        flat, which keeps every gather and scatter on NumPy's
-        one-dimensional fast path.
-        """
-        if t not in self._scatter:
-            rows = np.arange(t)
-            factor, pos, entry, k = (a[:, None] for a in self.scatter)
-            self._scatter[t] = (
-                ((factor * t + rows) * 64 + pos).ravel(),
-                ((entry * t + rows) * 16 + k).ravel(),
-            )
-        return self._scatter[t]
-
-    def lower(self, theta: np.ndarray) -> tuple[list, list, np.ndarray]:
-        """Each op's matrix and its adjoint at every row of ``theta`` (T, P),
-        as (T, 1, 1, 2^k, 2^k) arrays, and the window entries' generators
+    def lower(self, theta: np.ndarray) -> tuple[list, np.ndarray]:
+        """Each op's matrix at every row of ``theta`` (T, P), as a
+        (T, 1, 1, 2^k, 2^k) array, and the window entries' generators
         P^dagger K P as an (entries, T, 4, 4) array.
 
         The window factors, their fold and the conjugations are real 8 x 8
@@ -479,31 +425,33 @@ class _Plan:
         column of each product taken out is needed, so P^T K P is formed as
         P^T (K P[:, :4]).  Every array is laid out factor or op first and
         theta row second, so the fold, the conjugation and each op index it
-        as for one row.
+        as for one row.  No adjoint is formed: the backward sweep applies
+        each op's transpose to the conjugate of its state.
         """
         t = theta.shape[0]
-        dst, src = self.scatter_index(t)
         values = theta.ravel()[self.slot_index(t)].reshape(-1, t)
-        x = self.angle_scale[:, None] * values[: len(self.angle_scale)]
-        a0, a1, a2 = self.kernel
-        local = a0 + np.cos(x)[..., None, None] * a1 + np.sin(x)[..., None, None] * a2
+        x = (self.angle_scale[:, None] * values[: len(self.angle_scale)])[..., None, None]
+        b0, b1, b2 = self.terms
+        factors = np.cos(x) * b1
+        factors += b0
+        factors += np.sin(x) * b2
         emb = self.base[:, :, None].repeat(t, 2)
-        emb.reshape(-1)[dst] = local.reshape(-1)[src]
+        emb.reshape(-1, t, 8, 8)[self.entry_factor] = factors
+        # freed before the conjugation, which would otherwise raise the
+        # call's peak past the point where the heap is given back and
+        # faulted in again on every call (at T = 3 for block 2 n=3 M=11)
+        del factors
         for j, n in enumerate(self.active[1:], 1):
             np.matmul(emb[j, :n], emb[j - 1, :n], out=emb[j, :n])
         kw = self.kbase[:, None, :, :4].repeat(t, 1)
         p = emb[self.conj_at]
         kw[self.n_first :] = p.mT @ (self.kbase[self.n_first :, None] @ p[..., :4])
         ops = _complex(emb[self.last][..., :4])[:, :, None, None]
-        mats, adjs = [ops], [np.conjugate(ops).mT]
+        mats = [ops, ops[..., ::2, ::2]]
         for w, v, vh, _, count, first in self.gadgets:
             phases = np.exp(-1j * np.multiply.outer(values[first : first + count], w))
-            m = ((v * phases[..., None, :]) @ vh)[:, :, None, None]
-            mats.append(m)
-            adjs.append(np.conjugate(m).mT)
-        for a in (mats, adjs):
-            a.insert(1, a[0][..., ::2, ::2])
-        return [mats[a][i] for a, i in self.where], [adjs[a][i] for a, i in self.where], _complex(kw)
+            mats.append(((v * phases[..., None, :]) @ vh)[:, :, None, None])
+        return [mats[a][i] for a, i in self.where], _complex(kw)
 
 
 def _apply(m: np.ndarray, op: tuple, state: np.ndarray) -> np.ndarray:
@@ -542,22 +490,28 @@ def evaluate(c: Circuit, theta) -> np.ndarray:
 
 
 def _pullback_sweep(
-    plan: _Plan, adjs: list, kw: np.ndarray, u: np.ndarray, w: np.ndarray
+    plan: _Plan, mats: list, kw: np.ndarray, u: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
     """Gradients of Re <w_tb, U_t[:r, :s]>_F over the slots of the plan's ops.
 
-    ``u`` is the (T, d, d) stack of products of the ops (U_t = O_L ... O_1
-    at theta row t), ``adjs`` their adjoints and ``w`` a (T, B, r, s) stack
-    of cotangents, B per theta row; the result is a (T, B, param_count)
+    ``u`` is the (T, d, d) stack of products of the ops ``mats`` (U_t =
+    O_L ... O_1 at theta row t) and ``w`` a (T, B, r, s) stack of
+    cotangents, B per theta row; the result is a (T, B, param_count)
     array.  One backward sweep carries a (T, 1 + B, d, s) state: per row
     the prefix U[:, :s], un-computed by each O_j^dagger (every op is
     unitary) into P_j = O_{j-1} ... O_1 [:, :s], and B adjoint rows
     lambda_b, each ``w_b`` embedded in rows :r and moved back by the same
-    O_j^dagger, so the prefix is shared by the whole stack.  After O_j is
-    undone, its 2^k x 2^k environments E_b = sum conj(lambda_b) P^T over
-    the op's controlled subspace come from one product of the B adjoint
-    rows, stacked, with the prefix; a slot of O_j with generator
-    K = O_j^dagger dO_j adds Re sum(K * E_b).  Window environments go into
+    O_j^dagger, so the prefix is shared by the whole stack.  The state is
+    held as its complex conjugate, which O_j^dagger moves as O_j^T moves
+    the conjugate, so the sweep applies ``m.mT``, a view of the op the
+    forward sweep applied, and no adjoint is stored.  conj(A^dagger x) =
+    A^T conj(x) holds term by term in floating point and both operands
+    keep their memory layout, so this is the sweep with adjoints bit for
+    bit.  After O_j is undone, its 2^k x 2^k environments
+    E_b = sum conj(lambda_b) P^T over the op's controlled subspace come
+    from one product of the B adjoint rows, stacked, with the conjugated
+    prefix; a slot of O_j with generator K = O_j^dagger dO_j adds
+    Re sum(K * E_b).  Window environments go into
     one array, contracted with every window slot's K at the end; a
     gadget's, as large as its generator, is contracted at once, so only
     its sums are kept.  One ``bincount`` then adds the sums up by slot,
@@ -565,15 +519,15 @@ def _pullback_sweep(
     O((1 + B) d s 2^k) per theta row and the extra memory
     O(T (1 + B) d s).  Every product keeps the shape it has for one row, so
     row t equals the sweep of theta row t alone bit for bit.  For a circuit
-    with a core ``adjs`` are U's and ``w`` holds the cotangents G of
+    with a core ``mats`` are U's and ``w`` holds the cotangents G of
     :func:`evaluate_with_gradients`, which have d columns, so the state is
     (T, 1 + B, d, d).
     """
     t, b, r, s = w.shape
     d = u.shape[1]
     state = np.zeros((t, 1 + b, d, s), dtype=np.complex128)
-    state[:, 0] = u[:, :, :s]
-    state[:, 1:, :r] = w
+    np.conjugate(u[:, :, :s], out=state[:, 0])
+    np.conjugate(w, out=state[:, 1:, :r])
     state = state.reshape((t, 1 + b) + (2,) * (d.bit_length() - 1) + (s,))
     # each window's B environments stacked as one (B * 4) x 4 matrix; a
     # one-qubit window's 2 x 2 ones are every other row and column of it
@@ -581,16 +535,16 @@ def _pullback_sweep(
     env = np.zeros((n_runs, t, b * 4, 4), dtype=np.complex128)
     envs = [env, env[..., ::2, ::2]]
     sums = np.empty((len(plan.entry_slots), t, b), dtype=np.complex128)
-    for m, op in zip(reversed(adjs), reversed(plan.ops)):
+    for m, op in zip(reversed(mats), reversed(plan.ops)):
         (a, i), _, view, _, has_slots = op
-        out = _apply(m, op, state)
+        out = _apply(m.mT, op, state)
         if has_slots:
             # per theta row, the prefix as a 2^k x (lead * rest) matrix and
             # the adjoint rows as B of them stacked below it, target index
             # first, in one copy; ``np.conjugate`` skips the method's slower
             # dispatch
             rows = out.transpose(0, 1, 3, 2, 4).reshape(t, (1 + b) * view[1], -1)
-            lam, prefix = np.conjugate(rows[:, view[1] :]), rows[:, : view[1]].mT
+            lam, prefix = rows[:, view[1] :], np.conjugate(rows[:, : view[1]]).mT
             if a < 2:
                 np.matmul(lam, prefix, out=envs[a][i])
             else:
@@ -616,10 +570,12 @@ def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
     (r, s) and returns the real vector
     d/d(theta_k) Re <w, u[:r, :s]>_F of length ``param_count``, from one
     backward sweep over the ops (:func:`_pullback_sweep`, after Jones
-    & Gacon, arXiv:2009.02823).  It also takes a (B, r, s) stack of
-    cotangents and returns a (B, param_count) array, one row per
-    cotangent, from one sweep that shares the prefix across the stack; a
-    single cotangent is the stack of one.  Each call costs O((1 + B) d s 2^k)
+    & Gacon, arXiv:2009.02823), which applies the transposes of the very
+    matrices the forward sweep applied; ``pullback`` keeps those and no
+    adjoints.  It also takes a (B, r, s) stack of cotangents and returns a
+    (B, param_count) array, one row per cotangent, from one sweep that
+    shares the prefix across the stack; a single cotangent is the stack of
+    one.  Each call costs O((1 + B) d s 2^k)
     per op and O((1 + B) d s) extra memory; no (param_count, d, d)
     derivative tensor exists.  So the real Jacobian of u[:r, :s], whose
     rows are the pullbacks of the 2 r s unit cotangents E_ij and i E_ij,
@@ -642,7 +598,7 @@ def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
     if rows.ndim != 2 or rows.shape[1] != c.param_count:
         raise ValueError(f"expected {c.param_count} parameters, got shape {theta.shape}")
     t = rows.shape[0]
-    mats, adjs, kw = c._plan.lower(rows)
+    mats, kw = c._plan.lower(rows)
     u = half = _forward(c, mats, t)
     if c.core is not None:
         uv = half @ c._dense_core
@@ -657,7 +613,7 @@ def evaluate_with_gradients(c: Circuit, theta) -> tuple[np.ndarray, Callable]:
             g[:, :, :r] = stack @ (half[:, None, :s] @ np.conjugate(c._dense_core).T)
             g[:, :, :s] += np.conjugate(stack).mT @ uv[:, None, :r]
             stack = g
-        grads = _pullback_sweep(c._plan, adjs, kw, half, stack)
+        grads = _pullback_sweep(c._plan, mats, kw, half, stack)
         return grads.reshape(w.shape[:-2] + (c.param_count,))
 
     return (u[0] if theta.ndim < 2 else u), pullback
@@ -779,7 +735,8 @@ class AnsatzSpec:
 
     ``family`` is "block" (generic layered circuit, ``block_id`` 0..15) or
     "gqsp" (symmetric ansatz with an explicit per-layer generator sequence).
-    Both use one ancilla, qubit 0.
+    Both use one ancilla, qubit 0.  ``layers`` is a non-negative integer
+    (``int`` or a NumPy integer).
     """
 
     family: str
@@ -796,8 +753,8 @@ class AnsatzSpec:
             raise ValueError(f"unknown ansatz family {self.family!r}")
         if self.restriction not in (COMPLEX, REAL):
             raise ValueError(f"unknown restriction {self.restriction!r}")
-        if self.layers < 0:
-            raise ValueError("layer count must be non-negative")
+        if not isinstance(self.layers, (int, np.integer)) or self.layers < 0:
+            raise ValueError(f"layer count must be a non-negative integer, got {self.layers!r}")
         if self.family == "block":
             if self.block_id not in BLOCK_CATALOG:
                 raise ValueError("generic ansatz needs a block id in 0..15")

@@ -540,7 +540,7 @@ def layer_threshold_search(
 ) -> ThresholdSearchResult:
     """Find the smallest layer count with at least one exact encoding.
 
-    Starts at ``start`` (at least 1), by default 5% above
+    Starts at ``start`` (an integer, at least 1), by default 5% above
     :func:`~vbe.resources.threshold_layers` of the family's one-layer
     circuit for the class dimension below, and decrements down to one
     layer.  Each M runs :func:`multistart_encode` on its candidates in
@@ -596,8 +596,8 @@ def layer_threshold_search(
     est = threshold_layers(build_ansatz(one_layer), class_dim)
     if start is None:
         start = max(1, int(np.ceil(1.05 * max(est, 1))))
-    if start < 1:
-        raise ValueError(f"start must be at least 1, got {start}")
+    if not isinstance(start, (int, np.integer)) or start < 1:
+        raise ValueError(f"start must be an integer of at least 1, got {start!r}")
 
     def attempt(m: int) -> EncodeReport:
         reports = []

@@ -131,7 +131,10 @@ class PauliSum:
 
     @classmethod
     def from_terms(cls, terms: dict[str, complex]) -> "PauliSum":
-        """Build from a {letters: coeff} mapping, e.g. {"ZZI": 1j}."""
+        """Build from a {letters: coeff} mapping, e.g. {"ZZI": 1j}.
+
+        A NaN or infinite coefficient raises ``ValueError`` naming its string.
+        """
         if not terms:
             raise ValueError("cannot infer qubit count from an empty mapping")
         lengths = {len(s) for s in terms}
@@ -143,6 +146,9 @@ class PauliSum:
         # distinct letter strings are distinct keys, so sorting is all the combining
         keys = np.array([PauliString.from_letters(s).key for s in terms], dtype=np.int64)
         coeffs = np.array([complex(c) for c in terms.values()], dtype=np.complex128)
+        for s, c in zip(terms, coeffs):
+            if not np.isfinite(c):
+                raise ValueError(f"coefficient of {s} is not finite: {c}")
         order = np.argsort(keys)
         return sum_from_packed(n, keys[order], coeffs[order])
 

@@ -259,42 +259,34 @@ def _complex_blocks(b: np.ndarray) -> np.ndarray:
     return b[..., :k, :k] + 1j * b[..., k:, :k]
 
 
-def lower_complex(plan, theta) -> tuple[list, list, np.ndarray]:
+def lower_complex(plan, theta) -> tuple[list, np.ndarray]:
     """What ``plan.lower(theta)`` returns, from complex 4 x 4 arithmetic.
 
-    The plan's real 8 x 8 factor bases, 4 x 4 kernels and generators are
-    read back as complex matrices, and its real scatter as the complex one
-    (each real slot names its complex entry by its position modulo 4, and
-    its kernel entry modulo 2).  The window factors are then built, folded
-    by prefix products and conjugated as P^dagger K P in complex128, as the
-    plan did before its window algebra went real.  Returns the ops, their
-    adjoints and the conjugated generators.
+    The plan's real 8 x 8 fixed factors, factor terms and generators are
+    read back as complex matrices.  Each parametrized factor is then built
+    as B0 + cos(s x) B1 + sin(s x) B2 and put in its place, and the factors
+    are folded by prefix products and conjugated as P^dagger K P in
+    complex128, as the plan did before its window algebra went real.
+    Returns the ops and the conjugated generators.
     """
     t = theta.shape[0]
     values = theta.ravel()[plan.slot_index(t)].reshape(-1, t)
     x = plan.angle_scale[:, None] * values[: len(plan.angle_scale)]
-    a0, a1, a2 = (_complex_blocks(k) for k in plan.kernel)
-    local = a0 + np.cos(x)[..., None, None] * a1 + np.sin(x)[..., None, None] * a2
+    b0, b1, b2 = (_complex_blocks(b) for b in plan.terms)
+    factors = b0 + np.cos(x)[..., None, None] * b1 + np.sin(x)[..., None, None] * b2
     emb = _complex_blocks(plan.base)[:, :, None].repeat(t, 2)
-    factor, pos, entry, k = plan.scatter
-    entries = np.stack([factor, pos // 8 % 4, pos % 4, entry, k // 4 % 2, k % 2])
-    f, row, col, e, a, b = np.unique(entries, axis=1)
-    emb.reshape(-1, t, 4, 4)[f, :, row, col] = local[e, :, a, b]
+    emb.reshape(-1, t, 4, 4)[plan.entry_factor] = factors
     for j, n in enumerate(plan.active[1:], 1):
         emb[j, :n] = emb[j, :n] @ emb[j - 1, :n]
     kw = _complex_blocks(plan.kbase)[:, None].repeat(t, 1)
     p = emb[plan.conj_at]
     kw[plan.n_first :] = p.conj().mT @ kw[plan.n_first :] @ p
     ops = emb[plan.last][:, :, None, None]
-    mats, adjs = [ops], [ops.conj().mT]
+    mats = [ops, ops[..., ::2, ::2]]
     for w, v, vh, _, count, first in plan.gadgets:
         phases = np.exp(-1j * np.multiply.outer(values[first : first + count], w))
-        m = ((v * phases[..., None, :]) @ vh)[:, :, None, None]
-        mats.append(m)
-        adjs.append(m.conj().mT)
-    for ms in (mats, adjs):
-        ms.insert(1, ms[0][..., ::2, ::2])
-    return [mats[a][i] for a, i in plan.where], [adjs[a][i] for a, i in plan.where], kw
+        mats.append(((v * phases[..., None, :]) @ vh)[:, :, None, None])
+    return [mats[a][i] for a, i in plan.where], kw
 
 
 def _closure_per_element(n, seeds, multipliers, products, orbits, start=0) -> list[PauliSum]:

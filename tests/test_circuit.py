@@ -219,6 +219,15 @@ class TestBlockCatalog:
         with pytest.raises(ValueError, match=match):
             AnsatzSpec(system_qubits=1, layers=1, **kwargs)
 
+    @pytest.mark.parametrize("layers", [2.5, 2.0])
+    def test_non_integer_layers_are_refused(self, layers):
+        with pytest.raises(ValueError, match=f"integer, got {layers}"):
+            AnsatzSpec("block", 2, layers, block_id=2)
+
+    def test_numpy_integer_layers_build(self):
+        spec = AnsatzSpec("block", 2, np.int64(2), block_id=2)
+        assert build_ansatz(spec).gates == build_ansatz(block_spec(2, n=2, layers=2)).gates
+
     def test_dense_evaluation_cap(self):
         # block 2 on 10 system qubits builds and counts, but its 2^11 x 2^11
         # unitary is refused before anything is allocated

@@ -588,6 +588,13 @@ class TestLayerThresholdSearch:
         with pytest.raises(ValueError, match="start"):
             optimize.layer_threshold_search(target, family, opts, start=start)
 
+    @pytest.mark.parametrize("start", [2.5, 2.0])
+    def test_non_integer_start_is_refused(self, start):
+        family = AnsatzSpec(family="block", system_qubits=2, layers=1, block_id=2)
+        target, opts = TargetSpec(np.eye(4), 1.0), optimize.OptimizeOptions()
+        with pytest.raises(ValueError, match=f"start must be an integer .*, got {start}"):
+            optimize.layer_threshold_search(target, family, opts, start=start)
+
 
 class TestInverseHessianUpdate:
     """The BFGS inverse-Hessian update as one symmetric rank-2 term."""

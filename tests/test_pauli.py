@@ -451,6 +451,14 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_pauli_sum("1 ZZ")
 
+    @pytest.mark.parametrize("line", ["nan 0 XX", "1 nan ZZ", "inf 0 XX", "1e400 0 XY"])
+    def test_non_finite_coefficient_is_refused(self, line):
+        letters = line.split()[-1]
+        with pytest.raises(ValueError, match=f"coefficient of {letters} is not finite"):
+            parse_pauli_sum(line)
+        with pytest.raises(ValueError, match=f"coefficient of {letters} is not finite"):
+            parse_generator_file("0 1 ZZ\n\n" + line)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_zero_sum_roundtrip(self, n):
         text = format_pauli_sum(PauliSum.zero(n))

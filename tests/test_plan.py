@@ -16,6 +16,8 @@ from test_circuit import pulled_back_jacobian
 from vbe import optimize, symmetry
 from vbe.circuit import (
     BLOCK_CATALOG,
+    Circuit,
+    Gate,
     build_ansatz,
     build_generic_ansatz,
     build_gqsp_ansatz,
@@ -50,15 +52,15 @@ def block_variants(block_id, restriction, n, layers):
 
 class TestRealBlockLowering:
     """The plan's real 8 x 8 window algebra against the complex 4 x 4 fold
-    and conjugation it replaced: every op, adjoint and conjugated generator
-    to 1e-14 absolute."""
+    and conjugation it replaced: every op and conjugated generator to 1e-14
+    absolute."""
 
     TOL = 1e-14
 
     def assert_lowering(self, c, theta):
         got, want = c._plan.lower(theta), lower_complex(c._plan, theta)
-        assert len(got[2]) > 0
-        for ours, ref in zip(got[0] + got[1] + [got[2]], want[0] + want[1] + [want[2]]):
+        assert len(got[1]) > 0
+        for ours, ref in zip(got[0] + [got[1]], want[0] + [want[1]]):
             assert ours.shape == ref.shape
             assert np.max(np.abs(ours - ref)) <= self.TOL
 
@@ -122,6 +124,41 @@ class TestJacobianAgainstOracle:
         assert_jacobian_is_oracle_difference(gqsp_circuit(kind, 2, 3, rng, hermitian), rng)
 
 
+class TestWindowFactors:
+    """Every entry of the window-factor tables, one gate on one window qubit,
+    against the dense oracle: the unitary to 1e-12 and the pullback against
+    central differences.  An ``h`` before it and an ``ry`` after it on the
+    other window qubit share its window, so the gate is one factor of a
+    product and its slots are conjugated by a prefix."""
+
+    @staticmethod
+    def assert_matches_oracle(c, rng):
+        theta = rng.uniform(-np.pi, np.pi, size=c.param_count)
+        assert np.max(np.abs(evaluate(c, theta) - dense_unitary(c, theta))) <= 1e-12
+        assert_jacobian_is_oracle_difference(c, rng)
+
+    @pytest.mark.parametrize("ctl", [False, True])
+    @pytest.mark.parametrize("t", [0, 1])
+    @pytest.mark.parametrize(
+        "kind,slots", [("rx", 1), ("ry", 1), ("rz", 1), ("grot", 2), ("grot", 3), ("h", 0)]
+    )
+    def test_single_qubit_kind(self, rng, kind, slots, t, ctl):
+        other = 1 - t
+        gate = Gate(kind, (t,), tuple(range(slots)), controls=(other,) if ctl else ())
+        gates = (Gate("h", (other,)), gate, Gate("ry", (other,), (slots,)))
+        c = Circuit(2, gates, slots + 1)
+        assert len(c._plan.runs) == 1
+        self.assert_matches_oracle(c, rng)
+
+    @pytest.mark.parametrize("qubits", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("kind", ["cnot", "cz"])
+    def test_two_qubit_kind(self, rng, kind, qubits):
+        gates = (Gate("ry", (0,), (0,)), Gate("rx", (1,), (1,)), Gate(kind, qubits))
+        c = Circuit(2, gates + (Gate("grot", (0,), (2, 3, 4)),), 5)
+        assert len(c._plan.runs) == 1
+        self.assert_matches_oracle(c, rng)
+
+
 class TestOpCounts:
     @pytest.mark.parametrize("n,layers,ops", [(3, 11, 34), (2, 5, 11)])
     def test_block2_window_runs(self, n, layers, ops):
@@ -136,20 +173,20 @@ class TestOpCounts:
 
 
 class TestIndexCache:
-    """A sweep of B cotangents per theta row reads only the slot index of
-    width T * B; the kernel scatter is built for the lowering's width T."""
+    """The plan's one index cache is the slot index, built per width: T for
+    the lowering and T * B for a sweep of B cotangents per theta row."""
 
     def test_stacked_sweep_builds_no_scatter(self, rng):
         c = build_generic_ansatz(block_spec(2, n=3, layers=2))
         _, pullback = evaluate_with_gradients(c, rng.uniform(-np.pi, np.pi, c.param_count))
         pullback(np.ones((32, 8, 8), dtype=complex))
-        assert (sorted(c._plan._slots), sorted(c._plan._scatter)) == ([1, 32], [1])
+        assert sorted(c._plan._slots) == [1, 32]
 
     def test_lockstep_sweep_reuses_the_lowering_width(self, rng):
         c = build_generic_ansatz(block_spec(2, n=3, layers=2))
         _, pullback = evaluate_with_gradients(c, rng.uniform(-np.pi, np.pi, (4, c.param_count)))
         pullback(np.ones((4, 8, 8), dtype=complex))
-        assert (sorted(c._plan._slots), sorted(c._plan._scatter)) == ([4], [4])
+        assert sorted(c._plan._slots) == [4]
 
 
 def test_multistart_bytes_do_not_depend_on_other_circuits():
