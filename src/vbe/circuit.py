@@ -890,7 +890,17 @@ def rotation_cnots(weight: int, controls: int) -> int:
 
 
 def _gadget_string_weights(g: Gate) -> list[int]:
-    return [p.weight for p in g.generator.strings()]
+    """The weights of a gadget's strings, refused unless they pairwise commute.
+
+    One basis-change ladder per string compiles exp(theta G) only then.  Two
+    strings commute when popcount(x_p & z_q) + popcount(z_p & x_q) is even.
+    """
+    gen = g.generator
+    x, z = gen.keys >> gen.n, gen.keys & ((1 << gen.n) - 1)
+    flips = np.bitwise_count(x[:, None] & z) + np.bitwise_count(z[:, None] & x)
+    if np.any(flips & 1):
+        raise ValueError("no gate count for a gadget whose strings do not pairwise commute")
+    return [p.weight for p in gen.strings()]
 
 
 def _applied_gates(c: Circuit) -> tuple[Gate, ...]:
@@ -905,6 +915,10 @@ def count_nonlocal_gates(c: Circuit) -> int:
     conditioned on the others; with one condition it is native and counts
     1, otherwise ``mc1q``.  Each string of a Pauli gadget, and each
     single-qubit gate as a weight-1 string, costs :func:`rotation_cnots`.
+    That compiles a gadget only when its strings pairwise commute, so a
+    gadget whose strings do not raises ``ValueError``, here and in
+    :func:`count_multiqubit_gates`; an encode or a search over such a
+    circuit raises it once it builds a report.
     """
     total = 0
     for g in _applied_gates(c):

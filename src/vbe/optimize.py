@@ -47,6 +47,7 @@ from typing import ClassVar, Generator
 import numpy as np
 
 from vbe.circuit import (
+    REAL,
     AnsatzSpec,
     Circuit,
     build_ansatz,
@@ -531,6 +532,25 @@ def _rank_screen(
     )
 
 
+# Relative Frobenius size of A - A^dagger (or of Im A) above which a
+# hermitian (or real) family refuses a target.
+_CLASS_RTOL = 1e-12
+
+
+def _refuse_outside_class(target: TargetSpec, hermitian: bool, real: bool) -> None:
+    """Refuse a target that the family's blocks cannot equal.
+
+    A hermitized circuit's block is hermitian and a real circuit's block is
+    real, so a search for a target outside that class could never be exact.
+    """
+    a = target.matrix
+    tol = _CLASS_RTOL * np.linalg.norm(a)
+    if hermitian and np.linalg.norm(a - a.conj().T) > tol:
+        raise ValueError("a hermitian family cannot encode a target that is not hermitian")
+    if real and np.linalg.norm(a.imag) > tol:
+        raise ValueError("a real family cannot encode a target with an imaginary part")
+
+
 def layer_threshold_search(
     target: TargetSpec,
     family: AnsatzSpec | GqspFamily,
@@ -575,13 +595,18 @@ def layer_threshold_search(
     ties), with the iterations, evaluations, skips and wall time summed over
     every candidate tried at that M.  If the start itself fails the search
     walks upward instead, and gives up (``m_thres`` None, a partial result)
-    at max(4 * start, start + 8) layers.  A GQSP target on other than the
-    generators' qubit count, or generators that close to an empty span,
-    raise ``ValueError`` before any candidate, and a target the register
-    cannot block-encode raises :func:`multistart_encode`'s at the first
-    screen, before any rank is taken.
+    at max(4 * start, start + 8) layers.  A target outside the family's
+    class (not hermitian for a hermitian family, generic or GQSP, or with an
+    imaginary part for a real one, beyond 1e-12 of its Frobenius norm), a
+    GQSP target on other than the generators' qubit count, or generators
+    that close to an empty span, raise ``ValueError`` before any candidate,
+    and a target the register cannot block-encode raises
+    :func:`multistart_encode`'s at the first screen, before any rank is
+    taken.
     """
-    if isinstance(family, AnsatzSpec):
+    generic = isinstance(family, AnsatzSpec)
+    _refuse_outside_class(target, family.hermitian, generic and family.restriction == REAL)
+    if generic:
         structure = "hermitian" if family.hermitian else "arbitrary"
         class_dim = free_parameter_bound(target.n, family.restriction, structure)
         one_layer = replace(family, layers=1)

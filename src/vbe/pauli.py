@@ -12,17 +12,18 @@ magnitude at most :data:`PRUNE_TOL` are dropped after every arithmetic
 operation (:func:`sum_from_packed`) so that cancellation residue cannot blow
 up the term count inside closure loops.
 
-Sums combine equal strings by sort, so ``+`` and ``-`` work up to
-:data:`MAX_KEY_QUBITS`, where the packed keys fill int64.  Every product has
-one path: ``@``, :func:`commutator`, :func:`mul_strings` and the closure
-loops all call :func:`product_packed`, which multiplies all term pairs as
-arrays, puts each pair in a bin (its packed key, or an orbit id per key for
-the orbit-coordinate closures of :mod:`vbe.symmetry`, with an optional group
-per pair above the key range) and combines equal bins by sort, at a cost set
-by the pair count alone.  One call thus multiplies a chunk of closure
-elements by all their multipliers at once.  Like dense conversion, the 4^n
-key range caps products and string partitions at :data:`MAX_DENSE_QUBITS`
-qubits.
+Equal keys are summed in one place, :func:`_combine`, a sort of the keys
+and one ``bincount`` per real and imaginary part.  Sums go through it, so
+``+`` and ``-`` work up to :data:`MAX_KEY_QUBITS`, where the packed keys
+fill int64.  Every product has one path: ``@``, :func:`commutator`,
+:func:`mul_strings` and the closure loops all call :func:`product_packed`,
+which multiplies all term pairs as arrays, puts each pair in a bin (its
+packed key, or an orbit id per key for the orbit-coordinate closures of
+:mod:`vbe.symmetry`, with an optional group per pair above the key range)
+and combines equal bins through :func:`_combine`, at a cost set by the pair
+count alone.  One call thus multiplies a chunk of closure elements by all
+their multipliers at once.  Like dense conversion, the 4^n key range caps
+products and string partitions at :data:`MAX_DENSE_QUBITS` qubits.
 
 :class:`OrbitCompression` is a partition of the strings into orbits: those
 of a symmetry group, or the trivial one with one orbit per string.  It gives
@@ -183,13 +184,11 @@ class PauliSum:
             raise ValueError(f"qubit count mismatch: {self.n} vs {other.n}")
 
     def _merge(self, other: "PauliSum", sign: float) -> "PauliSum":
-        """self + sign * other, combining equal strings by sort."""
+        """self + sign * other, combining equal strings through :func:`_combine`."""
         self._check(other)
-        keys, inverse = np.unique(np.concatenate((self.keys, other.keys)), return_inverse=True)
+        keys = np.concatenate((self.keys, other.keys))
         coeffs = np.concatenate((self.coeffs, sign * other.coeffs))
-        re = np.bincount(inverse, weights=coeffs.real, minlength=len(keys))
-        im = np.bincount(inverse, weights=coeffs.imag, minlength=len(keys))
-        return sum_from_packed(self.n, keys, re + 1j * im)
+        return sum_from_packed(self.n, *_combine(keys, coeffs))
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         return self._merge(other, 1.0)
@@ -271,6 +270,22 @@ def sum_from_packed(n: int, keys: np.ndarray, coeffs: np.ndarray) -> PauliSum:
     return PauliSum(n, keys[keep], coeffs[keep])
 
 
+def _combine(bins: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bins, ascending, and each bin's summed coefficient.
+
+    This is the one sum by key of the package.  The inverse that
+    ``np.unique`` returns is each term's rank among the distinct bins, and
+    one ``bincount`` per real and imaginary part adds the terms of a bin in
+    input order, so the sums do not depend on how the sort orders them.  The
+    cost depends only on the term count, not on the range of the bins.
+    Nothing is pruned.
+    """
+    keys, inverse = np.unique(bins, return_inverse=True)
+    re = np.bincount(inverse, weights=coeffs.real, minlength=len(keys))
+    im = np.bincount(inverse, weights=coeffs.imag, minlength=len(keys))
+    return keys, re + 1j * im
+
+
 def product_packed(
     n: int,
     k1: np.ndarray,
@@ -298,13 +313,12 @@ def product_packed(
     same order as a call on its two sums alone, so they equal that call's
     bitwise.
 
-    Equal bins are combined by sort: a stable argsort of the bins, a rank
-    per sorted run, then one ``bincount`` over the ranks in pair order, so
-    each bin sums its pairs in the order they were formed and the cost
-    depends only on the pair count, not on the 4^n key range.  The key
-    range still caps n at :data:`MAX_DENSE_QUBITS`, as ``index`` tables do.
-    Returns (bins, coeffs) with bins ascending and combined coefficients of
-    magnitude at most :data:`PRUNE_TOL` dropped.
+    Equal bins are combined by :func:`_combine`, so each bin sums its pairs
+    in the order they were formed and the cost depends only on the pair
+    count, not on the 4^n key range.  The key range still caps n at
+    :data:`MAX_DENSE_QUBITS`, as ``index`` tables do.  Returns (bins,
+    coeffs) with bins ascending and combined coefficients of magnitude at
+    most :data:`PRUNE_TOL` dropped.
     """
     check_dense_qubits(n, "a Pauli product")
     mask = (1 << n) - 1
@@ -336,16 +350,9 @@ def product_packed(
     if groups is not None:
         group = np.broadcast_to(np.asarray(groups, dtype=np.int64), grid)
         bins = (pick(group) << (2 * n)) | bins
-    order = np.argsort(bins, kind="stable")
-    ordered = bins[order]
-    first = np.ones(len(bins), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    rank = np.empty(len(bins), dtype=np.intp)
-    rank[order] = np.cumsum(first) - 1
-    acc_re = np.bincount(rank, weights=coeff.real)
-    acc_im = np.bincount(rank, weights=coeff.imag)
-    nz = np.flatnonzero(acc_re * acc_re + acc_im * acc_im > PRUNE_TOL * PRUNE_TOL)
-    return ordered[first][nz], acc_re[nz] + 1j * acc_im[nz]
+    bins, sums = _combine(bins, coeff)
+    keep = sums.real * sums.real + sums.imag * sums.imag > PRUNE_TOL * PRUNE_TOL
+    return bins[keep], sums[keep]
 
 
 class OrbitCompression:

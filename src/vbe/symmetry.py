@@ -145,7 +145,11 @@ def symmetric_orbit_compression(kind: str, n: int) -> OrbitCompression:
 
     Conjugation by a site permutation maps a Pauli string to a permuted
     string with no phase, so group-invariant sums carry equal coefficients
-    on every orbit; the partition feeds :class:`OrbitCompression`.
+    on every orbit; the partition feeds :class:`OrbitCompression`.  Each
+    string is labelled by an orbit invariant computed over all 4^n packed
+    keys at once: its X, Y and Z counts (Sn), the least key over its n
+    cyclic shifts (Cn), or the lesser of its key and its mirror image, read
+    from a bit-reversal table of the 2^n masks (Z2xz).
     """
     check_dense_qubits(n, "a string-orbit table")
     keys = np.arange(1 << (2 * n), dtype=np.int64)
@@ -166,12 +170,9 @@ def symmetric_orbit_compression(kind: str, n: int) -> OrbitCompression:
             np.minimum(best, (rx << n) | rz, out=best)
         raw = best
     elif kind == "Z2xz":
-        rev = np.zeros(1 << n, dtype=np.int64)
-        for v in range(1 << n):
-            r = 0
-            for b in range(n):
-                r |= ((v >> b) & 1) << (n - 1 - b)
-            rev[v] = r
+        # rev[v] is v with its n bits reversed: bit b moves to bit n - 1 - b
+        bits = np.arange(n)
+        rev = (((np.arange(1 << n)[:, None] >> bits) & 1) << (n - 1 - bits)).sum(axis=1)
         raw = np.minimum(keys, (rev[x] << n) | rev[z])
     else:
         raise ValueError(f"unknown symmetry kind {kind!r}")
@@ -246,8 +247,9 @@ def _span_closure(
     n: int,
     seeds: list[PauliSum],
     multipliers: list[PauliSum],
-    products,
     orbits: OrbitCompression,
+    *,
+    bracket: bool,
     start: int = 0,
 ) -> list[PauliSum]:
     """Breadth-first closure loop shared by the Lie and associative closures.
@@ -260,16 +262,16 @@ def _span_closure(
 
     The elements are expanded in chunks: the longest run of unexpanded
     elements, at least one, whose product grid (element terms x multiplier
-    terms) stays within :data:`_CHUNK_PAIRS` term pairs.
-    ``products(ka, ca, km, cm, groups)`` gets the chunk's elements
-    concatenated, the multipliers concatenated and the (len(ka), len(km))
-    grid of groups, element e of the chunk times multiplier m being group
-    e * len(multipliers) + m, and returns the one :func:`product_packed`
-    result of the chunk: group (e, m) holds the bracket [A_e, G_m] or the
-    left product G_m A_e.  Each bin sums the same pairs in the same order as
-    a call on element e alone would, so the candidates are bitwise those of
-    one call per element.  The span tests stay per element: the candidates
-    of element e are folded and tested as one block
+    terms) stays within :data:`_CHUNK_PAIRS` term pairs.  The loop makes one
+    :func:`product_packed` call per chunk, of the chunk's elements
+    concatenated and the multipliers concatenated, over a grid of groups:
+    element e of the chunk times multiplier m is group
+    e * len(multipliers) + m.  With ``bracket`` group (e, m) holds the
+    bracket [A_e, G_m]; without it, the left product G_m A_e, for which the
+    operands and the group grid are swapped.  Each bin sums the same pairs
+    in the same order as a call on element e alone would, so the candidates
+    are bitwise those of one call per element.  The span tests stay per
+    element: the candidates of element e are folded and tested as one block
     (:meth:`SpanBasis.add_block`) in multiplier order, against the basis as
     it stands after the acceptances of the elements before e.
 
@@ -303,6 +305,7 @@ def _span_closure(
     km = np.concatenate([m.keys for m in mults])
     cm = np.concatenate([m.coeffs for m in mults])
     ids = np.repeat(np.arange(len(mults)), [len(m) for m in mults])
+    index = orbits.orbit_ids
     idx = start
     while idx < len(basis):
         stop, terms = idx + 1, len(forms[idx][0])
@@ -314,7 +317,11 @@ def _span_closure(
         ca = np.concatenate([c for _, c in chunk])
         owner = np.repeat(np.arange(len(chunk)), [len(k) for k, _ in chunk])
         grid = owner[:, None] * len(mults) + ids
-        groups, keys, sums = orbits.fold(*products(ka, ca, km, cm, grid))
+        if bracket:
+            out = product_packed(n, ka, ca, km, cm, index=index, bracket=True, groups=grid)
+        else:  # the left product G_m A_e: operands and group grid swapped
+            out = product_packed(n, km, cm, ka, ca, index=index, groups=grid.T)
+        groups, keys, sums = orbits.fold(*out)
         element, cands = np.divmod(groups, len(mults))
         bounds = np.searchsorted(element, np.arange(len(chunk) + 1))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -355,12 +362,7 @@ def lie_closure(
         return []
     n = gens[0].n
     orbits = _partition(orbits, gens)
-    index = orbits.orbit_ids
-
-    def bracket(ka, ca, km, cm, groups):
-        return product_packed(n, ka, ca, km, cm, index=index, bracket=True, groups=groups)
-
-    return _span_closure(n, gens, gens, bracket, orbits)
+    return _span_closure(n, gens, gens, orbits, bracket=True)
 
 
 def associative_closure(
@@ -393,15 +395,10 @@ def associative_closure(
     n = l[0].n
     mult = l if multipliers is None else multipliers
     orbits = _partition(orbits, [*l, *mult])
-    index = orbits.orbit_ids
-
-    def left(ka, ca, km, cm, groups):
-        return product_packed(n, km, cm, ka, ca, index=index, groups=groups.T)
-
     # start=1: the identity (the first seed) is not expanded, its products
     # are the multipliers, which are seeds
     seeds = [PauliSum.identity(n), *l, *mult]
-    return _span_closure(n, seeds, mult, left, orbits, start=1)
+    return _span_closure(n, seeds, mult, orbits, bracket=False, start=1)
 
 
 @dataclass(frozen=True)

@@ -691,3 +691,12 @@ class TestCostModel:
         for k, cost in ((0, 0), (1, 0), (2, 2)):
             g = Gate("gadget", (k, k + 1, k + 2), (0,), generator=ident, controls=tuple(range(k)))
             assert count_nonlocal_gates(Circuit(k + 3, (g,), 1)) == cost
+
+    @pytest.mark.parametrize("count", [count_nonlocal_gates, count_multiqubit_gates])
+    def test_non_commuting_gadget_is_refused(self, count):
+        # XX and ZI anticommute, so exp(theta G) is not the product of one
+        # basis-change ladder per string
+        gen = PauliSum.from_terms({"XX": 1j, "ZI": 1j})
+        c = Circuit(2, (Gate("gadget", (0, 1), (0,), generator=gen),), 1)
+        with pytest.raises(ValueError, match="do not pairwise commute"):
+            count(c)

@@ -588,6 +588,58 @@ class TestLayerThresholdSearch:
         with pytest.raises(ValueError, match="start"):
             optimize.layer_threshold_search(target, family, opts, start=start)
 
+    @pytest.mark.parametrize(
+        "kind,match",
+        [
+            ("hermitian", "hermitian family .* not hermitian"),
+            ("real", "real family .* imaginary part"),
+            ("gqsp", "hermitian family .* not hermitian"),
+        ],
+        ids=["hermitian", "real", "gqsp"],
+    )
+    def test_target_outside_the_class_is_refused(self, monkeypatch, kind, match):
+        # a hermitized circuit's block is hermitian and a real circuit's block
+        # is real, so the search refuses before it screens any candidate
+        screened = []
+        monkeypatch.setattr(optimize, "_rank_screen", lambda *a: screened.append(a))
+        if kind == "gqsp":
+            n, family = 2, optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 2))
+        else:
+            n = 1
+            family = AnsatzSpec(
+                family="block",
+                system_qubits=n,
+                layers=1,
+                block_id=2,
+                restriction="real" if kind == "real" else "complex",
+                hermitian=kind == "hermitian",
+            )
+        target = subnormalize(random_matrix(n, "complex", "arbitrary", seed=0))
+        with pytest.raises(ValueError, match=match):
+            optimize.layer_threshold_search(target, family, optimize.OptimizeOptions())
+        assert screened == []
+
+    def test_target_inside_the_class_within_tolerance_is_searched(self):
+        # a 1e-14 asymmetry at (0, 1) and a 1e-14 imaginary part at (0, 0)
+        # stay within 1e-12 of A's Frobenius norm, so the hermitian spec and
+        # the real spec both search the target
+        a = random_matrix(1, "real", "hermitian", seed=0).astype(complex)
+        a[0, 1] += 1e-14
+        a[0, 0] += 1e-14j
+        target = subnormalize(a)
+        opts = optimize.OptimizeOptions(restarts=1, seed=0)
+        for restriction in ("complex", "real"):
+            spec = AnsatzSpec(
+                family="block",
+                system_qubits=1,
+                layers=1,
+                block_id=2,
+                restriction=restriction,
+                hermitian=restriction == "complex",
+            )
+            res = optimize.layer_threshold_search(target, spec, opts, start=1)
+            assert (res.m_thres, res.complete) == (1, True), restriction
+
     @pytest.mark.parametrize("start", [2.5, 2.0])
     def test_non_integer_start_is_refused(self, start):
         family = AnsatzSpec(family="block", system_qubits=2, layers=1, block_id=2)

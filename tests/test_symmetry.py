@@ -563,6 +563,33 @@ class TestPerElementOracle:
         assert_same_bases(associative_closure(l), associative_closure_per_element(l))
 
 
+def test_pauli_layer_digests():
+    # The per-element oracle calls the same product_packed, so it cannot see
+    # a bit that the sum by key moves; these digests, recorded on NumPy 2.4.6,
+    # can.  Each runs over the elements of its panel in order.
+    def closures(gens):
+        cb = closure_basis(gens)
+        return [*cb.lie_basis, *cb.full_basis]
+
+    rows = [(kind, n) for kind, n in BDIM_TABLE if n <= 5]
+    assert len(rows) == 12
+    orbit = [e for kind, n in rows for e in closures(heisenberg_generator_set(kind, n))]
+    plain = [
+        e
+        for kind, n in [("Z2xz", 4), ("Cn", 5), ("Sn", 5)]
+        for e in closures(list(heisenberg_generator_set(kind, n).generators))
+    ]
+    sums = [
+        symmetric_heisenberg_terms(kind, n, seed)
+        for kind in ("Sn", "Cn", "Z2xz")
+        for n in range(2, 7)
+        for seed in (0, 1)
+    ]
+    assert basis_digest(orbit) == "db65b0796c4a8e230aded64c227c913a232b3670aa5b3a5a15ec765f7777a2d5"
+    assert basis_digest(plain) == "304e36384d1ff81512dc7c04878f1f09d70e88c15575ab49dad6f1080a2637ae"
+    assert basis_digest(sums) == "8abc1f8de55b83ea00f9e4c89424b7beaf508c007783b46899a7af6e1978348f"
+
+
 class TestClosureDimsTable:
     @pytest.mark.parametrize(
         "kind,n,dim_b",
@@ -687,6 +714,24 @@ class TestOrbitCompression:
         key = lambda p: (p.x << 4) | p.z
         assert orb.orbit_ids[key(k1)] == orb.orbit_ids[key(k2)]
         assert orb.orbit_ids[key(k1)] != orb.orbit_ids[key(k3)]
+
+    @pytest.mark.parametrize("kind", ["Sn", "Cn", "Z2xz"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tables_match_letter_orbits(self, kind, n):
+        # the reference orbit of a string, one string at a time: its letters
+        # sorted (Sn), least over the cyclic shifts (Cn), or least of the
+        # letters and their mirror image (Z2xz)
+        def canonical(letters):
+            if kind == "Sn":
+                return "".join(sorted(letters))
+            if kind == "Cn":
+                return min(letters[i:] + letters[:i] for i in range(n))
+            return min(letters, letters[::-1])
+
+        orb = symmetric_orbit_compression(kind, n)
+        want = [canonical(PauliString.from_key(n, k).letters) for k in range(4**n)]
+        pairs = set(zip(orb.orbit_ids.tolist(), want))
+        assert len(pairs) == orb.count == len(set(want))
 
     def test_isometry_on_invariant_sums(self):
         gs = heisenberg_generator_set("Sn", 4)
