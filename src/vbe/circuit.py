@@ -700,7 +700,7 @@ def _gates_of(primitive: str, qubits: tuple[int, ...], real: bool) -> list[tuple
         if real:
             kinds = [_REAL_KINDS[k] for k in kinds if k in _REAL_KINDS]
         controls = qubits[:1] if i and entangler == "control" else ()
-        out += [(k, (q,), 3 if k == "grot" else 1, None, controls) for k in kinds]
+        out += [(k, (q,), max(_SLOT_COUNTS[k]), None, controls) for k in kinds]
     if entangler in _FIXED:
         out.append((entangler, qubits, 0, None, ()))
     return out
@@ -900,48 +900,39 @@ def _gadget_string_weights(g: Gate) -> list[int]:
     flips = np.bitwise_count(x[:, None] & z) + np.bitwise_count(z[:, None] & x)
     if np.any(flips & 1):
         raise ValueError("no gate count for a gadget whose strings do not pairwise commute")
-    return [p.weight for p in gen.strings()]
+    return np.bitwise_count(x | z).tolist()
 
 
-def _applied_gates(c: Circuit) -> tuple[Gate, ...]:
-    """Every gate the unitary applies: U twice and V once with a core."""
-    return c.gates if c.core is None else c.gates + c.core + c.gates
+def _gate_costs(c: Circuit) -> tuple[int, int]:
+    """(CNOT equivalents, multi-qubit gates) of every gate the unitary applies.
+
+    With a core the unitary applies U twice and V once.  Each gate applies
+    strings of weight w conditioned on m qubits: a gadget each of its strings,
+    m its controls; any other gate one weight-1 string on its last qubit, m
+    every other qubit it touches.  A string costs ``rotation_cnots(w, m)``,
+    except that a ``cnot`` or ``cz`` with m = 1 is native and costs 1, and it
+    is a multi-qubit gate when w + m >= 2.  A gadget whose strings do not
+    pairwise commute raises ``ValueError``, so an encode or a search over
+    such a circuit raises once it builds a report.
+    """
+    cnots = multi = 0
+    for g in c.gates if c.core is None else c.gates + c.core + c.gates:
+        if g.kind == "gadget":
+            m, weights = len(g.controls), _gadget_string_weights(g)
+        else:
+            m, weights = len(g.qubits) - 1 + len(g.controls), (1,)
+        native = m == 1 and g.kind in ("cnot", "cz")
+        for w in weights:
+            cnots += 1 if native else rotation_cnots(w, m)
+            multi += w + m >= 2
+    return cnots, multi
 
 
 def count_nonlocal_gates(c: Circuit) -> int:
-    """Entangling cost in CNOT equivalents.
-
-    A ``cnot`` or ``cz`` is a single-target gate on its last qubit
-    conditioned on the others; with one condition it is native and counts
-    1, otherwise ``mc1q``.  Each string of a Pauli gadget, and each
-    single-qubit gate as a weight-1 string, costs :func:`rotation_cnots`.
-    That compiles a gadget only when its strings pairwise commute, so a
-    gadget whose strings do not raises ``ValueError``, here and in
-    :func:`count_multiqubit_gates`; an encode or a search over such a
-    circuit raises it once it builds a report.
-    """
-    total = 0
-    for g in _applied_gates(c):
-        extra = len(g.controls)
-        if g.kind == "gadget":
-            total += sum(rotation_cnots(w, extra) for w in _gadget_string_weights(g))
-        elif g.kind in ("cnot", "cz"):
-            m = len(g.qubits) - 1 + extra
-            total += 1 if m == 1 else mc1q(m)
-        else:  # single-qubit kinds
-            total += rotation_cnots(1, extra)
-    return total
+    """Entangling cost in CNOT equivalents, by the rule of :func:`_gate_costs`."""
+    return _gate_costs(c)[0]
 
 
 def count_multiqubit_gates(c: Circuit) -> int:
-    """Raw number of multi-qubit gate instances (no decomposition applied)."""
-    total = 0
-    for g in _applied_gates(c):
-        extra = len(g.controls)
-        if g.kind == "gadget":
-            total += sum(1 for w in _gadget_string_weights(g) if w + extra >= 2)
-        elif g.kind in ("cnot", "cz"):
-            total += 1
-        else:  # single-qubit kinds
-            total += 1 if extra else 0
-    return total
+    """Multi-qubit strings applied, by the rule of :func:`_gate_costs`."""
+    return _gate_costs(c)[1]

@@ -200,6 +200,8 @@ class PauliSum:
         return PauliSum(self.n, self.keys, -self.coeffs)
 
     def __mul__(self, scalar: complex) -> "PauliSum":
+        if not np.isfinite(scalar):
+            raise ValueError(f"scalar is not finite: {scalar}")
         return sum_from_packed(self.n, self.keys, self.coeffs * scalar)
 
     __rmul__ = __mul__

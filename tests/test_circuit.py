@@ -25,6 +25,7 @@ from vbe.circuit import (
     hermitize,
     mc1q,
 )
+from vbe.optimize import GqspFamily
 from vbe.pauli import PauliSum, to_dense
 from vbe.resources import (
     a_ratio,
@@ -663,6 +664,12 @@ class TestLowering:
         assert count_nonlocal_gates(c) > 0
 
 
+# sha256 of "cnots,multi;" for every circuit c below and then controlled(c):
+# each block over n = 1..4, both restrictions, plain and hermitized, M = 0..2,
+# then every 2-layer GQSP sequence of Sn, Cn and Z2xz at n = 2..4, both ways
+GATE_COUNTS_SHA256 = "ea19cf23c5701b49159f3f0a8e8bc28baf164a967a283e430d4b06694534de38"
+
+
 class TestCostModel:
     def test_mc1q_table(self):
         assert [mc1q(k) for k in range(6)] == [0, 2, 6, 32, 48, 64]
@@ -700,3 +707,31 @@ class TestCostModel:
         c = Circuit(2, (Gate("gadget", (0, 1), (0,), generator=gen),), 1)
         with pytest.raises(ValueError, match="do not pairwise commute"):
             count(c)
+
+    def test_gate_counts_are_pinned(self):
+        def circuits():
+            for bid, n, restriction, hermitian, m in itertools.product(
+                BLOCK_CATALOG, range(1, 5), ("complex", "real"), (False, True), range(3)
+            ):
+                try:
+                    spec = AnsatzSpec(
+                        "block", n, m, bid, restriction=restriction, hermitian=hermitian
+                    )
+                except ValueError:
+                    continue
+                yield build_ansatz(spec)
+            for kind, n, hermitian in itertools.product(
+                ("Sn", "Cn", "Z2xz"), range(2, 5), (False, True)
+            ):
+                gs = symmetry.heisenberg_generator_set(kind, n)
+                family = GqspFamily(gs, hermitian)
+                for seq in itertools.product(range(len(gs.generators)), repeat=2):
+                    yield build_ansatz(family.spec_for_sequence(seq))
+
+        h, total = hashlib.sha256(), 0
+        for c in circuits():
+            for cc in (c, controlled(c)):
+                h.update(f"{count_nonlocal_gates(cc)},{count_multiqubit_gates(cc)};".encode())
+                total += 1
+        assert total == 2316
+        assert h.hexdigest() == GATE_COUNTS_SHA256

@@ -491,3 +491,11 @@ class TestArithmetic:
     def test_dagger_dense(self, rng):
         s = random_pauli_sum(2, 4, rng)
         assert np.allclose(to_dense(s.dagger()), to_dense(s).conj().T)
+
+    @pytest.mark.parametrize("scalar", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_non_finite_scalar_is_refused(self, scalar):
+        a = PauliSum.from_terms({"X": 1})
+        with pytest.raises(ValueError, match="scalar is not finite"):
+            a * scalar
+        with pytest.raises(ValueError, match="scalar is not finite"):
+            scalar * a
