@@ -716,14 +716,15 @@ def _layer(steps: tuple[tuple[str, str], ...], n: int, real: bool) -> list[tuple
     ]
 
 
-def _numbered(n_qubits: int, gates: list[tuple], layer_slot_count: int) -> Circuit:
-    """The circuit of ``gates``, (kind, qubits, slot count, generator, controls)
-    rows, with their slots numbered in order by one running count."""
+def _numbered(n_qubits: int, head: list[tuple], layers: list[tuple], tail: list[tuple]) -> Circuit:
+    """The circuit of the (kind, qubits, slot count, generator, controls) rows
+    of ``head``, ``layers`` and ``tail``, slots numbered in that order by one
+    running count.  Its ``layer_slot_count`` is the slots of ``layers``."""
     out, count = [], 0
-    for kind, qubits, k, generator, controls in gates:
+    for kind, qubits, k, generator, controls in head + layers + tail:
         out.append(Gate(kind, qubits, tuple(range(count, count + k)), generator, controls))
         count += k
-    return Circuit(n_qubits, tuple(out), count, layer_slot_count)
+    return Circuit(n_qubits, tuple(out), count, sum(g[2] for g in layers))
 
 
 # --------------------------------------------------------------------------
@@ -778,15 +779,14 @@ class AnsatzSpec:
 def build_generic_ansatz(spec: AnsatzSpec) -> Circuit:
     """M copies of the block's layer (its ``BLOCK_CATALOG`` steps) followed by
     U_s, an R on every qubit.  R is a three-slot ``grot``; the real
-    restriction makes it an ``ry`` and drops every ``rx`` and ``rz``.
-    ``layer_slot_count`` is the slot count of the M layers, which come
-    first, so U_s holds the last slots."""
+    restriction makes it an ``ry`` and drops every ``rx`` and ``rz``.  The
+    M layers hold the first slots and U_s the last, which are fixed."""
     if spec.family != "block":
         raise ValueError("spec does not describe a generic ansatz")
     n, real = spec.total_qubits, spec.restriction == REAL
     layer = _layer(BLOCK_CATALOG[spec.block_id].steps, n, real)
     u_s = _layer((("R", "each"),), n, real)
-    return _numbered(n, layer * spec.layers + u_s, spec.layers * sum(g[2] for g in layer))
+    return _numbered(n, [], layer * spec.layers, u_s)
 
 
 def build_gqsp_ansatz(generators: tuple[PauliSum, ...] | list[PauliSum], n: int) -> Circuit:
@@ -803,10 +803,10 @@ def build_gqsp_ansatz(generators: tuple[PauliSum, ...] | list[PauliSum], n: int)
         if g.n != n:
             raise ValueError("generator qubit count must match the system register")
     system = tuple(range(1, n + 1))
-    gates = [("grot", (0,), 3, None, ())]
+    layers = []
     for g in gens:
-        gates += [("gadget", system, 1, g, (0,)), ("grot", (0,), 2, None, ())]
-    return _numbered(n + 1, gates, 3 * len(gens))
+        layers += [("gadget", system, 1, g, (0,)), ("grot", (0,), 2, None, ())]
+    return _numbered(n + 1, [("grot", (0,), 3, None, ())], layers, [])
 
 
 def build_ansatz(spec: AnsatzSpec) -> Circuit:

@@ -55,7 +55,7 @@ from vbe.circuit import (
     evaluate_with_gradients,
 )
 from vbe.encode import EncodeObjective, TargetSpec, _residual
-from vbe.resources import free_parameter_bound, threshold_layers
+from vbe.resources import class_dimension, threshold_layers
 from vbe.symmetry import GeneratorSet, closure_basis
 from vbe.targets import make_rng
 
@@ -577,8 +577,8 @@ def layer_threshold_search(
     theta -> U(theta)[:sub, :sub] has rank equal to the class
     dimension, the class's number of real parameters (the "parameter
     dimension" of Haug, Bharti and Kim, arXiv:2102.01659).  That is
-    ``free_parameter_bound`` of the target's qubit count and the spec's
-    (restriction, hermitian) class for a generic family, and q * dim B for
+    :func:`~vbe.resources.class_dimension` of the spec at the target's
+    qubit count for a generic family, and q * dim B for
     a GQSP family (q = 1 hermitian, 2 not), computed once per search.  A
     candidate whose block Jacobian at its first start has numerical rank
     (singular values above 1e-9 of the largest) below it runs no BFGS and
@@ -595,20 +595,22 @@ def layer_threshold_search(
     ties), with the iterations, evaluations, skips and wall time summed over
     every candidate tried at that M.  If the start itself fails the search
     walks upward instead, and gives up (``m_thres`` None, a partial result)
-    at max(4 * start, start + 8) layers.  A target outside the family's
-    class (not hermitian for a hermitian family, generic or GQSP, or with an
-    imaginary part for a real one, beyond 1e-12 of its Frobenius norm), a
-    GQSP target on other than the generators' qubit count, or generators
-    that close to an empty span, raise ``ValueError`` before any candidate,
-    and a target the register cannot block-encode raises
-    :func:`multistart_encode`'s at the first screen, before any rank is
-    taken.
+    at max(4 * start, start + 8) layers.  A ``start`` that is not an
+    integer of at least 1 raises ``ValueError`` before anything else.  A
+    target outside the family's class (not hermitian for a hermitian
+    family, generic or GQSP, or with an imaginary part for a real one,
+    beyond 1e-12 of its Frobenius norm), a GQSP target on other than the
+    generators' qubit count, or generators that close to an empty span,
+    raise ``ValueError`` before any candidate, and a target the register
+    cannot block-encode raises :func:`multistart_encode`'s at the first
+    screen, before any rank is taken.
     """
+    if start is not None and (not isinstance(start, (int, np.integer)) or start < 1):
+        raise ValueError(f"start must be an integer of at least 1, got {start!r}")
     generic = isinstance(family, AnsatzSpec)
     _refuse_outside_class(target, family.hermitian, generic and family.restriction == REAL)
     if generic:
-        structure = "hermitian" if family.hermitian else "arbitrary"
-        class_dim = free_parameter_bound(target.n, family.restriction, structure)
+        class_dim = class_dimension(family, target.n)
         one_layer = replace(family, layers=1)
     else:
         if target.n != family.generator_set.n:
@@ -621,8 +623,6 @@ def layer_threshold_search(
     est = threshold_layers(build_ansatz(one_layer), class_dim)
     if start is None:
         start = max(1, int(np.ceil(1.05 * max(est, 1))))
-    if not isinstance(start, (int, np.integer)) or start < 1:
-        raise ValueError(f"start must be an integer of at least 1, got {start!r}")
 
     def attempt(m: int) -> EncodeReport:
         reports = []

@@ -1,8 +1,9 @@
 """Closed-form resource bounds and estimators.
 
-Free-parameter counts of matrix classes, the CNOT lower bound (TLB), the
-parameter-per-gate ratio ``a``, the one threshold-layer estimate, and the
-LCU gate-count comparison model.
+Free-parameter counts of matrix classes, the class of a generic spec, the
+CNOT lower bound (TLB), the parameter-per-gate ratio ``a``, the layer
+estimate and multi-qubit-gate bound that read a family's parameter layout
+off its one-layer circuit, and the LCU gate-count comparison model.
 
 All bounds are pure integer functions; ratios use exact ``Fraction``
 arithmetic so ceilings are never subject to floating-point rounding.
@@ -47,31 +48,20 @@ def tlb_cnot(n: int) -> int:
     return math.ceil(Fraction(2 * 4**n - 3 * (n + 1), 4))
 
 
-def nonlocal_gate_bound(n: int, total_qubits: int, field: str, structure: str, a: Fraction) -> int:
-    """Multi-qubit-gate lower bound for an n-qubit target of the given class.
+def nonlocal_gate_bound(one_layer: Circuit, class_dim: int) -> int:
+    """Multi-qubit-gate lower bound of a family for a class of ``class_dim``
+    real parameters: those less the family's fixed parameters (read as
+    :func:`threshold_layers` reads them), over :func:`a_ratio`, at least 0.
 
-    The free parameters of the matrix class, less the parameter budget of
-    the appended single-qubit layer on all ``total_qubits`` qubits (3 per
-    general rotation for complex circuits, 1 per Ry for real ones), divided
-    by the parameter-per-gate ratio ``a``.
+    ``one_layer`` is the family's one-layer circuit before hermitization, so
+    the ``RESOURCES_N5`` bounds of the hermitian classes too use U's a-ratio.
     """
-    if total_qubits < n + 1:
-        raise ValueError("block encoding needs at least one ancilla qubit")
-    a = Fraction(a)
-    if a <= 0:
-        raise ValueError("a-ratio must be positive")
-    if structure not in ("arbitrary", "hermitian"):
-        raise ValueError(f"no gate bound for structure {structure!r}")
-    us_params = (3 if field == COMPLEX else 1) * total_qubits
-    return math.ceil(Fraction(free_parameter_bound(n, field, structure) - us_params) / a)
+    fixed = one_layer.param_count - one_layer.layer_slot_count
+    return max(0, math.ceil(Fraction(class_dim - fixed) / a_ratio(one_layer)))
 
 
 def a_ratio(c: Circuit) -> Fraction:
-    """Repeating-layer parameters per raw multi-qubit gate.
-
-    The appended single-qubit layer is excluded from the numerator since
-    the bounds account for it separately.
-    """
+    """Repeating-layer parameters (``layer_slot_count``) per raw multi-qubit gate."""
     gates = count_multiqubit_gates(c)
     if gates == 0:
         raise ValueError("circuit has no entangling gates")
@@ -97,13 +87,16 @@ def threshold_layers(one_layer: Circuit, class_dim: int) -> int:
     return max(0, math.ceil(Fraction(class_dim - fixed, per_layer)))
 
 
+def class_dimension(spec, n: int) -> int:
+    """Free parameters of the n-qubit class a generic AnsatzSpec encodes (field, hermitian)."""
+    return free_parameter_bound(n, spec.restriction, "hermitian" if spec.hermitian else "arbitrary")
+
+
 def estimate_generic_threshold(spec) -> int:
     """Threshold-layer estimate for a generic AnsatzSpec: enough parameters
-    for the free-parameter count of the matching matrix class on its
-    ``system_qubits``."""
-    structure = "hermitian" if spec.hermitian else "arbitrary"
-    n_p = free_parameter_bound(spec.system_qubits, spec.restriction, structure)
-    return threshold_layers(build_generic_ansatz(replace(spec, layers=1)), n_p)
+    for the :func:`class_dimension` of its ``system_qubits``."""
+    one_layer = build_generic_ansatz(replace(spec, layers=1))
+    return threshold_layers(one_layer, class_dimension(spec, spec.system_qubits))
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def heisenberg_generator_set(kind: str, n: int) -> GeneratorSet:
     return GeneratorSet(kind=kind, n=n, generators=tuple(gens), labels=tuple(labels))
 
 
-def symmetric_heisenberg_terms(kind: str, n: int, seed: int | np.random.Generator) -> PauliSum:
+def symmetric_heisenberg_terms(kind: str, n: int, seed: int) -> PauliSum:
     """Random-coefficient Heisenberg Hamiltonian matched to the symmetry.
 
     Every generator orbit receives an independent coupling with magnitude

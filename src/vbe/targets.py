@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from vbe.pauli import PauliSum
+from vbe.pauli import PauliSum, check_dense_qubits
 
 
-def make_rng(seed: int | np.random.Generator, *key: int) -> np.random.Generator:
+def make_rng(seed: int, *key: int) -> np.random.Generator:
     """Philox-backed generator (counter based, cheap to split deterministically).
 
     ``key`` names an independent child stream of ``seed``:
     ``make_rng(seed, i)`` draws what child i of ``SeedSequence(seed).spawn``
-    draws.  A generator is returned as it is, whatever the key.
+    draws.
     """
-    if isinstance(seed, np.random.Generator):
-        return seed
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
@@ -74,13 +72,15 @@ def random_matrix(
     n: int,
     field: str = "complex",
     structure: str = "arbitrary",
-    seed: int | np.random.Generator = 0,
+    seed: int = 0,
 ) -> np.ndarray:
     """Random 2^n x 2^n matrix with i.i.d. uniform entries on [-1, 1].
 
     ``field`` is "complex" or "real"; ``structure`` is "arbitrary" or
     "hermitian" (hermitian applies (M + M†)/2).  Deterministic per seed.
+    More than ``MAX_DENSE_QUBITS`` qubits are refused before any draw.
     """
+    check_dense_qubits(n, "a random matrix")
     if field not in ("complex", "real"):
         raise ValueError(f"unknown field {field!r}")
     if structure not in ("arbitrary", "hermitian"):

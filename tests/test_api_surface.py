@@ -36,7 +36,6 @@ ALLOWED = {
     "pauli.parse_generator_file": "Pauli text format, for the planned CLI (ROADMAP, the vbe CLI)",
     "resources.tlb_cnot": "the CNOT lower bound TLB of a one-ancilla complex encoding",
     "resources.nonlocal_gate_bound": "reproduces the CNOT-bound column of RESOURCES_N5",
-    "resources.a_ratio": "reproduces the a-ratio behind the RESOURCES_N5 CNOT bound",
     "resources.lcu_estimate": "LCU gate count the symmetric ansatz is compared against",
     "symmetry.expressible": "membership of a target in span(B), the expressibility claim",
     "targets.zero_pad": "zero padding of non-power-of-two inputs before sub-normalization",

@@ -27,12 +27,7 @@ from vbe.circuit import (
 )
 from vbe.optimize import GqspFamily
 from vbe.pauli import PauliSum, to_dense
-from vbe.resources import (
-    a_ratio,
-    estimate_generic_threshold,
-    free_parameter_bound,
-    nonlocal_gate_bound,
-)
+from vbe.resources import estimate_generic_threshold, free_parameter_bound, nonlocal_gate_bound
 from vbe.tables import RESOURCES_N5
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -140,16 +135,16 @@ class TestParameterCounts:
     @pytest.mark.parametrize("field,structure", list(RESOURCES_N5))
     def test_resources_n5(self, field, structure):
         # block 2 on 4 system qubits at its estimated threshold depth, against
-        # the free-parameter bound and the CNOT bound at the one-layer a-ratio
+        # the free-parameter bound and the CNOT bound of the one-layer circuit
         spec = block_spec(2, n=4, restriction=field, hermitian=structure == "hermitian")
         c = build_ansatz(replace(spec, layers=estimate_generic_threshold(spec)))
-        a = a_ratio(build_generic_ansatz(block_spec(2, n=4, restriction=field)))
-        bound = nonlocal_gate_bound(4, 5, field, structure, a)
+        class_dim = free_parameter_bound(4, field, structure)
+        one_layer = build_generic_ansatz(block_spec(2, n=4, restriction=field))
         got = (
             c.param_count,
-            free_parameter_bound(4, field, structure),
+            class_dim,
             count_nonlocal_gates(c),
-            bound,
+            nonlocal_gate_bound(one_layer, class_dim),
         )
         assert got == RESOURCES_N5[(field, structure)]
 

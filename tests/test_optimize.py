@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -343,6 +344,18 @@ class TestBfgsStoppingRule:
         assert np.linalg.norm(grad) <= 2.0 * np.sqrt(res.f) * opts.grad_norm_tol
         assert np.allclose(res.x, [1.0, -2.0], atol=1e-6)
 
+    def test_wrong_sign_gradient_ends_in_a_failed_line_search(self):
+        # the gradient points downhill, so f rises along every step the line
+        # search tries: the zoom's interval collapses, and with no sufficient
+        # decrease left the run ends at its start instead of raising
+        def fg(x):
+            return float(x @ x + 1.0), -2.0 * x
+
+        x0 = np.array([0.5, -1.0])
+        res = optimize.bfgs_minimize(fg, x0, optimize.OptimizeOptions())
+        assert (res.status, res.iterations, res.f) == ("line_search_failed", 0, fg(x0)[0])
+        assert np.array_equal(res.x, x0)
+
 
 def converges_from(k):
     """A stand-in for ``multistart_encode`` that is exact iff layers >= k."""
@@ -639,6 +652,29 @@ class TestLayerThresholdSearch:
             )
             res = optimize.layer_threshold_search(target, spec, opts, start=1)
             assert (res.m_thres, res.complete) == (1, True), restriction
+
+    def test_start_is_checked_before_the_closure(self, monkeypatch):
+        def no_closure(*_):
+            raise AssertionError("closure computed before the start check")
+
+        monkeypatch.setattr(optimize, "closure_basis", no_closure)
+        family = optimize.GqspFamily(symmetry.heisenberg_generator_set("Sn", 2))
+        target, opts = symmetric_target("Sn", 2, 0), optimize.OptimizeOptions()
+        with pytest.raises(ValueError, match="start must be an integer"):
+            optimize.layer_threshold_search(target, family, opts, start=0)
+
+    @pytest.mark.parametrize("k", [3, None], ids=["complete", "give_up"])
+    def test_result_to_dict(self, monkeypatch, k):
+        # the downward walk records M = 4, 3, 2 in that order, and the
+        # upward one 4 to 16
+        monkeypatch.setattr(optimize, "multistart_encode", converges_from(k))
+        target = TargetSpec(np.eye(4), 1.0)
+        spec = AnsatzSpec(family="block", system_qubits=2, layers=1, block_id=2)
+        res = optimize.layer_threshold_search(target, spec, optimize.OptimizeOptions(), start=4)
+        out = json.loads(json.dumps(res.to_dict()))
+        assert (out["m_thres"], out["complete"], out["start"]) == (res.m_thres, res.complete, 4)
+        assert [int(m) for m in out["per_m"]] == sorted(res.reports)
+        assert all(out["per_m"][str(m)]["layers"] == m for m in res.reports)
 
     @pytest.mark.parametrize("start", [2.5, 2.0])
     def test_non_integer_start_is_refused(self, start):

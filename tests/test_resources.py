@@ -56,23 +56,37 @@ class TestTlb:
             assert tlb_cnot(n) == math.ceil((2 * 4**n - 3 * (n + 1)) / 4)
 
 
+def block2_layer(n: int, field: str = COMPLEX):
+    """Block 2's one-layer circuit on n system qubits, before hermitization."""
+    return build_generic_ansatz(block_spec(2, n=n, restriction=field))
+
+
 class TestNonlocalGateBound:
     def test_real_hermitian_paper_value(self):
-        assert nonlocal_gate_bound(4, 5, "real", "hermitian", Fraction(2)) == 66
+        assert nonlocal_gate_bound(block2_layer(4, REAL), 136) == 66
 
     def test_complex_hermitian_paper_value(self):
-        assert nonlocal_gate_bound(4, 5, "complex", "hermitian", Fraction(4)) == 61
+        assert nonlocal_gate_bound(block2_layer(4), 256) == 61
 
     def test_real_arbitrary_paper_value(self):
-        assert nonlocal_gate_bound(4, 5, "real", "arbitrary", Fraction(2)) == 126
+        assert nonlocal_gate_bound(block2_layer(4, REAL), 256) == 126
 
     def test_consistency_with_tlb(self):
         for n in range(1, 7):
-            assert nonlocal_gate_bound(n, n + 1, "complex", "arbitrary", Fraction(4)) == tlb_cnot(n)
+            class_dim = free_parameter_bound(n, COMPLEX, "arbitrary")
+            assert nonlocal_gate_bound(block2_layer(n), class_dim) == tlb_cnot(n)
 
-    def test_rejects_unitary(self):
-        with pytest.raises(ValueError):
-            nonlocal_gate_bound(2, 3, "complex", "unitary", Fraction(4))
+    def test_clamped_at_zero(self):
+        # the 15 fixed parameters of U_s on 5 qubits exceed the 4 of a 1-qubit
+        # hermitian class by more than one layer's a-ratio of 4
+        class_dim = free_parameter_bound(1, COMPLEX, "hermitian")
+        assert nonlocal_gate_bound(block2_layer(4), class_dim) == 0
+
+    def test_layer_without_entangler_is_refused(self):
+        # block 0's layer is single-qubit rotations only, so it has no a-ratio
+        one_layer = build_generic_ansatz(block_spec(0, n=2))
+        with pytest.raises(ValueError, match="no entangling gates"):
+            nonlocal_gate_bound(one_layer, free_parameter_bound(2, COMPLEX, "hermitian"))
 
 
 class TestARatio:

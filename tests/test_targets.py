@@ -3,7 +3,7 @@ import pytest
 
 from oracles import string_to_dense
 from vbe import targets
-from vbe.pauli import PauliString, to_dense
+from vbe.pauli import MAX_DENSE_QUBITS, PauliString, to_dense
 from vbe.targets import chain_bonds, heisenberg_graph_terms
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -82,6 +82,25 @@ class TestRandomMatrix:
     def test_unknown_field(self):
         with pytest.raises(ValueError):
             targets.random_matrix(2, "quaternionic", "arbitrary", 0)
+
+    def test_too_many_qubits_is_refused_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(targets, "make_rng", lambda *a: drawn.append(a))
+        with pytest.raises(ValueError, match=f"n={MAX_DENSE_QUBITS + 1}"):
+            targets.random_matrix(MAX_DENSE_QUBITS + 1)
+        assert drawn == []
+
+
+class TestMakeRng:
+    def test_key_names_a_spawned_child(self):
+        child = np.random.SeedSequence(7).spawn(3)[2]
+        want = np.random.Generator(np.random.Philox(child)).uniform(size=4)
+        assert np.array_equal(targets.make_rng(7, 2).uniform(size=4), want)
+
+    def test_generator_is_no_seed(self):
+        # a generator seed would drop the key, so every child stream would be one
+        with pytest.raises(TypeError):
+            targets.make_rng(np.random.default_rng(0), 1)
 
 
 class TestZeroPad:
